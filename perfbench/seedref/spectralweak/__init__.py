@@ -1,0 +1,81 @@
+"""Weakly supervised classification via spectral graph grouping of bagged instances."""
+
+from .dataset import (
+    Bag,
+    CsvSchema,
+    Dataset,
+    DistanceMatrix,
+    Instance,
+    load_csv,
+    pairwise_distances,
+    standardize,
+)
+from .errors import SpectralWeakError
+from .evaluation import (
+    GridSpec,
+    GridSearchResult,
+    IndexValue,
+    davies_bouldin,
+    davies_bouldin_general,
+    f1_score,
+    grid_search,
+    pair_confusion,
+)
+from .simgraph import (
+    GraphParams,
+    GraphSpec,
+    InitialSimilarities,
+    SimilarityGraph,
+    build_graph,
+    connected_components,
+    epsilon_graph,
+    fully_connected_gaussian,
+    initial_similarities,
+    knn_graph,
+    prob_criterion_graph,
+    prob_threshold_graph,
+    symmetrize,
+)
+from .spectral import (
+    Grouping,
+    Laplacian,
+    SpectralEmbedding,
+    degree_matrix,
+    kmeans,
+    normalized_laplacian,
+    smallest_k_eigenvectors,
+    spectral_grouping,
+    unnormalized_laplacian,
+)
+from .weakanno import (
+    AnnotatedTrainingSet,
+    SynthBags,
+    SynthBagsConfig,
+    annotate_groups,
+    build_training_set,
+    collect_unlabelled,
+    synth_bags,
+)
+from .classify import (
+    AggregationRule,
+    CVResult,
+    KnnConfig,
+    LogisticConfig,
+    QdaConfig,
+    fully_supervised_baseline,
+    leave_one_bag_out_cv,
+    predict,
+    predict_proba,
+    train_knn,
+    train_logistic,
+    train_qda,
+)
+from .bench import (
+    BenchCheck,
+    BenchReport,
+    fetch_instructions,
+    load_dataset_a,
+    run_suite,
+)
+
+__version__ = "0.1.0"

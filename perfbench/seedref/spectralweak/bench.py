@@ -1,0 +1,637 @@
+"""Benchmark harness: dataset loaders, reproduction recipes, and the bundled
+toy-dataset property suite.
+
+Benchmark files are not redistributed. Each loader verifies row and column
+counts against the published shapes and raises MissingDataError with fetch
+instructions when a file is absent, so a fresh checkout fails loudly instead
+of silently benchmarking the wrong data.
+
+Reports carry hard checks (gate the exit code), soft checks (report-only
+bands around published figures), and plot-ready rows for the CSV artifact.
+Timing is kept out of the JSON payload so reruns with the same seed stay
+byte-identical.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+import time
+from dataclasses import asdict, dataclass, replace
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+
+from .classify import fully_supervised_baseline, leave_one_bag_out_cv
+from .dataset import Bag, Dataset, DistanceMatrix, Instance, pairwise_distances
+from .errors import MissingDataError, ParseError
+from .evaluation import GridSearchResult, GridSpec, f1_score, grid_search
+from .simgraph import (
+    GraphParams,
+    GraphSpec,
+    connected_components,
+    epsilon_graph,
+    initial_similarities,
+    knn_graph,
+    prob_threshold_graph,
+)
+from .spectral import spectral_grouping
+from .weakanno import SynthBagsConfig, build_training_set, synth_bags, weak_agreement
+
+# ---------------------------------------------------------------------------
+# benchmark files
+
+_FETCH: dict[str, tuple[tuple[str, ...], str]] = {
+    "banknotes": (
+        ("banknote.csv",),
+        "curl -o {dir}/banknote.csv "
+        "https://vincentarelbundock.github.io/Rdatasets/csv/mclust/banknote.csv",
+    ),
+    "segmentation": (
+        ("segmentation.data", "segmentation.test"),
+        "curl -o {dir}/segmentation.data https://archive.ics.uci.edu/ml/"
+        "machine-learning-databases/image/segmentation.data\n"
+        "curl -o {dir}/segmentation.test https://archive.ics.uci.edu/ml/"
+        "machine-learning-databases/image/segmentation.test",
+    ),
+    "abalone": (
+        ("abalone.data",),
+        "curl -o {dir}/abalone.data https://archive.ics.uci.edu/ml/"
+        "machine-learning-databases/abalone/abalone.data",
+    ),
+}
+
+BENCH_DATASETS = tuple(_FETCH)
+
+
+def fetch_instructions(name: str, data_dir: str | Path = "data") -> str:
+    """Shell commands that place the named benchmark under data_dir."""
+    if name not in _FETCH:
+        raise ParseError(f"unknown benchmark {name!r}; choose from {BENCH_DATASETS}")
+    files, recipe = _FETCH[name]
+    lines = [
+        f"benchmark {name!r} needs {', '.join(files)} in {data_dir}; fetch with:",
+        recipe.format(dir=data_dir),
+    ]
+    return "\n".join(lines)
+
+
+def _require_files(name: str, data_dir: str | Path) -> list[Path]:
+    files, _ = _FETCH[name]
+    paths = [Path(data_dir) / f for f in files]
+    missing = [p for p in paths if not p.is_file()]
+    if missing:
+        raise MissingDataError(
+            f"missing file(s): {', '.join(str(p) for p in missing)}\n"
+            + fetch_instructions(name, data_dir)
+        )
+    return paths
+
+
+def _singleton_bags(prefix: str, labels: list[str], features: np.ndarray) -> Dataset:
+    """One bag per instance, labelled with the instance's class. Grouping
+    benchmarks only read the bag labels as ground truth."""
+    instances = []
+    bags = []
+    for i, (label, row) in enumerate(zip(labels, features)):
+        iid = f"{prefix}{i:04d}"
+        instances.append(Instance(id=iid, features=row))
+        bags.append(Bag(id=iid, label=label, members=(iid,)))
+    return Dataset(
+        instances=tuple(instances), bags=tuple(bags), strong_label=sorted(set(labels))[0]
+    )
+
+
+def load_banknotes(data_dir: str | Path) -> Dataset:
+    """Swiss banknotes table: 200 rows, 6 measurements, genuine vs counterfeit.
+
+    Accepts the Rdatasets CSV layout: an optional row-name column, one
+    non-numeric status column, six numeric columns.
+    """
+    (path,) = _require_files("banknotes", data_dir)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        data = [row for row in reader if row]
+    if not data:
+        raise ParseError(f"{path}: no data rows")
+
+    def is_num(value: str) -> bool:
+        try:
+            float(value)
+            return True
+        except ValueError:
+            return False
+
+    label_cols = [j for j in range(len(header)) if not is_num(data[0][j])]
+    if len(label_cols) != 1:
+        raise ParseError(f"{path}: expected exactly one non-numeric column, found {len(label_cols)}")
+    label_col = label_cols[0]
+    name_cols = [
+        j for j, h in enumerate(header) if h.strip().lower() in ("", "rownames", "row", "id")
+    ]
+    feature_cols = [j for j in range(len(header)) if j != label_col and j not in name_cols]
+    if len(feature_cols) != 6:
+        raise ParseError(f"{path}: expected 6 feature columns, found {len(feature_cols)}")
+    if len(data) != 200:
+        raise ParseError(f"{path}: expected 200 rows, found {len(data)}")
+    labels = [row[label_col].strip() for row in data]
+    classes = sorted(set(labels))
+    if len(classes) != 2:
+        raise ParseError(f"{path}: expected 2 classes, found {classes}")
+    features = np.array([[float(row[j]) for j in feature_cols] for row in data])
+    return _singleton_bags("bank", labels, features)
+
+
+def load_segmentation(data_dir: str | Path) -> Dataset:
+    """UCI image segmentation: 2310 rows (210 + 2100), 19 features, 7 classes.
+
+    Both distributed halves carry a few header lines; any line that is not
+    a class name followed by 19 numbers is skipped.
+    """
+    paths = _require_files("segmentation", data_dir)
+    labels: list[str] = []
+    rows: list[list[float]] = []
+    for path in paths:
+        for line in path.read_text().splitlines():
+            fields = line.strip().split(",")
+            if len(fields) != 20:
+                continue
+            try:
+                values = [float(v) for v in fields[1:]]
+            except ValueError:
+                continue
+            labels.append(fields[0].strip())
+            rows.append(values)
+    if len(rows) != 2310:
+        raise ParseError(f"{data_dir}: expected 2310 segmentation rows, found {len(rows)}")
+    classes = sorted(set(labels))
+    if len(classes) != 7:
+        raise ParseError(f"{data_dir}: expected 7 classes, found {len(classes)}")
+    return _singleton_bags("seg", labels, np.array(rows))
+
+
+ABALONE_RING_RANGE = (4, 13)
+
+
+def load_abalone(data_dir: str | Path) -> Dataset:
+    """UCI abalone: 4177 rows, 9 features, ring counts binned into 10 groups.
+
+    The sex field becomes two indicator features (male, female; infant is the
+    all-zero case) alongside the 7 physical measurements, matching the
+    published feature count. Ring counts are clipped to 4..13, which keeps
+    each of the 10 groups populated; the few animals outside that range join
+    the nearest boundary group.
+    """
+    (path,) = _require_files("abalone", data_dir)
+    labels: list[str] = []
+    rows: list[list[float]] = []
+    lo, hi = ABALONE_RING_RANGE
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.strip().split(",")
+        if len(fields) != 9:
+            raise ParseError(f"{path}:{lineno}: expected 9 fields, found {len(fields)}")
+        sex = fields[0].strip().upper()
+        if sex not in ("M", "F", "I"):
+            raise ParseError(f"{path}:{lineno}: sex must be M, F or I, got {fields[0]!r}")
+        try:
+            measurements = [float(v) for v in fields[1:8]]
+            rings = int(fields[8])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        rows.append([float(sex == "M"), float(sex == "F"), *measurements])
+        labels.append(f"r{min(max(rings, lo), hi):02d}")
+    if len(rows) != 4177:
+        raise ParseError(f"{path}: expected 4177 rows, found {len(rows)}")
+    return _singleton_bags("aba", labels, np.array(rows))
+
+
+BENCH_LOADERS = {
+    "banknotes": load_banknotes,
+    "segmentation": load_segmentation,
+    "abalone": load_abalone,
+}
+
+
+# ---------------------------------------------------------------------------
+# bundled toy reconstruction
+
+TOY_SIGMA_W = 5e-4
+TOY_EPS_WEIGHT = 1e-3
+TOY_W_GRID = tuple(sorted({round(w, 4) for w in np.arange(0.02, 0.1201, 0.002)} | {0.073}))
+TOY_K_MAX = 25
+TOY_SYMMETRIZE = "min"
+TOY_REFERENCE_W = 0.073
+
+
+def load_dataset_a() -> Dataset:
+    """Bundled 26-point reconstruction of the two-group toy layout.
+
+    Singleton bags; the bag label is the planted group. See data/README.md
+    for provenance and the regeneration script.
+    """
+    text = resources.files("spectralweak").joinpath("data/dataset_a.csv").read_text()
+    reader = csv.DictReader(text.splitlines())
+    labels = []
+    coords = []
+    for row in reader:
+        labels.append(row["group"])
+        coords.append([float(row["x"]), float(row["y"])])
+    return _singleton_bags("toy", labels, np.array(coords))
+
+
+def partition_matches(labels_a: np.ndarray, labels_b: np.ndarray) -> bool:
+    """True when two labelings induce the same partition (names ignored)."""
+    a = np.asarray(labels_a)
+    b = np.asarray(labels_b)
+    if a.shape != b.shape:
+        raise ParseError(f"labelings differ in length: {a.shape} vs {b.shape}")
+    groups_a = {tuple(np.flatnonzero(a == v)) for v in np.unique(a)}
+    groups_b = {tuple(np.flatnonzero(b == v)) for v in np.unique(b)}
+    return groups_a == groups_b
+
+
+def epsilon_sweep_grid(dist: DistanceMatrix) -> tuple[float, ...]:
+    """Midpoints between consecutive distinct pair distances, bracketed by one
+    value below the minimum and one above the maximum. Component counts are
+    constant between consecutive distances, so this grid sees every behaviour
+    the epsilon graph can produce."""
+    vals = np.unique(dist.offdiag())
+    mids = (vals[:-1] + vals[1:]) / 2.0
+    return (float(vals[0]) / 2.0, *(float(v) for v in mids), float(vals[-1]) * 1.1)
+
+
+def _non_increasing(counts: list[int]) -> bool:
+    return all(b <= a for a, b in zip(counts, counts[1:]))
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+@dataclass(frozen=True)
+class BenchCheck:
+    """One pass/fail line. kind "hard" gates the exit code; "soft" records
+    how close a report-only target came."""
+
+    name: str
+    kind: str
+    passed: bool
+    value: float | None = None
+    target: str = ""
+    detail: str = ""
+
+    def line(self) -> str:
+        status = "PASS" if self.passed else ("MISS" if self.kind == "soft" else "FAIL")
+        bits = [f"[{status}]", self.name]
+        if self.value is not None:
+            bits.append(f"value={self.value:.6g}")
+        if self.target:
+            bits.append(f"target: {self.target}")
+        if self.detail:
+            bits.append(f"({self.detail})")
+        return " ".join(bits)
+
+
+@dataclass(frozen=True)
+class BenchReport:
+    suite: str
+    checks: tuple[BenchCheck, ...]
+    elapsed_s: float
+    rows: tuple[dict, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks if c.kind == "hard")
+
+    def to_json_dict(self) -> dict:
+        return {
+            "suite": self.suite,
+            "passed": self.passed,
+            "checks": [asdict(c) for c in self.checks],
+        }
+
+    def lines(self) -> list[str]:
+        out = [c.line() for c in self.checks]
+        out.append(f"suite {self.suite}: {'PASS' if self.passed else 'FAIL'}")
+        return out
+
+    def write_rows_csv(self, path: str | Path) -> None:
+        if not self.rows:
+            return
+        with Path(path).open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(self.rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(self.rows)
+
+
+# ---------------------------------------------------------------------------
+# suite: published grouping scores
+
+BANKNOTES_W_GRID = tuple(round(w, 2) for w in np.arange(0.01, 0.201, 0.01))
+BANKNOTES_SIGMA_GRID = (0.05, 0.1, 0.2, 0.35, 0.5)
+BANKNOTES_EPS_WEIGHT = 1e-4
+
+
+def _grid_rows(dataset: str, result: GridSearchResult) -> list[dict]:
+    rows = []
+    for row in result.rows:
+        p = row.spec.params
+        rows.append(
+            {
+                "dataset": dataset,
+                "model": row.spec.model,
+                "symmetrize": p.symmetrize,
+                "w_thresh": p.w_thresh,
+                "sigma": p.sigma,
+                "objective": row.objective,
+                "error": row.error or "",
+            }
+        )
+    return rows
+
+
+def _best_summary(result: GridSearchResult) -> str:
+    p = result.best.spec.params
+    return f"best w={p.w_thresh:g} sigma={p.sigma:g}"
+
+
+def table1(
+    data_dir: str | Path,
+    seed: int = 0,
+    datasets: tuple[str, ...] = BENCH_DATASETS,
+) -> BenchReport:
+    """Grouping scores on the public benchmarks.
+
+    Banknotes rows are hard checks (the probabilistic graphs should group the
+    two classes almost perfectly); Segmentation and Abalone are soft bands
+    around the published scores, since the original model-selection protocol
+    is not documented precisely enough to pin them.
+    """
+    t0 = time.perf_counter()
+    checks: list[BenchCheck] = []
+    rows: list[dict] = []
+    if "banknotes" in datasets:
+        ds = load_banknotes(data_dir)
+        for model in ("prob_threshold", "prob_criterion"):
+            for rule in ("min", "max"):
+                grid = GridSpec(
+                    model=model,
+                    axes=(("w_thresh", BANKNOTES_W_GRID), ("sigma", BANKNOTES_SIGMA_GRID)),
+                    base=GraphParams(eps_weight=BANKNOTES_EPS_WEIGHT, symmetrize=rule),
+                )
+                result = grid_search(ds, grid, k=2, objective="f1", seed=seed)
+                value = result.best.objective
+                checks.append(
+                    BenchCheck(
+                        name=f"banknotes {model} {rule}",
+                        kind="hard",
+                        passed=value is not None and value >= 0.99,
+                        value=value,
+                        target="F1 >= 0.99",
+                        detail=_best_summary(result),
+                    )
+                )
+                rows.extend(_grid_rows("banknotes", result))
+    if "segmentation" in datasets:
+        ds = load_segmentation(data_dir)
+        n = len(ds.instances)
+        grid = GridSpec(
+            model="prob_threshold",
+            axes=(
+                ("w_thresh", tuple(c / (n - 1) for c in (0.5, 1.0, 2.0, 3.0, 5.0))),
+                ("sigma", (1e-4, 5e-4, 2e-3)),
+            ),
+            base=GraphParams(eps_weight=1e-6, symmetrize="min"),
+        )
+        result = grid_search(ds, grid, k=7, objective="f1", seed=seed)
+        value = result.best.objective
+        checks.append(
+            BenchCheck(
+                name="segmentation prob_threshold min",
+                kind="soft",
+                passed=value is not None and abs(value - 0.581) <= 0.10,
+                value=value,
+                target="F1 in 0.581 +/- 0.10",
+                detail=_best_summary(result),
+            )
+        )
+        rows.extend(_grid_rows("segmentation", result))
+    if "abalone" in datasets:
+        ds = load_abalone(data_dir)
+        n = len(ds.instances)
+        grid = GridSpec(
+            model="prob_threshold",
+            axes=(
+                ("w_thresh", tuple(c / (n - 1) for c in (1.0, 3.0))),
+                ("sigma", (2e-4, 1e-3)),
+            ),
+            base=GraphParams(eps_weight=1e-6, symmetrize="max"),
+        )
+        result = grid_search(ds, grid, k=10, objective="f1", seed=seed)
+        value = result.best.objective
+        checks.append(
+            BenchCheck(
+                name="abalone prob_threshold max",
+                kind="soft",
+                passed=value is not None and abs(value - 0.903) <= 0.10,
+                value=value,
+                target="F1 in 0.903 +/- 0.10",
+                detail=_best_summary(result),
+            )
+        )
+        rows.extend(_grid_rows("abalone", result))
+    return BenchReport("table1", tuple(checks), time.perf_counter() - t0, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# suite: synthetic bag experiment
+
+SYNTH_ANNOTATION_GRAPH = GraphSpec("knn_symmetric", GraphParams(k=10))
+SYNTH_GAP_POINTS = 0.05
+
+
+def table2synth(
+    seeds: tuple[int, ...] = tuple(range(20)),
+    config: SynthBagsConfig = SynthBagsConfig(),
+    classifier: str = "logistic",
+) -> BenchReport:
+    """Weak annotation vs the bag-label-to-every-member baseline on planted
+    bags, scored by leave-one-bag-out bag accuracy over many seeds.
+
+    A seed counts as a win when the weak pipeline beats the baseline by at
+    least 5 accuracy points; the suite passes when at most 2 seeds miss.
+    """
+    t0 = time.perf_counter()
+    rows: list[dict] = []
+    wins = 0
+    gaps = []
+    for s in seeds:
+        bags = synth_bags(replace(config, seed=s))
+        ts = build_training_set(bags.dataset, SYNTH_ANNOTATION_GRAPH, seed=s)
+        weak_cv = leave_one_bag_out_cv(ts, bags.dataset, classifier)
+        base_cv = leave_one_bag_out_cv(
+            fully_supervised_baseline(bags.dataset), bags.dataset, classifier
+        )
+        gap = weak_cv.accuracy - base_cv.accuracy
+        win = gap >= SYNTH_GAP_POINTS
+        wins += win
+        gaps.append(gap)
+        rows.append(
+            {
+                "seed": s,
+                "weak_accuracy": weak_cv.accuracy,
+                "baseline_accuracy": base_cv.accuracy,
+                "gap": gap,
+                "agreement": weak_agreement(ts, bags.truth),
+                "win": int(win),
+            }
+        )
+    required = max(1, len(seeds) - 2)
+    checks = (
+        BenchCheck(
+            name=f"weak beats baseline by >= {SYNTH_GAP_POINTS:.0%} in {wins}/{len(seeds)} seeds",
+            kind="hard",
+            passed=wins >= required,
+            value=float(wins),
+            target=f">= {required} wins",
+            detail=f"classifier={classifier}, mean gap {float(np.mean(gaps)):.3f}",
+        ),
+    )
+    return BenchReport("table2synth", checks, time.perf_counter() - t0, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# suite: toy reconstruction properties
+
+def toyfig() -> BenchReport:
+    """Property sweep over the bundled reconstruction: classical graphs are
+    either too coarse or too fine at every setting, while the threshold graph
+    has a parameter window that isolates exactly the planted two groups."""
+    t0 = time.perf_counter()
+    ds = load_dataset_a()
+    planted = np.array(ds.instance_bag_labels())
+    dist = pairwise_distances(ds)
+    checks: list[BenchCheck] = []
+    rows: list[dict] = []
+
+    eps_counts: list[int] = []
+    eps_hit = False
+    for eps in epsilon_sweep_grid(dist):
+        count, labels = connected_components(epsilon_graph(dist, eps))
+        hit = count == 2 and partition_matches(labels, planted)
+        eps_counts.append(count)
+        eps_hit |= hit
+        rows.append({"family": "epsilon", "param": eps, "components": count, "planted": int(hit)})
+    checks.append(
+        BenchCheck(
+            name="epsilon components monotone in epsilon",
+            kind="hard",
+            passed=_non_increasing(eps_counts),
+            detail=f"counts {eps_counts[0]}..{eps_counts[-1]} over {len(eps_counts)} radii",
+        )
+    )
+    checks.append(
+        BenchCheck(
+            name="no epsilon yields the planted groups",
+            kind="hard",
+            passed=not eps_hit,
+        )
+    )
+
+    for mode, model in (("symmetric", "knn_symmetric"), ("mutual", "knn_mutual")):
+        counts: list[int] = []
+        knn_hit = False
+        for k in range(1, TOY_K_MAX + 1):
+            count, labels = connected_components(knn_graph(dist, k, mode=mode))
+            hit = count == 2 and partition_matches(labels, planted)
+            counts.append(count)
+            knn_hit |= hit
+            rows.append({"family": model, "param": k, "components": count, "planted": int(hit)})
+        checks.append(
+            BenchCheck(
+                name=f"{model} components monotone in k",
+                kind="hard",
+                passed=_non_increasing(counts),
+                detail=f"counts {counts[0]}..{counts[-1]} for k=1..{TOY_K_MAX}",
+            )
+        )
+        checks.append(
+            BenchCheck(
+                name=f"no k yields the planted groups ({model})",
+                kind="hard",
+                passed=not knn_hit,
+            )
+        )
+
+    sims = initial_similarities(dist)
+    recovered: list[float] = []
+    for w in TOY_W_GRID:
+        graph = prob_threshold_graph(sims, w, TOY_SIGMA_W, TOY_EPS_WEIGHT, TOY_SYMMETRIZE)
+        count, labels = connected_components(graph)
+        hit = count == 2 and partition_matches(labels, planted)
+        if hit:
+            recovered.append(w)
+        rows.append(
+            {"family": "prob_threshold", "param": w, "components": count, "planted": int(hit)}
+        )
+    window = f"w in [{min(recovered):g}, {max(recovered):g}]" if recovered else "empty"
+    checks.append(
+        BenchCheck(
+            name="prob_threshold recovers the planted groups for some w",
+            kind="hard",
+            passed=bool(recovered),
+            value=float(len(recovered)),
+            detail=window,
+        )
+    )
+
+    ref = prob_threshold_graph(
+        sims, TOY_REFERENCE_W, TOY_SIGMA_W, TOY_EPS_WEIGHT, TOY_SYMMETRIZE
+    )
+    ref_count, _ = connected_components(ref)
+    checks.append(
+        BenchCheck(
+            name=f"reference threshold w={TOY_REFERENCE_W} gives 2 components",
+            kind="hard",
+            passed=ref_count == 2,
+            value=float(ref_count),
+            target="2 components",
+        )
+    )
+    grouping = spectral_grouping(ref, k=2, seed=0)
+    ref_f1 = f1_score(grouping, planted).value
+    checks.append(
+        BenchCheck(
+            name="spectral grouping at the reference threshold matches the plant",
+            kind="hard",
+            passed=math.isclose(ref_f1, 1.0),
+            value=ref_f1,
+            target="F1 = 1",
+        )
+    )
+    return BenchReport("toyfig", tuple(checks), time.perf_counter() - t0, tuple(rows))
+
+
+BENCH_SUITES = ("table1", "table2synth", "toyfig")
+
+
+def run_suite(
+    suite: str,
+    data_dir: str | Path = "data",
+    seed: int = 0,
+    seeds: tuple[int, ...] | None = None,
+) -> BenchReport:
+    """Dispatch by suite name; `seeds` overrides the synthetic experiment's
+    seed list (handy for smoke tests)."""
+    if suite == "table1":
+        return table1(data_dir, seed=seed)
+    if suite == "table2synth":
+        return table2synth(seeds=seeds if seeds is not None else tuple(range(20)))
+    if suite == "toyfig":
+        return toyfig()
+    raise ParseError(f"unknown suite {suite!r}; choose from {BENCH_SUITES}")

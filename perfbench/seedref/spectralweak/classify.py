@@ -1,0 +1,499 @@
+"""Instance classifiers and bag-level cross-validation.
+
+Three classifiers share one practice: deterministic fits, sorted class order,
+ties resolved toward the smallest class index. Evaluation is leave-one-bag-out:
+train on every instance outside the held-out bag, predict its members, reduce
+instance votes to one bag label.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from .dataset import Dataset
+from .errors import NumericalError, ParameterError, TrainingError
+from .weakanno import AnnotatedTrainingSet, TrainingEntry
+
+KNN_GRID_DEFAULT = tuple(range(1, 26, 2))
+
+
+@dataclass(frozen=True)
+class LogisticConfig:
+    l2: float = 1e-4
+    tol: float = 1e-6
+    max_iter: int = 500
+
+
+@dataclass(frozen=True)
+class QdaConfig:
+    ridge: float = 1e-6
+    heavy_ridge: float = 1e-3
+
+
+@dataclass(frozen=True)
+class KnnConfig:
+    k: int | None = None
+    grid: tuple[int, ...] = KNN_GRID_DEFAULT
+
+
+@dataclass(frozen=True)
+class LogisticModel:
+    classes: tuple[str, ...]
+    coef: np.ndarray
+    intercept: np.ndarray
+    converged: bool
+    n_iter: int
+
+
+@dataclass(frozen=True)
+class QdaModel:
+    classes: tuple[str, ...]
+    means: np.ndarray
+    covariances: np.ndarray
+    priors: np.ndarray
+    heavy_ridge_classes: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class KnnModel:
+    classes: tuple[str, ...]
+    train_x: np.ndarray
+    train_y: np.ndarray
+    k: int
+
+
+def _check_training_inputs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y)
+    if x.ndim != 2:
+        raise ParameterError(f"features must be 2-d, got {x.shape}")
+    if y.shape != (x.shape[0],):
+        raise ParameterError("labels must be 1-d matching the number of rows")
+    if not np.all(np.isfinite(x)):
+        raise TrainingError("non-finite feature values")
+    classes = tuple(sorted(set(y.tolist())))
+    if len(classes) < 2:
+        raise TrainingError(f"need at least 2 classes, got {classes}")
+    return x, y, classes
+
+
+def _softmax_full(x1: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Class probabilities with the last class as the zero-score reference.
+
+    x1 is the intercept-augmented design; theta stacks one (p+1)-row per
+    non-reference class.
+    """
+    scores = x1 @ theta.T
+    full = np.concatenate([scores, np.zeros((scores.shape[0], 1))], axis=1)
+    full -= full.max(axis=1, keepdims=True)
+    expd = np.exp(full)
+    return expd / expd.sum(axis=1, keepdims=True)
+
+
+def _logistic_objective(probs, onehot, coef, l2):
+    nll = -float(np.log(np.clip((probs * onehot).sum(axis=1), 1e-300, None)).sum())
+    return nll + 0.5 * l2 * float((coef**2).sum())
+
+
+def _logistic_gradient(theta, x1, probs, onehot, l2, mask):
+    grad = np.empty_like(theta)
+    for a in range(theta.shape[0]):
+        grad[a] = x1.T @ (probs[:, a] - onehot[:, a]) + l2 * theta[a] * mask
+    return grad
+
+
+def _onehot(y, classes):
+    onehot = np.zeros((len(y), len(classes)))
+    index = {lab: i for i, lab in enumerate(classes)}
+    for i, lab in enumerate(np.asarray(y).tolist()):
+        onehot[i, index[lab]] = 1.0
+    return onehot
+
+
+def train_logistic(x: np.ndarray, y: np.ndarray, config: LogisticConfig = LogisticConfig()) -> LogisticModel:
+    """Multinomial logistic regression by damped Newton iterations.
+
+    The last class in sorted order is the reference. The ridge penalty covers
+    coefficients but not intercepts, which keeps separable problems bounded
+    without biasing class priors. Stops when the gradient norm divided by n
+    drops to config.tol, or after config.max_iter steps.
+    """
+    x, y, classes = _check_training_inputs(x, y)
+    n, p = x.shape
+    if n <= p:
+        warnings.warn(f"logistic fit with n={n} <= p={p}; coefficients rely on the ridge term")
+    c = len(classes)
+    onehot = _onehot(y, classes)
+    x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
+    dim = p + 1
+    theta = np.zeros(((c - 1), dim))
+    mask = np.ones(dim)
+    mask[p] = 0.0  # intercept escapes the penalty
+    probs = _softmax_full(x1, theta)
+    obj = _logistic_objective(probs, onehot, theta[:, :p], config.l2)
+    converged = False
+    it = 0
+    for it in range(1, config.max_iter + 1):
+        grad = _logistic_gradient(theta, x1, probs, onehot, config.l2, mask)
+        gnorm = float(np.linalg.norm(grad.ravel()))
+        if gnorm / n <= config.tol:
+            converged = True
+            break
+        hess = np.empty(((c - 1) * dim, (c - 1) * dim))
+        for a in range(c - 1):
+            for b in range(c - 1):
+                wvec = probs[:, a] * ((1.0 if a == b else 0.0) - probs[:, b])
+                block = x1.T @ (x1 * wvec[:, None])
+                if a == b:
+                    block = block + config.l2 * np.diag(mask)
+                hess[a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] = block
+        try:
+            step = np.linalg.solve(hess + 1e-10 * np.eye(hess.shape[0]), grad.ravel())
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Newton system is singular: {exc}")
+        scale = 1.0
+        for _ in range(30):
+            trial = theta - scale * step.reshape(c - 1, dim)
+            trial_probs = _softmax_full(x1, trial)
+            trial_obj = _logistic_objective(trial_probs, onehot, trial[:, :p], config.l2)
+            if trial_obj <= obj + 1e-12 * max(1.0, abs(obj)):
+                break
+            scale /= 2.0
+        theta, probs, obj = trial, trial_probs, trial_obj
+    return LogisticModel(
+        classes=classes,
+        coef=theta[:, :p].copy(),
+        intercept=theta[:, p].copy(),
+        converged=converged,
+        n_iter=it,
+    )
+
+
+def logistic_objective_value(model: LogisticModel, x: np.ndarray, y: np.ndarray, l2: float) -> float:
+    """Penalized negative log-likelihood at the model's parameters (for checks)."""
+    x = np.asarray(x, dtype=float)
+    x1 = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+    theta = np.column_stack([model.coef, model.intercept])
+    probs = _softmax_full(x1, theta)
+    onehot = _onehot(y, model.classes)
+    return _logistic_objective(probs, onehot, model.coef, l2)
+
+
+def logistic_gradient(model: LogisticModel, x: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
+    """Gradient of the penalized objective at the model's parameters, one row
+    per non-reference class with the intercept entry last (for checks)."""
+    x = np.asarray(x, dtype=float)
+    x1 = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+    theta = np.column_stack([model.coef, model.intercept])
+    probs = _softmax_full(x1, theta)
+    onehot = _onehot(y, model.classes)
+    mask = np.ones(theta.shape[1])
+    mask[-1] = 0.0
+    return _logistic_gradient(theta, x1, probs, onehot, l2, mask)
+
+
+def train_qda(x: np.ndarray, y: np.ndarray, config: QdaConfig = QdaConfig()) -> QdaModel:
+    """Gaussian class-conditional model with per-class covariance.
+
+    Means and covariances are maximum-likelihood (ddof=0). Covariances get a
+    scale-aware ridge of config.ridge * trace/p on the diagonal; classes with
+    at most p members cannot have full-rank covariance, so they get
+    config.heavy_ridge instead and are reported on the model.
+    """
+    x, y, classes = _check_training_inputs(x, y)
+    n, p = x.shape
+    means = np.empty((len(classes), p))
+    covs = np.empty((len(classes), p, p))
+    priors = np.empty(len(classes))
+    heavy: list[str] = []
+    for ci, lab in enumerate(classes):
+        rows = x[y == lab]
+        if rows.shape[0] < 2:
+            raise TrainingError(f"class {lab!r} has {rows.shape[0]} sample(s); covariance undefined")
+        means[ci] = rows.mean(axis=0)
+        centred = rows - means[ci]
+        cov = (centred.T @ centred) / rows.shape[0]
+        ridge = config.ridge
+        if rows.shape[0] <= p:
+            ridge = max(config.ridge, config.heavy_ridge)
+            heavy.append(lab)
+        scale = float(np.trace(cov)) / p
+        if scale <= 0.0:
+            scale = 1.0
+        covs[ci] = cov + ridge * scale * np.eye(p)
+        priors[ci] = rows.shape[0] / n
+    return QdaModel(
+        classes=classes, means=means, covariances=covs, priors=priors,
+        heavy_ridge_classes=tuple(heavy),
+    )
+
+
+def qda_scores(model: QdaModel, x: np.ndarray) -> np.ndarray:
+    """Log prior plus Gaussian log density for each class (columns in class order)."""
+    x = np.asarray(x, dtype=float)
+    n, p = x.shape
+    scores = np.empty((n, len(model.classes)))
+    for ci in range(len(model.classes)):
+        cov = model.covariances[ci]
+        sign, logdet = np.linalg.slogdet(cov)
+        if sign <= 0:
+            raise NumericalError(f"covariance of class {model.classes[ci]!r} is not positive definite")
+        centred = x - model.means[ci]
+        solved = np.linalg.solve(cov, centred.T).T
+        maha = (centred * solved).sum(axis=1)
+        scores[:, ci] = (
+            math.log(model.priors[ci]) - 0.5 * (logdet + maha + p * math.log(2.0 * math.pi))
+        )
+    return scores
+
+
+def train_knn(x: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
+    x, y, classes = _check_training_inputs(x, y)
+    if not (1 <= k <= x.shape[0]):
+        raise ParameterError(f"k must satisfy 1 <= k <= {x.shape[0]}, got {k}")
+    return KnnModel(classes=classes, train_x=x, train_y=y, k=k)
+
+
+def _model_dim(model) -> int:
+    if isinstance(model, LogisticModel):
+        return model.coef.shape[1]
+    if isinstance(model, QdaModel):
+        return model.means.shape[1]
+    if isinstance(model, KnnModel):
+        return model.train_x.shape[1]
+    raise ParameterError(f"unknown model type {type(model).__name__}")
+
+
+def _check_predict_input(model, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ParameterError(f"features must be 2-d, got shape {x.shape}")
+    if x.shape[1] != _model_dim(model):
+        raise ParameterError(
+            f"feature dimension {x.shape[1]} does not match training dimension {_model_dim(model)}"
+        )
+    return x
+
+
+def predict(model, x: np.ndarray) -> np.ndarray:
+    """Predicted labels, ties toward the smallest class index."""
+    x = _check_predict_input(model, x)
+    if isinstance(model, LogisticModel):
+        probs = predict_proba(model, x)
+        return np.asarray(model.classes, dtype=object)[np.argmax(probs, axis=1)]
+    if isinstance(model, QdaModel):
+        scores = qda_scores(model, x)
+        return np.asarray(model.classes, dtype=object)[np.argmax(scores, axis=1)]
+    if isinstance(model, KnnModel):
+        out = np.empty(x.shape[0], dtype=object)
+        train_idx = np.arange(model.train_x.shape[0])
+        class_index = {lab: i for i, lab in enumerate(model.classes)}
+        for i in range(x.shape[0]):
+            dists = np.linalg.norm(model.train_x - x[i], axis=1)
+            order = np.lexsort((train_idx, dists))[: model.k]
+            votes = np.zeros(len(model.classes), dtype=int)
+            for j in order:
+                votes[class_index[model.train_y[j]]] += 1
+            out[i] = model.classes[int(np.argmax(votes))]
+        return out
+    raise ParameterError(f"unknown model type {type(model).__name__}")
+
+
+def predict_proba(model, x: np.ndarray) -> np.ndarray:
+    """Class probabilities in class order, where the model defines them."""
+    x = _check_predict_input(model, x)
+    if isinstance(model, LogisticModel):
+        x1 = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+        return _softmax_full(x1, np.column_stack([model.coef, model.intercept]))
+    if isinstance(model, QdaModel):
+        scores = qda_scores(model, x)
+        scores = scores - scores.max(axis=1, keepdims=True)
+        expd = np.exp(scores)
+        return expd / expd.sum(axis=1, keepdims=True)
+    raise ParameterError(f"{type(model).__name__} does not define class probabilities")
+
+
+def fully_supervised_baseline(ds: Dataset) -> AnnotatedTrainingSet:
+    """Training set that takes every bag label at face value for its members."""
+    entries = tuple(
+        TrainingEntry(instance_id=inst.id, label=ds.bag_of[inst.id].label, provenance="strong")
+        for inst in ds.instances
+    )
+    return AnnotatedTrainingSet(entries=entries, source={"kind": "fully_supervised_baseline"})
+
+
+@dataclass(frozen=True)
+class AggregationRule:
+    """Reduce instance votes inside a bag to one bag label.
+
+    mode "majority": most-voted label wins; ties prefer a disordered label
+    (then lexicographic order). mode "disordered_threshold": the bag is called
+    disordered as soon as the disordered vote fraction exceeds tau, then the
+    plurality disordered label wins.
+    """
+
+    mode: str = "majority"
+    tau: float = 0.5
+
+    def __post_init__(self):
+        if self.mode not in ("majority", "disordered_threshold"):
+            raise ParameterError(f"unknown aggregation mode {self.mode!r}")
+        if not (0.0 <= self.tau < 1.0):
+            raise ParameterError(f"tau must be in [0, 1), got {self.tau}")
+
+    def aggregate(self, labels: np.ndarray, strong_label: str) -> str:
+        labels = list(labels)
+        if not labels:
+            raise ParameterError("cannot aggregate an empty bag")
+        counts: dict[str, int] = {}
+        for lab in labels:
+            counts[lab] = counts.get(lab, 0) + 1
+        if self.mode == "majority":
+            top = max(counts.values())
+            tied = sorted(lab for lab, cnt in counts.items() if cnt == top)
+            disordered = [lab for lab in tied if lab != strong_label]
+            return disordered[0] if disordered else tied[0]
+        disordered_counts = {lab: cnt for lab, cnt in counts.items() if lab != strong_label}
+        frac = sum(disordered_counts.values()) / len(labels)
+        if frac > self.tau and disordered_counts:
+            top = max(disordered_counts.values())
+            return sorted(lab for lab, cnt in disordered_counts.items() if cnt == top)[0]
+        return strong_label
+
+
+@dataclass(frozen=True)
+class BagResult:
+    bag_id: str
+    true_label: str
+    predicted_label: str
+    instance_votes: dict
+
+
+@dataclass(frozen=True)
+class CVResult:
+    per_bag: tuple[BagResult, ...]
+    accuracy: float
+    confusion: dict
+    flagged_folds: tuple[str, ...] = ()
+    chosen_knn_k: int | None = None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "accuracy": self.accuracy,
+            "n_bags": len(self.per_bag),
+            "confusion": {f"{t}->{p}": c for (t, p), c in sorted(self.confusion.items())},
+            "flagged_folds": list(self.flagged_folds),
+            "chosen_knn_k": self.chosen_knn_k,
+            "per_bag": [
+                {
+                    "bag": r.bag_id,
+                    "true": r.true_label,
+                    "predicted": r.predicted_label,
+                    "votes": dict(sorted(r.instance_votes.items())),
+                }
+                for r in self.per_bag
+            ],
+        }
+
+
+def _fold_standardizer(train_x: np.ndarray):
+    mean = train_x.mean(axis=0)
+    sd = train_x.std(axis=0, ddof=1) if train_x.shape[0] > 1 else np.ones(train_x.shape[1])
+    sd = np.where(sd == 0.0, 1.0, sd)
+
+    def apply(mat: np.ndarray) -> np.ndarray:
+        return (mat - mean) / sd
+
+    return apply
+
+
+def _train_for_kind(kind: str, x, y, logistic: LogisticConfig, qda: QdaConfig, knn_k: int | None):
+    if kind == "logistic":
+        return train_logistic(x, y, logistic)
+    if kind == "qda":
+        return train_qda(x, y, qda)
+    if kind == "knn":
+        if knn_k is None:
+            raise ParameterError("knn needs a neighbour count")
+        return train_knn(x, y, min(knn_k, x.shape[0]))
+    raise ParameterError(f"unknown classifier kind {kind!r}")
+
+
+def leave_one_bag_out_cv(
+    ts: AnnotatedTrainingSet,
+    ds: Dataset,
+    kind: str,
+    aggregation: AggregationRule = AggregationRule(),
+    logistic: LogisticConfig = LogisticConfig(),
+    qda: QdaConfig = QdaConfig(),
+    knn: KnnConfig = KnnConfig(),
+) -> CVResult:
+    """Bag-level cross-validation: one fold per bag, ordered by bag id.
+
+    Features are z-scored per fold from the training side only. Bags are
+    scored by comparing the aggregated instance prediction to the bag label.
+    For knn with no fixed neighbour count, the count is chosen once by an
+    inner leave-one-bag-out sweep over knn.grid using the same ingredients.
+    """
+    if len(ds.bags) < 2:
+        raise ParameterError("leave-one-bag-out needs at least 2 bags")
+    labels_by_id = {e.instance_id: e.label for e in ts.entries}
+    missing = [inst.id for inst in ds.instances if inst.id not in labels_by_id]
+    if missing:
+        raise ParameterError(f"training set lacks labels for {len(missing)} instances, e.g. {missing[:3]}")
+    mat = ds.feature_matrix()
+    chosen_k = None
+    if kind == "knn" and knn.k is None:
+        best = None
+        for cand in knn.grid:
+            inner = leave_one_bag_out_cv(
+                ts, ds, "knn", aggregation, logistic, qda, replace(knn, k=cand)
+            )
+            score = inner.accuracy
+            if best is None or score > best[0]:
+                best = (score, cand)
+        chosen_k = best[1]
+        knn = replace(knn, k=chosen_k)
+    results: list[BagResult] = []
+    flagged: list[str] = []
+    all_classes = sorted({e.label for e in ts.entries})
+    for bag in sorted(ds.bags, key=lambda b: b.id):
+        held = set(bag.members)
+        train_rows = [i for i, inst in enumerate(ds.instances) if inst.id not in held]
+        test_rows = [ds.index_of[m] for m in bag.members]
+        assert not set(train_rows) & set(test_rows)
+        train_x = mat[train_rows]
+        train_y = np.asarray([labels_by_id[ds.instances[i].id] for i in train_rows], dtype=object)
+        fold_classes = sorted(set(train_y.tolist()))
+        if fold_classes != all_classes:
+            flagged.append(bag.id)
+        scale = _fold_standardizer(train_x)
+        if len(fold_classes) == 1:
+            # Degenerate fold: only one class left to predict from.
+            preds = np.asarray([fold_classes[0]] * len(test_rows), dtype=object)
+        else:
+            model = _train_for_kind(kind, scale(train_x), train_y, logistic, qda, knn.k)
+            preds = predict(model, scale(mat[test_rows]))
+        votes: dict[str, int] = {}
+        for lab in preds.tolist():
+            votes[lab] = votes.get(lab, 0) + 1
+        bag_pred = aggregation.aggregate(preds, ds.strong_label)
+        results.append(
+            BagResult(bag_id=bag.id, true_label=bag.label, predicted_label=bag_pred, instance_votes=votes)
+        )
+    confusion: dict[tuple[str, str], int] = {}
+    hits = 0
+    for r in results:
+        confusion[(r.true_label, r.predicted_label)] = confusion.get((r.true_label, r.predicted_label), 0) + 1
+        hits += r.true_label == r.predicted_label
+    return CVResult(
+        per_bag=tuple(results),
+        accuracy=hits / len(results),
+        confusion=confusion,
+        flagged_folds=tuple(flagged),
+        chosen_knn_k=chosen_k,
+    )

@@ -1,0 +1,552 @@
+"""Command-line driver: build graphs, group, annotate, train, evaluate, bench.
+
+Every subcommand reads an optional flat JSON config file (--config); explicit
+flags override config values, and config keys are the long flag names without
+the leading dashes. Outputs are JSON reports and CSV tables written under
+--out. Nothing writes timestamps or machine state, so reruns with the same
+inputs and seed produce byte-identical files.
+
+Exit codes: 0 when the command and all requested checks succeed, 1 when a
+bench suite's hard checks fail, 2 on usage, data or parameter errors.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import sys
+from dataclasses import asdict, dataclass
+from pathlib import Path
+
+import numpy as np
+
+from . import bench
+from .classify import (
+    AggregationRule,
+    KnnConfig,
+    fully_supervised_baseline,
+    leave_one_bag_out_cv,
+    train_knn,
+    train_logistic,
+    train_qda,
+)
+from .dataset import CsvSchema, Dataset, load_csv, pairwise_distances, standardize
+from .errors import MissingDataError, ParameterError, SchemaError, SpectralWeakError
+from .evaluation import (
+    GridSpec,
+    davies_bouldin,
+    davies_bouldin_general,
+    f1_score,
+    grid_search,
+)
+from .simgraph import (
+    MODELS,
+    GraphParams,
+    GraphSpec,
+    build_graph,
+    connected_components,
+    write_graph_json,
+)
+from .spectral import spectral_grouping
+from .weakanno import build_training_set, read_training_csv, write_training_csv
+
+CLASSIFIERS = ("logistic", "qda", "knn")
+BUILTIN_DATASETS = {"builtin:dataset_a": bench.load_dataset_a}
+
+# long flag name, GraphParams field, element type
+_PARAM_FLAGS = (
+    ("epsilon", "epsilon", float),
+    ("k", "k", int),
+    ("sigma", "sigma", float),
+    ("w", "w_thresh", float),
+    ("eps-weight", "eps_weight", float),
+    ("m", "m", float),
+    ("symmetrize", "symmetrize", str),
+)
+
+
+def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
+    """Flag beats config file beats default. Flags left at None fall through."""
+    value = getattr(args, key.replace("-", "_"), None)
+    if value is None:
+        value = config.get(key, default)
+    return value
+
+
+def _load_config(path: str | None) -> dict:
+    if not path:
+        return {}
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"config {path}: not valid JSON ({exc})")
+    if not isinstance(payload, dict):
+        raise ParameterError(f"config {path}: expected a flat JSON object")
+    for key, value in payload.items():
+        if isinstance(value, (dict, list)):
+            raise ParameterError(f"config {path}: key {key!r} must be a scalar (flat document)")
+    return payload
+
+
+def _jsonable(obj):
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, tuple):
+        return list(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _write_json(payload: dict, path: Path) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n")
+    print(f"wrote {path}")
+
+
+def _write_csv(rows: list[dict], path: Path) -> None:
+    if not rows:
+        return
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+    print(f"wrote {path}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Resolved per-run settings, validated before any computation starts."""
+
+    seed: int
+    threads: int
+    out: Path
+    scale: bool
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ParameterError(f"--threads must be >= 1, got {self.threads}")
+
+
+def _run_config(args, config) -> RunConfig:
+    out = Path(_resolve(args, config, "out", "."))
+    out.mkdir(parents=True, exist_ok=True)
+    return RunConfig(
+        seed=int(_resolve(args, config, "seed", 0)),
+        threads=int(_resolve(args, config, "threads", 1)),
+        out=out,
+        scale=not bool(_resolve(args, config, "no-standardize", False)),
+    )
+
+
+def _load_dataset(args, config, require_strong: bool = False) -> Dataset:
+    data = _resolve(args, config, "data")
+    if data is None:
+        raise ParameterError("--data is required (a CSV path or builtin:dataset_a)")
+    if data in BUILTIN_DATASETS:
+        return BUILTIN_DATASETS[data]()
+    id_col = _resolve(args, config, "id-col", "instance")
+    bag_col = _resolve(args, config, "bag-col", "bag")
+    label_col = _resolve(args, config, "label-col", "group")
+    delimiter = _resolve(args, config, "delimiter", ",")
+    path = Path(data)
+    if not path.is_file():
+        raise SchemaError(f"dataset file not found: {path}")
+    with path.open(newline="") as fh:
+        header = next(csv.reader(fh, delimiter=delimiter), None)
+    if header is None:
+        raise SchemaError(f"{path}: empty file")
+    features = _resolve(args, config, "features")
+    if features:
+        feature_cols = tuple(tok.strip() for tok in str(features).split(","))
+    else:
+        feature_cols = tuple(c for c in header if c not in (id_col, bag_col, label_col))
+    strong = _resolve(args, config, "strong-label")
+    if strong is None:
+        if require_strong:
+            raise ParameterError("--strong-label is required for this command")
+        # grouping-only commands never consult the strong label; pick one that
+        # exists so the dataset validates.
+        if label_col in header:
+            with path.open(newline="") as fh:
+                labels = sorted(
+                    {row[label_col] for row in csv.DictReader(fh, delimiter=delimiter)}
+                )
+            strong = labels[0] if labels else ""
+        else:
+            strong = ""
+    schema = CsvSchema(
+        instance_id=id_col,
+        bag_id=bag_col,
+        bag_label=label_col,
+        features=feature_cols,
+        strong_label=strong,
+        delimiter=delimiter,
+    )
+    return load_csv(path, schema)
+
+
+def _parse_values(raw, cast) -> tuple | None:
+    if raw is None:
+        return None
+    if isinstance(raw, (int, float)):
+        return (cast(raw),)
+    return tuple(cast(tok.strip()) for tok in str(raw).split(","))
+
+
+def _graph_setup(args, config) -> tuple[str, GraphParams, tuple[tuple[str, tuple], ...]]:
+    """Resolve --model plus parameter flags. Comma-separated values become
+    grid axes; single values go into the base GraphParams."""
+    model = _resolve(args, config, "model")
+    if model is None:
+        raise ParameterError(f"--model is required; choose from {MODELS}")
+    singles = {}
+    axes = []
+    for flag, field_name, cast in _PARAM_FLAGS:
+        values = _parse_values(_resolve(args, config, flag), cast)
+        if values is None:
+            continue
+        if len(values) == 1:
+            singles[field_name] = values[0]
+        else:
+            axes.append((field_name, values))
+    params = GraphParams(**singles)
+    GraphSpec(model=model, params=params)  # validates the model name early
+    return model, params, tuple(axes)
+
+
+def _working_view(ds: Dataset, run: RunConfig) -> Dataset:
+    return standardize(ds) if run.scale else ds
+
+
+def _param_columns(params: GraphParams) -> dict:
+    return {name: ("" if value is None else value) for name, value in asdict(params).items()}
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+def cmd_graph(args, config) -> int:
+    run = _run_config(args, config)
+    ds = _load_dataset(args, config)
+    model, params, axes = _graph_setup(args, config)
+    if axes:
+        raise ParameterError(
+            "graph builds a single graph; comma-separated parameter lists are for 'group'"
+        )
+    work = _working_view(ds, run)
+    dist = pairwise_distances(work)
+    graph = build_graph(dist, GraphSpec(model=model, params=params), seed=run.seed)
+    count, labels = connected_components(graph)
+    write_graph_json(graph, run.out / "graph.json")
+    print(f"wrote {run.out / 'graph.json'}")
+    sizes = np.bincount(labels, minlength=count)
+    _write_json(
+        {
+            "count": int(count),
+            "sizes": [int(s) for s in sizes],
+            "component_of": {inst.id: int(c) for inst, c in zip(work.instances, labels)},
+        },
+        run.out / "components.json",
+    )
+    print(f"components: {count}")
+    return 0
+
+
+def cmd_group(args, config) -> int:
+    run = _run_config(args, config)
+    ds = _load_dataset(args, config)
+    model, params, axes = _graph_setup(args, config)
+    groups = int(_resolve(args, config, "groups", 2))
+    use_truth = not bool(_resolve(args, config, "no-truth", False))
+    objective = _resolve(args, config, "objective", "f1" if use_truth else "db")
+    if objective == "f1" and not use_truth:
+        raise ParameterError("objective f1 scores against bag labels; drop --no-truth")
+    work = _working_view(ds, run)
+    if axes:
+        grid = GridSpec(model=model, axes=axes, base=params)
+        result = grid_search(
+            work,
+            grid,
+            k=groups,
+            objective=objective,
+            seed=run.seed,
+            pre_standardized=True,
+            threads=run.threads,
+        )
+        grid_rows = []
+        for row in result.rows:
+            grid_rows.append(
+                {
+                    "model": row.spec.model,
+                    **_param_columns(row.spec.params),
+                    "objective": "" if row.objective is None else row.objective,
+                    "error": row.error or "",
+                }
+            )
+        _write_csv(grid_rows, run.out / "grid.csv")
+        _write_json(result.to_json_dict(), run.out / "grid.json")
+        spec = result.best.spec
+        print(f"grid winner: {spec.params} ({objective}={result.best.objective:.6g})")
+    else:
+        spec = GraphSpec(model=model, params=params)
+    dist = pairwise_distances(work)
+    graph = build_graph(dist, spec, seed=run.seed)
+    grouping = spectral_grouping(graph, groups, seed=run.seed)
+    _write_json(
+        {"k": grouping.k, "assignments": [int(a) for a in grouping.assignments]},
+        run.out / "grouping.json",
+    )
+    points = work.feature_matrix()
+    indices: dict[str, float | str | None] = {}
+    try:
+        db = davies_bouldin(points, grouping) if groups == 2 else davies_bouldin_general(points, grouping)
+        indices[db.name] = db.value
+    except SpectralWeakError as exc:
+        indices["davies_bouldin"] = None
+        indices["davies_bouldin_error"] = str(exc)
+    if use_truth:
+        truth = np.asarray(work.instance_bag_labels())
+        try:
+            indices["f1"] = f1_score(grouping, truth).value
+        except SpectralWeakError as exc:
+            indices["f1"] = None
+            indices["f1_error"] = str(exc)
+    _write_json(indices, run.out / "indices.json")
+    for name, value in sorted(indices.items()):
+        if isinstance(value, float):
+            print(f"{name}: {value:.6g}")
+    return 0
+
+
+def cmd_annotate(args, config) -> int:
+    run = _run_config(args, config)
+    ds = _load_dataset(args, config, require_strong=True)
+    model, params, axes = _graph_setup(args, config)
+    if axes:
+        raise ParameterError("annotate uses a single graph setting; comma lists are for 'group'")
+    restarts = int(_resolve(args, config, "restarts", 10))
+    ts = build_training_set(ds, GraphSpec(model=model, params=params), seed=run.seed, restarts=restarts)
+    write_training_csv(ts, run.out / "annotated.csv")
+    print(f"wrote {run.out / 'annotated.csv'}")
+    summary = ts.summary()
+    _write_json(summary, run.out / "audit.json")
+    prov = summary["per_provenance"]
+    print(
+        f"annotated {summary['n_entries']} instances: "
+        f"{prov.get('strong', 0)} strong, {prov.get('weak', 0)} weak"
+    )
+    return 0
+
+
+def _training_labels(args, config, ds: Dataset):
+    training = _resolve(args, config, "training")
+    ts = read_training_csv(training) if training else fully_supervised_baseline(ds)
+    try:
+        y = ts.labels_for(tuple(inst.id for inst in ds.instances))
+    except KeyError as exc:
+        raise ParameterError(f"training set lacks a label for instance {exc.args[0]!r}")
+    return ts, np.asarray(y)
+
+
+def cmd_train(args, config) -> int:
+    run = _run_config(args, config)
+    ds = _load_dataset(args, config, require_strong=True)
+    classifier = _resolve(args, config, "classifier", "logistic")
+    if classifier not in CLASSIFIERS:
+        raise ParameterError(f"--classifier must be one of {CLASSIFIERS}, got {classifier!r}")
+    ts, y = _training_labels(args, config, ds)
+    work = _working_view(ds, run)
+    x = work.feature_matrix()
+    payload: dict = {"kind": classifier, "n_train": int(x.shape[0])}
+    if classifier == "logistic":
+        model = train_logistic(x, y)
+        payload.update(
+            classes=list(model.classes),
+            coef=model.coef,
+            intercept=model.intercept,
+            converged=model.converged,
+            n_iter=model.n_iter,
+        )
+    elif classifier == "qda":
+        model = train_qda(x, y)
+        payload.update(
+            classes=list(model.classes),
+            priors=model.priors,
+            means=model.means,
+            covariances=model.covariances,
+            heavy_ridge_classes=list(model.heavy_ridge_classes),
+        )
+    else:
+        knn_k = _resolve(args, config, "knn-k")
+        if knn_k is None:
+            raise ParameterError("--knn-k is required when training a knn model")
+        model = train_knn(x, y, int(knn_k))
+        payload.update(classes=list(model.classes), k=model.k)
+    payload["training_labels"] = ts.summary()["per_provenance"]
+    _write_json(payload, run.out / "model.json")
+    print(f"trained {classifier} on {x.shape[0]} instances, {len(set(y))} classes")
+    return 0
+
+
+def cmd_evaluate(args, config) -> int:
+    run = _run_config(args, config)
+    ds = _load_dataset(args, config, require_strong=True)
+    classifier = _resolve(args, config, "classifier", "logistic")
+    if classifier not in CLASSIFIERS:
+        raise ParameterError(f"--classifier must be one of {CLASSIFIERS}, got {classifier!r}")
+    ts, _ = _training_labels(args, config, ds)
+    aggregation = AggregationRule(
+        mode=_resolve(args, config, "aggregation", "majority"),
+        tau=float(_resolve(args, config, "tau", 0.5)),
+    )
+    knn_k = _resolve(args, config, "knn-k")
+    cv = leave_one_bag_out_cv(
+        ts, ds, classifier, aggregation, knn=KnnConfig(k=None if knn_k is None else int(knn_k))
+    )
+    _write_json(cv.to_json_dict(), run.out / "cv.json")
+    _write_csv(
+        [
+            {"bag": r.bag_id, "true": r.true_label, "predicted": r.predicted_label}
+            for r in cv.per_bag
+        ],
+        run.out / "cv.csv",
+    )
+    print(f"bag accuracy: {cv.accuracy:.6g} over {len(cv.per_bag)} bags")
+    return 0
+
+
+def cmd_bench(args, config) -> int:
+    run = _run_config(args, config)
+    suite = _resolve(args, config, "suite")
+    if suite is None:
+        raise ParameterError(f"--suite is required; choose from {bench.BENCH_SUITES}")
+    data_dir = _resolve(args, config, "data-dir", "data")
+    n_seeds = _resolve(args, config, "synth-seeds")
+    seeds = None if n_seeds is None else tuple(range(int(n_seeds)))
+    report = bench.run_suite(suite, data_dir=data_dir, seed=run.seed, seeds=seeds)
+    _write_json(report.to_json_dict(), run.out / f"bench_{suite}.json")
+    rows_path = run.out / f"bench_{suite}_rows.csv"
+    report.write_rows_csv(rows_path)
+    if report.rows:
+        print(f"wrote {rows_path}")
+    for line in report.lines():
+        print(line)
+    print(f"elapsed: {report.elapsed_s:.2f}s", file=sys.stderr)
+    return 0 if report.passed else 1
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", help="dataset CSV path, or builtin:dataset_a")
+    p.add_argument("--id-col", help="instance id column (default: instance)")
+    p.add_argument("--bag-col", help="bag id column (default: bag)")
+    p.add_argument("--label-col", help="bag label column (default: group)")
+    p.add_argument("--strong-label", help="the fully trusted bag label")
+    p.add_argument("--features", help="comma-separated feature columns (default: all others)")
+    p.add_argument("--delimiter", help="CSV delimiter (default: ,)")
+    p.add_argument(
+        "--no-standardize",
+        action="store_true",
+        default=None,
+        help="skip z-scoring features before building graphs",
+    )
+
+
+def _add_graph_flags(p: argparse.ArgumentParser, lists: bool) -> None:
+    suffix = "; comma-separated values form a search grid" if lists else ""
+    p.add_argument("--model", help=f"graph model, one of {', '.join(MODELS)}")
+    p.add_argument("--epsilon", help="neighbourhood radius" + suffix)
+    p.add_argument("--k", help="neighbour count" + suffix)
+    p.add_argument("--sigma", help="Gaussian width" + suffix)
+    p.add_argument("--w", help="similarity threshold" + suffix)
+    p.add_argument("--eps-weight", help="revived-edge weight floor" + suffix)
+    p.add_argument("--m", help="similarity exponent (default -1)" + suffix)
+    p.add_argument("--symmetrize", help="min or max" + suffix)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat JSON config file; flags override its values")
+    common.add_argument("--seed", type=int, help="random seed (default 0)")
+    common.add_argument("--out", help="output directory (default .)")
+    common.add_argument("--threads", type=int, help="worker threads for grid search (default 1)")
+
+    parser = argparse.ArgumentParser(
+        prog="spectralweak",
+        description="Weakly supervised grouping and classification over similarity graphs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("graph", parents=[common], help="build one similarity graph")
+    _add_dataset_flags(p)
+    _add_graph_flags(p, lists=False)
+    p.set_defaults(func=cmd_graph)
+
+    p = sub.add_parser("group", parents=[common], help="spectral grouping, optionally grid-searched")
+    _add_dataset_flags(p)
+    _add_graph_flags(p, lists=True)
+    p.add_argument("--groups", help="number of groups (default 2)")
+    p.add_argument("--objective", help="grid objective: f1 or db")
+    p.add_argument(
+        "--no-truth",
+        action="store_true",
+        default=None,
+        help="do not score F1 against bag labels",
+    )
+    p.set_defaults(func=cmd_group)
+
+    p = sub.add_parser("annotate", parents=[common], help="weakly annotate non-strong bags")
+    _add_dataset_flags(p)
+    _add_graph_flags(p, lists=False)
+    p.add_argument("--restarts", help="k-means restarts (default 10)")
+    p.set_defaults(func=cmd_annotate)
+
+    p = sub.add_parser("train", parents=[common], help="fit a classifier on annotated labels")
+    _add_dataset_flags(p)
+    p.add_argument("--training", help="annotated CSV from 'annotate' (default: bag-label baseline)")
+    p.add_argument("--classifier", help=f"one of {', '.join(CLASSIFIERS)} (default logistic)")
+    p.add_argument("--knn-k", help="neighbour count for knn")
+    p.set_defaults(func=cmd_train)
+
+    p = sub.add_parser("evaluate", parents=[common], help="leave-one-bag-out cross-validation")
+    _add_dataset_flags(p)
+    p.add_argument("--training", help="annotated CSV from 'annotate' (default: bag-label baseline)")
+    p.add_argument("--classifier", help=f"one of {', '.join(CLASSIFIERS)} (default logistic)")
+    p.add_argument("--knn-k", help="neighbour count for knn (default: inner grid)")
+    p.add_argument("--aggregation", help="bag vote rule: majority or disordered_threshold")
+    p.add_argument("--tau", help="disordered-share threshold (default 0.5)")
+    p.set_defaults(func=cmd_evaluate)
+
+    p = sub.add_parser("bench", parents=[common], help="run a benchmark suite")
+    p.add_argument("--suite", help=f"one of {', '.join(bench.BENCH_SUITES)}")
+    p.add_argument("--data-dir", help="directory holding benchmark files (default data)")
+    p.add_argument("--synth-seeds", help="seed count override for table2synth")
+    p.set_defaults(func=cmd_bench)
+
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = _load_config(getattr(args, "config", None))
+        return args.func(args, config)
+    except MissingDataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SpectralWeakError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,0 +1,267 @@
+"""Grouping quality: Davies-Bouldin separation, pair-counting F-score, grid search.
+
+The two-group Davies-Bouldin value is the ratio (sigma_1 + sigma_2) / d(c_1, c_2)
+with sigma_g the mean distance of group members to their centroid. For more
+than two groups the usual average-of-worst-pairs generalization is used and is
+labelled as such in results. The F-score counts instance pairs: a pair is a
+true positive when it shares a group both in the candidate and in the truth.
+"""
+
+from __future__ import annotations
+
+import itertools
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from .dataset import Dataset, DistanceMatrix, pairwise_distances, standardize
+from .errors import DegenerateGroupingError, ParameterError, SearchError, UndefinedIndexError
+from .simgraph import GraphParams, GraphSpec, build_graph
+from .spectral import Grouping, spectral_grouping
+
+
+@dataclass(frozen=True)
+class IndexValue:
+    name: str
+    value: float
+    details: dict = field(default_factory=dict)
+
+
+def _centroid_stats(points: np.ndarray, grouping: Grouping) -> tuple[np.ndarray, np.ndarray]:
+    centroids = np.empty((grouping.k, points.shape[1]))
+    spreads = np.empty(grouping.k)
+    for g in range(grouping.k):
+        mask = grouping.assignments == g
+        if not mask.any():
+            raise DegenerateGroupingError(f"group {g} is empty; index undefined")
+        centroids[g] = points[mask].mean(axis=0)
+        spreads[g] = float(np.linalg.norm(points[mask] - centroids[g], axis=1).mean())
+    return centroids, spreads
+
+
+def davies_bouldin(points: np.ndarray, grouping: Grouping) -> IndexValue:
+    """Two-group centroid-separation index; lower is better.
+
+    Requires exactly two non-empty groups; coincident centroids make the ratio
+    undefined and raise.
+    """
+    points = np.asarray(points, dtype=float)
+    if grouping.k != 2:
+        raise ParameterError(f"two-group index needs k = 2, got k = {grouping.k}")
+    centroids, spreads = _centroid_stats(points, grouping)
+    sep = float(np.linalg.norm(centroids[0] - centroids[1]))
+    if sep == 0.0:
+        raise UndefinedIndexError("group centroids coincide; separation ratio undefined")
+    value = float((spreads[0] + spreads[1]) / sep)
+    return IndexValue(name="davies_bouldin", value=value, details={"spreads": spreads.tolist(), "separation": sep})
+
+
+def davies_bouldin_general(points: np.ndarray, grouping: Grouping) -> IndexValue:
+    """Average over groups of the worst pairwise (sigma_i + sigma_j) / d(c_i, c_j).
+
+    Coincides with the two-group form when k = 2. Marked "general" in the name
+    so reports can tell the extension apart from the plain two-group value.
+    """
+    points = np.asarray(points, dtype=float)
+    if grouping.k < 2:
+        raise ParameterError(f"need k >= 2 groups, got {grouping.k}")
+    centroids, spreads = _centroid_stats(points, grouping)
+    worst = np.empty(grouping.k)
+    for i in range(grouping.k):
+        ratios = []
+        for j in range(grouping.k):
+            if i == j:
+                continue
+            sep = float(np.linalg.norm(centroids[i] - centroids[j]))
+            if sep == 0.0:
+                raise UndefinedIndexError(f"centroids of groups {i} and {j} coincide")
+            ratios.append((spreads[i] + spreads[j]) / sep)
+        worst[i] = max(ratios)
+    return IndexValue(name="davies_bouldin_general", value=float(worst.mean()))
+
+
+def pair_confusion(candidate: np.ndarray, truth: np.ndarray) -> tuple[int, int, int, int]:
+    """Pair counts (tp, fp, fn, tn) over all unordered instance pairs.
+
+    Computed from the contingency table, so it costs O(n + g_c * g_t) rather
+    than O(n^2).
+    """
+    candidate = np.asarray(candidate)
+    truth = np.asarray(truth)
+    if candidate.shape != truth.shape or candidate.ndim != 1:
+        raise ParameterError("candidate and truth must be 1-d and the same length")
+    n = candidate.size
+    _, cand_ids = np.unique(candidate, return_inverse=True)
+    _, truth_ids = np.unique(truth, return_inverse=True)
+    table = np.zeros((cand_ids.max() + 1, truth_ids.max() + 1), dtype=np.int64)
+    np.add.at(table, (cand_ids, truth_ids), 1)
+
+    def pairs(x: np.ndarray) -> np.int64:
+        return (x * (x - 1) // 2).sum()
+
+    total = n * (n - 1) // 2
+    same_both = pairs(table)
+    same_cand = pairs(table.sum(axis=1))
+    same_truth = pairs(table.sum(axis=0))
+    tp = int(same_both)
+    fp = int(same_cand - same_both)
+    fn = int(same_truth - same_both)
+    tn = int(total - tp - fp - fn)
+    return tp, fp, fn, tn
+
+
+def f1_score(candidate: np.ndarray | Grouping, truth: np.ndarray, beta: float = 1.0) -> IndexValue:
+    """Pair-counting F-score of a candidate grouping against ground truth."""
+    if beta <= 0:
+        raise ParameterError(f"beta must be positive, got {beta}")
+    cand = candidate.assignments if isinstance(candidate, Grouping) else np.asarray(candidate)
+    tp, fp, fn, tn = pair_confusion(cand, truth)
+    if tp + fp == 0 or tp + fn == 0:
+        raise UndefinedIndexError("no same-group pairs on one side; precision or recall undefined")
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    if precision == 0.0 and recall == 0.0:
+        value = 0.0
+    else:
+        b2 = beta * beta
+        value = (1 + b2) * precision * recall / (b2 * precision + recall)
+    return IndexValue(
+        name="f1",
+        value=float(value),
+        details={"tp": tp, "fp": fp, "fn": fn, "tn": tn, "precision": precision, "recall": recall, "beta": beta},
+    )
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Cartesian parameter grid for one graph model.
+
+    axes maps GraphParams field names to value sequences; base supplies the
+    fixed fields. Candidates enumerate in row-major order over the axes in
+    the order given.
+    """
+
+    model: str
+    axes: tuple[tuple[str, tuple], ...]
+    base: GraphParams = GraphParams()
+
+    def candidates(self) -> list[GraphSpec]:
+        names = [name for name, _ in self.axes]
+        for name in names:
+            if name not in GraphParams.__dataclass_fields__:
+                raise ParameterError(f"unknown parameter axis {name!r}")
+        out = []
+        for combo in itertools.product(*(values for _, values in self.axes)):
+            params = replace(self.base, **dict(zip(names, combo)))
+            out.append(GraphSpec(model=self.model, params=params))
+        return out
+
+
+@dataclass(frozen=True)
+class GridRow:
+    spec: GraphSpec
+    objective: float | None
+    error: str | None = None
+
+
+@dataclass(frozen=True)
+class GridSearchResult:
+    rows: tuple[GridRow, ...]
+    best_index: int
+    objective: str
+
+    @property
+    def best(self) -> GridRow:
+        return self.rows[self.best_index]
+
+    def to_json_dict(self) -> dict:
+        from dataclasses import asdict
+
+        return {
+            "objective": self.objective,
+            "best_index": self.best_index,
+            "rows": [
+                {
+                    "model": row.spec.model,
+                    "params": {k: v for k, v in asdict(row.spec.params).items() if v is not None},
+                    "objective": row.objective,
+                    "error": row.error,
+                }
+                for row in self.rows
+            ],
+        }
+
+
+def grid_search(
+    ds: Dataset,
+    grid: GridSpec,
+    k: int,
+    objective: str,
+    seed: int,
+    truth: np.ndarray | None = None,
+    pre_standardized: bool = False,
+    restarts: int = 10,
+    threads: int = 1,
+) -> GridSearchResult:
+    """Evaluate every grid candidate on the full dataset and keep the best.
+
+    objective "f1" (higher wins) scores against `truth`, defaulting to each
+    instance's bag label; objective "db" (lower wins) needs no truth and uses
+    the two-group index for k = 2 and the general form otherwise. Candidates
+    that raise are recorded with their error and skipped; if all fail a
+    SearchError carries the diagnostics. Exact objective ties keep the earliest
+    candidate in grid order. threads > 1 evaluates candidates concurrently;
+    candidates are independent and individually seeded, so the result does not
+    depend on scheduling.
+    """
+    if objective not in ("f1", "db"):
+        raise ParameterError(f"objective must be 'f1' or 'db', got {objective!r}")
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
+    work = ds if pre_standardized else standardize(ds)
+    dist = pairwise_distances(work)
+    points = work.feature_matrix()
+    if objective == "f1":
+        if truth is None:
+            truth = np.asarray(work.instance_bag_labels())
+        else:
+            truth = np.asarray(truth)
+            if truth.shape[0] != work.n:
+                raise ParameterError("truth length does not match dataset size")
+    def evaluate(spec: GraphSpec) -> GridRow:
+        try:
+            graph = build_graph(dist, spec, seed=seed)
+            grouping = spectral_grouping(graph, k=k, seed=seed, restarts=restarts)
+            if objective == "f1":
+                value = f1_score(grouping, truth).value
+            elif k == 2:
+                value = davies_bouldin(points, grouping).value
+            else:
+                value = davies_bouldin_general(points, grouping).value
+        except Exception as exc:  # recorded per candidate, re-raised only if all fail
+            return GridRow(spec=spec, objective=None, error=f"{type(exc).__name__}: {exc}")
+        return GridRow(spec=spec, objective=float(value))
+
+    specs = grid.candidates()
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(evaluate, specs))
+    else:
+        rows = [evaluate(spec) for spec in specs]
+    best_index = -1
+    best_value = None
+    for idx, row in enumerate(rows):
+        if row.objective is None:
+            continue
+        better = (
+            best_value is None
+            or (objective == "f1" and row.objective > best_value)
+            or (objective == "db" and row.objective < best_value)
+        )
+        if better:
+            best_index, best_value = idx, row.objective
+    if best_index < 0:
+        detail = "; ".join(f"[{i}] {row.error}" for i, row in enumerate(rows))
+        raise SearchError(f"all {len(rows)} grid candidates failed: {detail}")
+    return GridSearchResult(rows=tuple(rows), best_index=best_index, objective=objective)

@@ -1,0 +1,290 @@
+"""Spectral grouping: graph Laplacians, smallest eigenvectors, seeded k-means.
+
+The grouping pipeline follows the random-walk normalization route: eigenpairs
+of D^-1 L are obtained from the similar symmetric matrix D^-1/2 L D^-1/2 and
+mapped back, which keeps the solver in well-conditioned symmetric territory.
+Embedding rows are clustered as-is (no row renormalization).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.linalg
+
+from .errors import NumericalError, ParameterError
+from .simgraph import SimilarityGraph
+
+LAPLACIAN_KINDS = ("unnormalized", "sym", "rw")
+
+
+@dataclass(frozen=True)
+class Laplacian:
+    matrix: np.ndarray
+    kind: str
+    degrees: np.ndarray
+    clamped: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=float)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        deg = np.asarray(self.degrees, dtype=float)
+        deg.setflags(write=False)
+        object.__setattr__(self, "degrees", deg)
+
+
+@dataclass(frozen=True)
+class SpectralEmbedding:
+    """First k eigenvectors (columns) of the random-walk Laplacian, ascending."""
+
+    vectors: np.ndarray
+    eigenvalues: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.vectors, dtype=float)
+        v.setflags(write=False)
+        object.__setattr__(self, "vectors", v)
+        e = np.asarray(self.eigenvalues, dtype=float)
+        e.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", e)
+
+
+@dataclass(frozen=True)
+class Grouping:
+    """Hard assignment of n items to groups 0..k-1."""
+
+    assignments: np.ndarray
+    k: int
+
+    def __post_init__(self):
+        a = np.asarray(self.assignments, dtype=int)
+        if a.ndim != 1:
+            raise ParameterError(f"assignments must be 1-d, got shape {a.shape}")
+        if a.size and (a.min() < 0 or a.max() >= self.k):
+            raise ParameterError("assignments outside 0..k-1")
+        a.setflags(write=False)
+        object.__setattr__(self, "assignments", a)
+
+    @property
+    def n(self) -> int:
+        return self.assignments.shape[0]
+
+    def sizes(self) -> np.ndarray:
+        return np.bincount(self.assignments, minlength=self.k)
+
+    def has_empty_group(self) -> bool:
+        return bool(np.any(self.sizes() == 0))
+
+
+def degree_matrix(graph: SimilarityGraph) -> np.ndarray:
+    """Vertex degrees (weighted row sums); the D of L = D - W as a vector."""
+    return graph.w.sum(axis=1)
+
+
+def unnormalized_laplacian(graph: SimilarityGraph) -> Laplacian:
+    deg = degree_matrix(graph)
+    return Laplacian(matrix=np.diag(deg) - graph.w, kind="unnormalized", degrees=deg)
+
+
+def normalized_laplacian(graph: SimilarityGraph, kind: str = "rw") -> Laplacian:
+    """D^-1/2 L D^-1/2 (kind "sym") or D^-1 L (kind "rw").
+
+    Vertices with zero degree would make either form divide by zero; their
+    degree is treated as 1 there (the corresponding L row is already all zero,
+    so an isolated vertex keeps its eigenvalue-zero indicator) and the clamped
+    indices are recorded on the result.
+    """
+    if kind not in ("sym", "rw"):
+        raise ParameterError(f"kind must be 'sym' or 'rw', got {kind!r}")
+    w = graph.w
+    deg = degree_matrix(graph)
+    lap = np.diag(deg) - w
+    clamped = tuple(int(i) for i in np.flatnonzero(deg == 0.0))
+    deg_safe = np.where(deg == 0.0, 1.0, deg)
+    if kind == "sym":
+        inv_sqrt = 1.0 / np.sqrt(deg_safe)
+        mat = lap * inv_sqrt[:, None] * inv_sqrt[None, :]
+    else:
+        mat = lap / deg_safe[:, None]
+    return Laplacian(matrix=mat, kind=kind, degrees=deg, clamped=clamped)
+
+
+def smallest_k_eigenvectors(lap: Laplacian, k: int) -> SpectralEmbedding:
+    """Eigenvectors of the random-walk Laplacian for the k smallest eigenvalues.
+
+    Solved through the symmetric normalized form: if L_sym v = lam v then
+    u = D^-1/2 v satisfies L_rw u = lam u. Columns are unit-norm with the
+    largest-magnitude entry made positive, so results are reproducible up to
+    solver determinism. A residual check against the random-walk matrix guards
+    the mapping.
+    """
+    if lap.kind != "rw":
+        raise ParameterError(f"expected a random-walk Laplacian, got kind {lap.kind!r}")
+    n = lap.matrix.shape[0]
+    if not (1 <= k <= n):
+        raise ParameterError(f"k must satisfy 1 <= k <= n = {n}, got {k}")
+    deg_safe = np.where(lap.degrees == 0.0, 1.0, lap.degrees)
+    inv_sqrt = 1.0 / np.sqrt(deg_safe)
+    # Reconstruct L_sym = D^1/2 L_rw D^-1/2 and force exact symmetry before eigh.
+    sym = (np.sqrt(deg_safe)[:, None] * lap.matrix) * inv_sqrt[None, :]
+    sym = (sym + sym.T) / 2.0
+    try:
+        vals, vecs = scipy.linalg.eigh(sym, subset_by_index=(0, k - 1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}")
+    u = inv_sqrt[:, None] * vecs
+    norms = np.linalg.norm(u, axis=0)
+    if np.any(norms == 0.0):
+        raise NumericalError("zero-norm eigenvector after degree rescaling")
+    u = u / norms
+    for col in range(u.shape[1]):
+        pivot = int(np.argmax(np.abs(u[:, col])))
+        if u[pivot, col] < 0:
+            u[:, col] = -u[:, col]
+    resid = lap.matrix @ u - u * vals[None, :]
+    resid_norms = np.linalg.norm(resid, axis=0)
+    bad = resid_norms > 1e-8 * np.linalg.norm(u, axis=0)
+    if np.any(bad):
+        raise NumericalError(
+            f"eigenpair residual {float(resid_norms.max()):.3e} exceeds tolerance "
+            f"for columns {np.flatnonzero(bad).tolist()}"
+        )
+    return SpectralEmbedding(vectors=u, eigenvalues=vals)
+
+
+@dataclass(frozen=True)
+class KMeansRun:
+    assignments: np.ndarray
+    objective: float
+    objective_trace: tuple[float, ...]
+    n_iter: int
+
+
+@dataclass(frozen=True)
+class KMeansResult:
+    grouping: "Grouping"
+    objective: float
+    runs: tuple[KMeansRun, ...]
+    best_run: int
+
+
+def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            probs = d2 / total
+            choice = int(rng.choice(n, p=probs))
+        else:
+            # All remaining mass at zero distance; fall back to uniform choice.
+            choice = int(rng.integers(n))
+        centers[c] = points[choice]
+        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+    return centers
+
+
+def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)  # ties go to the lowest center index
+    return labels, d2
+
+
+def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int) -> KMeansRun:
+    k = centers.shape[0]
+    trace: list[float] = []
+    labels, d2 = _assign(points, centers)
+    for it in range(max_iter):
+        obj = float(d2[np.arange(points.shape[0]), labels].sum())
+        trace.append(obj)
+        if len(trace) >= 2:
+            prev = trace[-2]
+            assert obj <= prev + 1e-9 * max(1.0, prev), (
+                f"k-means objective increased: {prev!r} -> {obj!r}"
+            )
+        new_centers = centers.copy()
+        dist_to_own = d2[np.arange(points.shape[0]), labels]
+        reseeded: set[int] = set()
+        for c in range(k):
+            mask = labels == c
+            if mask.any():
+                new_centers[c] = points[mask].mean(axis=0)
+            else:
+                # Reseed an empty group with the point farthest from its
+                # current center (lowest index on ties, distinct point per
+                # empty group).
+                masked = dist_to_own.copy()
+                if reseeded:
+                    masked[list(reseeded)] = -np.inf
+                far = int(np.argmax(masked))
+                reseeded.add(far)
+                new_centers[c] = points[far]
+        new_labels, new_d2 = _assign(points, new_centers)
+        converged = np.array_equal(new_labels, labels) and np.allclose(new_centers, centers)
+        centers, labels, d2 = new_centers, new_labels, new_d2
+        if converged:
+            break
+    obj = float(d2[np.arange(points.shape[0]), labels].sum())
+    if not trace or obj != trace[-1]:
+        if trace:
+            assert obj <= trace[-1] + 1e-9 * max(1.0, trace[-1])
+        trace.append(obj)
+    return KMeansRun(assignments=labels, objective=obj, objective_trace=tuple(trace), n_iter=len(trace))
+
+
+def kmeans_detailed(
+    points: np.ndarray,
+    k: int,
+    seed: int,
+    restarts: int = 10,
+    max_iter: int = 300,
+) -> KMeansResult:
+    """Seeded k-means with k-means++ starts and Lloyd refinement.
+
+    Runs `restarts` independent starts from child seeds of `seed` and keeps
+    the run with the smallest objective (first such run on exact ties). The
+    per-iteration objective is asserted non-increasing on every run.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ParameterError(f"points must be 2-d, got shape {points.shape}")
+    n = points.shape[0]
+    if not (1 <= k <= n):
+        raise ParameterError(f"k must satisfy 1 <= k <= n = {n}, got {k}")
+    if seed is None:
+        raise ParameterError("kmeans requires an explicit seed")
+    if restarts < 1:
+        raise ParameterError(f"restarts must be >= 1, got {restarts}")
+    child_seeds = np.random.SeedSequence(seed).spawn(restarts)
+    runs: list[KMeansRun] = []
+    for child in child_seeds:
+        rng = np.random.default_rng(child)
+        centers = _plus_plus_init(points, k, rng)
+        runs.append(_lloyd(points, centers, max_iter))
+    best = min(range(restarts), key=lambda r: (runs[r].objective, r))
+    grouping = Grouping(assignments=runs[best].assignments, k=k)
+    return KMeansResult(grouping=grouping, objective=runs[best].objective, runs=tuple(runs), best_run=best)
+
+
+def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10, max_iter: int = 300) -> Grouping:
+    return kmeans_detailed(points, k, seed, restarts=restarts, max_iter=max_iter).grouping
+
+
+def spectral_grouping(
+    graph: SimilarityGraph,
+    k: int,
+    seed: int,
+    restarts: int = 10,
+) -> Grouping:
+    """Group graph vertices: random-walk Laplacian, k smallest eigenvectors,
+    k-means on the embedding rows."""
+    if k < 2:
+        raise ParameterError(f"spectral grouping needs k >= 2, got {k}")
+    lap = normalized_laplacian(graph, kind="rw")
+    emb = smallest_k_eigenvectors(lap, k)
+    return kmeans(emb.vectors, k, seed=seed, restarts=restarts)
