@@ -74,6 +74,21 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
     return value
 
 
+def _cast(flag: str, raw, cast):
+    """Convert one flag or config value; a value that does not convert is a
+    ParameterError naming the flag."""
+    try:
+        return cast(raw)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"--{flag}: expected {cast.__name__}, got {raw!r}") from exc
+
+
+def _resolve_as(args: argparse.Namespace, config: dict, key: str, cast, default=None):
+    """_resolve, then _cast; None stays None."""
+    value = _resolve(args, config, key, default)
+    return None if value is None else _cast(key, value, cast)
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -134,8 +149,8 @@ def _run_config(args, config) -> RunConfig:
     out = Path(_resolve(args, config, "out", "."))
     out.mkdir(parents=True, exist_ok=True)
     return RunConfig(
-        seed=int(_resolve(args, config, "seed", 0)),
-        threads=int(_resolve(args, config, "threads", 1)),
+        seed=_resolve_as(args, config, "seed", int, 0),
+        threads=_resolve_as(args, config, "threads", int, 1),
         out=out,
         scale=not bool(_resolve(args, config, "no-standardize", False)),
     )
@@ -188,12 +203,12 @@ def _load_dataset(args, config, require_strong: bool = False) -> Dataset:
     return load_csv(path, schema)
 
 
-def _parse_values(raw, cast) -> tuple | None:
+def _parse_values(flag: str, raw, cast) -> tuple | None:
     if raw is None:
         return None
     if isinstance(raw, (int, float)):
-        return (cast(raw),)
-    return tuple(cast(tok.strip()) for tok in str(raw).split(","))
+        return (_cast(flag, raw, cast),)
+    return tuple(_cast(flag, tok.strip(), cast) for tok in str(raw).split(","))
 
 
 def _graph_setup(args, config) -> tuple[str, GraphParams, tuple[tuple[str, tuple], ...]]:
@@ -205,7 +220,7 @@ def _graph_setup(args, config) -> tuple[str, GraphParams, tuple[tuple[str, tuple
     singles = {}
     axes = []
     for flag, field_name, cast in _PARAM_FLAGS:
-        values = _parse_values(_resolve(args, config, flag), cast)
+        values = _parse_values(flag, _resolve(args, config, flag), cast)
         if values is None:
             continue
         if len(values) == 1:
@@ -259,7 +274,7 @@ def cmd_group(args, config) -> int:
     run = _run_config(args, config)
     ds = _load_dataset(args, config)
     model, params, axes = _graph_setup(args, config)
-    groups = int(_resolve(args, config, "groups", 2))
+    groups = _resolve_as(args, config, "groups", int, 2)
     use_truth = not bool(_resolve(args, config, "no-truth", False))
     objective = _resolve(args, config, "objective", "f1" if use_truth else "db")
     if objective == "f1" and not use_truth:
@@ -327,7 +342,7 @@ def cmd_annotate(args, config) -> int:
     model, params, axes = _graph_setup(args, config)
     if axes:
         raise ParameterError("annotate uses a single graph setting; comma lists are for 'group'")
-    restarts = int(_resolve(args, config, "restarts", 10))
+    restarts = _resolve_as(args, config, "restarts", int, 10)
     ts = build_training_set(ds, GraphSpec(model=model, params=params), seed=run.seed, restarts=restarts)
     write_training_csv(ts, run.out / "annotated.csv")
     print(f"wrote {run.out / 'annotated.csv'}")
@@ -380,10 +395,10 @@ def cmd_train(args, config) -> int:
             heavy_ridge_classes=list(model.heavy_ridge_classes),
         )
     else:
-        knn_k = _resolve(args, config, "knn-k")
+        knn_k = _resolve_as(args, config, "knn-k", int)
         if knn_k is None:
             raise ParameterError("--knn-k is required when training a knn model")
-        model = train_knn(x, y, int(knn_k))
+        model = train_knn(x, y, knn_k)
         payload.update(classes=list(model.classes), k=model.k)
     payload["training_labels"] = ts.summary()["per_provenance"]
     _write_json(payload, run.out / "model.json")
@@ -400,12 +415,10 @@ def cmd_evaluate(args, config) -> int:
     ts, _ = _training_labels(args, config, ds)
     aggregation = AggregationRule(
         mode=_resolve(args, config, "aggregation", "majority"),
-        tau=float(_resolve(args, config, "tau", 0.5)),
+        tau=_resolve_as(args, config, "tau", float, 0.5),
     )
-    knn_k = _resolve(args, config, "knn-k")
-    cv = leave_one_bag_out_cv(
-        ts, ds, classifier, aggregation, knn=KnnConfig(k=None if knn_k is None else int(knn_k))
-    )
+    knn_k = _resolve_as(args, config, "knn-k", int)
+    cv = leave_one_bag_out_cv(ts, ds, classifier, aggregation, knn=KnnConfig(k=knn_k))
     _write_json(cv.to_json_dict(), run.out / "cv.json")
     _write_csv(
         [
@@ -424,8 +437,8 @@ def cmd_bench(args, config) -> int:
     if suite is None:
         raise ParameterError(f"--suite is required; choose from {bench.BENCH_SUITES}")
     data_dir = _resolve(args, config, "data-dir", "data")
-    n_seeds = _resolve(args, config, "synth-seeds")
-    seeds = None if n_seeds is None else tuple(range(int(n_seeds)))
+    n_seeds = _resolve_as(args, config, "synth-seeds", int)
+    seeds = None if n_seeds is None else tuple(range(n_seeds))
     report = bench.run_suite(suite, data_dir=data_dir, seed=run.seed, seeds=seeds)
     _write_json(report.to_json_dict(), run.out / f"bench_{suite}.json")
     rows_path = run.out / f"bench_{suite}_rows.csv"

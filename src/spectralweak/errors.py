@@ -55,5 +55,10 @@ class SearchError(SpectralWeakError):
     """Every candidate in a grid search failed; carries per-candidate diagnostics."""
 
 
+class AnnotationError(SpectralWeakError):
+    """Annotating one bag label failed on an error from outside the package;
+    the original exception is chained as the cause."""
+
+
 class MissingDataError(SpectralWeakError):
     """A benchmark file is absent; the message contains fetch instructions."""

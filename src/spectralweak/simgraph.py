@@ -144,13 +144,21 @@ def _knn_adjacency(dist: DistanceMatrix, k: int) -> np.ndarray:
 
     Distance ties resolve toward the smaller index; the point itself is
     excluded even when other points sit at distance zero.
+
+    The (k+1)-th smallest entry of a row, the point itself included, is a
+    threshold. When exactly k+1 entries lie at or below it they are the point
+    and its k nearest others, in whatever order. Only rows with more, a tie at
+    the threshold, are ranked in full by distance and then index.
     """
-    n = dist.n
-    idx = np.arange(n)
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        order = np.lexsort((idx, dist.d[i]))
+    d = dist.d
+    thr = np.partition(d, k, axis=1)[:, k]
+    adj = d <= thr[:, None]
+    np.fill_diagonal(adj, False)
+    idx = np.arange(dist.n)
+    for i in np.flatnonzero(adj.sum(axis=1) != k):
+        order = np.lexsort((idx, d[i]))
         order = order[order != i]
+        adj[i] = False
         adj[i, order[:k]] = True
     return adj
 
@@ -173,16 +181,19 @@ def knn_graph(
     if mode not in ("symmetric", "mutual"):
         raise ParameterError(f"mode must be 'symmetric' or 'mutual', got {mode!r}")
     if sigma is None:
-        sigma = float(np.median(dist.offdiag()))
+        # offdiag() holds every pair twice; the strict upper triangle holds it
+        # once and has the same median, computed from the same two values.
+        sigma = float(np.median(dist.d[~np.tri(n, dtype=bool)]))
         if sigma <= 0:
             raise ParameterError("median distance is zero; pass sigma explicitly")
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ParameterError(f"sigma must be positive and finite, got {sigma}")
     adj = _knn_adjacency(dist, k)
     joined = (adj | adj.T) if mode == "symmetric" else (adj & adj.T)
-    weights = np.exp(-(dist.d**2) / (2.0 * sigma**2))
-    w = np.where(joined, weights, 0.0)
-    np.fill_diagonal(w, 0.0)
+    # Gaussian weights on joined pairs only; the diagonal is never joined.
+    rows, cols = np.nonzero(joined)
+    w = np.zeros((n, n))
+    w[rows, cols] = np.exp(-(dist.d[rows, cols] ** 2) / (2.0 * sigma**2))
     model = "knn_symmetric" if mode == "symmetric" else "knn_mutual"
     return SimilarityGraph(w=w, model=model, params=GraphParams(k=k, sigma=sigma))
 
@@ -358,24 +369,13 @@ def connected_components(graph: SimilarityGraph | np.ndarray) -> tuple[int, np.n
     Returns (count, labels) where labels are 0-based, numbered by the smallest
     vertex index in each component (so labels[0] == 0).
     """
+    import scipy.sparse.csgraph  # only the graph command and bench suites need it
+
     w = graph.w if isinstance(graph, SimilarityGraph) else np.asarray(graph)
-    n = w.shape[0]
-    support = w > 0.0
-    labels = np.full(n, -1, dtype=int)
-    count = 0
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        stack = [start]
-        labels[start] = count
-        while stack:
-            v = stack.pop()
-            for u in np.flatnonzero(support[v]):
-                if labels[u] == -1:
-                    labels[u] = count
-                    stack.append(u)
-        count += 1
-    return count, labels
+    count, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_array(w > 0.0), directed=False
+    )
+    return int(count), labels.astype(int)
 
 
 def graph_to_json_dict(graph: SimilarityGraph) -> dict:

@@ -4,27 +4,41 @@ The grouping pipeline follows the random-walk normalization route: eigenpairs
 of D^-1 L are obtained from the similar symmetric matrix D^-1/2 L D^-1/2 and
 mapped back, which keeps the solver in well-conditioned symmetric territory.
 Embedding rows are clustered as-is (no row renormalization).
+
+Two solvers share that route. Connected kNN graphs without a clamped vertex,
+asked for k < n - 1 vectors, go to ARPACK (scipy.sparse.linalg.eigsh) on the
+sparse N = D^-1/2 W D^-1/2, whose k largest eigenpairs are the k smallest of
+L_sym = I - N. Every other graph, the probabilistic, epsilon and fully
+connected ones included, goes to a dense scipy.linalg.eigh of L_sym, as does a
+kNN graph on which ARPACK fails or does not converge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import NumericalError, ParameterError
 from .simgraph import SimilarityGraph
 
 LAPLACIAN_KINDS = ("unnormalized", "sym", "rw")
+# Graph models whose weight matrix is sparse by construction.
+SPARSE_MODELS = ("knn_symmetric", "knn_mutual")
 
 
 @dataclass(frozen=True)
 class Laplacian:
+    """`graph` is the graph the matrix was built from, when known; the
+    eigensolver reads its model and its sparse weights from there."""
+
     matrix: np.ndarray
     kind: str
     degrees: np.ndarray
     clamped: tuple[int, ...] = ()
+    graph: SimilarityGraph | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -37,10 +51,12 @@ class Laplacian:
 
 @dataclass(frozen=True)
 class SpectralEmbedding:
-    """First k eigenvectors (columns) of the random-walk Laplacian, ascending."""
+    """First k eigenvectors (columns) of the random-walk Laplacian, ascending,
+    and the solver that produced them: "eigh" (dense) or "eigsh" (ARPACK)."""
 
     vectors: np.ndarray
     eigenvalues: np.ndarray
+    solver: str = "eigh"
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
@@ -98,27 +114,66 @@ def normalized_laplacian(graph: SimilarityGraph, kind: str = "rw") -> Laplacian:
     """
     if kind not in ("sym", "rw"):
         raise ParameterError(f"kind must be 'sym' or 'rw', got {kind!r}")
-    w = graph.w
     deg = degree_matrix(graph)
-    lap = np.diag(deg) - w
+    # D - W in a single n x n buffer, scaled in place below: 0 - w_ij off the
+    # diagonal and d_i on it, as the diagonal of W is zero.
+    mat = 0.0 - graph.w
+    np.fill_diagonal(mat, deg)
     clamped = tuple(int(i) for i in np.flatnonzero(deg == 0.0))
     deg_safe = np.where(deg == 0.0, 1.0, deg)
     if kind == "sym":
         inv_sqrt = 1.0 / np.sqrt(deg_safe)
-        mat = lap * inv_sqrt[:, None] * inv_sqrt[None, :]
+        mat *= inv_sqrt[:, None]
+        mat *= inv_sqrt[None, :]
     else:
-        mat = lap / deg_safe[:, None]
-    return Laplacian(matrix=mat, kind=kind, degrees=deg, clamped=clamped)
+        mat /= deg_safe[:, None]
+    return Laplacian(matrix=mat, kind=kind, degrees=deg, clamped=clamped, graph=graph)
+
+
+def _normalized_adjacency(w: np.ndarray, inv_sqrt: np.ndarray) -> scipy.sparse.csr_array:
+    """N = D^-1/2 W D^-1/2 as CSR, evaluated on the nonzeros of W only."""
+    rows, cols = np.nonzero(w)
+    data = w[rows, cols] * (inv_sqrt[rows] * inv_sqrt[cols])
+    return scipy.sparse.csr_array((data, (rows, cols)), shape=w.shape)
+
+
+def _arpack_eigenpairs(lap: Laplacian, k: int, inv_sqrt: np.ndarray):
+    """The k smallest eigenpairs of L_sym, ascending, from the k largest of N.
+
+    Returns None, and leaves the graph to the dense solver, unless it is a
+    connected kNN graph with no clamped vertex and k < n - 1, or when ARPACK
+    fails, not converging included. The start vector is fixed, so the result
+    depends on the graph alone.
+    """
+    n = lap.matrix.shape[0]
+    graph = lap.graph
+    if graph is None or graph.model not in SPARSE_MODELS or lap.clamped or not k < n - 1:
+        return None
+    # Imported here so that runs on dense-only graphs never load them.
+    import scipy.sparse.csgraph
+    import scipy.sparse.linalg
+
+    norm_adj = _normalized_adjacency(graph.w, inv_sqrt)
+    if scipy.sparse.csgraph.connected_components(norm_adj, directed=False, return_labels=False) != 1:
+        return None
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    try:
+        mu, vecs = scipy.sparse.linalg.eigsh(norm_adj, k=k, which="LA", v0=v0)
+    except scipy.sparse.linalg.ArpackError:  # ArpackNoConvergence included
+        return None
+    order = np.argsort(-mu, kind="stable")
+    return 1.0 - mu[order], vecs[:, order]
 
 
 def smallest_k_eigenvectors(lap: Laplacian, k: int) -> SpectralEmbedding:
     """Eigenvectors of the random-walk Laplacian for the k smallest eigenvalues.
 
     Solved through the symmetric normalized form: if L_sym v = lam v then
-    u = D^-1/2 v satisfies L_rw u = lam u. Columns are unit-norm with the
-    largest-magnitude entry made positive, so results are reproducible up to
-    solver determinism. A residual check against the random-walk matrix guards
-    the mapping.
+    u = D^-1/2 v satisfies L_rw u = lam u. Connected kNN graphs are solved by
+    ARPACK, everything else by a dense eigh (see the module docstring).
+    Columns are unit-norm with the largest-magnitude entry made positive, so
+    results are reproducible up to solver determinism. A residual check
+    against the random-walk matrix guards the mapping.
     """
     if lap.kind != "rw":
         raise ParameterError(f"expected a random-walk Laplacian, got kind {lap.kind!r}")
@@ -127,13 +182,19 @@ def smallest_k_eigenvectors(lap: Laplacian, k: int) -> SpectralEmbedding:
         raise ParameterError(f"k must satisfy 1 <= k <= n = {n}, got {k}")
     deg_safe = np.where(lap.degrees == 0.0, 1.0, lap.degrees)
     inv_sqrt = 1.0 / np.sqrt(deg_safe)
-    # Reconstruct L_sym = D^1/2 L_rw D^-1/2 and force exact symmetry before eigh.
-    sym = (np.sqrt(deg_safe)[:, None] * lap.matrix) * inv_sqrt[None, :]
-    sym = (sym + sym.T) / 2.0
-    try:
-        vals, vecs = scipy.linalg.eigh(sym, subset_by_index=(0, k - 1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}")
+    pairs = _arpack_eigenpairs(lap, k, inv_sqrt)
+    if pairs is not None:
+        solver = "eigsh"
+        vals, vecs = pairs
+    else:
+        solver = "eigh"
+        # Reconstruct L_sym = D^1/2 L_rw D^-1/2 and force exact symmetry before eigh.
+        sym = (np.sqrt(deg_safe)[:, None] * lap.matrix) * inv_sqrt[None, :]
+        sym = (sym + sym.T) / 2.0
+        try:
+            vals, vecs = scipy.linalg.eigh(sym, subset_by_index=(0, k - 1))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigendecomposition failed: {exc}")
     u = inv_sqrt[:, None] * vecs
     norms = np.linalg.norm(u, axis=0)
     if np.any(norms == 0.0):
@@ -151,7 +212,7 @@ def smallest_k_eigenvectors(lap: Laplacian, k: int) -> SpectralEmbedding:
             f"eigenpair residual {float(resid_norms.max()):.3e} exceeds tolerance "
             f"for columns {np.flatnonzero(bad).tolist()}"
         )
-    return SpectralEmbedding(vectors=u, eigenvalues=vals)
+    return SpectralEmbedding(vectors=u, eigenvalues=vals, solver=solver)
 
 
 @dataclass(frozen=True)

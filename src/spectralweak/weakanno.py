@@ -17,7 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Bag, Dataset, Instance, pairwise_distances, standardize
-from .errors import DegenerateGroupingError, EmptySelectionError, ParameterError
+from .errors import (
+    AnnotationError,
+    DegenerateGroupingError,
+    EmptySelectionError,
+    ParameterError,
+    SpectralWeakError,
+)
 from .simgraph import GraphSpec, build_graph
 from .spectral import Grouping, spectral_grouping
 
@@ -148,8 +154,12 @@ def build_training_set(
             graph = build_graph(dist, graph_spec, seed=seed)
             grouping = spectral_grouping(graph, k=2, seed=seed, restarts=restarts)
             labels, audit = annotate_groups(points, grouping, label, work.strong_label, strong_centroid)
-        except Exception as exc:
+        except SpectralWeakError as exc:
             raise type(exc)(f"annotating bag label {label!r}: {exc}") from exc
+        except Exception as exc:
+            raise AnnotationError(
+                f"annotating bag label {label!r}: {type(exc).__name__}: {exc}"
+            ) from exc
         group_sizes[label] = audit
         for iid, lab in zip(ids, labels):
             entries[iid] = TrainingEntry(instance_id=iid, label=lab, provenance="weak")

@@ -37,3 +37,43 @@ def two_blobs(n_per=6, gap=8.0, spread=0.3, seed=0):
     a = rng.normal(0.0, spread, size=(n_per, 2))
     b = rng.normal(0.0, spread, size=(n_per, 2)) + [gap, 0.0]
     return np.vstack([a, b]), np.array([0] * n_per + [1] * n_per)
+
+
+def knn_adjacency_reference(d, k):
+    """Per-row ranking by (distance, index), self dropped, first k kept.
+
+    The original kNN builder, kept as the oracle for the tie rule: on equal
+    distance the lower index wins, and the point itself never counts even
+    when duplicates sit at distance zero.
+    """
+    d = np.asarray(d)
+    n = d.shape[0]
+    idx = np.arange(n)
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        order = np.lexsort((idx, d[i]))
+        order = order[order != i]
+        adj[i, order[:k]] = True
+    return adj
+
+
+def components_reference(w):
+    """Depth-first connected components of the positive-weight support,
+    labelled in order of each component's smallest vertex."""
+    support = np.asarray(w) > 0.0
+    n = support.shape[0]
+    labels = np.full(n, -1, dtype=int)
+    count = 0
+    for start in range(n):
+        if labels[start] != -1:
+            continue
+        stack = [start]
+        labels[start] = count
+        while stack:
+            v = stack.pop()
+            for u in np.flatnonzero(support[v]):
+                if labels[u] == -1:
+                    labels[u] = count
+                    stack.append(u)
+        count += 1
+    return count, labels

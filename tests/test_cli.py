@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectralweak
 from spectralweak import cli
+from spectralweak.weakanno import SynthBagsConfig, synth_bags
 
 TOY_GRAPH_FLAGS = [
     "--model", "prob_threshold",
@@ -196,6 +202,35 @@ def test_annotate_writes_training_and_audit(tmp_path, capsys):
     assert "flu" in audit["group_sizes"]
 
 
+def write_synth_csv(path, seed=0):
+    """The default planted mixture (about 890 instances) as a CLI input file."""
+    ds = synth_bags(SynthBagsConfig(seed=seed)).dataset
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["instance", "bag", "group", "x0", "x1"])
+        for inst in ds.instances:
+            bag = ds.bag_of[inst.id]
+            w.writerow([inst.id, bag.id, bag.label, *(repr(float(v)) for v in inst.features)])
+    return path
+
+
+def test_annotate_bytes_independent_of_blas_threads(tmp_path):
+    data = write_synth_csv(tmp_path / "bags.csv")
+    src = str(Path(spectralweak.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        subprocess.run(
+            [sys.executable, "-m", "spectralweak.cli", "annotate", "--data", str(data),
+             "--strong-label", "normal", "--model", "knn_symmetric", "--k", "10", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append([(out / name).read_bytes() for name in ("annotated.csv", "audit.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_train_logistic_model_json(tmp_path, capsys):
     data, _ = pipeline_files(tmp_path, capsys)
     code, out, _ = run(
@@ -299,6 +334,19 @@ def test_missing_data_flag_and_unknown_model(tmp_path, capsys):
     )
     assert code == 2
     assert "voronoi" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["group", "--data", "builtin:dataset_a", "--model", "knn_symmetric", "--k", "abc"], "--k"),
+        (["evaluate", "--data", "builtin:dataset_a", "--strong-label", "A", "--tau", "x"], "--tau"),
+    ],
+)
+def test_bad_numeric_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    code, _, err = run([*argv, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {flag}: expected ")
 
 
 def test_dataset_file_not_found(tmp_path, capsys):

@@ -21,6 +21,7 @@ from spectralweak.simgraph import (
     graph_from_json_dict,
     graph_to_json_dict,
     initial_similarities,
+    _knn_adjacency,
     knn_graph,
     prob_criterion_graph,
     prob_threshold_graph,
@@ -29,6 +30,8 @@ from spectralweak.simgraph import (
     symmetrize,
     write_graph_json,
 )
+
+from helpers import components_reference, knn_adjacency_reference
 
 LINE4 = np.array([[0.0], [1.0], [2.5], [5.0]])
 
@@ -118,6 +121,48 @@ def test_knn_line_modes():
     assert connected_components(mut)[0] == 3
     assert mut.w[0, 1] == pytest.approx(math.exp(-0.5))
     assert mut.w[2, 3] == 0.0
+
+
+@st.composite
+def knn_cases(draw):
+    """Points with many equal distances (a small integer grid, so duplicates
+    at distance zero too) or in general position, and k from 1 to n - 1."""
+    n = draw(st.integers(2, 14))
+    p = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.lists(st.integers(0, 3), min_size=p, max_size=p), min_size=n, max_size=n))
+    else:
+        pts = np.random.default_rng(draw(st.integers(0, 2**31 - 1))).normal(size=(n, p))
+    k = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    return np.asarray(pts, dtype=float), k
+
+
+@given(knn_cases())
+@settings(max_examples=200)
+def test_knn_adjacency_matches_lexsort_reference(case):
+    pts, k = case
+    d = pairwise_distances(pts)
+    assert np.array_equal(_knn_adjacency(d, k), knn_adjacency_reference(d.d, k))
+
+
+def test_knn_adjacency_ties_and_duplicates_hand_case():
+    # row 0 has 1 and 3 tied at distance 1 and 2 at distance zero
+    pts = np.array([[0.0], [1.0], [0.0], [-1.0], [5.0]])
+    d = pairwise_distances(pts)
+    adj = _knn_adjacency(d, 2)
+    assert np.flatnonzero(adj[0]).tolist() == [1, 2]
+    assert np.flatnonzero(adj[2]).tolist() == [0, 1]
+    assert np.array_equal(adj, knn_adjacency_reference(d.d, 2))
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "mutual"])
+def test_knn_weights_equal_full_gaussian_on_joined_pairs(mode):
+    d = pairwise_distances(seeded_points(5, n=120, p=4))
+    g = knn_graph(d, 7, mode=mode)
+    adj = knn_adjacency_reference(d.d, 7)
+    joined = (adj | adj.T) if mode == "symmetric" else (adj & adj.T)
+    full = np.exp(-(d.d**2) / (2.0 * g.params.sigma**2))
+    assert np.array_equal(g.w, np.where(joined, full, 0.0))
 
 
 def test_knn_default_sigma_is_median_distance():
@@ -370,6 +415,28 @@ def test_components_match_reachability_oracle(seed):
     for i in range(n):
         for j in range(n):
             assert (labels[i] == labels[j]) == bool(reach[i, j])
+
+
+@st.composite
+def component_graphs(draw):
+    """Weighted graphs built from planted blocks, with isolated vertices and
+    up to one component per vertex."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    block = rng.integers(0, draw(st.integers(1, n)), size=n)
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.8]))
+    mask = np.triu((block[:, None] == block[None, :]) & (rng.random((n, n)) < density), 1)
+    w = np.where(mask, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+    return w + w.T
+
+
+@given(component_graphs())
+@settings(max_examples=200)
+def test_components_match_dfs_reference(w):
+    count, labels = connected_components(w)
+    ref_count, ref_labels = components_reference(w)
+    assert count == ref_count
+    assert np.array_equal(labels, ref_labels)
 
 
 def test_component_labels_numbered_by_smallest_member():

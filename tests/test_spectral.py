@@ -1,11 +1,22 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
+from spectralweak.bench import partition_matches
+from spectralweak.dataset import pairwise_distances
 from spectralweak.errors import ParameterError
-from spectralweak.simgraph import GraphParams, SimilarityGraph, connected_components
+from spectralweak.simgraph import (
+    GraphParams,
+    GraphSpec,
+    SimilarityGraph,
+    build_graph,
+    connected_components,
+    knn_graph,
+)
 from spectralweak.spectral import (
     Grouping,
     kmeans,
@@ -76,6 +87,20 @@ def test_rw_and_sym_share_eigenvalues(seed):
     ev_rw = np.sort(np.linalg.eigvals(rw).real)
     ev_sym = np.linalg.eigvalsh(sym)
     assert np.max(np.abs(ev_rw - ev_sym)) < 1e-9
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["sym", "rw"]))
+def test_normalized_laplacian_matches_textbook_formula_bitwise(seed, kind):
+    g = random_graph(seed, density=0.5)
+    deg = g.w.sum(axis=1)
+    deg_safe = np.where(deg == 0.0, 1.0, deg)
+    lap = np.diag(deg) - g.w
+    if kind == "sym":
+        inv_sqrt = 1.0 / np.sqrt(deg_safe)
+        want = lap * inv_sqrt[:, None] * inv_sqrt[None, :]
+    else:
+        want = lap / deg_safe[:, None]
+    assert np.array_equal(normalized_laplacian(g, kind=kind).matrix, want)
 
 
 def test_zero_degree_vertex_is_clamped():
@@ -181,6 +206,95 @@ def test_zero_eigenvalue_multiplicity_counts_components(seed, blocks):
     count, _ = connected_components(w)
     emb = smallest_k_eigenvectors(normalized_laplacian(g), n)
     assert int(np.sum(np.abs(emb.eigenvalues) < 1e-8)) == count == blocks
+
+
+# ---------------------------------------------------------------------------
+# eigensolver routes: ARPACK for connected kNN graphs, dense eigh otherwise
+
+def blob_points(seed, n, p=5):
+    rng = np.random.default_rng(seed)
+    centres = np.zeros((2, p))
+    centres[1, 0] = 3.0
+    return rng.normal(centres[rng.integers(0, 2, n)], 1.0)
+
+
+def dense_route(lap):
+    """The same Laplacian with its graph forgotten, which only eigh solves."""
+    return dataclasses.replace(lap, graph=None)
+
+
+@pytest.mark.parametrize(
+    "seed, n, k, neighbours, mode",
+    [
+        (0, 300, 2, 10, "symmetric"),
+        (1, 300, 3, 25, "mutual"),
+        (2, 600, 3, 10, "symmetric"),
+        (3, 1000, 2, 10, "symmetric"),
+    ],
+)
+def test_arpack_agrees_with_dense_on_knn_graphs(seed, n, k, neighbours, mode):
+    g = knn_graph(pairwise_distances(blob_points(seed, n)), neighbours, mode=mode)
+    assert connected_components(g)[0] == 1
+    lap = normalized_laplacian(g)
+    sparse = smallest_k_eigenvectors(lap, k)
+    dense = smallest_k_eigenvectors(dense_route(lap), k)
+    assert (sparse.solver, dense.solver) == ("eigsh", "eigh")
+    assert np.max(np.abs(sparse.eigenvalues - dense.eigenvalues)) < 1e-8
+    a = kmeans(sparse.vectors, k, seed=seed)
+    b = kmeans(dense.vectors, k, seed=seed)
+    assert partition_matches(a.assignments, b.assignments)
+
+
+def test_disconnected_knn_graph_takes_dense_route():
+    pts = blob_points(4, 80)
+    pts[40:, 1] += 1000.0
+    g = knn_graph(pairwise_distances(pts), 5)
+    assert connected_components(g)[0] == 2
+    emb = smallest_k_eigenvectors(normalized_laplacian(g), 2)
+    assert emb.solver == "eigh"
+    assert np.all(np.abs(emb.eigenvalues) < 1e-8)
+
+
+def test_clamped_knn_graph_takes_dense_route():
+    # mutual 1-NN on a line: 2.5 and 5.0 are nobody's mutual neighbour
+    g = knn_graph(pairwise_distances(np.array([[0.0], [1.0], [2.5], [5.0]])), 1, mode="mutual")
+    lap = normalized_laplacian(g)
+    assert lap.clamped == (2, 3)
+    assert smallest_k_eigenvectors(lap, 2).solver == "eigh"
+
+
+def test_route_follows_the_graph_model():
+    g = knn_graph(pairwise_distances(blob_points(5, 200)), 10)
+    as_prob = SimilarityGraph(w=g.w, model="prob_threshold", params=g.params)
+    assert smallest_k_eigenvectors(normalized_laplacian(g), 2).solver == "eigsh"
+    assert smallest_k_eigenvectors(normalized_laplacian(as_prob), 2).solver == "eigh"
+    # ARPACK needs k < n - 1
+    small = knn_graph(pairwise_distances(blob_points(6, 6)), 3)
+    assert smallest_k_eigenvectors(normalized_laplacian(small), 4).solver == "eigsh"
+    assert smallest_k_eigenvectors(normalized_laplacian(small), 5).solver == "eigh"
+
+
+@pytest.mark.parametrize("model", ["prob_threshold", "prob_criterion"])
+def test_prob_graphs_take_dense_route(model):
+    d = pairwise_distances(blob_points(7, 60))
+    n = d.n
+    params = GraphParams(w_thresh=2.0 / (n - 1), sigma=1.0 / (n - 1), eps_weight=1e-3)
+    g = build_graph(d, GraphSpec(model, params), seed=0)
+    assert smallest_k_eigenvectors(normalized_laplacian(g), 2).solver == "eigh"
+
+
+def test_arpack_no_convergence_falls_back_to_dense(monkeypatch):
+    g = knn_graph(pairwise_distances(blob_points(8, 300)), 10)
+    lap = normalized_laplacian(g)
+    want = smallest_k_eigenvectors(dense_route(lap), 2)
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((300, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    got = smallest_k_eigenvectors(lap, 2)
+    assert got.solver == "eigh"
+    assert np.array_equal(got.vectors, want.vectors)
 
 
 # ---------------------------------------------------------------------------

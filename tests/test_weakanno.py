@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from spectralweak import weakanno
 from spectralweak.errors import (
+    AnnotationError,
     DegenerateGroupingError,
     EmptySelectionError,
     ParameterError,
@@ -200,8 +202,29 @@ def test_annotation_errors_name_the_bag_label():
         strong="ok",
     )
     # a 2-instance pool cannot satisfy k=10 nearest neighbours
-    with pytest.raises(ParameterError, match="annotating bag label 'dup'"):
+    with pytest.raises(ParameterError, match="annotating bag label 'dup'") as info:
         build_training_set(ds, ANNOTATION_SPEC, seed=0)
+    assert isinstance(info.value.__cause__, ParameterError)
+
+
+class TwoArgumentError(Exception):
+    """Foreign exception whose constructor cannot take a message alone."""
+
+    def __init__(self, message, detail):
+        super().__init__(message, detail)
+
+
+def test_foreign_annotation_errors_become_annotation_error(monkeypatch):
+    sb = synth_bags(SynthBagsConfig(seed=0, **SMALL_SYNTH))
+    original = TwoArgumentError("solver gave up", 42)
+
+    def failing_grouping(*args, **kwargs):
+        raise original
+
+    monkeypatch.setattr(weakanno, "spectral_grouping", failing_grouping)
+    with pytest.raises(AnnotationError, match="annotating bag label 'myopathic': TwoArgumentError") as info:
+        build_training_set(sb.dataset, ANNOTATION_SPEC, seed=0)
+    assert info.value.__cause__ is original
 
 
 def test_weak_agreement_requires_weak_entries():
