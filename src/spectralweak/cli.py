@@ -133,16 +133,11 @@ def _write_csv(rows: list[dict], path: Path) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved per-run settings, validated before any computation starts."""
+    """Resolved per-run settings."""
 
     seed: int
-    threads: int
     out: Path
     scale: bool
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise ParameterError(f"--threads must be >= 1, got {self.threads}")
 
 
 def _run_config(args, config) -> RunConfig:
@@ -150,7 +145,6 @@ def _run_config(args, config) -> RunConfig:
     out.mkdir(parents=True, exist_ok=True)
     return RunConfig(
         seed=_resolve_as(args, config, "seed", int, 0),
-        threads=_resolve_as(args, config, "threads", int, 1),
         out=out,
         scale=not bool(_resolve(args, config, "no-standardize", False)),
     )
@@ -289,7 +283,6 @@ def cmd_group(args, config) -> int:
             objective=objective,
             seed=run.seed,
             pre_standardized=True,
-            threads=run.threads,
         )
         grid_rows = []
         for row in result.rows:
@@ -303,13 +296,11 @@ def cmd_group(args, config) -> int:
             )
         _write_csv(grid_rows, run.out / "grid.csv")
         _write_json(result.to_json_dict(), run.out / "grid.json")
-        spec = result.best.spec
-        print(f"grid winner: {spec.params} ({objective}={result.best.objective:.6g})")
+        grouping = result.best.grouping
+        print(f"grid winner: {result.best.spec.params} ({objective}={result.best.objective:.6g})")
     else:
-        spec = GraphSpec(model=model, params=params)
-    dist = pairwise_distances(work)
-    graph = build_graph(dist, spec, seed=run.seed)
-    grouping = spectral_grouping(graph, groups, seed=run.seed)
+        graph = build_graph(pairwise_distances(work), GraphSpec(model=model, params=params), seed=run.seed)
+        grouping = spectral_grouping(graph, groups, seed=run.seed)
     _write_json(
         {"k": grouping.k, "assignments": [int(a) for a in grouping.assignments]},
         run.out / "grouping.json",
@@ -487,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat JSON config file; flags override its values")
     common.add_argument("--seed", type=int, help="random seed (default 0)")
     common.add_argument("--out", help="output directory (default .)")
-    common.add_argument("--threads", type=int, help="worker threads for grid search (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="spectralweak",

@@ -244,8 +244,7 @@ def pairwise_distances(ds_or_matrix: Dataset | np.ndarray) -> DistanceMatrix:
     """All-pairs Euclidean distances.
 
     cdist evaluates d(i,j) and d(j,i) from the same coordinate arrays, so the
-    result is bitwise symmetric and passes the exact checks above; the
-    min-with-transpose pass is belt and braces.
+    result is bitwise symmetric and passes the exact checks above.
     """
     if isinstance(ds_or_matrix, Dataset):
         mat = ds_or_matrix.feature_matrix()
@@ -257,5 +256,4 @@ def pairwise_distances(ds_or_matrix: Dataset | np.ndarray) -> DistanceMatrix:
             raise ParameterError("coordinates must be finite")
     d = cdist(mat, mat, metric="euclidean")
     np.fill_diagonal(d, 0.0)
-    d = np.minimum(d, d.T)
     return DistanceMatrix(d=d)

@@ -10,14 +10,13 @@ true positive when it shares a group both in the candidate and in the truth.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataset import Dataset, DistanceMatrix, pairwise_distances, standardize
 from .errors import DegenerateGroupingError, ParameterError, SearchError, UndefinedIndexError
-from .simgraph import GraphParams, GraphSpec, build_graph
+from .simgraph import PROB_MODELS, GraphParams, GraphSpec, InitialSimilarities, build_graph, initial_similarities
 from .spectral import Grouping, spectral_grouping
 
 
@@ -160,9 +159,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridRow:
+    """One candidate's outcome; `grouping` is the grouping it was scored on
+    (None when it failed) and is not part of the serialized result."""
+
     spec: GraphSpec
     objective: float | None
     error: str | None = None
+    grouping: Grouping | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -202,7 +205,6 @@ def grid_search(
     truth: np.ndarray | None = None,
     pre_standardized: bool = False,
     restarts: int = 10,
-    threads: int = 1,
 ) -> GridSearchResult:
     """Evaluate every grid candidate on the full dataset and keep the best.
 
@@ -211,14 +213,18 @@ def grid_search(
     the two-group index for k = 2 and the general form otherwise. Candidates
     that raise are recorded with their error and skipped; if all fail a
     SearchError carries the diagnostics. Exact objective ties keep the earliest
-    candidate in grid order. threads > 1 evaluates candidates concurrently;
-    candidates are independent and individually seeded, so the result does not
-    depend on scheduling.
+    candidate in grid order.
+
+    Candidates are evaluated in grid order and share the work that does not
+    depend on them: one distance matrix for the grid and, for the
+    probabilistic models, one set of initial similarities per exponent m,
+    computed by the first candidate that needs it (a failure there is that
+    candidate's error, and the next candidate with that m tries again). Each
+    row keeps the grouping it was scored on, so the winner's grouping needs
+    no refit.
     """
     if objective not in ("f1", "db"):
         raise ParameterError(f"objective must be 'f1' or 'db', got {objective!r}")
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
     work = ds if pre_standardized else standardize(ds)
     dist = pairwise_distances(work)
     points = work.feature_matrix()
@@ -229,9 +235,16 @@ def grid_search(
             truth = np.asarray(truth)
             if truth.shape[0] != work.n:
                 raise ParameterError("truth length does not match dataset size")
+    sims_by_m: dict[float, InitialSimilarities] = {}
+
     def evaluate(spec: GraphSpec) -> GridRow:
+        p = spec.params
         try:
-            graph = build_graph(dist, spec, seed=seed)
+            sims = sims_by_m.get(p.m)
+            # build_graph checks w_thresh and sigma before it needs similarities
+            if sims is None and spec.model in PROB_MODELS and None not in (p.w_thresh, p.sigma):
+                sims = sims_by_m[p.m] = initial_similarities(dist, m=p.m)
+            graph = build_graph(dist, spec, seed=seed, sims=sims)
             grouping = spectral_grouping(graph, k=k, seed=seed, restarts=restarts)
             if objective == "f1":
                 value = f1_score(grouping, truth).value
@@ -241,14 +254,9 @@ def grid_search(
                 value = davies_bouldin_general(points, grouping).value
         except Exception as exc:  # recorded per candidate, re-raised only if all fail
             return GridRow(spec=spec, objective=None, error=f"{type(exc).__name__}: {exc}")
-        return GridRow(spec=spec, objective=float(value))
+        return GridRow(spec=spec, objective=float(value), grouping=grouping)
 
-    specs = grid.candidates()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, specs))
-    else:
-        rows = [evaluate(spec) for spec in specs]
+    rows = [evaluate(spec) for spec in grid.candidates()]
     best_index = -1
     best_value = None
     for idx, row in enumerate(rows):

@@ -36,6 +36,8 @@ MODELS = (
 )
 
 SYMMETRIZE_RULES = ("min", "max")
+# Models built from initial_similarities.
+PROB_MODELS = ("prob_threshold", "prob_criterion")
 
 
 @dataclass(frozen=True)
@@ -307,22 +309,23 @@ def prob_criterion_graph(
     directed = np.where(s >= w_thresh, s, 0.0)
     np.fill_diagonal(directed, 0.0)
     rng = np.random.default_rng(seed)
-    peak = bump_peak(sigma)
-    below = (s < w_thresh) & ~np.eye(n, dtype=bool)
-    pair_has_draw = np.triu(below | below.T, 1)
-    pairs = np.argwhere(pair_has_draw)
-    if pairs.size:
-        # one uniform per below-threshold direction, pair-major with (i, j)
-        # before (j, i); a batched draw consumes the generator stream exactly
-        # like the equivalent sequence of single draws
-        both = np.empty((pairs.shape[0], 2, 2), dtype=int)
-        both[:, 0] = pairs
-        both[:, 1] = pairs[:, ::-1]
-        flat = both.reshape(-1, 2)
-        flat = flat[below[flat[:, 0], flat[:, 1]]]
-        f = gaussian_bump(s[flat[:, 0], flat[:, 1]], w_thresh, sigma)
-        accepted = rng.random(flat.shape[0]) < f / peak
-        directed[flat[accepted, 0], flat[accepted, 1]] = np.minimum(f[accepted], w_thresh)
+    # One uniform per below-threshold direction. Entry [i, j, 0] of the mask
+    # marks the (i, j) direction of pair i < j and [i, j, 1] its (j, i)
+    # direction, so the mask read in row-major order is the draw order; a
+    # batched draw consumes the generator stream exactly like the equivalent
+    # sequence of single draws.
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    below = s < w_thresh
+    draws = np.empty((n, n, 2), dtype=bool)
+    np.logical_and(below, upper, out=draws[:, :, 0])
+    np.logical_and(below.T, upper, out=draws[:, :, 1])
+    f = gaussian_bump(np.stack((s, s.T), axis=2)[draws], w_thresh, sigma)
+    accepted = rng.random(f.shape[0]) < f / bump_peak(sigma)
+    pair, flipped = np.divmod(np.flatnonzero(draws)[accepted], 2)
+    i, j = np.divmod(pair, n)
+    rows = np.where(flipped, j, i)
+    cols = np.where(flipped, i, j)
+    directed[rows, cols] = np.minimum(f[accepted], w_thresh)
     w = symmetrize(directed, symmetrize_rule)
     np.fill_diagonal(w, 0.0)
     params = GraphParams(sigma=sigma, w_thresh=w_thresh, m=sims.m, symmetrize=symmetrize_rule)
@@ -333,11 +336,15 @@ def build_graph(
     dist: DistanceMatrix,
     spec: GraphSpec,
     seed: int | None = None,
+    sims: InitialSimilarities | None = None,
 ) -> SimilarityGraph:
     """Dispatch a GraphSpec to the matching builder.
 
     The probabilistic models derive their inputs from `dist` via
-    initial_similarities using params.m as the exponent.
+    initial_similarities using params.m as the exponent, unless `sims`
+    already holds them for that exponent (a grid search shares one across
+    its candidates); `sims` computed with another exponent is a
+    ParameterError.
     """
     p = spec.params
     if spec.model == "epsilon":
@@ -355,7 +362,10 @@ def build_graph(
         return fully_connected_gaussian(dist, p.sigma)
     if p.w_thresh is None or p.sigma is None:
         raise ParameterError(f"{spec.model} needs params.w_thresh and params.sigma")
-    sims = initial_similarities(dist, m=p.m)
+    if sims is None:
+        sims = initial_similarities(dist, m=p.m)
+    elif sims.m != p.m:
+        raise ParameterError(f"similarities were computed with m = {sims.m}, the spec has m = {p.m}")
     if spec.model == "prob_threshold":
         if p.eps_weight is None:
             raise ParameterError("prob_threshold needs params.eps_weight")

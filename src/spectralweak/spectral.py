@@ -188,11 +188,14 @@ def smallest_k_eigenvectors(lap: Laplacian, k: int) -> SpectralEmbedding:
         vals, vecs = pairs
     else:
         solver = "eigh"
-        # Reconstruct L_sym = D^1/2 L_rw D^-1/2 and force exact symmetry before eigh.
-        sym = (np.sqrt(deg_safe)[:, None] * lap.matrix) * inv_sqrt[None, :]
-        sym = (sym + sym.T) / 2.0
+        # Reconstruct L_sym = D^1/2 L_rw D^-1/2 and force exact symmetry before
+        # eigh, scaling in place so that at most two n x n buffers are alive.
+        sym = np.sqrt(deg_safe)[:, None] * lap.matrix
+        sym *= inv_sqrt
+        sym = sym + sym.T
+        sym /= 2.0
         try:
-            vals, vecs = scipy.linalg.eigh(sym, subset_by_index=(0, k - 1))
+            vals, vecs = scipy.linalg.eigh(sym, subset_by_index=(0, k - 1), overwrite_a=True)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed: {exc}")
     u = inv_sqrt[:, None] * vecs

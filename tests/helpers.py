@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from spectralweak.dataset import Bag, Dataset, Instance
+from spectralweak.simgraph import bump_peak, gaussian_bump, symmetrize
 
 
 def build_dataset(bags, strong):
@@ -77,3 +78,33 @@ def components_reference(w):
                     stack.append(u)
         count += 1
     return count, labels
+
+
+def prob_criterion_reference(sims, w_thresh, sigma, symmetrize_rule="max", seed=0):
+    """Weights of the randomized sparsifier, drawing through an explicit
+    enumeration of the below-threshold directions: unordered pairs i < j in
+    row-major order, the (i, j) direction before (j, i).
+
+    The original prob_criterion_graph body, kept as the oracle for its draw
+    order and its weights.
+    """
+    s = sims.s
+    n = s.shape[0]
+    directed = np.where(s >= w_thresh, s, 0.0)
+    np.fill_diagonal(directed, 0.0)
+    rng = np.random.default_rng(seed)
+    peak = bump_peak(sigma)
+    below = (s < w_thresh) & ~np.eye(n, dtype=bool)
+    pairs = np.argwhere(np.triu(below | below.T, 1))
+    if pairs.size:
+        both = np.empty((pairs.shape[0], 2, 2), dtype=int)
+        both[:, 0] = pairs
+        both[:, 1] = pairs[:, ::-1]
+        flat = both.reshape(-1, 2)
+        flat = flat[below[flat[:, 0], flat[:, 1]]]
+        f = gaussian_bump(s[flat[:, 0], flat[:, 1]], w_thresh, sigma)
+        accepted = rng.random(flat.shape[0]) < f / peak
+        directed[flat[accepted, 0], flat[accepted, 1]] = np.minimum(f[accepted], w_thresh)
+    w = symmetrize(directed, symmetrize_rule)
+    np.fill_diagonal(w, 0.0)
+    return w

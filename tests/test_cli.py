@@ -159,19 +159,50 @@ def test_group_grid_reports_winner_and_is_deterministic(tmp_path, capsys):
     assert {"model", "w_thresh", "objective", "error"} <= set(rows[0])
 
 
-def test_group_threads_flag_matches_serial(tmp_path, capsys):
-    dirs = []
-    for name, threads in (("serial", "1"), ("pool", "4")):
+CRITERION_GRID_FLAGS = [
+    "--model", "prob_criterion", "--w", "0.02,0.03,0.05", "--sigma", "0.005,0.02", "--symmetrize", "max",
+]
+
+
+def test_group_criterion_grid_reruns_are_byte_identical(tmp_path, capsys):
+    data = write_bagged_csv(tmp_path / "bags.csv")
+    outputs = []
+    for name in ("run1", "run2"):
         d = tmp_path / name
-        code, _, _ = run(
-            ["group", "--data", "builtin:dataset_a", "--out", str(d), "--threads", threads,
-             "--model", "prob_threshold", "--w", "0.05,0.073",
-             "--sigma", "5e-4", "--eps-weight", "1e-3", "--symmetrize", "min"],
-            capsys,
-        )
+        code, _, _ = run(["group", "--data", str(data), "--out", str(d), *CRITERION_GRID_FLAGS], capsys)
         assert code == 0
-        dirs.append(d)
-    assert (dirs[0] / "grid.json").read_bytes() == (dirs[1] / "grid.json").read_bytes()
+        outputs.append([(d / f).read_bytes() for f in ("grid.csv", "grid.json", "grouping.json", "indices.json")])
+    assert outputs[0] == outputs[1]
+
+
+def test_group_grid_reuses_the_winners_grouping(tmp_path, capsys, monkeypatch):
+    from spectralweak import evaluation
+
+    calls = []
+    original = evaluation.spectral_grouping
+
+    def counting(graph, *args, **kwargs):
+        calls.append(graph.params)
+        return original(graph, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "spectral_grouping", counting)
+    monkeypatch.setattr(cli, "spectral_grouping", counting)
+    data = write_bagged_csv(tmp_path / "bags.csv")
+    code, _, _ = run(["group", "--data", str(data), "--out", str(tmp_path), *CRITERION_GRID_FLAGS], capsys)
+    assert code == 0
+    assert len(calls) == 6  # one per candidate, none for the winner
+
+
+def test_threads_flag_is_rejected_and_config_key_ignored(tmp_path, capsys):
+    argv = ["group", "--data", "builtin:dataset_a", "--out", str(tmp_path), "--model", "epsilon", "--epsilon", "1.0"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"threads": 2}))
+    code, _, _ = run([*argv, "--config", str(config)], capsys)
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,26 @@ def test_pairwise_triangle_inequality(seed):
                 assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
 
+@st.composite
+def awkward_points(draw):
+    n = draw(st.integers(2, 25))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    kind = draw(st.sampled_from(["duplicates", "integer_grid", "mixed_magnitudes"]))
+    if kind == "duplicates":
+        pool = rng.normal(size=(max(1, n // 3), p))
+        return pool[rng.integers(0, pool.shape[0], size=n)]
+    if kind == "integer_grid":
+        return rng.integers(-3, 4, size=(n, p)).astype(float)
+    return rng.normal(size=(n, p)) * 10.0 ** rng.integers(-8, 9, size=(n, p))
+
+
+@given(awkward_points())
+def test_pairwise_distances_bitwise_symmetric(pts):
+    d = pairwise_distances(pts).d
+    assert d.tobytes() == np.ascontiguousarray(d.T).tobytes()
+
+
 def test_distance_matrix_validation():
     with pytest.raises(IntegrityError):
         DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric

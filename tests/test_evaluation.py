@@ -11,8 +11,9 @@ from spectralweak.evaluation import (
     grid_search,
     pair_confusion,
 )
-from spectralweak.simgraph import GraphParams
-from spectralweak.spectral import Grouping
+from spectralweak.dataset import pairwise_distances, standardize
+from spectralweak.simgraph import GraphParams, build_graph, initial_similarities
+from spectralweak.spectral import Grouping, spectral_grouping
 
 from helpers import singleton_dataset, two_blobs
 
@@ -269,18 +270,59 @@ def test_grid_search_all_failures_raise():
         grid_search(ds, grid, k=2, objective="f1", seed=0)
 
 
-def test_grid_search_threads_match_serial():
-    ds = separable_singletons(seed=7)
-    grid = GridSpec(
-        model="prob_threshold",
+def test_grid_search_duplicate_points_fail_every_prob_candidate():
+    points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    ds = singleton_dataset(points, np.array(["a", "a", "b", "b"]))
+    for model in ("prob_threshold", "prob_criterion"):
+        grid = GridSpec(
+            model=model,
+            axes=(("w_thresh", (0.3, 0.5)), ("sigma", (0.1, 0.2))),
+            base=GraphParams(eps_weight=1e-6),
+        )
+        row = ("DegenerateDistanceError: instances 0 and 1 are at distance zero; "
+               "inverse-distance similarities are undefined")
+        detail = "; ".join(f"[{i}] {row}" for i in range(4))
+        with pytest.raises(SearchError) as exc:
+            grid_search(ds, grid, k=2, objective="f1", seed=0, pre_standardized=True)
+        assert str(exc.value) == f"all 4 grid candidates failed: {detail}"
+
+
+PROB_GRIDS = {
+    "w_sigma": GridSpec(
+        model="prob_criterion",
         axes=(("w_thresh", (0.05, 0.1, 0.2)), ("sigma", (0.05, 0.1))),
+    ),
+    "m_axis": GridSpec(
+        model="prob_threshold",
+        axes=(("w_thresh", (0.05, 0.1)), ("m", (-1.0, -2.0)), ("sigma", (0.05, 0.1))),
         base=GraphParams(eps_weight=1e-6),
-    )
-    serial = grid_search(ds, grid, k=2, objective="f1", seed=0)
-    threaded = grid_search(ds, grid, k=2, objective="f1", seed=0, threads=4)
-    assert serial.to_json_dict() == threaded.to_json_dict()
-    with pytest.raises(ParameterError):
-        grid_search(ds, grid, k=2, objective="f1", seed=0, threads=0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROB_GRIDS))
+def test_grid_search_computes_similarities_once_per_exponent(name, monkeypatch):
+    from spectralweak import evaluation
+
+    grid = PROB_GRIDS[name]
+    exponents = []
+
+    def counting(dist, m=-1.0):
+        exponents.append(m)
+        return initial_similarities(dist, m=m)
+
+    monkeypatch.setattr(evaluation, "initial_similarities", counting)
+    ds = separable_singletons(seed=7)
+    result = grid_search(ds, grid, k=2, objective="f1", seed=3)
+    assert sorted(exponents) == sorted({spec.params.m for spec in grid.candidates()})
+    # every row equals the candidate evaluated on its own
+    dist = pairwise_distances(standardize(ds))
+    truth = np.asarray(ds.instance_bag_labels())
+    for spec, row in zip(grid.candidates(), result.rows):
+        alone = spectral_grouping(build_graph(dist, spec, seed=3), k=2, seed=3)
+        assert np.array_equal(row.grouping.assignments, alone.assignments)
+        assert row.objective == f1_score(alone, truth).value
+    assert all("grouping" not in row for row in result.to_json_dict()["rows"])
 
 
 def test_grid_search_validates_inputs():

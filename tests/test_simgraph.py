@@ -9,6 +9,7 @@ from spectralweak.dataset import DistanceMatrix, pairwise_distances
 from spectralweak.errors import DegenerateDistanceError, ParameterError
 from spectralweak.simgraph import (
     MODELS,
+    SYMMETRIZE_RULES,
     GraphParams,
     GraphSpec,
     acceptance_probability,
@@ -31,7 +32,7 @@ from spectralweak.simgraph import (
     write_graph_json,
 )
 
-from helpers import components_reference, knn_adjacency_reference
+from helpers import components_reference, knn_adjacency_reference, prob_criterion_reference
 
 LINE4 = np.array([[0.0], [1.0], [2.5], [5.0]])
 
@@ -338,6 +339,32 @@ def test_criterion_acceptance_frequency():
     assert abs(freq - p) <= 4 * se
 
 
+@st.composite
+def criterion_cases(draw):
+    n = draw(st.integers(3, 30))
+    points = np.random.default_rng(draw(st.integers(0, 2**31 - 1))).normal(size=(n, 2))
+    sims = initial_similarities(pairwise_distances(points))
+    off = sims.s[~np.eye(n, dtype=bool)]
+    level = draw(st.one_of(st.sampled_from(["none_below", "all_below"]), st.floats(0.2, 5.0)))
+    if level == "none_below":
+        w_thresh = off.min() / 2.0
+    elif level == "all_below":
+        w_thresh = (off.max() + 1.0) / 2.0
+    else:
+        w_thresh = min(level / (n - 1), 0.99)
+    sigma = draw(st.floats(1e-3, 2.0)) / (n - 1)
+    rule = draw(st.sampled_from(SYMMETRIZE_RULES))
+    return sims, w_thresh, sigma, rule, draw(st.integers(0, 2**31 - 1))
+
+
+@given(criterion_cases())
+def test_criterion_matches_enumeration_reference(case):
+    sims, w_thresh, sigma, rule, seed = case
+    got = prob_criterion_graph(sims, w_thresh, sigma, rule, seed=seed).w
+    want = prob_criterion_reference(sims, w_thresh, sigma, rule, seed=seed)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_criterion_accepted_weight_is_clamped():
     sims = initial_similarities(TRIPLE)
     w, sigma = 0.6, 0.1
@@ -373,6 +400,16 @@ def test_build_graph_missing_params():
         build_graph(d, GraphSpec("prob_threshold", GraphParams(w_thresh=0.5)))
     with pytest.raises(ParameterError):
         GraphSpec("voronoi", GraphParams())
+
+
+def test_build_graph_takes_precomputed_similarities():
+    dist = pairwise_distances(seeded_points(2))
+    spec = GraphSpec(model="prob_criterion", params=GraphParams(w_thresh=0.15, sigma=0.05, m=-2.0))
+    sims = initial_similarities(dist, m=-2.0)
+    shared = build_graph(dist, spec, seed=4, sims=sims)
+    assert np.array_equal(shared.w, build_graph(dist, spec, seed=4).w)
+    with pytest.raises(ParameterError, match="m = -1.0"):
+        build_graph(dist, spec, seed=4, sims=initial_similarities(dist))
 
 
 def test_build_graph_dispatches_every_model():
