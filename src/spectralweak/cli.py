@@ -32,7 +32,7 @@ from .classify import (
     train_qda,
 )
 from .dataset import CsvSchema, Dataset, load_csv, pairwise_distances, standardize
-from .errors import MissingDataError, ParameterError, SchemaError, SpectralWeakError
+from .errors import ParameterError, SchemaError, SpectralWeakError
 from .evaluation import (
     GridSpec,
     davies_bouldin,
@@ -540,13 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(getattr(args, "config", None))
         return args.func(args, config)
-    except MissingDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SpectralWeakError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SpectralWeakError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

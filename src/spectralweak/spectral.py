@@ -11,6 +11,13 @@ sparse N = D^-1/2 W D^-1/2, whose k largest eigenpairs are the k smallest of
 L_sym = I - N. Every other graph, the probabilistic, epsilon and fully
 connected ones included, goes to a dense scipy.linalg.eigh of L_sym, as does a
 kNN graph on which ARPACK fails or does not converge.
+
+All dense linear algebra of this module runs on the BLAS/LAPACK that scipy
+links, the eigen residual check included (scipy.linalg.blas.dgemm, not the
+numpy `@`). The numpy and scipy wheels each bundle their own OpenBLAS with
+its own thread pool; a numpy product between scipy eigensolves leaves numpy's
+workers spinning while scipy's run, so one BLAS keeps the step from fighting
+itself for cores.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.sparse
 
 from .errors import NumericalError, ParameterError
@@ -165,6 +173,15 @@ def _arpack_eigenpairs(lap: Laplacian, k: int, inv_sqrt: np.ndarray):
     return 1.0 - mu[order], vecs[:, order]
 
 
+def _residual(lap: Laplacian, u: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """L_rw u - u diag(vals), the product on scipy's BLAS (module docstring).
+
+    The matrix is C-ordered, so its transpose is Fortran-ordered and reaches
+    dgemm (as trans_a) without an n x n copy.
+    """
+    return scipy.linalg.blas.dgemm(1.0, lap.matrix.T, u, trans_a=True) - u * vals[None, :]
+
+
 def smallest_k_eigenvectors(lap: Laplacian, k: int) -> SpectralEmbedding:
     """Eigenvectors of the random-walk Laplacian for the k smallest eigenvalues.
 
@@ -207,7 +224,7 @@ def smallest_k_eigenvectors(lap: Laplacian, k: int) -> SpectralEmbedding:
         pivot = int(np.argmax(np.abs(u[:, col])))
         if u[pivot, col] < 0:
             u[:, col] = -u[:, col]
-    resid = lap.matrix @ u - u * vals[None, :]
+    resid = _residual(lap, u, vals)
     resid_norms = np.linalg.norm(resid, axis=0)
     bad = resid_norms > 1e-8 * np.linalg.norm(u, axis=0)
     if np.any(bad):

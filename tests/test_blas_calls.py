@@ -1,0 +1,93 @@
+"""numpy's BLAS stays out of the grouping loop.
+
+The numpy and scipy wheels each bundle their own OpenBLAS with its own thread
+pool. The eigensolvers run on scipy's; a numpy matrix product between two of
+them leaves numpy's workers spinning while scipy's run. So the modules of the
+grouping loop make no call that reaches numpy's BLAS or LAPACK: no `@`, no
+dot products and no `np.linalg` routine except `norm`, which reduces with
+ufuncs when given an axis and through a single-threaded `ddot` on the short
+vectors it sees without one.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import spectralweak
+
+PACKAGE = Path(spectralweak.__file__).resolve().parent
+GROUPING_LOOP_MODULES = ("spectral.py", "simgraph.py", "evaluation.py")
+NUMPY_BLAS_FUNCTIONS = {"dot", "vdot", "inner", "tensordot", "matmul", "cov", "corrcoef"}
+
+
+def dotted_name(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def numpy_blas_calls(source):
+    """(line, description) of every construct in `source` that can reach
+    numpy's BLAS or LAPACK."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = dotted_name(node.func) or f"<expr>.{node.func.attr}"
+            head, _, last = name.rpartition(".")
+            if head in ("np.linalg", "numpy.linalg") and last != "norm":
+                found.append((node.lineno, name))
+            elif last in NUMPY_BLAS_FUNCTIONS and (head in ("np", "numpy") or last == "dot"):
+                found.append((node.lineno, name))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+            for alias in node.names:
+                if alias.name in NUMPY_BLAS_FUNCTIONS or (node.module == "numpy.linalg" and alias.name != "norm"):
+                    found.append((node.lineno, f"from {node.module} import {alias.name}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", GROUPING_LOOP_MODULES)
+def test_grouping_loop_makes_no_numpy_blas_call(module):
+    assert numpy_blas_calls((PACKAGE / module).read_text()) == []
+
+
+def test_guard_flags_numpy_blas_constructs():
+    source = "\n".join(
+        [
+            "import numpy as np",
+            "from numpy.linalg import inv",
+            "a @ b",
+            "a @= b",
+            "np.dot(a, b)",
+            "a.dot(b)",
+            "np.matmul(a, b)",
+            "np.linalg.solve(a, b)",
+            "np.linalg.eigh(a)",
+            "np.linalg.eigvalsh(a)",
+            "np.linalg.inv(a)",
+            "np.linalg.norm(a, axis=0)",
+            "np.linalg.norm(a)",
+            "scipy.linalg.eigh(a)",
+            "scipy.linalg.blas.dgemm(1.0, a, b)",
+            "a * b",
+        ]
+    )
+    assert numpy_blas_calls(source) == [
+        (2, "from numpy.linalg import inv"),
+        (3, "@"),
+        (4, "@"),
+        (5, "np.dot"),
+        (6, "a.dot"),
+        (7, "np.matmul"),
+        (8, "np.linalg.solve"),
+        (9, "np.linalg.eigh"),
+        (10, "np.linalg.eigvalsh"),
+        (11, "np.linalg.inv"),
+    ]

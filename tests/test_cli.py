@@ -133,6 +133,18 @@ def test_group_single_candidate_indices(tmp_path, capsys):
     assert not (tmp_path / "grid.csv").exists()
 
 
+def test_group_out_naming_a_file_is_an_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run(
+        ["group", "--data", "builtin:dataset_a", "--out", str(taken), *TOY_GRAPH_FLAGS],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: ") and str(taken) in err
+    assert "Traceback" not in err
+
+
 def test_group_grid_reports_winner_and_is_deterministic(tmp_path, capsys):
     outputs = []
     for name in ("run1", "run2"):
@@ -233,9 +245,10 @@ def test_annotate_writes_training_and_audit(tmp_path, capsys):
     assert "flu" in audit["group_sizes"]
 
 
-def write_synth_csv(path, seed=0):
-    """The default planted mixture (about 890 instances) as a CLI input file."""
-    ds = synth_bags(SynthBagsConfig(seed=seed)).dataset
+def write_synth_csv(path, seed=0, bags_per_class=20):
+    """The default planted mixture (about 890 instances at 20 bags per class)
+    as a CLI input file."""
+    ds = synth_bags(SynthBagsConfig(seed=seed, bags_per_class=bags_per_class)).dataset
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["instance", "bag", "group", "x0", "x1"])
@@ -245,8 +258,9 @@ def write_synth_csv(path, seed=0):
     return path
 
 
-def test_annotate_bytes_independent_of_blas_threads(tmp_path):
-    data = write_synth_csv(tmp_path / "bags.csv")
+def outputs_under_blas_threads(tmp_path, argv, names):
+    """Run the CLI in a subprocess under 1 and 2 OpenBLAS threads; the bytes
+    of the named output files of each run."""
     src = str(Path(spectralweak.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -254,11 +268,43 @@ def test_annotate_bytes_independent_of_blas_threads(tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         subprocess.run(
-            [sys.executable, "-m", "spectralweak.cli", "annotate", "--data", str(data),
-             "--strong-label", "normal", "--model", "knn_symmetric", "--k", "10", "--out", str(out)],
+            [sys.executable, "-m", "spectralweak.cli", *argv, "--out", str(out)],
             env=env, check=True, capture_output=True,
         )
-        outputs.append([(out / name).read_bytes() for name in ("annotated.csv", "audit.json")])
+        outputs.append([(out / name).read_bytes() for name in names])
+    return outputs
+
+
+def test_annotate_bytes_independent_of_blas_threads(tmp_path):
+    data = write_synth_csv(tmp_path / "bags.csv")
+    outputs = outputs_under_blas_threads(
+        tmp_path,
+        ["annotate", "--data", str(data), "--strong-label", "normal", "--model", "knn_symmetric", "--k", "10"],
+        ("annotated.csv", "audit.json"),
+    )
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "model_flags",
+    [
+        ["--model", "prob_threshold", "--symmetrize", "min", "--eps-weight", "1e-3"],
+        ["--model", "prob_criterion", "--symmetrize", "max"],
+    ],
+)
+def test_group_grid_bytes_independent_of_blas_threads(tmp_path, model_flags):
+    # about 440 instances: dense eigensolves large enough for OpenBLAS to
+    # split work across threads
+    data = write_synth_csv(tmp_path / "bags.csv", bags_per_class=10)
+    with data.open() as fh:
+        n = sum(1 for _ in fh) - 1
+    w = ",".join(repr(c / (n - 1)) for c in (1.0, 2.0, 3.0))
+    sigma = ",".join(repr(c / (n - 1)) for c in (0.25, 1.0))
+    outputs = outputs_under_blas_threads(
+        tmp_path,
+        ["group", "--data", str(data), "--groups", "3", *model_flags, "--w", w, "--sigma", sigma],
+        ("grid.json", "grid.csv", "grouping.json", "indices.json"),
+    )
     assert outputs[0] == outputs[1]
 
 
@@ -425,6 +471,7 @@ def test_bench_missing_data_gives_instructions(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+    assert err.startswith("error: ")
     assert "curl" in err
     assert "banknote.csv" in err
 

@@ -3,12 +3,14 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from spectralweak.bench import partition_matches
 from spectralweak.dataset import pairwise_distances
-from spectralweak.errors import ParameterError
+from spectralweak import spectral
+from spectralweak.errors import NumericalError, ParameterError
 from spectralweak.simgraph import (
     GraphParams,
     GraphSpec,
@@ -295,6 +297,65 @@ def test_arpack_no_convergence_falls_back_to_dense(monkeypatch):
     got = smallest_k_eigenvectors(lap, 2)
     assert got.solver == "eigh"
     assert np.array_equal(got.vectors, want.vectors)
+
+
+# ---------------------------------------------------------------------------
+# eigen residual check
+
+def prob_laplacian(seed=7, n=60):
+    d = pairwise_distances(blob_points(seed, n))
+    params = GraphParams(w_thresh=2.0 / (d.n - 1), sigma=1.0 / (d.n - 1), eps_weight=1e-3)
+    return normalized_laplacian(build_graph(d, GraphSpec("prob_threshold", params), seed=0))
+
+
+def knn_laplacian(seed=5, n=200):
+    g = knn_graph(pairwise_distances(blob_points(seed, n)), 10)
+    assert connected_components(g)[0] == 1
+    return normalized_laplacian(g)
+
+
+def perturb_second_column(vals, vecs):
+    vecs = np.array(vecs)
+    vecs[:, 1] += 1e-3 * np.linspace(-1.0, 1.0, vecs.shape[0])
+    return vals, vecs
+
+
+def test_residual_check_rejects_a_perturbed_dense_eigenvector(monkeypatch):
+    real_eigh = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **kw: perturb_second_column(*real_eigh(*a, **kw)))
+    with pytest.raises(NumericalError, match=r"eigenpair residual .* exceeds tolerance for columns \[1\]"):
+        smallest_k_eigenvectors(prob_laplacian(), 3)
+
+
+def test_residual_check_rejects_a_perturbed_arpack_eigenvector(monkeypatch):
+    lap = knn_laplacian()
+    assert smallest_k_eigenvectors(lap, 3).solver == "eigsh"
+    real_arpack = spectral._arpack_eigenpairs
+    monkeypatch.setattr(spectral, "_arpack_eigenpairs", lambda *a: perturb_second_column(*real_arpack(*a)))
+    with pytest.raises(NumericalError, match=r"eigenpair residual .* exceeds tolerance for columns \[1\]"):
+        smallest_k_eigenvectors(lap, 3)
+
+
+@pytest.mark.parametrize("make_lap, solver", [(prob_laplacian, "eigh"), (knn_laplacian, "eigsh")])
+def test_residual_matches_the_numpy_product(make_lap, solver):
+    lap = make_lap()
+    emb = smallest_k_eigenvectors(lap, 3)
+    assert emb.solver == solver
+    u, vals = emb.vectors, emb.eigenvalues
+    product = lap.matrix @ u
+    diff = spectral._residual(lap, u, vals) - (product - u * vals[None, :])
+    assert np.all(np.linalg.norm(diff, axis=0) <= 1e-12 * np.linalg.norm(product, axis=0))
+
+
+@pytest.mark.parametrize("make_lap", [prob_laplacian, knn_laplacian])
+def test_embedding_bitwise_equal_under_the_numpy_residual(make_lap, monkeypatch):
+    lap = make_lap()
+    got = smallest_k_eigenvectors(lap, 3)
+    monkeypatch.setattr(spectral, "_residual", lambda lap, u, vals: lap.matrix @ u - u * vals[None, :])
+    want = smallest_k_eigenvectors(lap, 3)
+    assert got.solver == want.solver
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
 
 
 # ---------------------------------------------------------------------------
