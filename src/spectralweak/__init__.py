@@ -1,11 +1,9 @@
 """Weakly supervised classification via spectral graph grouping of bagged instances."""
 
 from .dataset import (
-    Bag,
     CsvSchema,
     Dataset,
     DistanceMatrix,
-    Instance,
     load_csv,
     pairwise_distances,
     standardize,
@@ -16,7 +14,6 @@ from .evaluation import (
     GridSearchResult,
     IndexValue,
     davies_bouldin,
-    davies_bouldin_general,
     f1_score,
     grid_search,
     pair_confusion,
@@ -63,6 +60,7 @@ from .classify import (
     LogisticConfig,
     QdaConfig,
     fully_supervised_baseline,
+    instance_labels,
     leave_one_bag_out_cv,
     predict,
     predict_proba,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import fully_supervised_baseline, leave_one_bag_out_cv
-from .dataset import Bag, Dataset, DistanceMatrix, Instance, pairwise_distances
+from .dataset import Dataset, DistanceMatrix, pairwise_distances
 from .errors import MissingDataError, ParseError
 from .evaluation import GridSearchResult, GridSpec, f1_score, grid_search
 from .simgraph import (
@@ -92,15 +92,8 @@ def _require_files(name: str, data_dir: str | Path) -> list[Path]:
 def _singleton_bags(prefix: str, labels: list[str], features: np.ndarray) -> Dataset:
     """One bag per instance, labelled with the instance's class. Grouping
     benchmarks only read the bag labels as ground truth."""
-    instances = []
-    bags = []
-    for i, (label, row) in enumerate(zip(labels, features)):
-        iid = f"{prefix}{i:04d}"
-        instances.append(Instance(id=iid, features=row))
-        bags.append(Bag(id=iid, label=label, members=(iid,)))
-    return Dataset(
-        instances=tuple(instances), bags=tuple(bags), strong_label=sorted(set(labels))[0]
-    )
+    ids = [f"{prefix}{i:04d}" for i in range(len(labels))]
+    return Dataset(x=features, ids=ids, bag=ids, label=labels, strong_label=sorted(set(labels))[0])
 
 
 def load_banknotes(data_dir: str | Path) -> Dataset:
@@ -399,7 +392,7 @@ def table1(
                 rows.extend(_grid_rows("banknotes", result))
     if "segmentation" in datasets:
         ds = load_segmentation(data_dir)
-        n = len(ds.instances)
+        n = ds.n
         grid = GridSpec(
             model="prob_threshold",
             axes=(
@@ -423,7 +416,7 @@ def table1(
         rows.extend(_grid_rows("segmentation", result))
     if "abalone" in datasets:
         ds = load_abalone(data_dir)
-        n = len(ds.instances)
+        n = ds.n
         grid = GridSpec(
             model="prob_threshold",
             axes=(
@@ -514,7 +507,7 @@ def toyfig() -> BenchReport:
     has a parameter window that isolates exactly the planted two groups."""
     t0 = time.perf_counter()
     ds = load_dataset_a()
-    planted = np.array(ds.instance_bag_labels())
+    planted = ds.label
     dist = pairwise_distances(ds)
     checks: list[BenchCheck] = []
     rows: list[dict] = []

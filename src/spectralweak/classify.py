@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import NumericalError, ParameterError, TrainingError
-from .weakanno import AnnotatedTrainingSet, TrainingEntry
+from .weakanno import AnnotatedTrainingSet
 
 KNN_GRID_DEFAULT = tuple(range(1, 26, 2))
 
@@ -319,11 +319,25 @@ def predict_proba(model, x: np.ndarray) -> np.ndarray:
 
 def fully_supervised_baseline(ds: Dataset) -> AnnotatedTrainingSet:
     """Training set that takes every bag label at face value for its members."""
-    entries = tuple(
-        TrainingEntry(instance_id=inst.id, label=ds.bag_of[inst.id].label, provenance="strong")
-        for inst in ds.instances
+    return AnnotatedTrainingSet(
+        ids=ds.ids,
+        labels=ds.label,
+        provenance=["strong"] * ds.n,
+        source={"kind": "fully_supervised_baseline"},
     )
-    return AnnotatedTrainingSet(entries=entries, source={"kind": "fully_supervised_baseline"})
+
+
+def instance_labels(ts: AnnotatedTrainingSet, ds: Dataset) -> np.ndarray:
+    """The training label of each dataset instance, in instance order.
+
+    Entries for ids outside the dataset are ignored; of repeated ids the last
+    entry counts. Every dataset instance needs a label.
+    """
+    by_id = dict(zip(ts.ids, ts.labels))
+    missing = [iid for iid in ds.ids if iid not in by_id]
+    if missing:
+        raise ParameterError(f"training set lacks labels for {len(missing)} instances, e.g. {missing[:3]}")
+    return np.array([by_id[iid] for iid in ds.ids], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -439,13 +453,9 @@ def leave_one_bag_out_cv(
     For knn with no fixed neighbour count, the count is chosen once by an
     inner leave-one-bag-out sweep over knn.grid using the same ingredients.
     """
-    if len(ds.bags) < 2:
+    if len(ds.bag_ids) < 2:
         raise ParameterError("leave-one-bag-out needs at least 2 bags")
-    labels_by_id = {e.instance_id: e.label for e in ts.entries}
-    missing = [inst.id for inst in ds.instances if inst.id not in labels_by_id]
-    if missing:
-        raise ParameterError(f"training set lacks labels for {len(missing)} instances, e.g. {missing[:3]}")
-    mat = ds.feature_matrix()
+    y = instance_labels(ts, ds)
     chosen_k = None
     if kind == "knn" and knn.k is None:
         best = None
@@ -460,30 +470,28 @@ def leave_one_bag_out_cv(
         knn = replace(knn, k=chosen_k)
     results: list[BagResult] = []
     flagged: list[str] = []
-    all_classes = sorted({e.label for e in ts.entries})
-    for bag in sorted(ds.bags, key=lambda b: b.id):
-        held = set(bag.members)
-        train_rows = [i for i, inst in enumerate(ds.instances) if inst.id not in held]
-        test_rows = [ds.index_of[m] for m in bag.members]
-        assert not set(train_rows) & set(test_rows)
-        train_x = mat[train_rows]
-        train_y = np.asarray([labels_by_id[ds.instances[i].id] for i in train_rows], dtype=object)
-        fold_classes = sorted(set(train_y.tolist()))
+    all_classes = sorted(set(ts.labels))
+    for bag_id in ds.bag_ids:
+        test = ds.bag == bag_id
+        train_x = ds.x[~test]
+        train_y = y[~test]
+        fold_classes = sorted(set(train_y))
         if fold_classes != all_classes:
-            flagged.append(bag.id)
+            flagged.append(bag_id)
         scale = _fold_standardizer(train_x)
         if len(fold_classes) == 1:
             # Degenerate fold: only one class left to predict from.
-            preds = np.asarray([fold_classes[0]] * len(test_rows), dtype=object)
+            preds = np.asarray([fold_classes[0]] * int(test.sum()), dtype=object)
         else:
             model = _train_for_kind(kind, scale(train_x), train_y, logistic, qda, knn.k)
-            preds = predict(model, scale(mat[test_rows]))
+            preds = predict(model, scale(ds.x[test]))
         votes: dict[str, int] = {}
         for lab in preds.tolist():
             votes[lab] = votes.get(lab, 0) + 1
         bag_pred = aggregation.aggregate(preds, ds.strong_label)
+        true_label = ds.label[np.argmax(test)]
         results.append(
-            BagResult(bag_id=bag.id, true_label=bag.label, predicted_label=bag_pred, instance_votes=votes)
+            BagResult(bag_id=bag_id, true_label=true_label, predicted_label=bag_pred, instance_votes=votes)
         )
     confusion: dict[tuple[str, str], int] = {}
     hits = 0

@@ -26,6 +26,7 @@ from .classify import (
     AggregationRule,
     KnnConfig,
     fully_supervised_baseline,
+    instance_labels,
     leave_one_bag_out_cv,
     train_knn,
     train_logistic,
@@ -33,13 +34,7 @@ from .classify import (
 )
 from .dataset import CsvSchema, Dataset, load_csv, pairwise_distances, standardize
 from .errors import ParameterError, SchemaError, SpectralWeakError
-from .evaluation import (
-    GridSpec,
-    davies_bouldin,
-    davies_bouldin_general,
-    f1_score,
-    grid_search,
-)
+from .evaluation import GridSpec, davies_bouldin, f1_score, grid_search
 from .simgraph import (
     MODELS,
     GraphParams,
@@ -256,7 +251,7 @@ def cmd_graph(args, config) -> int:
         {
             "count": int(count),
             "sizes": [int(s) for s in sizes],
-            "component_of": {inst.id: int(c) for inst, c in zip(work.instances, labels)},
+            "component_of": {iid: int(c) for iid, c in zip(work.ids, labels)},
         },
         run.out / "components.json",
     )
@@ -305,18 +300,16 @@ def cmd_group(args, config) -> int:
         {"k": grouping.k, "assignments": [int(a) for a in grouping.assignments]},
         run.out / "grouping.json",
     )
-    points = work.feature_matrix()
     indices: dict[str, float | str | None] = {}
     try:
-        db = davies_bouldin(points, grouping) if groups == 2 else davies_bouldin_general(points, grouping)
+        db = davies_bouldin(work.x, grouping)
         indices[db.name] = db.value
     except SpectralWeakError as exc:
         indices["davies_bouldin"] = None
         indices["davies_bouldin_error"] = str(exc)
     if use_truth:
-        truth = np.asarray(work.instance_bag_labels())
         try:
-            indices["f1"] = f1_score(grouping, truth).value
+            indices["f1"] = f1_score(grouping, work.label).value
         except SpectralWeakError as exc:
             indices["f1"] = None
             indices["f1_error"] = str(exc)
@@ -347,14 +340,9 @@ def cmd_annotate(args, config) -> int:
     return 0
 
 
-def _training_labels(args, config, ds: Dataset):
+def _training_set(args, config, ds: Dataset):
     training = _resolve(args, config, "training")
-    ts = read_training_csv(training) if training else fully_supervised_baseline(ds)
-    try:
-        y = ts.labels_for(tuple(inst.id for inst in ds.instances))
-    except KeyError as exc:
-        raise ParameterError(f"training set lacks a label for instance {exc.args[0]!r}")
-    return ts, np.asarray(y)
+    return read_training_csv(training) if training else fully_supervised_baseline(ds)
 
 
 def cmd_train(args, config) -> int:
@@ -363,9 +351,9 @@ def cmd_train(args, config) -> int:
     classifier = _resolve(args, config, "classifier", "logistic")
     if classifier not in CLASSIFIERS:
         raise ParameterError(f"--classifier must be one of {CLASSIFIERS}, got {classifier!r}")
-    ts, y = _training_labels(args, config, ds)
-    work = _working_view(ds, run)
-    x = work.feature_matrix()
+    ts = _training_set(args, config, ds)
+    y = instance_labels(ts, ds)
+    x = _working_view(ds, run).x
     payload: dict = {"kind": classifier, "n_train": int(x.shape[0])}
     if classifier == "logistic":
         model = train_logistic(x, y)
@@ -403,7 +391,7 @@ def cmd_evaluate(args, config) -> int:
     classifier = _resolve(args, config, "classifier", "logistic")
     if classifier not in CLASSIFIERS:
         raise ParameterError(f"--classifier must be one of {CLASSIFIERS}, got {classifier!r}")
-    ts, _ = _training_labels(args, config, ds)
+    ts = _training_set(args, config, ds)
     aggregation = AggregationRule(
         mode=_resolve(args, config, "aggregation", "majority"),
         tau=_resolve_as(args, config, "tau", float, 0.5),

@@ -1,16 +1,17 @@
 """Bags-of-instances data model: CSV ingestion, z-scoring, pairwise distances.
 
-A dataset is a flat list of feature vectors (instances) partitioned into bags.
-Each bag carries a single label; one label is designated "strong", meaning
-instances in those bags are individually trusted. Instances in all other bags
-only inherit a weak, bag-level label.
+A dataset is columnar: one read-only n x p feature matrix plus, per instance
+(row), its id, its bag id and its bag's label. Each bag carries a single
+label; one label is designated "strong", meaning instances in those bags are
+individually trusted. Instances in all other bags only inherit a weak,
+bag-level label. The format itself puts every instance in exactly one bag,
+leaves no bag empty and gives every row the same feature dimension.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -20,118 +21,85 @@ from scipy.spatial.distance import cdist
 from .errors import IntegrityError, ParameterError, ParseError, SchemaError
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One observation: an id and a finite float feature vector."""
-
-    id: str
-    features: np.ndarray
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 1:
-            raise IntegrityError(f"instance {self.id!r}: features must be 1-d, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise ParseError(f"instance {self.id!r}: non-finite feature value")
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
+def _label_conflict(bag, label) -> tuple[int, str] | None:
+    """1-based row and description of the first instance whose bag already
+    carries another label, or None."""
+    first: dict = {}
+    for row, (bid, lab) in enumerate(zip(bag, label), start=1):
+        known = first.setdefault(bid, lab)
+        if known != lab:
+            return row, f"bag {bid!r} labelled both {known!r} and {lab!r}"
+    return None
 
 
-@dataclass(frozen=True)
-class Bag:
-    id: str
-    label: str
-    members: tuple[str, ...]
+def string_array(values) -> np.ndarray:
+    """Read-only object-array copy of a sequence of strings."""
+    arr = np.array(values, dtype=object)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Validated collection of instances grouped into labelled bags."""
+    """Validated instances grouped into labelled bags, one row per instance.
 
-    instances: tuple[Instance, ...]
-    bags: tuple[Bag, ...]
+    `x` is the n x p feature matrix; `ids`, `bag` and `label` hold each row's
+    instance id, bag id and bag label. All four are stored as read-only
+    copies, the strings as object arrays.
+    """
+
+    x: np.ndarray
+    ids: np.ndarray
+    bag: np.ndarray
+    label: np.ndarray
     strong_label: str
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if len(self.instances) < 2:
+        x = np.array(self.x, dtype=float, order="C")
+        if x.ndim != 2:
+            raise IntegrityError(f"features must form an n x p matrix, got shape {x.shape}")
+        x.setflags(write=False)
+        object.__setattr__(self, "x", x)
+        for name in ("ids", "bag", "label"):
+            column = string_array(getattr(self, name))
+            if column.shape != (x.shape[0],):
+                raise IntegrityError(f"{name} must hold one entry per row ({x.shape[0]}), got shape {column.shape}")
+            object.__setattr__(self, name, column)
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            raise ParseError(f"instance {self.ids[np.argmin(finite)]!r}: non-finite feature value")
+        if self.n < 2:
             raise IntegrityError("a dataset needs at least 2 instances")
-        ids = [inst.id for inst in self.instances]
-        if len(set(ids)) != len(ids):
-            raise IntegrityError("duplicate instance ids")
-        bag_ids = [b.id for b in self.bags]
-        if len(set(bag_ids)) != len(bag_ids):
-            raise IntegrityError("duplicate bag ids")
-        dims = {inst.features.shape[0] for inst in self.instances}
-        if len(dims) != 1:
-            raise IntegrityError(f"inconsistent feature dimensions: {sorted(dims)}")
-        seen: dict[str, str] = {}
-        for bag in self.bags:
-            if not bag.members:
-                raise IntegrityError(f"bag {bag.id!r} has no members")
-            for member in bag.members:
-                if member in seen:
-                    raise IntegrityError(
-                        f"instance {member!r} appears in bags {seen[member]!r} and {bag.id!r}"
-                    )
-                seen[member] = bag.id
-        missing = set(ids) - set(seen)
-        if missing:
-            raise IntegrityError(f"instances in no bag: {sorted(missing)[:5]}")
-        unknown = set(seen) - set(ids)
-        if unknown:
-            raise IntegrityError(f"bag members that are not instances: {sorted(unknown)[:5]}")
-        if self.strong_label not in {b.label for b in self.bags}:
+        rows: dict = {}
+        for row, iid in enumerate(self.ids, start=1):
+            first = rows.setdefault(iid, row)
+            if first != row:
+                raise IntegrityError(f"duplicate instance id {iid!r} in data rows {first} and {row}")
+        conflict = _label_conflict(self.bag, self.label)
+        if conflict:
+            raise IntegrityError(f"row {conflict[0]}: {conflict[1]}")
+        if self.strong_label not in set(self.label):
             raise IntegrityError(f"strong label {self.strong_label!r} not present among bag labels")
 
     @property
     def n(self) -> int:
-        return len(self.instances)
+        return self.x.shape[0]
 
     @property
     def p(self) -> int:
-        return self.instances[0].features.shape[0]
+        return self.x.shape[1]
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
         """All bag labels, sorted, strong label first."""
-        rest = sorted({b.label for b in self.bags} - {self.strong_label})
+        rest = sorted(set(self.label) - {self.strong_label})
         return (self.strong_label, *rest)
 
     @cached_property
-    def index_of(self) -> dict[str, int]:
-        return {inst.id: i for i, inst in enumerate(self.instances)}
-
-    @cached_property
-    def bag_of(self) -> dict[str, Bag]:
-        return {member: bag for bag in self.bags for member in bag.members}
-
-    def feature_matrix(self) -> np.ndarray:
-        """n x p matrix in instance order (read-only view)."""
-        mat = np.vstack([inst.features for inst in self.instances])
-        mat.setflags(write=False)
-        return mat
-
-    def instance_bag_labels(self) -> tuple[str, ...]:
-        """Bag label of each instance, in instance order."""
-        return tuple(self.bag_of[inst.id].label for inst in self.instances)
-
-    def summary(self) -> dict:
-        per_label_bags: dict[str, int] = {}
-        per_label_instances: dict[str, int] = {}
-        for bag in self.bags:
-            per_label_bags[bag.label] = per_label_bags.get(bag.label, 0) + 1
-            per_label_instances[bag.label] = per_label_instances.get(bag.label, 0) + len(bag.members)
-        return {
-            "n_instances": self.n,
-            "n_features": self.p,
-            "n_bags": len(self.bags),
-            "labels": list(self.labels),
-            "strong_label": self.strong_label,
-            "bags_per_label": dict(sorted(per_label_bags.items())),
-            "instances_per_label": dict(sorted(per_label_instances.items())),
-            "warnings": list(self.warnings),
-        }
+    def bag_ids(self) -> tuple[str, ...]:
+        """Distinct bag ids, sorted."""
+        return tuple(sorted(set(self.bag)))
 
 
 @dataclass(frozen=True)
@@ -149,46 +117,57 @@ class CsvSchema:
 def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
     """Read a flat CSV (one row per instance) into a validated Dataset.
 
-    Raises SchemaError on missing columns, ParseError on bad cells (with the
-    1-based data row number), IntegrityError on cross-row inconsistencies.
+    The file is read column by column. Raises SchemaError on missing
+    columns, ParseError on bad cells (with the 1-based data row number),
+    IntegrityError on cross-row inconsistencies. When several rows are bad,
+    the error names the first of them, and within a row the first bad
+    feature column before a bag-label conflict.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=schema.delimiter)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError(f"{path}: empty file")
         needed = [schema.instance_id, schema.bag_id, schema.bag_label, *schema.features]
-        missing = [c for c in needed if c not in reader.fieldnames]
+        missing = [c for c in needed if c not in header]
         if missing:
-            raise SchemaError(f"{path}: missing columns {missing}; found {reader.fieldnames}")
-        instances: list[Instance] = []
-        bag_labels: dict[str, str] = {}
-        bag_members: dict[str, list[str]] = {}
-        for rownum, row in enumerate(reader, start=1):
-            iid = row[schema.instance_id]
-            feats = np.empty(len(schema.features))
-            for j, col in enumerate(schema.features):
-                cell = row[col]
-                try:
-                    feats[j] = float(cell)
-                except (TypeError, ValueError):
-                    raise ParseError(f"{path}: row {rownum}, column {col!r}: cannot parse {cell!r} as float")
-                if not math.isfinite(feats[j]):
-                    raise ParseError(f"{path}: row {rownum}, column {col!r}: non-finite value {cell!r}")
-            instances.append(Instance(id=iid, features=feats))
-            bid = row[schema.bag_id]
-            label = row[schema.bag_label]
-            if bid in bag_labels and bag_labels[bid] != label:
-                raise IntegrityError(
-                    f"{path}: row {rownum}: bag {bid!r} labelled both {bag_labels[bid]!r} and {label!r}"
-                )
-            bag_labels[bid] = label
-            bag_members.setdefault(bid, []).append(iid)
-    bags = tuple(
-        Bag(id=bid, label=bag_labels[bid], members=tuple(members))
-        for bid, members in bag_members.items()
-    )
-    return Dataset(instances=tuple(instances), bags=bags, strong_label=schema.strong_label)
+            raise SchemaError(f"{path}: missing columns {missing}; found {header}")
+        rows = [row for row in reader if row]  # blank lines are not data rows
+    # a repeated column name reads its last occurrence; short rows read None
+    position = {name: j for j, name in enumerate(header)}
+
+    def column(name: str) -> list:
+        j = position[name]
+        return [row[j] if j < len(row) else None for row in rows]
+
+    faults = []  # (row, column order, error) of the first bad cell per column
+    values = []
+    for j, col in enumerate(schema.features):
+        cells = column(col)
+        parsed: list[float] = []
+        try:
+            for cell in cells:
+                parsed.append(float(cell))
+        except (TypeError, ValueError):
+            row = len(parsed) + 1
+            faults.append((row, j, ParseError(f"{path}: row {row}, column {col!r}: cannot parse {cells[row - 1]!r} as float")))
+        parsed_array = np.array(parsed, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(parsed_array))
+        if bad.size:
+            row = int(bad[0]) + 1
+            faults.append((row, j, ParseError(f"{path}: row {row}, column {col!r}: non-finite value {cells[row - 1]!r}")))
+        values.append(parsed_array)
+    bag = column(schema.bag_id)
+    label = column(schema.bag_label)
+    conflict = _label_conflict(bag, label)
+    if conflict:
+        row, what = conflict
+        faults.append((row, len(schema.features), IntegrityError(f"{path}: row {row}: {what}")))
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
+    x = np.array(values, dtype=float).reshape(len(schema.features), len(rows)).T
+    return Dataset(x=x, ids=column(schema.instance_id), bag=bag, label=label, strong_label=schema.strong_label)
 
 
 def standardize(ds: Dataset) -> Dataset:
@@ -197,7 +176,7 @@ def standardize(ds: Dataset) -> Dataset:
     Columns with zero variance are left at zero and reported through the
     dataset's warnings tuple rather than raising.
     """
-    mat = np.array(ds.feature_matrix())
+    mat = ds.x
     mean = mat.mean(axis=0)
     sd = mat.std(axis=0, ddof=1)
     flat = np.flatnonzero(sd == 0.0)
@@ -205,10 +184,7 @@ def standardize(ds: Dataset) -> Dataset:
     scaled = (mat - mean) / sd_safe
     scaled[:, flat] = 0.0
     warnings = ds.warnings + tuple(f"constant feature column {j} mapped to zeros" for j in flat)
-    instances = tuple(
-        Instance(id=inst.id, features=scaled[i]) for i, inst in enumerate(ds.instances)
-    )
-    return replace(ds, instances=instances, warnings=warnings)
+    return replace(ds, x=scaled, warnings=warnings)
 
 
 @dataclass(frozen=True)
@@ -247,7 +223,7 @@ def pairwise_distances(ds_or_matrix: Dataset | np.ndarray) -> DistanceMatrix:
     result is bitwise symmetric and passes the exact checks above.
     """
     if isinstance(ds_or_matrix, Dataset):
-        mat = ds_or_matrix.feature_matrix()
+        mat = ds_or_matrix.x
     else:
         mat = np.asarray(ds_or_matrix, dtype=float)
         if mat.ndim != 2:

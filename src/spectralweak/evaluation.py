@@ -2,8 +2,8 @@
 
 The two-group Davies-Bouldin value is the ratio (sigma_1 + sigma_2) / d(c_1, c_2)
 with sigma_g the mean distance of group members to their centroid. For more
-than two groups the usual average-of-worst-pairs generalization is used and is
-labelled as such in results. The F-score counts instance pairs: a pair is a
+than two groups the usual average-of-worst-pairs generalization is used, which
+equals the ratio bit for bit at two groups, and is labelled as such in results. The F-score counts instance pairs: a pair is a
 true positive when it shares a group both in the candidate and in the truth.
 """
 
@@ -40,27 +40,13 @@ def _centroid_stats(points: np.ndarray, grouping: Grouping) -> tuple[np.ndarray,
 
 
 def davies_bouldin(points: np.ndarray, grouping: Grouping) -> IndexValue:
-    """Two-group centroid-separation index; lower is better.
+    """Average over groups of the worst pairwise (sigma_i + sigma_j) / d(c_i, c_j);
+    lower is better.
 
-    Requires exactly two non-empty groups; coincident centroids make the ratio
-    undefined and raise.
-    """
-    points = np.asarray(points, dtype=float)
-    if grouping.k != 2:
-        raise ParameterError(f"two-group index needs k = 2, got k = {grouping.k}")
-    centroids, spreads = _centroid_stats(points, grouping)
-    sep = float(np.linalg.norm(centroids[0] - centroids[1]))
-    if sep == 0.0:
-        raise UndefinedIndexError("group centroids coincide; separation ratio undefined")
-    value = float((spreads[0] + spreads[1]) / sep)
-    return IndexValue(name="davies_bouldin", value=value, details={"spreads": spreads.tolist(), "separation": sep})
-
-
-def davies_bouldin_general(points: np.ndarray, grouping: Grouping) -> IndexValue:
-    """Average over groups of the worst pairwise (sigma_i + sigma_j) / d(c_i, c_j).
-
-    Coincides with the two-group form when k = 2. Marked "general" in the name
-    so reports can tell the extension apart from the plain two-group value.
+    At k = 2 this is the two-group ratio, named "davies_bouldin"; for k > 2
+    the value is named "davies_bouldin_general" so reports can tell the
+    extension apart. Needs k >= 2 non-empty groups; coincident centroids make
+    a ratio undefined and raise.
     """
     points = np.asarray(points, dtype=float)
     if grouping.k < 2:
@@ -74,10 +60,13 @@ def davies_bouldin_general(points: np.ndarray, grouping: Grouping) -> IndexValue
                 continue
             sep = float(np.linalg.norm(centroids[i] - centroids[j]))
             if sep == 0.0:
+                if grouping.k == 2:
+                    raise UndefinedIndexError("group centroids coincide; separation ratio undefined")
                 raise UndefinedIndexError(f"centroids of groups {i} and {j} coincide")
             ratios.append((spreads[i] + spreads[j]) / sep)
         worst[i] = max(ratios)
-    return IndexValue(name="davies_bouldin_general", value=float(worst.mean()))
+    name = "davies_bouldin" if grouping.k == 2 else "davies_bouldin_general"
+    return IndexValue(name=name, value=float(worst.mean()))
 
 
 def pair_confusion(candidate: np.ndarray, truth: np.ndarray) -> tuple[int, int, int, int]:
@@ -210,10 +199,9 @@ def grid_search(
 
     objective "f1" (higher wins) scores against `truth`, defaulting to each
     instance's bag label; objective "db" (lower wins) needs no truth and uses
-    the two-group index for k = 2 and the general form otherwise. Candidates
-    that raise are recorded with their error and skipped; if all fail a
-    SearchError carries the diagnostics. Exact objective ties keep the earliest
-    candidate in grid order.
+    davies_bouldin. Candidates that raise are recorded with their error and
+    skipped; if all fail a SearchError carries the diagnostics. Exact
+    objective ties keep the earliest candidate in grid order.
 
     Candidates are evaluated in grid order and share the work that does not
     depend on them: one distance matrix for the grid and, for the
@@ -227,10 +215,9 @@ def grid_search(
         raise ParameterError(f"objective must be 'f1' or 'db', got {objective!r}")
     work = ds if pre_standardized else standardize(ds)
     dist = pairwise_distances(work)
-    points = work.feature_matrix()
     if objective == "f1":
         if truth is None:
-            truth = np.asarray(work.instance_bag_labels())
+            truth = work.label
         else:
             truth = np.asarray(truth)
             if truth.shape[0] != work.n:
@@ -248,10 +235,8 @@ def grid_search(
             grouping = spectral_grouping(graph, k=k, seed=seed, restarts=restarts)
             if objective == "f1":
                 value = f1_score(grouping, truth).value
-            elif k == 2:
-                value = davies_bouldin(points, grouping).value
             else:
-                value = davies_bouldin_general(points, grouping).value
+                value = davies_bouldin(work.x, grouping).value
         except Exception as exc:  # recorded per candidate, re-raised only if all fail
             return GridRow(spec=spec, objective=None, error=f"{type(exc).__name__}: {exc}")
         return GridRow(spec=spec, objective=float(value), grouping=grouping)

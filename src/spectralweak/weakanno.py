@@ -4,24 +4,27 @@ Instances from bags with the strong label are trusted individually. For every
 other bag label, the member instances of all its bags are pooled, grouped into
 two spectral groups, and annotated by cardinality: the smaller group is taken
 to be ordinary (strong-label) material, the larger one inherits the bag label.
-The resulting training set records provenance per entry and the group-size
-split per label for auditing.
+The resulting training set is columnar like the dataset: per instance an id,
+a label and a provenance ("strong" or "weak"), in dataset instance order, plus
+the group-size split per label for auditing.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Bag, Dataset, Instance, pairwise_distances, standardize
+from .dataset import Dataset, pairwise_distances, standardize, string_array
 from .errors import (
     AnnotationError,
     DegenerateGroupingError,
     EmptySelectionError,
     ParameterError,
+    SchemaError,
     SpectralWeakError,
 )
 from .simgraph import GraphSpec, build_graph
@@ -31,51 +34,51 @@ PROVENANCES = ("strong", "weak")
 
 
 @dataclass(frozen=True)
-class TrainingEntry:
-    instance_id: str
-    label: str
-    provenance: str
-
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ParameterError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
-
-
-@dataclass(frozen=True)
 class AnnotatedTrainingSet:
-    """Instance-level labels with provenance and per-label group-size audit."""
+    """Instance-level labels with provenance and per-label group-size audit.
 
-    entries: tuple[TrainingEntry, ...]
+    `ids`, `labels` and `provenance` are parallel read-only object arrays,
+    one entry per instance.
+    """
+
+    ids: np.ndarray
+    labels: np.ndarray
+    provenance: np.ndarray
     group_sizes: dict = field(default_factory=dict)
     source: dict = field(default_factory=dict)
 
-    def labels_for(self, ids: tuple[str, ...]) -> tuple[str, ...]:
-        by_id = {e.instance_id: e.label for e in self.entries}
-        return tuple(by_id[i] for i in ids)
+    def __post_init__(self):
+        for name in ("ids", "labels", "provenance"):
+            object.__setattr__(self, name, string_array(getattr(self, name)))
+        if not (self.ids.shape == self.labels.shape == self.provenance.shape) or self.ids.ndim != 1:
+            raise ParameterError("ids, labels and provenance must be 1-d and the same length")
+        bad = [prov for prov in self.provenance if prov not in PROVENANCES]
+        if bad:
+            raise ParameterError(f"provenance must be one of {PROVENANCES}, got {bad[0]!r}")
 
     def summary(self) -> dict:
-        per_label: dict[str, int] = {}
-        per_prov: dict[str, int] = {}
-        for e in self.entries:
-            per_label[e.label] = per_label.get(e.label, 0) + 1
-            per_prov[e.provenance] = per_prov.get(e.provenance, 0) + 1
         return {
-            "n_entries": len(self.entries),
-            "per_label": dict(sorted(per_label.items())),
-            "per_provenance": dict(sorted(per_prov.items())),
+            "n_entries": len(self.ids),
+            "per_label": dict(sorted(Counter(self.labels).items())),
+            "per_provenance": dict(sorted(Counter(self.provenance).items())),
             "group_sizes": self.group_sizes,
             "source": self.source,
         }
 
 
-def collect_unlabelled(ds: Dataset, bag_label: str) -> tuple[str, ...]:
-    """Ids of all instances in bags carrying `bag_label`, in instance order."""
+def collect_unlabelled(ds: Dataset, bag_label: str) -> np.ndarray:
+    """Rows of all instances in bags carrying `bag_label`, ordered by instance
+    id (ids compared as strings, not in file order).
+
+    That order is the vertex order of the label's similarity graph, so it
+    fixes the seeded grouping and the output bytes.
+    """
     if bag_label == ds.strong_label:
         raise ParameterError(f"{bag_label!r} is the strong label; its instances are not unlabelled")
-    wanted = {m for b in ds.bags if b.label == bag_label for m in b.members}
-    if not wanted:
+    rows = np.flatnonzero(ds.label == bag_label)
+    if rows.size == 0:
         raise EmptySelectionError(f"no bags carry label {bag_label!r}")
-    return tuple(sorted(wanted))
+    return rows[np.argsort(ds.ids[rows], kind="stable")]
 
 
 def annotate_groups(
@@ -133,27 +136,21 @@ def build_training_set(
     provenance "weak".
     """
     work = standardize(ds)
-    mat = work.feature_matrix()
-    strong_ids = [
-        inst.id for inst in work.instances if work.bag_of[inst.id].label == work.strong_label
-    ]
-    strong_centroid = mat[[work.index_of[i] for i in strong_ids]].mean(axis=0)
-    entries: dict[str, TrainingEntry] = {
-        iid: TrainingEntry(instance_id=iid, label=work.strong_label, provenance="strong")
-        for iid in strong_ids
-    }
+    strong = work.label == work.strong_label
+    strong_centroid = work.x[strong].mean(axis=0)
+    labels = np.array(work.label)
+    provenance = np.where(strong, "strong", "weak")
     group_sizes: dict[str, dict] = {}
     for label in work.labels:
         if label == work.strong_label:
             continue
         try:
-            ids = collect_unlabelled(work, label)
-            rows = [work.index_of[i] for i in ids]
-            points = mat[rows]
+            rows = collect_unlabelled(work, label)
+            points = work.x[rows]
             dist = pairwise_distances(points)
             graph = build_graph(dist, graph_spec, seed=seed)
             grouping = spectral_grouping(graph, k=2, seed=seed, restarts=restarts)
-            labels, audit = annotate_groups(points, grouping, label, work.strong_label, strong_centroid)
+            pool_labels, audit = annotate_groups(points, grouping, label, work.strong_label, strong_centroid)
         except SpectralWeakError as exc:
             raise type(exc)(f"annotating bag label {label!r}: {exc}") from exc
         except Exception as exc:
@@ -161,9 +158,7 @@ def build_training_set(
                 f"annotating bag label {label!r}: {type(exc).__name__}: {exc}"
             ) from exc
         group_sizes[label] = audit
-        for iid, lab in zip(ids, labels):
-            entries[iid] = TrainingEntry(instance_id=iid, label=lab, provenance="weak")
-    ordered = tuple(entries[inst.id] for inst in work.instances)
+        labels[rows] = pool_labels
     source = {
         "graph_model": graph_spec.model,
         "seed": seed,
@@ -174,33 +169,44 @@ def build_training_set(
             if v is not None
         },
     }
-    return AnnotatedTrainingSet(entries=ordered, group_sizes=group_sizes, source=source)
+    return AnnotatedTrainingSet(
+        ids=work.ids, labels=labels, provenance=provenance, group_sizes=group_sizes, source=source
+    )
 
 
 def weak_agreement(ts: AnnotatedTrainingSet, truth: dict[str, str]) -> float:
     """Fraction of weak-provenance entries whose label matches the given truth."""
-    weak = [e for e in ts.entries if e.provenance == "weak"]
-    if not weak:
+    weak = ts.provenance == "weak"
+    if not weak.any():
         raise EmptySelectionError("training set has no weak entries")
-    hits = sum(1 for e in weak if truth[e.instance_id] == e.label)
-    return hits / len(weak)
+    hits = sum(1 for iid, lab in zip(ts.ids[weak], ts.labels[weak]) if truth[iid] == lab)
+    return hits / int(weak.sum())
+
+
+TRAINING_COLUMNS = ("instance_id", "label", "provenance")
 
 
 def write_training_csv(ts: AnnotatedTrainingSet, path: str | Path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["instance_id", "label", "provenance"])
-        for e in ts.entries:
-            writer.writerow([e.instance_id, e.label, e.provenance])
+        writer.writerow(TRAINING_COLUMNS)
+        writer.writerows(zip(ts.ids, ts.labels, ts.provenance))
 
 
 def read_training_csv(path: str | Path) -> AnnotatedTrainingSet:
+    """Read a training CSV as written by write_training_csv.
+
+    Raises SchemaError naming the file and the missing columns when the
+    header lacks any of instance_id, label or provenance.
+    """
     with Path(path).open(newline="") as fh:
         reader = csv.DictReader(fh)
-        entries = tuple(
-            TrainingEntry(row["instance_id"], row["label"], row["provenance"]) for row in reader
-        )
-    return AnnotatedTrainingSet(entries=entries)
+        missing = [c for c in TRAINING_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise SchemaError(f"{path}: missing columns {missing}; found {reader.fieldnames}")
+        rows = list(reader)
+    ids, labels, provenance = ([row[c] for row in rows] for c in TRAINING_COLUMNS)
+    return AnnotatedTrainingSet(ids=ids, labels=labels, provenance=provenance)
 
 
 @dataclass(frozen=True)
@@ -251,13 +257,11 @@ def synth_bags(config: SynthBagsConfig) -> SynthBags:
         centre = np.zeros(config.n_features)
         centre[axis] = config.separation * config.sigma
         centres[label] = centre
-    instances: list[Instance] = []
-    bags: list[Bag] = []
+    ids: list[str] = []
+    bags: list[str] = []
+    bag_labels: list[str] = []
+    rows: list[np.ndarray] = []
     truth: dict[str, str] = {}
-    counter = 0
-
-    def draw(label: str) -> np.ndarray:
-        return rng.normal(centres[label], config.sigma)
 
     for class_label in (config.strong_label, *config.disordered_labels):
         lo, hi = (
@@ -267,21 +271,16 @@ def synth_bags(config: SynthBagsConfig) -> SynthBags:
         )
         for b in range(config.bags_per_class):
             size = int(rng.integers(lo, hi + 1))
-            members = []
             for _ in range(size):
                 if class_label == config.strong_label:
                     source = class_label
                 else:
                     source = class_label if rng.random() < config.mix else config.strong_label
-                iid = f"i{counter:05d}"
-                counter += 1
-                instances.append(Instance(id=iid, features=draw(source)))
+                iid = f"i{len(ids):05d}"
+                ids.append(iid)
+                bags.append(f"{class_label}-{b:03d}")
+                bag_labels.append(class_label)
+                rows.append(rng.normal(centres[source], config.sigma))
                 truth[iid] = source
-                members.append(iid)
-            bags.append(Bag(id=f"{class_label}-{b:03d}", label=class_label, members=tuple(members)))
-    ds = Dataset(
-        instances=tuple(instances),
-        bags=tuple(bags),
-        strong_label=config.strong_label,
-    )
+    ds = Dataset(x=np.array(rows), ids=ids, bag=bags, label=bag_labels, strong_label=config.strong_label)
     return SynthBags(dataset=ds, truth=truth, config=config)

@@ -4,24 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from spectralweak.dataset import Bag, Dataset, Instance
+from spectralweak.dataset import Dataset
 from spectralweak.simgraph import bump_peak, gaussian_bump, symmetrize
 
 
 def build_dataset(bags, strong):
     """bags: iterable of (bag_id, label, rows) with rows a list of feature lists."""
-    instances = []
-    bag_objs = []
-    counter = 0
+    ids, bag_ids, labels, x = [], [], [], []
     for bag_id, label, rows in bags:
-        members = []
         for row in rows:
-            iid = f"i{counter:03d}"
-            counter += 1
-            instances.append(Instance(id=iid, features=np.asarray(row, dtype=float)))
-            members.append(iid)
-        bag_objs.append(Bag(id=bag_id, label=label, members=tuple(members)))
-    return Dataset(instances=tuple(instances), bags=tuple(bag_objs), strong_label=strong)
+            ids.append(f"i{len(ids):03d}")
+            bag_ids.append(bag_id)
+            labels.append(label)
+            x.append(row)
+    return Dataset(x=np.array(x, dtype=float), ids=ids, bag=bag_ids, label=labels, strong_label=strong)
 
 
 def singleton_dataset(points, labels, strong=None):

@@ -55,17 +55,16 @@ def write_fake_banknotes(path, n_per_class=100, sep=3.0, spread=0.2, rownames=Tr
 def test_banknotes_loader_accepts_both_layouts(tmp_path):
     write_fake_banknotes(tmp_path / "banknote.csv")
     ds = bench.load_banknotes(tmp_path)
-    assert len(ds.instances) == 200
-    assert ds.instances[0].features.shape == (6,)
+    assert ds.x.shape == (200, 6)
     assert sorted(ds.labels) == ["counterfeit", "genuine"]
     assert ds.strong_label == "counterfeit"
-    assert all(len(b.members) == 1 for b in ds.bags)
+    assert np.array_equal(ds.bag, ds.ids)  # one bag per instance
 
     bare = tmp_path / "bare"
     bare.mkdir()
     write_fake_banknotes(bare / "banknote.csv", rownames=False)
     ds2 = bench.load_banknotes(bare)
-    assert np.array_equal(ds2.feature_matrix(), ds.feature_matrix())
+    assert np.array_equal(ds2.x, ds.x)
 
 
 def test_banknotes_loader_validates_shape(tmp_path):
@@ -103,8 +102,7 @@ def write_fake_segmentation(d, n_train=210, n_test=2100):
 def test_segmentation_loader_skips_headers_and_counts(tmp_path):
     write_fake_segmentation(tmp_path)
     ds = bench.load_segmentation(tmp_path)
-    assert len(ds.instances) == 2310
-    assert ds.instances[0].features.shape == (19,)
+    assert ds.x.shape == (2310, 19)
     assert len(ds.labels) == 7
 
     short = tmp_path / "short"
@@ -127,15 +125,12 @@ def write_fake_abalone(path, n=4177):
 def test_abalone_loader_dummies_and_ring_clipping(tmp_path):
     write_fake_abalone(tmp_path / "abalone.data")
     ds = bench.load_abalone(tmp_path)
-    assert len(ds.instances) == 4177
-    assert ds.instances[0].features.shape == (9,)
+    assert ds.x.shape == (4177, 9)
     labels = set(ds.labels)
     assert labels <= {f"r{r:02d}" for r in range(4, 14)}
     assert "r04" in labels and "r13" in labels
     # sex dummies: M -> (1,0), F -> (0,1), I -> (0,0)
-    assert ds.instances[0].features[0] == 1.0 and ds.instances[0].features[1] == 0.0
-    assert ds.instances[1].features[0] == 0.0 and ds.instances[1].features[1] == 1.0
-    assert ds.instances[2].features[0] == 0.0 and ds.instances[2].features[1] == 0.0
+    assert ds.x[:3, :2].tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
 
 
 def test_abalone_loader_reports_bad_lines(tmp_path):
@@ -153,10 +148,9 @@ def test_abalone_loader_reports_bad_lines(tmp_path):
 
 def test_dataset_a_shape():
     ds = bench.load_dataset_a()
-    assert len(ds.instances) == 26
-    assert ds.instances[0].features.shape == (2,)
+    assert ds.x.shape == (26, 2)
     assert len(ds.labels) == 2
-    assert all(len(b.members) == 1 for b in ds.bags)
+    assert np.array_equal(ds.bag, ds.ids)  # one bag per instance
 
 
 def test_partition_matches_ignores_names():

@@ -3,10 +3,11 @@
 The numpy and scipy wheels each bundle their own OpenBLAS with its own thread
 pool. The eigensolvers run on scipy's; a numpy matrix product between two of
 them leaves numpy's workers spinning while scipy's run. So the modules of the
-grouping loop make no call that reaches numpy's BLAS or LAPACK: no `@`, no
-dot products and no `np.linalg` routine except `norm`, which reduces with
-ufuncs when given an axis and through a single-threaded `ddot` on the short
-vectors it sees without one.
+grouping loop, and the data and annotation modules that `build_training_set`
+runs between its per-label eigensolves, make no call that reaches numpy's
+BLAS or LAPACK: no `@`, no dot products and no `np.linalg` routine except
+`norm`, which reduces with ufuncs when given an axis and through a
+single-threaded `ddot` on the short vectors it sees without one.
 """
 
 import ast
@@ -17,7 +18,7 @@ import pytest
 import spectralweak
 
 PACKAGE = Path(spectralweak.__file__).resolve().parent
-GROUPING_LOOP_MODULES = ("spectral.py", "simgraph.py", "evaluation.py")
+GROUPING_LOOP_MODULES = ("spectral.py", "simgraph.py", "evaluation.py", "dataset.py", "weakanno.py")
 NUMPY_BLAS_FUNCTIONS = {"dot", "vdot", "inner", "tensordot", "matmul", "cov", "corrcoef"}
 
 

@@ -270,16 +270,16 @@ def blob_bags(n_bags=6, per_bag=4, gap=6.0, seed=0):
 def test_baseline_takes_bag_labels_verbatim():
     ds = blob_bags()
     ts = fully_supervised_baseline(ds)
-    assert all(e.provenance == "strong" for e in ts.entries)
-    for entry in ts.entries:
-        assert entry.label == ds.bag_of[entry.instance_id].label
+    assert set(ts.provenance) == {"strong"}
+    assert np.array_equal(ts.ids, ds.ids)
+    assert np.array_equal(ts.labels, ds.label)
 
 
 def test_lobo_fold_shape_and_accuracy():
     ds = blob_bags()
     result = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic")
-    assert len(result.per_bag) == len(ds.bags)
-    assert [r.bag_id for r in result.per_bag] == sorted(b.id for b in ds.bags)
+    assert len(result.per_bag) == len(ds.bag_ids)
+    assert [r.bag_id for r in result.per_bag] == sorted(set(ds.bag))
     assert result.accuracy == 1.0
     assert result.flagged_folds == ()
     assert result.confusion == {("ok", "ok"): 3, ("flu", "flu"): 3}
@@ -324,6 +324,6 @@ def test_lobo_input_validation():
     with pytest.raises(ParameterError, match="at least 2 bags"):
         leave_one_bag_out_cv(fully_supervised_baseline(single), single, "logistic")
     partial = fully_supervised_baseline(ds)
-    truncated = type(partial)(entries=partial.entries[:-1])
+    truncated = type(partial)(ids=partial.ids[:-1], labels=partial.labels[:-1], provenance=partial.provenance[:-1])
     with pytest.raises(ParameterError, match="lacks labels"):
         leave_one_bag_out_cv(truncated, ds, "logistic")

@@ -252,9 +252,8 @@ def write_synth_csv(path, seed=0, bags_per_class=20):
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["instance", "bag", "group", "x0", "x1"])
-        for inst in ds.instances:
-            bag = ds.bag_of[inst.id]
-            w.writerow([inst.id, bag.id, bag.label, *(repr(float(v)) for v in inst.features)])
+        for iid, bag, label, row in zip(ds.ids, ds.bag, ds.label, ds.x):
+            w.writerow([iid, bag, label, *(repr(float(v)) for v in row)])
     return path
 
 
@@ -434,6 +433,32 @@ def test_dataset_file_not_found(tmp_path, capsys):
     )
     assert code == 2
     assert "not found" in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_training_csv_without_provenance_exits_2_naming_file_and_column(tmp_path, capsys, command):
+    data = write_bagged_csv(tmp_path / "bags.csv")
+    training = tmp_path / "labels.csv"
+    training.write_text("instance_id,label\ni000,ok\n")
+    code, _, err = run(
+        [command, "--data", str(data), "--strong-label", "ok", "--training", str(training),
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith(f"error: {training}: missing columns ['provenance']")
+
+
+def test_duplicate_instance_id_exits_2_naming_id_and_rows(tmp_path, capsys):
+    data = tmp_path / "bags.csv"
+    data.write_text("instance,bag,group,x\na,b1,ok,0.0\nb,b1,ok,1.0\na,b2,flu,2.0\n")
+    code, _, err = run(
+        ["annotate", "--data", str(data), "--strong-label", "ok", "--model", "knn_symmetric", "--k", "1",
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert err == "error: duplicate instance id 'a' in data rows 1 and 3\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,9 @@ from hypothesis import given, strategies as st
 
 from helpers import build_dataset
 from spectralweak.dataset import (
-    Bag,
     CsvSchema,
     Dataset,
     DistanceMatrix,
-    Instance,
     load_csv,
     pairwise_distances,
     standardize,
@@ -35,10 +33,13 @@ def test_load_csv_roundtrip(tmp_path):
         ["a,b1,good,0.0,1.0", "b,b1,good,2.0,3.0", "c,b2,bad,4.0,5.0"],
     )
     ds = load_csv(p, SCHEMA)
-    assert [i.id for i in ds.instances] == ["a", "b", "c"]
-    assert ds.bag_of["c"].label == "bad"
-    assert np.array_equal(ds.feature_matrix()[1], [2.0, 3.0])
+    assert ds.ids.tolist() == ["a", "b", "c"]
+    assert ds.bag.tolist() == ["b1", "b1", "b2"]
+    assert ds.label.tolist() == ["good", "good", "bad"]
+    assert np.array_equal(ds.x, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    assert ds.x.flags.c_contiguous
     assert ds.strong_label == "good"
+    assert ds.bag_ids == ("b1", "b2")
 
 
 def test_load_csv_missing_column(tmp_path):
@@ -72,31 +73,59 @@ def test_load_csv_conflicting_bag_label(tmp_path):
 
 
 def test_dataset_rejects_duplicate_ids():
-    i = Instance(id="a", features=np.array([0.0]))
-    j = Instance(id="a", features=np.array([1.0]))
-    with pytest.raises(IntegrityError, match="duplicate"):
+    with pytest.raises(IntegrityError, match=r"duplicate instance id 'a' in data rows 1 and 3"):
         Dataset(
-            instances=(i, j),
-            bags=(Bag("b", "good", ("a",)),),
+            x=np.array([[0.0], [1.0], [2.0]]),
+            ids=["a", "b", "a"],
+            bag=["b", "b", "b"],
+            label=["good", "good", "good"],
             strong_label="good",
         )
 
 
-def test_dataset_requires_every_instance_in_one_bag():
-    ds_args = dict(
-        instances=(
-            Instance("a", np.array([0.0])),
-            Instance("b", np.array([1.0])),
-        ),
-        strong_label="good",
+def test_load_csv_duplicate_id_names_id_and_rows(tmp_path):
+    p = write_csv(
+        tmp_path / "d.csv",
+        ["a,b1,good,0.0,1.0", "", "b,b1,good,2.0,3.0", "a,b2,bad,4.0,5.0"],
     )
-    with pytest.raises(IntegrityError):
-        Dataset(bags=(Bag("b1", "good", ("a",)),), **ds_args)
-    with pytest.raises(IntegrityError):
-        Dataset(
-            bags=(Bag("b1", "good", ("a", "b")), Bag("b2", "bad", ("b",))),
-            **ds_args,
-        )
+    # the blank line is not a data row
+    with pytest.raises(IntegrityError, match=r"duplicate instance id 'a' in data rows 1 and 3"):
+        load_csv(p, SCHEMA)
+
+
+def test_load_csv_reports_first_bad_row(tmp_path):
+    # within a row the feature cells come before the bag label
+    rows = ["a,b1,good,0.0,1.0", "b,b1,bad,2.0,nan", "c,b2,bad,oops,3.0"]
+    with pytest.raises(ParseError, match=r"row 2, column 'y': non-finite value 'nan'"):
+        load_csv(write_csv(tmp_path / "d.csv", rows), SCHEMA)
+    rows[1] = "b,b1,bad,2.0,3.0"
+    with pytest.raises(IntegrityError, match=r"row 2: bag 'b1' labelled both 'good' and 'bad'"):
+        load_csv(write_csv(tmp_path / "d.csv", rows), SCHEMA)
+    rows[1] = "b,b1,good,2.0,3.0"
+    with pytest.raises(ParseError, match=r"row 3, column 'x': cannot parse 'oops' as float"):
+        load_csv(write_csv(tmp_path / "d.csv", rows), SCHEMA)
+
+
+def test_load_csv_short_row_reads_missing_cells_as_none(tmp_path):
+    p = write_csv(tmp_path / "d.csv", ["a,b1,good,0.0,1.0", "b,b1,good,2.0"])
+    with pytest.raises(ParseError, match=r"row 2, column 'y': cannot parse None as float"):
+        load_csv(p, SCHEMA)
+
+
+def test_dataset_rejects_inconsistent_rows():
+    args = dict(x=np.zeros((2, 1)), ids=["a", "b"], bag=["b1", "b1"], label=["good", "good"], strong_label="good")
+    with pytest.raises(IntegrityError, match="n x p"):
+        Dataset(**{**args, "x": np.zeros(2)})
+    with pytest.raises(IntegrityError, match="one entry per row"):
+        Dataset(**{**args, "bag": ["b1"]})
+    with pytest.raises(IntegrityError, match=r"row 2: bag 'b1' labelled both 'good' and 'bad'"):
+        Dataset(**{**args, "label": ["good", "bad"]})
+    with pytest.raises(ParseError, match="instance 'b': non-finite"):
+        Dataset(**{**args, "x": np.array([[0.0], [np.inf]])})
+    with pytest.raises(IntegrityError, match="at least 2 instances"):
+        Dataset(**{name: value[:1] for name, value in args.items() if name != "strong_label"}, strong_label="good")
+    with pytest.raises(IntegrityError, match="strong label 'bad'"):
+        Dataset(**{**args, "strong_label": "bad"})
 
 
 def test_dataset_labels_order_strong_first():
@@ -109,7 +138,7 @@ def test_dataset_labels_order_strong_first():
 
 def test_standardize_two_point_column():
     ds = build_dataset([("b1", "good", [[1.0], [3.0]])], strong="good")
-    out = standardize(ds).feature_matrix()
+    out = standardize(ds).x
     # (1, 3) has mean 2 and sample sd sqrt(2)
     assert out[0, 0] == pytest.approx(-0.7071067811865475, abs=1e-15)
     assert out[1, 0] == pytest.approx(0.7071067811865475, abs=1e-15)
@@ -118,7 +147,7 @@ def test_standardize_two_point_column():
 def test_standardize_constant_column_warns_not_raises():
     ds = build_dataset([("b1", "good", [[5.0, 1.0], [5.0, 2.0]])], strong="good")
     out = standardize(ds)
-    assert np.all(out.feature_matrix()[:, 0] == 0.0)
+    assert np.all(out.x[:, 0] == 0.0)
     assert any("constant" in w for w in out.warnings)
 
 
@@ -128,8 +157,8 @@ def test_standardize_is_idempotent(seed):
     ds = build_dataset(
         [("b1", "good", rng.normal(size=(6, 3)).tolist())], strong="good"
     )
-    once = standardize(ds).feature_matrix()
-    twice = standardize(standardize(ds)).feature_matrix()
+    once = standardize(ds).x
+    twice = standardize(standardize(ds)).x
     assert np.max(np.abs(once - twice)) < 1e-10
 
 
@@ -192,7 +221,11 @@ def test_distance_matrix_validation():
         DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
 
 
-def test_instance_features_read_only():
-    inst = Instance("a", np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        inst.features[0] = 9.0
+def test_dataset_columns_read_only():
+    source = np.array([[1.0, 2.0], [3.0, 4.0]])
+    ds = build_dataset([("b1", "good", source)], strong="good")
+    source[0, 0] = 9.0  # the dataset holds its own copy
+    assert ds.x[0, 0] == 1.0
+    for column in (ds.x, ds.ids, ds.bag, ds.label):
+        with pytest.raises(ValueError):
+            column[0] = column[1]

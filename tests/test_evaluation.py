@@ -6,7 +6,6 @@ from spectralweak.errors import ParameterError, SearchError, UndefinedIndexError
 from spectralweak.evaluation import (
     GridSpec,
     davies_bouldin,
-    davies_bouldin_general,
     f1_score,
     grid_search,
     pair_confusion,
@@ -30,7 +29,6 @@ def test_db_singleton_groups_are_zero_spread():
     points = np.array([[0.0, 0.0], [3.0, 4.0]])
     idx = davies_bouldin(points, grouping([0, 1]))
     assert idx.value == 0.0
-    assert idx.details["separation"] == pytest.approx(5.0)
 
 
 def test_db_hand_computed_ratio():
@@ -44,10 +42,12 @@ def test_db_hand_computed_ratio():
 def test_db_requires_two_groups_and_distinct_centroids():
     points = np.array([[0.0], [1.0], [2.0]])
     with pytest.raises(ParameterError):
-        davies_bouldin(points, grouping([0, 1, 2]))
+        davies_bouldin(points, grouping([0, 0, 0]))
     sym = np.array([[-1.0], [1.0], [-1.0], [1.0]])
-    with pytest.raises(UndefinedIndexError):
+    with pytest.raises(UndefinedIndexError, match="^group centroids coincide; separation ratio undefined$"):
         davies_bouldin(sym, grouping([0, 0, 1, 1]))
+    with pytest.raises(UndefinedIndexError, match="^centroids of groups 0 and 1 coincide$"):
+        davies_bouldin(np.vstack([sym, [[5.0]]]), grouping([0, 0, 1, 1, 2]))
 
 
 def db_oracle(points, labels):
@@ -84,14 +84,25 @@ def test_db_invariant_to_group_swap():
     assert a == pytest.approx(b, abs=1e-15)
 
 
-def test_general_db_named_and_consistent_at_two():
-    rng = np.random.default_rng(2)
-    points = rng.normal(size=(10, 2))
-    labels = np.array([0] * 5 + [1] * 5)
-    two = davies_bouldin(points, grouping(labels))
-    general = davies_bouldin_general(points, grouping(labels))
-    assert general.name == "davies_bouldin_general"
-    assert general.value == pytest.approx(two.value, abs=1e-12)
+def two_group_db_reference(points, labels):
+    """The former two-group-only implementation, kept as the bitwise oracle."""
+    c = [points[labels == g].mean(axis=0) for g in (0, 1)]
+    s = [float(np.linalg.norm(points[labels == g] - c[g], axis=1).mean()) for g in (0, 1)]
+    return float((np.float64(s[0]) + np.float64(s[1])) / float(np.linalg.norm(c[0] - c[1])))
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_general_db_named_and_consistent_at_two(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    points = rng.normal(size=(n, int(rng.integers(1, 4)))) * 10.0 ** rng.integers(-3, 4)
+    labels = rng.integers(0, 2, n)
+    labels[:2] = (0, 1)
+    two = davies_bouldin(points, grouping(labels, k=2))
+    assert two.name == "davies_bouldin"
+    assert two.value == two_group_db_reference(points, labels)
+    three = davies_bouldin(np.vstack([points, points[:1] + 1.0]), grouping(np.append(labels, 2), k=3))
+    assert three.name == "davies_bouldin_general"
 
 
 def test_general_db_three_groups_hand_case():
@@ -107,7 +118,7 @@ def test_general_db_three_groups_hand_case():
         ]
         worst.append(max(ratios))
     expected = float(np.mean(worst))
-    got = davies_bouldin_general(points, grouping(labels)).value
+    got = davies_bouldin(points, grouping(labels)).value
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -317,7 +328,7 @@ def test_grid_search_computes_similarities_once_per_exponent(name, monkeypatch):
     assert sorted(exponents) == sorted({spec.params.m for spec in grid.candidates()})
     # every row equals the candidate evaluated on its own
     dist = pairwise_distances(standardize(ds))
-    truth = np.asarray(ds.instance_bag_labels())
+    truth = ds.label
     for spec, row in zip(grid.candidates(), result.rows):
         alone = spectral_grouping(build_graph(dist, spec, seed=3), k=2, seed=3)
         assert np.array_equal(row.grouping.assignments, alone.assignments)

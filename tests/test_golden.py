@@ -1,8 +1,11 @@
-"""Golden bytes of the `group` grid outputs.
+"""Golden bytes of every command's output files.
 
-The digests were taken from the grid search as it stood before it shared its
-similarity matrices and reused the winner's grouping; any later change to
-these four files, however small, is a change of behaviour.
+The `group` grid digests were taken from the grid search as it stood before
+it shared its similarity matrices and reused the winner's grouping. The
+`graph`, `annotate`, `train`, `evaluate` and `bench --suite toyfig` digests
+were taken from the per-instance-object data model, before `Dataset` and the
+training set became columnar. Any later change to these files, however small,
+is a change of behaviour.
 """
 
 import hashlib
@@ -94,3 +97,132 @@ GOLDEN = {
 @pytest.mark.parametrize("model", sorted(GRIDS))
 def test_group_grid_outputs_match_golden_bytes(tmp_path, capsys, data_name, model):
     assert group_digests(tmp_path, data_name, model) == GOLDEN[(data_name, model)]
+
+
+# data name -> --strong-label value
+PIPELINE_DATA = {"builtin:dataset_a": "dense", "bags": "normal"}
+CLASSIFIER_FLAGS = {
+    "logistic": ["--classifier", "logistic"],
+    "qda": ["--classifier", "qda"],
+    "knn": ["--classifier", "knn", "--knn-k", "3"],
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def pipeline_digests(tmp_path, data_name):
+    """Run graph, annotate, then train and evaluate on the annotated labels
+    with each classifier; return the sha256 of every output file, keyed by
+    'command dir/file name'."""
+    if data_name == "builtin:dataset_a":
+        data = data_name
+    else:
+        data = tmp_path / "bags.csv"
+        write_seeded_bags(data)
+    base = ["--data", str(data), "--strong-label", PIPELINE_DATA[data_name]]
+    knn3 = ["--model", "knn_symmetric", "--k", "3"]
+    runs = {
+        "graph": (["graph", *base, *knn3], ("graph.json", "components.json")),
+        "annotate": (["annotate", *base, *knn3], ("annotated.csv", "audit.json")),
+    }
+    training = ["--training", str(tmp_path / "annotate" / "annotated.csv")]
+    for name, flags in CLASSIFIER_FLAGS.items():
+        runs[f"train-{name}"] = (["train", *base, *training, *flags], ("model.json",))
+        runs[f"evaluate-{name}"] = (["evaluate", *base, *training, *flags], ("cv.json", "cv.csv"))
+    digests = {}
+    for key, (argv, files) in runs.items():
+        assert cli.main([*argv, "--out", str(tmp_path / key)]) == 0
+        digests.update({f"{key}/{f}": sha256(tmp_path / key / f) for f in files})
+    return digests
+
+
+PIPELINE_GOLDEN = {
+    "bags": {
+        "graph/graph.json": "fdeaf0232f1d25ea7674367c6a492bf6dcfd2674fb35f0ec188b1436d0369229",
+        "graph/components.json": "b34e4fd4a2bd60ce8b44b55c49163cd99b6d9c5d6e2bb80b0c35948814ae2eb0",
+        "annotate/annotated.csv": "31075bc520b577f014e7000b080bd84fa328b385262dc5e1162833ebcf0e6d58",
+        "annotate/audit.json": "85072da61681897b265853f039bb8ab2a5a8e7ce835dbb34b2252e71c3ab9523",
+        "train-logistic/model.json": "32078ac741d28959d6ff351cb2eb53bb06da1155e3676ec8e975736cd1b611e6",
+        "evaluate-logistic/cv.json": "b4b2d470c7412cc927705e92b07844c9027a9e1280c8640ecd31fd29f1d93f82",
+        "evaluate-logistic/cv.csv": "e200fac6a0b4c0b56c0fa85a37fa7e72378cff506494d35748e87b24b4a9d69c",
+        "train-qda/model.json": "dd86079f582ca419478c1ab16af3674618df5dcb93b845f9a06535d711843c24",
+        "evaluate-qda/cv.json": "3100b402517d07c907eada2b244b3d19e8d0e147b73c40c6e973debde179e43d",
+        "evaluate-qda/cv.csv": "d1526d1b0e827ff944cd8ab9adc733504a04f0357bed1f7ebfabf874dc116e23",
+        "train-knn/model.json": "ae45cc7c2d3863052c7482d6b9b043ea1ec386151d9022b8e4d2dc3987d34e04",
+        "evaluate-knn/cv.json": "92783bef1f2a8b9c8a304afee86192113c6d849a140c553f0c9c2b9ea33394fd",
+        "evaluate-knn/cv.csv": "0d8c7485f1e1f8a022a6996cb0713376f52a7f776762e12598e17909ff7b0d0e",
+    },
+    "builtin:dataset_a": {
+        "graph/graph.json": "5d3e016ccb6e37754e7163beb5e5f8cb1f7052f25518d46beaa799ac56a22deb",
+        "graph/components.json": "5233577caa72b0e6ccf8e50423cc4d5851c3ca1074828b1a22e7acc459aefb39",
+        "annotate/annotated.csv": "f416f4b0cf87ef90b81d838a4e0e65daf79861e7b52bb58d5396862a7615732f",
+        "annotate/audit.json": "ac58d3744e45c30a048a6f64c1e0b89151743938bb3ebccfc5463f0d099ca3ae",
+        "train-logistic/model.json": "456af7b5bc22b0cdc47b00f31755a7432666f88da142c59f0d4cc92790bae23a",
+        "evaluate-logistic/cv.json": "099408e324b40276c2f37cd35d9c2d934c899575829f0092dc15415fb30708ff",
+        "evaluate-logistic/cv.csv": "fa16b2eaf7868e84d2ed65b6a20f977fb32ff4be51960eb47be0d56e88bf22d7",
+        "train-qda/model.json": "ac8939bb1b704e5a074dc2ccdd0d3b8e8397cc28352154c684a49581dff4635b",
+        "evaluate-qda/cv.json": "099408e324b40276c2f37cd35d9c2d934c899575829f0092dc15415fb30708ff",
+        "evaluate-qda/cv.csv": "fa16b2eaf7868e84d2ed65b6a20f977fb32ff4be51960eb47be0d56e88bf22d7",
+        "train-knn/model.json": "121ab42165889a4590114d5fc1784149db38d361e1ca04f202f848a18a63332b",
+        "evaluate-knn/cv.json": "099408e324b40276c2f37cd35d9c2d934c899575829f0092dc15415fb30708ff",
+        "evaluate-knn/cv.csv": "fa16b2eaf7868e84d2ed65b6a20f977fb32ff4be51960eb47be0d56e88bf22d7",
+    },
+}
+
+
+@pytest.mark.parametrize("data_name", sorted(PIPELINE_DATA))
+def test_pipeline_outputs_match_golden_bytes(tmp_path, capsys, data_name):
+    assert pipeline_digests(tmp_path, data_name) == PIPELINE_GOLDEN[data_name]
+
+
+TOYFIG_GOLDEN = {
+    "bench_toyfig.json": "22c710db9033442c7405d684e984046c21978eeedc8e94551e62173138e0cb7f",
+    "bench_toyfig_rows.csv": "a27d75cb016456d8e54a609a9b368133a700efbaf73d1bcbf22807658d1ffb91",
+}
+
+
+def test_bench_toyfig_outputs_match_golden_bytes(tmp_path, capsys):
+    assert cli.main(["bench", "--suite", "toyfig", "--out", str(tmp_path)]) == 0
+    assert {f: sha256(tmp_path / f) for f in TOYFIG_GOLDEN} == TOYFIG_GOLDEN
+
+
+# Ids i0..i10 without padding, so file order is not sorted-id order (i10 sorts
+# before i4..i9). Integer columns with zero sums z-score to exactly mirrored
+# values: the pooled point i8 at the origin is equally far from i9 (-2, 0) and
+# i10 (2, 0), its nearest neighbours. With k = 1 the kNN tie goes to the
+# vertex that comes first, so the 4-vs-3 split of the pool, and the bytes,
+# follow the pool's vertex order.
+TIE_ROWS = (
+    ("normal-0", "normal", 1, -1),
+    ("normal-0", "normal", -1, -1),
+    ("normal-1", "normal", 1, 1),
+    ("normal-1", "normal", -1, 1),
+    ("myopathic-0", "myopathic", -3, 0),
+    ("myopathic-0", "myopathic", -2, -1),
+    ("myopathic-0", "myopathic", 3, 0),
+    ("myopathic-1", "myopathic", 2, 1),
+    ("myopathic-1", "myopathic", 0, 0),
+    ("myopathic-1", "myopathic", -2, 0),
+    ("myopathic-2", "myopathic", 2, 0),
+)
+UNSORTED_IDS_GOLDEN = {
+    "annotated.csv": "b349637cd81a0da8f2e49de12f97c36cbab96b9dd0961c214713b4d3093d18eb",
+    "audit.json": "59281933a1deae091e1f8ce9000b61a7db035d5a544ab0586fba21aa7dc55097",
+}
+
+
+def test_annotate_pools_in_sorted_id_order(tmp_path, capsys):
+    data = tmp_path / "bags.csv"
+    data.write_text(
+        "instance,bag,group,x0,x1\n"
+        + "".join(f"i{i},{bag},{label},{x},{y}\n" for i, (bag, label, x, y) in enumerate(TIE_ROWS))
+    )
+    argv = ["annotate", "--data", str(data), "--strong-label", "normal",
+            "--model", "knn_symmetric", "--k", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    # i10 is the first pooled vertex, so i8 joins i10's side, the larger one
+    rows = (tmp_path / "annotated.csv").read_text().splitlines()
+    assert rows[9:] == ["i8,myopathic,weak", "i9,normal,weak", "i10,myopathic,weak"]
+    assert {f: sha256(tmp_path / f) for f in UNSORTED_IDS_GOLDEN} == UNSORTED_IDS_GOLDEN

@@ -7,13 +7,13 @@ from spectralweak.errors import (
     DegenerateGroupingError,
     EmptySelectionError,
     ParameterError,
+    SchemaError,
 )
 from spectralweak.simgraph import GraphParams, GraphSpec
 from spectralweak.spectral import Grouping
 from spectralweak.weakanno import (
     AnnotatedTrainingSet,
     SynthBagsConfig,
-    TrainingEntry,
     annotate_groups,
     build_training_set,
     collect_unlabelled,
@@ -45,11 +45,13 @@ def pooled_dataset():
 
 def test_collect_unlabelled_sorted_union():
     ds = pooled_dataset()
-    ids = collect_unlabelled(ds, "flu")
-    assert ids == tuple(sorted(ids))
-    assert len(ids) == 3
-    member_of = {m for b in ds.bags if b.label == "flu" for m in b.members}
-    assert set(ids) == member_of
+    rows = collect_unlabelled(ds, "flu")
+    assert rows.tolist() == [2, 3, 4]
+    # ids sort as strings, not in file order
+    ds = build_dataset([("good0", "ok", [(0.0,)]), ("sick0", "flu", [(1.0,)] * 11)], strong="ok")
+    ds = type(ds)(x=ds.x, ids=[f"i{i}" for i in range(12)], bag=ds.bag, label=ds.label, strong_label="ok")
+    rows = collect_unlabelled(ds, "flu")
+    assert ds.ids[rows].tolist() == ["i1", "i10", "i11", *(f"i{i}" for i in range(2, 10))]
 
 
 def test_collect_unlabelled_rejects_strong_label():
@@ -132,27 +134,27 @@ def test_synth_bags_reproducible_and_shaped():
     a = synth_bags(cfg)
     b = synth_bags(cfg)
     assert a.truth == b.truth
-    assert np.array_equal(a.dataset.feature_matrix(), b.dataset.feature_matrix())
+    assert np.array_equal(a.dataset.x, b.dataset.x)
 
     ds = a.dataset
-    assert len(ds.bags) == cfg.bags_per_class * (1 + len(cfg.disordered_labels))
-    assert set(a.truth) == {inst.id for inst in ds.instances}
-    for bag in ds.bags:
-        lo, hi = cfg.strong_bag_size if bag.label == cfg.strong_label else cfg.disordered_bag_size
-        assert lo <= len(bag.members) <= hi
-        if bag.label == cfg.strong_label:
-            assert all(a.truth[m] == cfg.strong_label for m in bag.members)
+    assert len(ds.bag_ids) == cfg.bags_per_class * (1 + len(cfg.disordered_labels))
+    assert list(a.truth) == ds.ids.tolist()
+    for bag_id in ds.bag_ids:
+        members = ds.bag == bag_id
+        (label,) = set(ds.label[members])
+        lo, hi = cfg.strong_bag_size if label == cfg.strong_label else cfg.disordered_bag_size
+        assert lo <= members.sum() <= hi
+        sources = {a.truth[m] for m in ds.ids[members]}
+        if label == cfg.strong_label:
+            assert sources == {cfg.strong_label}
         else:
-            sources = {a.truth[m] for m in bag.members}
-            assert sources <= {cfg.strong_label, bag.label}
+            assert sources <= {cfg.strong_label, label}
 
 
 def test_disordered_bags_lean_disordered():
     sb = synth_bags(SynthBagsConfig(seed=0, bags_per_class=30))
     own = sum(1 for iid, lab in sb.truth.items() if lab != "normal")
-    disordered_total = sum(
-        len(b.members) for b in sb.dataset.bags if b.label != "normal"
-    )
+    disordered_total = int((sb.dataset.label != "normal").sum())
     assert own / disordered_total == pytest.approx(sb.config.mix, abs=0.05)
 
 
@@ -163,27 +165,28 @@ def test_training_set_counts_and_provenance():
     sb = synth_bags(SynthBagsConfig(seed=1, **SMALL_SYNTH))
     ts = build_training_set(sb.dataset, ANNOTATION_SPEC, seed=1)
     summary = ts.summary()
-    n_strong = sum(len(b.members) for b in sb.dataset.bags if b.label == "normal")
-    assert summary["n_entries"] == len(sb.dataset.instances)
+    n_strong = int((sb.dataset.label == "normal").sum())
+    assert summary["n_entries"] == sb.dataset.n
     assert summary["per_provenance"]["strong"] == n_strong
     assert summary["per_provenance"]["weak"] == summary["n_entries"] - n_strong
     assert summary["source"]["graph_model"] == "knn_symmetric"
     assert set(summary["group_sizes"]) == {"myopathic", "neurogenic"}
 
-    bag_of = {m: b.label for b in sb.dataset.bags for m in b.members}
-    for entry in ts.entries:
-        if entry.provenance == "strong":
-            assert entry.label == "normal"
-            assert bag_of[entry.instance_id] == "normal"
+    assert np.array_equal(ts.ids, sb.dataset.ids)
+    for label, provenance, bag_label in zip(ts.labels, ts.provenance, sb.dataset.label):
+        if provenance == "strong":
+            assert label == "normal"
+            assert bag_label == "normal"
         else:
-            assert entry.label in ("normal", bag_of[entry.instance_id])
+            assert label in ("normal", bag_label)
 
 
 def test_training_set_deterministic():
     sb = synth_bags(SynthBagsConfig(seed=2, **SMALL_SYNTH))
     a = build_training_set(sb.dataset, ANNOTATION_SPEC, seed=7)
     b = build_training_set(sb.dataset, ANNOTATION_SPEC, seed=7)
-    assert a.entries == b.entries
+    for column in ("ids", "labels", "provenance"):
+        assert np.array_equal(getattr(a, column), getattr(b, column))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -228,7 +231,7 @@ def test_foreign_annotation_errors_become_annotation_error(monkeypatch):
 
 
 def test_weak_agreement_requires_weak_entries():
-    ts = AnnotatedTrainingSet(entries=(TrainingEntry("i0", "ok", "strong"),))
+    ts = AnnotatedTrainingSet(ids=["i0"], labels=["ok"], provenance=["strong"])
     with pytest.raises(EmptySelectionError):
         weak_agreement(ts, {"i0": "ok"})
 
@@ -239,6 +242,23 @@ def test_training_csv_roundtrip(tmp_path):
     path = tmp_path / "train.csv"
     write_training_csv(ts, path)
     back = read_training_csv(path)
-    assert back.entries == ts.entries
+    for column in ("ids", "labels", "provenance"):
+        assert np.array_equal(getattr(back, column), getattr(ts, column))
     header = path.read_text().splitlines()[0]
     assert header == "instance_id,label,provenance"
+
+
+def test_training_set_validation():
+    with pytest.raises(ParameterError, match="provenance must be one of"):
+        AnnotatedTrainingSet(ids=["i0"], labels=["ok"], provenance=["guess"])
+    with pytest.raises(ParameterError, match="same length"):
+        AnnotatedTrainingSet(ids=["i0", "i1"], labels=["ok"], provenance=["strong"])
+
+
+@pytest.mark.parametrize("column", ["instance_id", "label", "provenance"])
+def test_read_training_csv_names_missing_column(tmp_path, column):
+    path = tmp_path / "train.csv"
+    header = ",".join(c for c in ("instance_id", "label", "provenance") if c != column)
+    path.write_text(header + "\ni0,ok\n")
+    with pytest.raises(SchemaError, match=rf"{path}: missing columns \['{column}'\]"):
+        read_training_csv(path)
