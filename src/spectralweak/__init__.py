@@ -35,11 +35,9 @@ from .simgraph import (
 )
 from .spectral import (
     Grouping,
-    Laplacian,
     SpectralEmbedding,
     degree_matrix,
     kmeans,
-    normalized_laplacian,
     smallest_k_eigenvectors,
     spectral_grouping,
     unnormalized_laplacian,

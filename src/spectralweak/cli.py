@@ -168,19 +168,10 @@ def _load_dataset(args, config, require_strong: bool = False) -> Dataset:
     else:
         feature_cols = tuple(c for c in header if c not in (id_col, bag_col, label_col))
     strong = _resolve(args, config, "strong-label")
-    if strong is None:
-        if require_strong:
-            raise ParameterError("--strong-label is required for this command")
-        # grouping-only commands never consult the strong label; pick one that
-        # exists so the dataset validates.
-        if label_col in header:
-            with path.open(newline="") as fh:
-                labels = sorted(
-                    {row[label_col] for row in csv.DictReader(fh, delimiter=delimiter)}
-                )
-            strong = labels[0] if labels else ""
-        else:
-            strong = ""
+    if strong is None and require_strong:
+        raise ParameterError("--strong-label is required for this command")
+    # Without one, load_csv picks a label that exists so the dataset
+    # validates; grouping-only commands never consult the strong label.
     schema = CsvSchema(
         instance_id=id_col,
         bag_id=bag_col,

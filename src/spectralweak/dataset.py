@@ -110,7 +110,7 @@ class CsvSchema:
     bag_id: str
     bag_label: str
     features: tuple[str, ...]
-    strong_label: str
+    strong_label: str | None  # None: the smallest bag label in the file
     delimiter: str = ","
 
 
@@ -118,10 +118,11 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
     """Read a flat CSV (one row per instance) into a validated Dataset.
 
     The file is read column by column. Raises SchemaError on missing
-    columns, ParseError on bad cells (with the 1-based data row number),
-    IntegrityError on cross-row inconsistencies. When several rows are bad,
-    the error names the first of them, and within a row the first bad
-    feature column before a bag-label conflict.
+    columns, ParseError on bad or missing cells (with the 1-based data row
+    number), IntegrityError on cross-row inconsistencies. When several rows
+    are bad, the error names the first of them, and within a row the first
+    bad feature column, then a missing id, bag or label cell, then a
+    bag-label conflict.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -158,16 +159,21 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
             row = int(bad[0]) + 1
             faults.append((row, j, ParseError(f"{path}: row {row}, column {col!r}: non-finite value {cells[row - 1]!r}")))
         values.append(parsed_array)
-    bag = column(schema.bag_id)
-    label = column(schema.bag_label)
+    ids, bag, label = (column(col) for col in (schema.instance_id, schema.bag_id, schema.bag_label))
+    p = len(schema.features)
+    for j, (col, cells) in enumerate(((schema.instance_id, ids), (schema.bag_id, bag), (schema.bag_label, label))):
+        if None in cells:
+            row = cells.index(None) + 1
+            faults.append((row, p + j, ParseError(f"{path}: row {row}, column {col!r}: missing cell")))
     conflict = _label_conflict(bag, label)
     if conflict:
         row, what = conflict
-        faults.append((row, len(schema.features), IntegrityError(f"{path}: row {row}: {what}")))
+        faults.append((row, p + 3, IntegrityError(f"{path}: row {row}: {what}")))
     if faults:
         raise min(faults, key=lambda fault: fault[:2])[2]
-    x = np.array(values, dtype=float).reshape(len(schema.features), len(rows)).T
-    return Dataset(x=x, ids=column(schema.instance_id), bag=bag, label=label, strong_label=schema.strong_label)
+    x = np.array(values, dtype=float).reshape(p, len(rows)).T
+    strong = min(label, default="") if schema.strong_label is None else schema.strong_label
+    return Dataset(x=x, ids=ids, bag=bag, label=label, strong_label=strong)
 
 
 def standardize(ds: Dataset) -> Dataset:

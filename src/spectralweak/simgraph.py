@@ -38,6 +38,8 @@ MODELS = (
 SYMMETRIZE_RULES = ("min", "max")
 # Models built from initial_similarities.
 PROB_MODELS = ("prob_threshold", "prob_criterion")
+# Models whose weight matrix is sparse by construction.
+KNN_MODELS = ("knn_symmetric", "knn_mutual")
 
 
 @dataclass(frozen=True)
@@ -351,7 +353,7 @@ def build_graph(
         if p.epsilon is None:
             raise ParameterError("epsilon model needs params.epsilon")
         return epsilon_graph(dist, p.epsilon)
-    if spec.model in ("knn_symmetric", "knn_mutual"):
+    if spec.model in KNN_MODELS:
         if p.k is None:
             raise ParameterError(f"{spec.model} needs params.k")
         mode = "symmetric" if spec.model == "knn_symmetric" else "mutual"

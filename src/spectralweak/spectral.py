@@ -1,16 +1,21 @@
-"""Spectral grouping: graph Laplacians, smallest eigenvectors, seeded k-means.
+"""Spectral grouping: smallest eigenvectors of a graph's L_rw, seeded k-means.
 
 The grouping pipeline follows the random-walk normalization route: eigenpairs
-of D^-1 L are obtained from the similar symmetric matrix D^-1/2 L D^-1/2 and
-mapped back, which keeps the solver in well-conditioned symmetric territory.
-Embedding rows are clustered as-is (no row renormalization).
+of L_rw = D^-1 (D - W) are obtained from the similar symmetric matrix
+L_sym = D^-1/2 (D - W) D^-1/2 and mapped back, which keeps the solver in
+well-conditioned symmetric territory. Both are derived from the weights W of
+the graph; L_rw is never formed. Embedding rows are clustered as-is (no row
+renormalization).
 
 Two solvers share that route. Connected kNN graphs without a clamped vertex,
 asked for k < n - 1 vectors, go to ARPACK (scipy.sparse.linalg.eigsh) on the
 sparse N = D^-1/2 W D^-1/2, whose k largest eigenpairs are the k smallest of
-L_sym = I - N. Every other graph, the probabilistic, epsilon and fully
-connected ones included, goes to a dense scipy.linalg.eigh of L_sym, as does a
-kNN graph on which ARPACK fails or does not converge.
+L_sym = I - N; no n x n array is allocated beside W. Every other graph, the
+probabilistic, epsilon and fully connected ones included, goes to a dense
+scipy.linalg.eigh of L_sym, as does a kNN graph on which ARPACK fails or does
+not converge; that route holds L_sym and its symmetrized copy, two n x n
+arrays beside W. On both routes the residual L_rw u - u diag(vals) of every
+eigenpair is checked, computed as (D u - W u) / d from W.
 
 All dense linear algebra of this module runs on the BLAS/LAPACK that scipy
 links, the eigen residual check included (scipy.linalg.blas.dgemm, not the
@@ -22,7 +27,7 @@ itself for cores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -30,41 +35,19 @@ import scipy.linalg.blas
 import scipy.sparse
 
 from .errors import NumericalError, ParameterError
-from .simgraph import SimilarityGraph
-
-LAPLACIAN_KINDS = ("unnormalized", "sym", "rw")
-# Graph models whose weight matrix is sparse by construction.
-SPARSE_MODELS = ("knn_symmetric", "knn_mutual")
-
-
-@dataclass(frozen=True)
-class Laplacian:
-    """`graph` is the graph the matrix was built from, when known; the
-    eigensolver reads its model and its sparse weights from there."""
-
-    matrix: np.ndarray
-    kind: str
-    degrees: np.ndarray
-    clamped: tuple[int, ...] = ()
-    graph: SimilarityGraph | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        deg = np.asarray(self.degrees, dtype=float)
-        deg.setflags(write=False)
-        object.__setattr__(self, "degrees", deg)
+from .simgraph import KNN_MODELS, SimilarityGraph
 
 
 @dataclass(frozen=True)
 class SpectralEmbedding:
-    """First k eigenvectors (columns) of the random-walk Laplacian, ascending,
-    and the solver that produced them: "eigh" (dense) or "eigsh" (ARPACK)."""
+    """The k eigenvectors (columns) of L_rw with the smallest eigenvalues,
+    ascending; the solver that produced them, "eigh" (dense) or "eigsh"
+    (ARPACK); and the zero-degree vertices whose degree was clamped to 1."""
 
     vectors: np.ndarray
     eigenvalues: np.ndarray
     solver: str = "eigh"
+    clamped: tuple[int, ...] = ()
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
@@ -107,35 +90,30 @@ def degree_matrix(graph: SimilarityGraph) -> np.ndarray:
     return graph.w.sum(axis=1)
 
 
-def unnormalized_laplacian(graph: SimilarityGraph) -> Laplacian:
-    deg = degree_matrix(graph)
-    return Laplacian(matrix=np.diag(deg) - graph.w, kind="unnormalized", degrees=deg)
+def unnormalized_laplacian(graph: SimilarityGraph) -> np.ndarray:
+    """L = D - W as a read-only dense array."""
+    lap = np.diag(degree_matrix(graph)) - graph.w
+    lap.setflags(write=False)
+    return lap
 
 
-def normalized_laplacian(graph: SimilarityGraph, kind: str = "rw") -> Laplacian:
-    """D^-1/2 L D^-1/2 (kind "sym") or D^-1 L (kind "rw").
+def _sym_laplacian(w: np.ndarray, deg: np.ndarray, deg_safe: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
+    """L_sym = D^-1/2 (D - W) D^-1/2, made exactly symmetric, for the dense eigh.
 
-    Vertices with zero degree would make either form divide by zero; their
-    degree is treated as 1 there (the corresponding L row is already all zero,
-    so an isolated vertex keeps its eigenvalue-zero indicator) and the clamped
-    indices are recorded on the result.
+    Built in one n x n buffer scaled in place: -w_ij off the diagonal and d_i
+    on it (the diagonal of W is zero), rows divided by d and multiplied by
+    sqrt(d), columns multiplied by d^-1/2, then (S + S^T) / 2. The rows are
+    scaled in two roundings rather than one by d^-1/2; that is the rounding
+    every recorded grouping was computed with, so it stays.
     """
-    if kind not in ("sym", "rw"):
-        raise ParameterError(f"kind must be 'sym' or 'rw', got {kind!r}")
-    deg = degree_matrix(graph)
-    # D - W in a single n x n buffer, scaled in place below: 0 - w_ij off the
-    # diagonal and d_i on it, as the diagonal of W is zero.
-    mat = 0.0 - graph.w
-    np.fill_diagonal(mat, deg)
-    clamped = tuple(int(i) for i in np.flatnonzero(deg == 0.0))
-    deg_safe = np.where(deg == 0.0, 1.0, deg)
-    if kind == "sym":
-        inv_sqrt = 1.0 / np.sqrt(deg_safe)
-        mat *= inv_sqrt[:, None]
-        mat *= inv_sqrt[None, :]
-    else:
-        mat /= deg_safe[:, None]
-    return Laplacian(matrix=mat, kind=kind, degrees=deg, clamped=clamped, graph=graph)
+    sym = 0.0 - w
+    np.fill_diagonal(sym, deg)
+    sym /= deg_safe[:, None]
+    sym *= np.sqrt(deg_safe)[:, None]
+    sym *= inv_sqrt
+    sym = sym + sym.T
+    sym /= 2.0
+    return sym
 
 
 def _normalized_adjacency(w: np.ndarray, inv_sqrt: np.ndarray) -> scipy.sparse.csr_array:
@@ -145,26 +123,21 @@ def _normalized_adjacency(w: np.ndarray, inv_sqrt: np.ndarray) -> scipy.sparse.c
     return scipy.sparse.csr_array((data, (rows, cols)), shape=w.shape)
 
 
-def _arpack_eigenpairs(lap: Laplacian, k: int, inv_sqrt: np.ndarray):
+def _arpack_eigenpairs(w: np.ndarray, k: int, inv_sqrt: np.ndarray):
     """The k smallest eigenpairs of L_sym, ascending, from the k largest of N.
 
-    Returns None, and leaves the graph to the dense solver, unless it is a
-    connected kNN graph with no clamped vertex and k < n - 1, or when ARPACK
-    fails, not converging included. The start vector is fixed, so the result
-    depends on the graph alone.
+    Returns None, and leaves the graph to the dense solver, when the graph is
+    not connected or when ARPACK fails, not converging included. The start
+    vector is fixed, so the result depends on the graph alone.
     """
-    n = lap.matrix.shape[0]
-    graph = lap.graph
-    if graph is None or graph.model not in SPARSE_MODELS or lap.clamped or not k < n - 1:
-        return None
     # Imported here so that runs on dense-only graphs never load them.
     import scipy.sparse.csgraph
     import scipy.sparse.linalg
 
-    norm_adj = _normalized_adjacency(graph.w, inv_sqrt)
+    norm_adj = _normalized_adjacency(w, inv_sqrt)
     if scipy.sparse.csgraph.connected_components(norm_adj, directed=False, return_labels=False) != 1:
         return None
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, w.shape[0])
     try:
         mu, vecs = scipy.sparse.linalg.eigsh(norm_adj, k=k, which="LA", v0=v0)
     except scipy.sparse.linalg.ArpackError:  # ArpackNoConvergence included
@@ -173,46 +146,49 @@ def _arpack_eigenpairs(lap: Laplacian, k: int, inv_sqrt: np.ndarray):
     return 1.0 - mu[order], vecs[:, order]
 
 
-def _residual(lap: Laplacian, u: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """L_rw u - u diag(vals), the product on scipy's BLAS (module docstring).
+def _residual(w: np.ndarray, deg: np.ndarray, deg_safe: np.ndarray, u: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """L_rw u - u diag(vals) = (D u - W u) / d - u diag(vals).
 
-    The matrix is C-ordered, so its transpose is Fortran-ordered and reaches
-    dgemm (as trans_a) without an n x n copy.
+    W u runs on scipy's BLAS (module docstring). A C-ordered W's transpose is
+    Fortran-ordered and reaches dgemm (as trans_a) without an n x n copy.
     """
-    return scipy.linalg.blas.dgemm(1.0, lap.matrix.T, u, trans_a=True) - u * vals[None, :]
+    wu = scipy.linalg.blas.dgemm(1.0, w.T, u, trans_a=True)
+    return (deg[:, None] * u - wu) / deg_safe[:, None] - u * vals[None, :]
 
 
-def smallest_k_eigenvectors(lap: Laplacian, k: int) -> SpectralEmbedding:
-    """Eigenvectors of the random-walk Laplacian for the k smallest eigenvalues.
+def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding:
+    """Eigenvectors of L_rw = D^-1 (D - W) for the k smallest eigenvalues.
 
     Solved through the symmetric normalized form: if L_sym v = lam v then
     u = D^-1/2 v satisfies L_rw u = lam u. Connected kNN graphs are solved by
     ARPACK, everything else by a dense eigh (see the module docstring).
+    Vertices with zero degree would divide by zero; their degree is treated
+    as 1 there (their row of D - W is all zero, so an isolated vertex keeps
+    its eigenvalue-zero indicator) and they are recorded on the result.
     Columns are unit-norm with the largest-magnitude entry made positive, so
     results are reproducible up to solver determinism. A residual check
-    against the random-walk matrix guards the mapping.
+    against L_rw guards the mapping.
     """
-    if lap.kind != "rw":
-        raise ParameterError(f"expected a random-walk Laplacian, got kind {lap.kind!r}")
-    n = lap.matrix.shape[0]
+    w = graph.w
+    n = w.shape[0]
     if not (1 <= k <= n):
         raise ParameterError(f"k must satisfy 1 <= k <= n = {n}, got {k}")
-    deg_safe = np.where(lap.degrees == 0.0, 1.0, lap.degrees)
+    deg = degree_matrix(graph)
+    clamped = tuple(int(i) for i in np.flatnonzero(deg == 0.0))
+    deg_safe = np.where(deg == 0.0, 1.0, deg)
     inv_sqrt = 1.0 / np.sqrt(deg_safe)
-    pairs = _arpack_eigenpairs(lap, k, inv_sqrt)
+    pairs = None
+    if graph.model in KNN_MODELS and not clamped and k < n - 1:
+        pairs = _arpack_eigenpairs(w, k, inv_sqrt)
     if pairs is not None:
         solver = "eigsh"
         vals, vecs = pairs
     else:
         solver = "eigh"
-        # Reconstruct L_sym = D^1/2 L_rw D^-1/2 and force exact symmetry before
-        # eigh, scaling in place so that at most two n x n buffers are alive.
-        sym = np.sqrt(deg_safe)[:, None] * lap.matrix
-        sym *= inv_sqrt
-        sym = sym + sym.T
-        sym /= 2.0
         try:
-            vals, vecs = scipy.linalg.eigh(sym, subset_by_index=(0, k - 1), overwrite_a=True)
+            vals, vecs = scipy.linalg.eigh(
+                _sym_laplacian(w, deg, deg_safe, inv_sqrt), subset_by_index=(0, k - 1), overwrite_a=True
+            )
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed: {exc}")
     u = inv_sqrt[:, None] * vecs
@@ -224,7 +200,7 @@ def smallest_k_eigenvectors(lap: Laplacian, k: int) -> SpectralEmbedding:
         pivot = int(np.argmax(np.abs(u[:, col])))
         if u[pivot, col] < 0:
             u[:, col] = -u[:, col]
-    resid = _residual(lap, u, vals)
+    resid = _residual(w, deg, deg_safe, u, vals)
     resid_norms = np.linalg.norm(resid, axis=0)
     bad = resid_norms > 1e-8 * np.linalg.norm(u, axis=0)
     if np.any(bad):
@@ -232,7 +208,7 @@ def smallest_k_eigenvectors(lap: Laplacian, k: int) -> SpectralEmbedding:
             f"eigenpair residual {float(resid_norms.max()):.3e} exceeds tolerance "
             f"for columns {np.flatnonzero(bad).tolist()}"
         )
-    return SpectralEmbedding(vectors=u, eigenvalues=vals, solver=solver)
+    return SpectralEmbedding(vectors=u, eigenvalues=vals, solver=solver, clamped=clamped)
 
 
 @dataclass(frozen=True)
@@ -276,18 +252,20 @@ def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.nda
     return labels, d2
 
 
+def _check_non_increasing(prev: float, obj: float) -> None:
+    if not obj <= prev + 1e-9 * max(1.0, prev):
+        raise NumericalError(f"k-means objective increased: {prev!r} -> {obj!r}")
+
+
 def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int) -> KMeansRun:
     k = centers.shape[0]
     trace: list[float] = []
     labels, d2 = _assign(points, centers)
     for it in range(max_iter):
         obj = float(d2[np.arange(points.shape[0]), labels].sum())
+        if trace:
+            _check_non_increasing(trace[-1], obj)
         trace.append(obj)
-        if len(trace) >= 2:
-            prev = trace[-2]
-            assert obj <= prev + 1e-9 * max(1.0, prev), (
-                f"k-means objective increased: {prev!r} -> {obj!r}"
-            )
         new_centers = centers.copy()
         dist_to_own = d2[np.arange(points.shape[0]), labels]
         reseeded: set[int] = set()
@@ -313,7 +291,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int) -> KMeansRun:
     obj = float(d2[np.arange(points.shape[0]), labels].sum())
     if not trace or obj != trace[-1]:
         if trace:
-            assert obj <= trace[-1] + 1e-9 * max(1.0, trace[-1])
+            _check_non_increasing(trace[-1], obj)
         trace.append(obj)
     return KMeansRun(assignments=labels, objective=obj, objective_trace=tuple(trace), n_iter=len(trace))
 
@@ -329,7 +307,8 @@ def kmeans_detailed(
 
     Runs `restarts` independent starts from child seeds of `seed` and keeps
     the run with the smallest objective (first such run on exact ties). The
-    per-iteration objective is asserted non-increasing on every run.
+    per-iteration objective is checked non-increasing on every run; an
+    increase raises NumericalError.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -362,10 +341,9 @@ def spectral_grouping(
     seed: int,
     restarts: int = 10,
 ) -> Grouping:
-    """Group graph vertices: random-walk Laplacian, k smallest eigenvectors,
-    k-means on the embedding rows."""
+    """Group graph vertices: the k smallest eigenvectors of L_rw, k-means on
+    the embedding rows."""
     if k < 2:
         raise ParameterError(f"spectral grouping needs k >= 2, got {k}")
-    lap = normalized_laplacian(graph, kind="rw")
-    emb = smallest_k_eigenvectors(lap, k)
+    emb = smallest_k_eigenvectors(graph, k)
     return kmeans(emb.vectors, k, seed=seed, restarts=restarts)

@@ -104,3 +104,30 @@ def prob_criterion_reference(sims, w_thresh, sigma, symmetrize_rule="max", seed=
     w = symmetrize(directed, symmetrize_rule)
     np.fill_diagonal(w, 0.0)
     return w
+
+
+def rw_laplacian_reference(w):
+    """L_rw = D^-1 (D - W) with zero degrees clamped to 1, as a dense array.
+
+    The matrix the spectral step used to build, in one buffer scaled in
+    place, before it solved through L_sym.
+    """
+    w = np.asarray(w, dtype=float)
+    deg = w.sum(axis=1)
+    mat = 0.0 - w
+    np.fill_diagonal(mat, deg)
+    mat /= np.where(deg == 0.0, 1.0, deg)[:, None]
+    return mat
+
+
+def sym_laplacian_reference(w):
+    """The eigh input of the former route: L_sym reconstructed from L_rw as
+    D^1/2 L_rw D^-1/2, then made exactly symmetric."""
+    w = np.asarray(w, dtype=float)
+    deg = w.sum(axis=1)
+    deg_safe = np.where(deg == 0.0, 1.0, deg)
+    sym = np.sqrt(deg_safe)[:, None] * rw_laplacian_reference(w)
+    sym *= 1.0 / np.sqrt(deg_safe)
+    sym = sym + sym.T
+    sym /= 2.0
+    return sym

@@ -461,6 +461,23 @@ def test_duplicate_instance_id_exits_2_naming_id_and_rows(tmp_path, capsys):
     assert err == "error: duplicate instance id 'a' in data rows 1 and 3\n"
 
 
+def write_short_row_csv(path):
+    """A bagged CSV whose fourth data row, alone in its bag, lacks its group cell."""
+    rows = ["i0,b0,0,0,ok", "i1,b0,1,0,ok", "i2,b1,5,5,flu", "i3,b2,6,5", "i4,b1,6,6,flu"]
+    path.write_text("\n".join(["instance,bag,x,y,group", *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["graph", "group", "annotate", "evaluate"])
+def test_missing_label_cell_exits_2_naming_file_row_and_column(tmp_path, capsys, command):
+    data = write_short_row_csv(tmp_path / "short.csv")
+    flags = ["--model", "knn_symmetric", "--k", "1"] if command in ("graph", "group", "annotate") else []
+    strong = ["--strong-label", "ok"] if command in ("annotate", "evaluate") else []
+    code, _, err = run([command, "--data", str(data), *strong, *flags, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == f"error: {data}: row 4, column 'group': missing cell\n"
+
+
 # ---------------------------------------------------------------------------
 # bench
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -110,6 +112,35 @@ def test_load_csv_short_row_reads_missing_cells_as_none(tmp_path):
     p = write_csv(tmp_path / "d.csv", ["a,b1,good,0.0,1.0", "b,b1,good,2.0"])
     with pytest.raises(ParseError, match=r"row 2, column 'y': cannot parse None as float"):
         load_csv(p, SCHEMA)
+
+
+def test_load_csv_rejects_missing_id_bag_or_label_cell(tmp_path):
+    header = "x,y,id,bag,label"
+    rows = ["0.0,1.0,a,b1,good", "2.0,3.0,b,b2", "oops,3.0,c,b2,bad"]
+    # the first bad row wins; bag b2 has no earlier label, so no conflict
+    with pytest.raises(ParseError, match=r"d.csv: row 2, column 'label': missing cell"):
+        load_csv(write_csv(tmp_path / "d.csv", rows, header), SCHEMA)
+    rows[1] = "2.0,3.0,b"
+    with pytest.raises(ParseError, match=r"row 2, column 'bag': missing cell"):
+        load_csv(write_csv(tmp_path / "d.csv", rows, header), SCHEMA)
+    rows[1] = "2.0,3.0"
+    with pytest.raises(ParseError, match=r"row 2, column 'id': missing cell"):
+        load_csv(write_csv(tmp_path / "d.csv", rows, header), SCHEMA)
+    # within a row: after the feature cells, before a bag-label conflict
+    rows[1] = "2.0"
+    with pytest.raises(ParseError, match=r"row 2, column 'y': cannot parse None as float"):
+        load_csv(write_csv(tmp_path / "d.csv", rows, header), SCHEMA)
+    rows[1] = "2.0,3.0,b,b1"
+    with pytest.raises(ParseError, match=r"row 2, column 'label': missing cell"):
+        load_csv(write_csv(tmp_path / "d.csv", rows, header), SCHEMA)
+
+
+def test_load_csv_without_strong_label_takes_the_smallest(tmp_path):
+    schema = dataclasses.replace(SCHEMA, strong_label=None)
+    p = write_csv(tmp_path / "d.csv", ["a,b1,good,0.0,1.0", "b,b2,bad,2.0,3.0"])
+    assert load_csv(p, schema).strong_label == "bad"
+    with pytest.raises(IntegrityError, match="at least 2 instances"):
+        load_csv(write_csv(tmp_path / "e.csv", []), schema)
 
 
 def test_dataset_rejects_inconsistent_rows():

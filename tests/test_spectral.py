@@ -1,5 +1,5 @@
-import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,13 +23,12 @@ from spectralweak.spectral import (
     Grouping,
     kmeans,
     kmeans_detailed,
-    normalized_laplacian,
     smallest_k_eigenvectors,
     spectral_grouping,
     unnormalized_laplacian,
 )
 
-from helpers import two_blobs
+from helpers import rw_laplacian_reference, sym_laplacian_reference, two_blobs
 
 
 def graph_of(w):
@@ -52,66 +51,91 @@ def random_graph(seed, n=None, density=0.4, integer=False):
 
 def test_unnormalized_single_edge():
     lap = unnormalized_laplacian(graph_of([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.array_equal(lap.matrix, [[1.0, -1.0], [-1.0, 1.0]])
-    assert lap.kind == "unnormalized"
+    assert np.array_equal(lap, [[1.0, -1.0], [-1.0, 1.0]])
+    assert not lap.flags.writeable
 
 
 def test_random_walk_triangle():
+    # L_rw = I - W / 2 has eigenvalues 0 and 3/2 (twice)
     w = np.ones((3, 3)) - np.eye(3)
-    lap = normalized_laplacian(graph_of(w), kind="rw")
-    expected = np.eye(3) - w / 2.0
-    assert np.allclose(lap.matrix, expected, atol=1e-15)
-
-
-def test_bad_kind_rejected():
-    g = graph_of([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ParameterError):
-        normalized_laplacian(g, kind="hybrid")
+    emb = smallest_k_eigenvectors(graph_of(w), 3)
+    assert np.allclose(emb.eigenvalues, [0.0, 1.5, 1.5], atol=1e-12)
+    assert emb.clamped == ()
 
 
 @given(st.integers(0, 2**31 - 1))
 def test_unnormalized_rows_sum_to_zero(seed):
     lap = unnormalized_laplacian(random_graph(seed))
-    assert np.max(np.abs(lap.matrix.sum(axis=1))) < 1e-10
+    assert np.max(np.abs(lap.sum(axis=1))) < 1e-10
 
 
 @given(st.integers(0, 2**31 - 1))
 def test_unnormalized_is_positive_semidefinite(seed):
     lap = unnormalized_laplacian(random_graph(seed))
-    assert np.linalg.eigvalsh(lap.matrix).min() >= -1e-9
+    assert np.linalg.eigvalsh(lap).min() >= -1e-9
+
+
+def textbook_laplacians(w):
+    """L_rw = D^-1 L and L_sym = D^-1/2 L D^-1/2, zero degrees clamped to 1."""
+    deg = w.sum(axis=1)
+    deg_safe = np.where(deg == 0.0, 1.0, deg)
+    lap = np.diag(deg) - w
+    inv_sqrt = 1.0 / np.sqrt(deg_safe)
+    return lap / deg_safe[:, None], lap * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
 @given(st.integers(0, 2**31 - 1))
 def test_rw_and_sym_share_eigenvalues(seed):
     g = random_graph(seed)
-    rw = normalized_laplacian(g, kind="rw").matrix
-    sym = normalized_laplacian(g, kind="sym").matrix
+    rw, sym = textbook_laplacians(g.w)
     ev_rw = np.sort(np.linalg.eigvals(rw).real)
     ev_sym = np.linalg.eigvalsh(sym)
     assert np.max(np.abs(ev_rw - ev_sym)) < 1e-9
+    emb = smallest_k_eigenvectors(g, g.n)
+    assert np.max(np.abs(emb.eigenvalues - ev_rw)) < 1e-9
 
 
-@given(st.integers(0, 2**31 - 1), st.sampled_from(["sym", "rw"]))
-def test_normalized_laplacian_matches_textbook_formula_bitwise(seed, kind):
-    g = random_graph(seed, density=0.5)
-    deg = g.w.sum(axis=1)
-    deg_safe = np.where(deg == 0.0, 1.0, deg)
-    lap = np.diag(deg) - g.w
-    if kind == "sym":
-        inv_sqrt = 1.0 / np.sqrt(deg_safe)
-        want = lap * inv_sqrt[:, None] * inv_sqrt[None, :]
-    else:
-        want = lap / deg_safe[:, None]
-    assert np.array_equal(normalized_laplacian(g, kind=kind).matrix, want)
+def eigh_input(graph, k):
+    """The matrix smallest_k_eigenvectors hands to the dense eigh, and the
+    embedding it returns."""
+    seen = []
+    real_eigh = scipy.linalg.eigh
+
+    def capture(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return real_eigh(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "eigh", capture)
+        emb = smallest_k_eigenvectors(graph, k)
+    assert emb.solver == "eigh" and len(seen) == 1
+    return seen[0], emb
+
+
+@given(st.integers(0, 2**31 - 1), st.booleans(), st.integers(0, 3))
+def test_eigh_input_bitwise_equals_the_route_through_rw(seed, integer, isolated):
+    # L_sym straight from W must carry the bits of L_sym rebuilt from L_rw,
+    # isolated (clamped) vertices included
+    w = random_graph(seed, density=0.5, integer=integer).w
+    w = np.pad(w, (0, isolated))
+    g = graph_of(w)
+    got, emb = eigh_input(g, 2)
+    assert got.tobytes() == sym_laplacian_reference(w).tobytes()
+    clamped = emb.clamped
+    assert clamped == tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0.0))
+    assert set(range(w.shape[0] - isolated, w.shape[0])) <= set(clamped)
 
 
 def test_zero_degree_vertex_is_clamped():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = 1.0
-    lap = normalized_laplacian(graph_of(w), kind="rw")
-    assert lap.clamped == (2,)
-    # the isolated vertex keeps an all-zero row, hence an eigenvalue-zero indicator
-    assert np.array_equal(lap.matrix[2], [0.0, 0.0, 0.0])
+    emb = smallest_k_eigenvectors(graph_of(w), 2)
+    assert emb.clamped == (2,)
+    # the isolated vertex keeps an all-zero row, hence an eigenvalue-zero
+    # indicator inside the span of the two zero-eigenvalue vectors
+    assert np.all(np.abs(emb.eigenvalues) < 1e-12)
+    _, resid, _, _ = np.linalg.lstsq(emb.vectors, [0.0, 0.0, 1.0], rcond=None)
+    assert resid[0] < 1e-20
 
 
 def test_permutation_equivariance_exact():
@@ -119,29 +143,26 @@ def test_permutation_equivariance_exact():
     g = random_graph(7, n=9, integer=True)
     perm = np.random.default_rng(1).permutation(9)
     gp = graph_of(g.w[np.ix_(perm, perm)])
-    lap = normalized_laplacian(g, kind="rw").matrix
-    lap_p = normalized_laplacian(gp, kind="rw").matrix
-    assert np.array_equal(lap_p, lap[np.ix_(perm, perm)])
+    sym, _ = eigh_input(g, 2)
+    sym_p, _ = eigh_input(gp, 2)
+    assert np.array_equal(sym_p, sym[np.ix_(perm, perm)])
 
 
 # ---------------------------------------------------------------------------
 # eigenvectors
 
-def test_embedding_requires_rw_kind():
+def test_embedding_k_bounds():
     g = graph_of([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ParameterError):
-        smallest_k_eigenvectors(unnormalized_laplacian(g), 1)
-    lap = normalized_laplacian(g, kind="rw")
+        smallest_k_eigenvectors(g, 0)
     with pytest.raises(ParameterError):
-        smallest_k_eigenvectors(lap, 0)
-    with pytest.raises(ParameterError):
-        smallest_k_eigenvectors(lap, 3)
+        smallest_k_eigenvectors(g, 3)
 
 
 def test_connected_graph_first_eigenpair():
     g = random_graph(3, n=8, density=0.9)
     assert connected_components(g.w)[0] == 1
-    emb = smallest_k_eigenvectors(normalized_laplacian(g), 1)
+    emb = smallest_k_eigenvectors(g, 1)
     assert abs(emb.eigenvalues[0]) < 1e-10
     v = emb.vectors[:, 0]
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -151,7 +172,7 @@ def test_connected_graph_first_eigenpair():
 
 def test_embedding_columns_unit_norm_positive_pivot():
     g = random_graph(11, n=10, density=0.8)
-    emb = smallest_k_eigenvectors(normalized_laplacian(g), 4)
+    emb = smallest_k_eigenvectors(g, 4)
     norms = np.linalg.norm(emb.vectors, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     for col in emb.vectors.T:
@@ -160,11 +181,11 @@ def test_embedding_columns_unit_norm_positive_pivot():
 
 def test_full_spectrum_matches_dense_eigensolver():
     g = random_graph(5, n=6, density=1.0)
-    lap = normalized_laplacian(g, kind="rw")
-    emb = smallest_k_eigenvectors(lap, 6)
-    reference = np.sort(np.linalg.eigvals(lap.matrix).real)
+    emb = smallest_k_eigenvectors(g, 6)
+    rw, _ = textbook_laplacians(g.w)
+    reference = np.sort(np.linalg.eigvals(rw).real)
     assert np.max(np.abs(emb.eigenvalues - reference)) < 1e-8
-    resid = lap.matrix @ emb.vectors - emb.vectors * emb.eigenvalues[None, :]
+    resid = rw @ emb.vectors - emb.vectors * emb.eigenvalues[None, :]
     assert np.max(np.linalg.norm(resid, axis=0)) < 1e-8
 
 
@@ -182,7 +203,7 @@ def two_clique_graph(sizes=(3, 4)):
 
 def test_two_cliques_zero_multiplicity_and_indicators():
     g, truth = two_clique_graph()
-    emb = smallest_k_eigenvectors(normalized_laplacian(g), 3)
+    emb = smallest_k_eigenvectors(g, 3)
     assert np.all(np.abs(emb.eigenvalues[:2]) < 1e-10)
     assert emb.eigenvalues[2] > 0.1
     # embedding rows coincide within a clique
@@ -206,7 +227,7 @@ def test_zero_eigenvalue_multiplicity_counts_components(seed, blocks):
         at += p.shape[0]
     g = graph_of(w)
     count, _ = connected_components(w)
-    emb = smallest_k_eigenvectors(normalized_laplacian(g), n)
+    emb = smallest_k_eigenvectors(g, n)
     assert int(np.sum(np.abs(emb.eigenvalues) < 1e-8)) == count == blocks
 
 
@@ -220,9 +241,9 @@ def blob_points(seed, n, p=5):
     return rng.normal(centres[rng.integers(0, 2, n)], 1.0)
 
 
-def dense_route(lap):
-    """The same Laplacian with its graph forgotten, which only eigh solves."""
-    return dataclasses.replace(lap, graph=None)
+def dense_route(graph):
+    """The same weights under a model that only eigh solves."""
+    return SimilarityGraph(w=graph.w, model="fully_connected", params=graph.params)
 
 
 @pytest.mark.parametrize(
@@ -237,9 +258,8 @@ def dense_route(lap):
 def test_arpack_agrees_with_dense_on_knn_graphs(seed, n, k, neighbours, mode):
     g = knn_graph(pairwise_distances(blob_points(seed, n)), neighbours, mode=mode)
     assert connected_components(g)[0] == 1
-    lap = normalized_laplacian(g)
-    sparse = smallest_k_eigenvectors(lap, k)
-    dense = smallest_k_eigenvectors(dense_route(lap), k)
+    sparse = smallest_k_eigenvectors(g, k)
+    dense = smallest_k_eigenvectors(dense_route(g), k)
     assert (sparse.solver, dense.solver) == ("eigsh", "eigh")
     assert np.max(np.abs(sparse.eigenvalues - dense.eigenvalues)) < 1e-8
     a = kmeans(sparse.vectors, k, seed=seed)
@@ -252,7 +272,7 @@ def test_disconnected_knn_graph_takes_dense_route():
     pts[40:, 1] += 1000.0
     g = knn_graph(pairwise_distances(pts), 5)
     assert connected_components(g)[0] == 2
-    emb = smallest_k_eigenvectors(normalized_laplacian(g), 2)
+    emb = smallest_k_eigenvectors(g, 2)
     assert emb.solver == "eigh"
     assert np.all(np.abs(emb.eigenvalues) < 1e-8)
 
@@ -260,20 +280,20 @@ def test_disconnected_knn_graph_takes_dense_route():
 def test_clamped_knn_graph_takes_dense_route():
     # mutual 1-NN on a line: 2.5 and 5.0 are nobody's mutual neighbour
     g = knn_graph(pairwise_distances(np.array([[0.0], [1.0], [2.5], [5.0]])), 1, mode="mutual")
-    lap = normalized_laplacian(g)
-    assert lap.clamped == (2, 3)
-    assert smallest_k_eigenvectors(lap, 2).solver == "eigh"
+    emb = smallest_k_eigenvectors(g, 2)
+    assert emb.clamped == (2, 3)
+    assert emb.solver == "eigh"
 
 
 def test_route_follows_the_graph_model():
     g = knn_graph(pairwise_distances(blob_points(5, 200)), 10)
     as_prob = SimilarityGraph(w=g.w, model="prob_threshold", params=g.params)
-    assert smallest_k_eigenvectors(normalized_laplacian(g), 2).solver == "eigsh"
-    assert smallest_k_eigenvectors(normalized_laplacian(as_prob), 2).solver == "eigh"
+    assert smallest_k_eigenvectors(g, 2).solver == "eigsh"
+    assert smallest_k_eigenvectors(as_prob, 2).solver == "eigh"
     # ARPACK needs k < n - 1
     small = knn_graph(pairwise_distances(blob_points(6, 6)), 3)
-    assert smallest_k_eigenvectors(normalized_laplacian(small), 4).solver == "eigsh"
-    assert smallest_k_eigenvectors(normalized_laplacian(small), 5).solver == "eigh"
+    assert smallest_k_eigenvectors(small, 4).solver == "eigsh"
+    assert smallest_k_eigenvectors(small, 5).solver == "eigh"
 
 
 @pytest.mark.parametrize("model", ["prob_threshold", "prob_criterion"])
@@ -282,19 +302,18 @@ def test_prob_graphs_take_dense_route(model):
     n = d.n
     params = GraphParams(w_thresh=2.0 / (n - 1), sigma=1.0 / (n - 1), eps_weight=1e-3)
     g = build_graph(d, GraphSpec(model, params), seed=0)
-    assert smallest_k_eigenvectors(normalized_laplacian(g), 2).solver == "eigh"
+    assert smallest_k_eigenvectors(g, 2).solver == "eigh"
 
 
 def test_arpack_no_convergence_falls_back_to_dense(monkeypatch):
     g = knn_graph(pairwise_distances(blob_points(8, 300)), 10)
-    lap = normalized_laplacian(g)
-    want = smallest_k_eigenvectors(dense_route(lap), 2)
+    want = smallest_k_eigenvectors(dense_route(g), 2)
 
     def no_convergence(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((300, 0)))
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    got = smallest_k_eigenvectors(lap, 2)
+    got = smallest_k_eigenvectors(g, 2)
     assert got.solver == "eigh"
     assert np.array_equal(got.vectors, want.vectors)
 
@@ -302,16 +321,16 @@ def test_arpack_no_convergence_falls_back_to_dense(monkeypatch):
 # ---------------------------------------------------------------------------
 # eigen residual check
 
-def prob_laplacian(seed=7, n=60):
+def prob_graph(seed=7, n=60):
     d = pairwise_distances(blob_points(seed, n))
     params = GraphParams(w_thresh=2.0 / (d.n - 1), sigma=1.0 / (d.n - 1), eps_weight=1e-3)
-    return normalized_laplacian(build_graph(d, GraphSpec("prob_threshold", params), seed=0))
+    return build_graph(d, GraphSpec("prob_threshold", params), seed=0)
 
 
-def knn_laplacian(seed=5, n=200):
+def connected_knn_graph(seed=5, n=200):
     g = knn_graph(pairwise_distances(blob_points(seed, n)), 10)
     assert connected_components(g)[0] == 1
-    return normalized_laplacian(g)
+    return g
 
 
 def perturb_second_column(vals, vecs):
@@ -324,38 +343,76 @@ def test_residual_check_rejects_a_perturbed_dense_eigenvector(monkeypatch):
     real_eigh = scipy.linalg.eigh
     monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **kw: perturb_second_column(*real_eigh(*a, **kw)))
     with pytest.raises(NumericalError, match=r"eigenpair residual .* exceeds tolerance for columns \[1\]"):
-        smallest_k_eigenvectors(prob_laplacian(), 3)
+        smallest_k_eigenvectors(prob_graph(), 3)
 
 
 def test_residual_check_rejects_a_perturbed_arpack_eigenvector(monkeypatch):
-    lap = knn_laplacian()
-    assert smallest_k_eigenvectors(lap, 3).solver == "eigsh"
+    g = connected_knn_graph()
+    assert smallest_k_eigenvectors(g, 3).solver == "eigsh"
     real_arpack = spectral._arpack_eigenpairs
     monkeypatch.setattr(spectral, "_arpack_eigenpairs", lambda *a: perturb_second_column(*real_arpack(*a)))
     with pytest.raises(NumericalError, match=r"eigenpair residual .* exceeds tolerance for columns \[1\]"):
-        smallest_k_eigenvectors(lap, 3)
+        smallest_k_eigenvectors(g, 3)
 
 
-@pytest.mark.parametrize("make_lap, solver", [(prob_laplacian, "eigh"), (knn_laplacian, "eigsh")])
-def test_residual_matches_the_numpy_product(make_lap, solver):
-    lap = make_lap()
-    emb = smallest_k_eigenvectors(lap, 3)
+def numpy_residual(w, u, vals):
+    """L_rw u - u diag(vals) with L_rw formed densely and a numpy product."""
+    return rw_laplacian_reference(w) @ u - u * vals[None, :]
+
+
+# ids name the Laplacian whose residual is checked
+@pytest.mark.parametrize(
+    "make_graph, solver",
+    [(prob_graph, "eigh"), (connected_knn_graph, "eigsh")],
+    ids=["prob_laplacian-eigh", "knn_laplacian-eigsh"],
+)
+def test_residual_matches_the_numpy_product(make_graph, solver):
+    g = make_graph()
+    emb = smallest_k_eigenvectors(g, 3)
     assert emb.solver == solver
     u, vals = emb.vectors, emb.eigenvalues
-    product = lap.matrix @ u
-    diff = spectral._residual(lap, u, vals) - (product - u * vals[None, :])
-    assert np.all(np.linalg.norm(diff, axis=0) <= 1e-12 * np.linalg.norm(product, axis=0))
+    deg = g.w.sum(axis=1)
+    diff = spectral._residual(g.w, deg, np.where(deg == 0.0, 1.0, deg), u, vals) - numpy_residual(g.w, u, vals)
+    # the two differ in rounding only, far below the check's 1e-8 * |u|; a
+    # zero-eigenvalue column's L_rw u is itself rounding, so |u| is the scale
+    assert np.all(np.linalg.norm(diff, axis=0) <= 1e-12 * np.linalg.norm(u, axis=0))
 
 
-@pytest.mark.parametrize("make_lap", [prob_laplacian, knn_laplacian])
-def test_embedding_bitwise_equal_under_the_numpy_residual(make_lap, monkeypatch):
-    lap = make_lap()
-    got = smallest_k_eigenvectors(lap, 3)
-    monkeypatch.setattr(spectral, "_residual", lambda lap, u, vals: lap.matrix @ u - u * vals[None, :])
-    want = smallest_k_eigenvectors(lap, 3)
+@pytest.mark.parametrize("make_graph", [prob_graph, connected_knn_graph], ids=["prob_laplacian", "knn_laplacian"])
+def test_embedding_bitwise_equal_under_the_numpy_residual(make_graph, monkeypatch):
+    g = make_graph()
+    got = smallest_k_eigenvectors(g, 3)
+    monkeypatch.setattr(spectral, "_residual", lambda w, deg, deg_safe, u, vals: numpy_residual(w, u, vals))
+    want = smallest_k_eigenvectors(g, 3)
     assert got.solver == want.solver
     assert got.vectors.tobytes() == want.vectors.tobytes()
     assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# memory of the spectral step
+
+@pytest.mark.parametrize(
+    "make_graph, n, budget",
+    [
+        # ARPACK on the CSR N: nothing n x n beside W
+        (lambda n: connected_knn_graph(seed=0, n=n), 2000, 0.25),
+        # dense eigh: L_sym and its symmetrized copy
+        (lambda n: prob_graph(seed=0, n=n), 1000, 2.5),
+    ],
+    ids=["knn_symmetric", "prob_threshold"],
+)
+def test_spectral_step_memory_budget(make_graph, n, budget):
+    g = make_graph(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        smallest_k_eigenvectors(g, 2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < budget * 8 * n * n, f"peak {peak} B = {peak / (8 * n * n):.2f} dense n x n arrays"
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +476,22 @@ def test_kmeans_objective_trace_non_increasing(seed):
         assert np.all(np.diff(trace) <= 1e-12)
         assert run.objective == trace[-1]
     assert res.objective == min(r.objective for r in res.runs)
+
+
+def test_kmeans_objective_increase_raises(monkeypatch):
+    # not an assert: the check must hold under python -O as well
+    real_assign = spectral._assign
+    calls = []
+
+    def inflating(points, centers):
+        labels, d2 = real_assign(points, centers)
+        calls.append(None)
+        return labels, d2 if len(calls) == 1 else d2 * 4.0 + 1.0
+
+    monkeypatch.setattr(spectral, "_assign", inflating)
+    pts, _ = two_blobs(n_per=6, gap=3.0, seed=2)
+    with pytest.raises(NumericalError, match="k-means objective increased"):
+        kmeans_detailed(pts, 2, seed=0)
 
 
 def test_grouping_validation():
