@@ -52,16 +52,15 @@ from .weakanno import (
     synth_bags,
 )
 from .classify import (
+    CLASSIFIERS,
     AggregationRule,
     CVResult,
-    KnnConfig,
-    LogisticConfig,
-    QdaConfig,
     fully_supervised_baseline,
     instance_labels,
     leave_one_bag_out_cv,
     predict,
     predict_proba,
+    train,
     train_knn,
     train_logistic,
     train_qda,

@@ -1,16 +1,18 @@
 """Instance classifiers and bag-level cross-validation.
 
 Three classifiers share one practice: deterministic fits, sorted class order,
-ties resolved toward the smallest class index. Evaluation is leave-one-bag-out:
-train on every instance outside the held-out bag, predict its members, reduce
-instance votes to one bag label.
+ties resolved toward the smallest class index. `train` is the one place that
+maps a classifier name to its fit. Evaluation is leave-one-bag-out: train on
+every instance outside the held-out bag, predict its members, reduce instance
+votes to one bag label.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,26 +20,16 @@ from .dataset import Dataset
 from .errors import NumericalError, ParameterError, TrainingError
 from .weakanno import AnnotatedTrainingSet
 
-KNN_GRID_DEFAULT = tuple(range(1, 26, 2))
-
-
-@dataclass(frozen=True)
-class LogisticConfig:
-    l2: float = 1e-4
-    tol: float = 1e-6
-    max_iter: int = 500
-
-
-@dataclass(frozen=True)
-class QdaConfig:
-    ridge: float = 1e-6
-    heavy_ridge: float = 1e-3
-
-
-@dataclass(frozen=True)
-class KnnConfig:
-    k: int | None = None
-    grid: tuple[int, ...] = KNN_GRID_DEFAULT
+CLASSIFIERS = ("logistic", "qda", "knn")
+L2 = 1e-4  # logistic ridge on the coefficients
+TOL = 1e-6  # logistic stop: gradient norm divided by n
+MAX_ITER = 500  # logistic Newton steps
+RIDGE = 1e-6  # QDA covariance ridge, relative to trace/p
+HEAVY_RIDGE = 1e-3  # the same for classes with at most p members
+KNN_GRID = tuple(range(1, 26, 2))  # neighbour counts the LOBO sweep tries
+# knn predict handles queries in blocks whose query-minus-training differences
+# take about this many bytes, so memory does not grow with the query count.
+_KNN_BLOCK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -114,13 +106,13 @@ def _onehot(y, classes):
     return onehot
 
 
-def train_logistic(x: np.ndarray, y: np.ndarray, config: LogisticConfig = LogisticConfig()) -> LogisticModel:
+def train_logistic(x: np.ndarray, y: np.ndarray) -> LogisticModel:
     """Multinomial logistic regression by damped Newton iterations.
 
     The last class in sorted order is the reference. The ridge penalty covers
     coefficients but not intercepts, which keeps separable problems bounded
     without biasing class priors. Stops when the gradient norm divided by n
-    drops to config.tol, or after config.max_iter steps.
+    drops to TOL, or after MAX_ITER steps.
     """
     x, y, classes = _check_training_inputs(x, y)
     n, p = x.shape
@@ -134,13 +126,13 @@ def train_logistic(x: np.ndarray, y: np.ndarray, config: LogisticConfig = Logist
     mask = np.ones(dim)
     mask[p] = 0.0  # intercept escapes the penalty
     probs = _softmax_full(x1, theta)
-    obj = _logistic_objective(probs, onehot, theta[:, :p], config.l2)
+    obj = _logistic_objective(probs, onehot, theta[:, :p], L2)
     converged = False
     it = 0
-    for it in range(1, config.max_iter + 1):
-        grad = _logistic_gradient(theta, x1, probs, onehot, config.l2, mask)
+    for it in range(1, MAX_ITER + 1):
+        grad = _logistic_gradient(theta, x1, probs, onehot, L2, mask)
         gnorm = float(np.linalg.norm(grad.ravel()))
-        if gnorm / n <= config.tol:
+        if gnorm / n <= TOL:
             converged = True
             break
         hess = np.empty(((c - 1) * dim, (c - 1) * dim))
@@ -149,7 +141,7 @@ def train_logistic(x: np.ndarray, y: np.ndarray, config: LogisticConfig = Logist
                 wvec = probs[:, a] * ((1.0 if a == b else 0.0) - probs[:, b])
                 block = x1.T @ (x1 * wvec[:, None])
                 if a == b:
-                    block = block + config.l2 * np.diag(mask)
+                    block = block + L2 * np.diag(mask)
                 hess[a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] = block
         try:
             step = np.linalg.solve(hess + 1e-10 * np.eye(hess.shape[0]), grad.ravel())
@@ -159,7 +151,7 @@ def train_logistic(x: np.ndarray, y: np.ndarray, config: LogisticConfig = Logist
         for _ in range(30):
             trial = theta - scale * step.reshape(c - 1, dim)
             trial_probs = _softmax_full(x1, trial)
-            trial_obj = _logistic_objective(trial_probs, onehot, trial[:, :p], config.l2)
+            trial_obj = _logistic_objective(trial_probs, onehot, trial[:, :p], L2)
             if trial_obj <= obj + 1e-12 * max(1.0, abs(obj)):
                 break
             scale /= 2.0
@@ -196,13 +188,13 @@ def logistic_gradient(model: LogisticModel, x: np.ndarray, y: np.ndarray, l2: fl
     return _logistic_gradient(theta, x1, probs, onehot, l2, mask)
 
 
-def train_qda(x: np.ndarray, y: np.ndarray, config: QdaConfig = QdaConfig()) -> QdaModel:
+def train_qda(x: np.ndarray, y: np.ndarray) -> QdaModel:
     """Gaussian class-conditional model with per-class covariance.
 
     Means and covariances are maximum-likelihood (ddof=0). Covariances get a
-    scale-aware ridge of config.ridge * trace/p on the diagonal; classes with
-    at most p members cannot have full-rank covariance, so they get
-    config.heavy_ridge instead and are reported on the model.
+    scale-aware ridge of RIDGE * trace/p on the diagonal; classes with at
+    most p members cannot have full-rank covariance, so they get HEAVY_RIDGE
+    instead and are reported on the model.
     """
     x, y, classes = _check_training_inputs(x, y)
     n, p = x.shape
@@ -217,9 +209,9 @@ def train_qda(x: np.ndarray, y: np.ndarray, config: QdaConfig = QdaConfig()) -> 
         means[ci] = rows.mean(axis=0)
         centred = rows - means[ci]
         cov = (centred.T @ centred) / rows.shape[0]
-        ridge = config.ridge
+        ridge = RIDGE
         if rows.shape[0] <= p:
-            ridge = max(config.ridge, config.heavy_ridge)
+            ridge = HEAVY_RIDGE
             heavy.append(lab)
         scale = float(np.trace(cov)) / p
         if scale <= 0.0:
@@ -258,6 +250,23 @@ def train_knn(x: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
     return KnnModel(classes=classes, train_x=x, train_y=y, k=k)
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in CLASSIFIERS:
+        raise ParameterError(f"unknown classifier {kind!r}; choose from {', '.join(CLASSIFIERS)}")
+
+
+def train(kind: str, x: np.ndarray, y: np.ndarray, knn_k: int | None = None):
+    """Fit the classifier named `kind`, one of CLASSIFIERS; knn needs knn_k."""
+    _check_kind(kind)
+    if kind == "logistic":
+        return train_logistic(x, y)
+    if kind == "qda":
+        return train_qda(x, y)
+    if knn_k is None:
+        raise ParameterError("knn needs a neighbour count: --knn-k is required")
+    return train_knn(x, y, knn_k)
+
+
 def _model_dim(model) -> int:
     if isinstance(model, LogisticModel):
         return model.coef.shape[1]
@@ -279,28 +288,31 @@ def _check_predict_input(model, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _knn_vote(model: KnnModel, x: np.ndarray) -> np.ndarray:
+    """Class index voted for by each row's k nearest training rows, ranked by
+    distance then row index; vote ties go to the smallest class index."""
+    classes = np.asarray(model.classes, dtype=object)
+    step = max(1, _KNN_BLOCK_BYTES // (8 * max(1, model.train_x.size)))
+    out = np.empty(x.shape[0], dtype=int)
+    for start in range(0, x.shape[0], step):
+        block = x[start : start + step]
+        dists = np.linalg.norm(model.train_x[None] - block[:, None], axis=2)
+        nearest = model.train_y[np.argsort(dists, axis=1, kind="stable")[:, : model.k]]
+        votes = (nearest[:, :, None] == classes).sum(axis=1)
+        out[start : start + step] = np.argmax(votes, axis=1)
+    return out
+
+
 def predict(model, x: np.ndarray) -> np.ndarray:
     """Predicted labels, ties toward the smallest class index."""
     x = _check_predict_input(model, x)
-    if isinstance(model, LogisticModel):
-        probs = predict_proba(model, x)
-        return np.asarray(model.classes, dtype=object)[np.argmax(probs, axis=1)]
-    if isinstance(model, QdaModel):
-        scores = qda_scores(model, x)
-        return np.asarray(model.classes, dtype=object)[np.argmax(scores, axis=1)]
     if isinstance(model, KnnModel):
-        out = np.empty(x.shape[0], dtype=object)
-        train_idx = np.arange(model.train_x.shape[0])
-        class_index = {lab: i for i, lab in enumerate(model.classes)}
-        for i in range(x.shape[0]):
-            dists = np.linalg.norm(model.train_x - x[i], axis=1)
-            order = np.lexsort((train_idx, dists))[: model.k]
-            votes = np.zeros(len(model.classes), dtype=int)
-            for j in order:
-                votes[class_index[model.train_y[j]]] += 1
-            out[i] = model.classes[int(np.argmax(votes))]
-        return out
-    raise ParameterError(f"unknown model type {type(model).__name__}")
+        chosen = _knn_vote(model, x)
+    elif isinstance(model, LogisticModel):
+        chosen = np.argmax(predict_proba(model, x), axis=1)
+    else:
+        chosen = np.argmax(qda_scores(model, x), axis=1)
+    return np.asarray(model.classes, dtype=object)[chosen]
 
 
 def predict_proba(model, x: np.ndarray) -> np.ndarray:
@@ -363,9 +375,7 @@ class AggregationRule:
         labels = list(labels)
         if not labels:
             raise ParameterError("cannot aggregate an empty bag")
-        counts: dict[str, int] = {}
-        for lab in labels:
-            counts[lab] = counts.get(lab, 0) + 1
+        counts = Counter(labels)
         if self.mode == "majority":
             top = max(counts.values())
             tied = sorted(lab for lab, cnt in counts.items() if cnt == top)
@@ -425,83 +435,60 @@ def _fold_standardizer(train_x: np.ndarray):
     return apply
 
 
-def _train_for_kind(kind: str, x, y, logistic: LogisticConfig, qda: QdaConfig, knn_k: int | None):
-    if kind == "logistic":
-        return train_logistic(x, y, logistic)
-    if kind == "qda":
-        return train_qda(x, y, qda)
-    if kind == "knn":
-        if knn_k is None:
-            raise ParameterError("knn needs a neighbour count")
-        return train_knn(x, y, min(knn_k, x.shape[0]))
-    raise ParameterError(f"unknown classifier kind {kind!r}")
-
-
 def leave_one_bag_out_cv(
     ts: AnnotatedTrainingSet,
     ds: Dataset,
     kind: str,
     aggregation: AggregationRule = AggregationRule(),
-    logistic: LogisticConfig = LogisticConfig(),
-    qda: QdaConfig = QdaConfig(),
-    knn: KnnConfig = KnnConfig(),
+    knn_k: int | None = None,
 ) -> CVResult:
     """Bag-level cross-validation: one fold per bag, ordered by bag id.
 
     Features are z-scored per fold from the training side only. Bags are
     scored by comparing the aggregated instance prediction to the bag label.
-    For knn with no fixed neighbour count, the count is chosen once by an
-    inner leave-one-bag-out sweep over knn.grid using the same ingredients.
+    A fold is flagged when its training side lacks a class of the dataset's
+    training labels. For knn with no knn_k, the count is chosen once, as the
+    first best of an inner leave-one-bag-out sweep over KNN_GRID using the
+    same ingredients; a count above a fold's training size is cut to it.
     """
+    _check_kind(kind)
     if len(ds.bag_ids) < 2:
         raise ParameterError("leave-one-bag-out needs at least 2 bags")
     y = instance_labels(ts, ds)
     chosen_k = None
-    if kind == "knn" and knn.k is None:
-        best = None
-        for cand in knn.grid:
-            inner = leave_one_bag_out_cv(
-                ts, ds, "knn", aggregation, logistic, qda, replace(knn, k=cand)
-            )
-            score = inner.accuracy
-            if best is None or score > best[0]:
-                best = (score, cand)
-        chosen_k = best[1]
-        knn = replace(knn, k=chosen_k)
+    if kind == "knn" and knn_k is None:
+        chosen_k = knn_k = max(
+            KNN_GRID, key=lambda cand: leave_one_bag_out_cv(ts, ds, "knn", aggregation, cand).accuracy
+        )
     results: list[BagResult] = []
     flagged: list[str] = []
-    all_classes = sorted(set(ts.labels))
+    all_classes = sorted(set(y.tolist()))
     for bag_id in ds.bag_ids:
         test = ds.bag == bag_id
         train_x = ds.x[~test]
         train_y = y[~test]
-        fold_classes = sorted(set(train_y))
+        fold_classes = sorted(set(train_y.tolist()))
         if fold_classes != all_classes:
             flagged.append(bag_id)
-        scale = _fold_standardizer(train_x)
         if len(fold_classes) == 1:
             # Degenerate fold: only one class left to predict from.
             preds = np.asarray([fold_classes[0]] * int(test.sum()), dtype=object)
         else:
-            model = _train_for_kind(kind, scale(train_x), train_y, logistic, qda, knn.k)
-            preds = predict(model, scale(ds.x[test]))
-        votes: dict[str, int] = {}
-        for lab in preds.tolist():
-            votes[lab] = votes.get(lab, 0) + 1
+            scale = _fold_standardizer(train_x)
+            fold_k = None if knn_k is None else min(knn_k, train_x.shape[0])
+            preds = predict(train(kind, scale(train_x), train_y, fold_k), scale(ds.x[test]))
         bag_pred = aggregation.aggregate(preds, ds.strong_label)
         true_label = ds.label[np.argmax(test)]
         results.append(
-            BagResult(bag_id=bag_id, true_label=true_label, predicted_label=bag_pred, instance_votes=votes)
+            BagResult(
+                bag_id=bag_id, true_label=true_label, predicted_label=bag_pred,
+                instance_votes=Counter(preds.tolist()),
+            )
         )
-    confusion: dict[tuple[str, str], int] = {}
-    hits = 0
-    for r in results:
-        confusion[(r.true_label, r.predicted_label)] = confusion.get((r.true_label, r.predicted_label), 0) + 1
-        hits += r.true_label == r.predicted_label
     return CVResult(
         per_bag=tuple(results),
-        accuracy=hits / len(results),
-        confusion=confusion,
+        accuracy=sum(r.true_label == r.predicted_label for r in results) / len(results),
+        confusion=Counter((r.true_label, r.predicted_label) for r in results),
         flagged_folds=tuple(flagged),
         chosen_knn_k=chosen_k,
     )

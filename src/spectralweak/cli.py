@@ -16,21 +16,19 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import bench
 from .classify import (
+    CLASSIFIERS,
     AggregationRule,
-    KnnConfig,
     fully_supervised_baseline,
     instance_labels,
     leave_one_bag_out_cv,
-    train_knn,
-    train_logistic,
-    train_qda,
+    train,
 )
 from .dataset import CsvSchema, Dataset, load_csv, pairwise_distances, standardize
 from .errors import ParameterError, SchemaError, SpectralWeakError
@@ -46,7 +44,6 @@ from .simgraph import (
 from .spectral import spectral_grouping
 from .weakanno import build_training_set, read_training_csv, write_training_csv
 
-CLASSIFIERS = ("logistic", "qda", "knn")
 BUILTIN_DATASETS = {"builtin:dataset_a": bench.load_dataset_a}
 
 # long flag name, GraphParams field, element type
@@ -132,7 +129,6 @@ class RunConfig:
 
     seed: int
     out: Path
-    scale: bool
 
 
 def _run_config(args, config) -> RunConfig:
@@ -141,7 +137,6 @@ def _run_config(args, config) -> RunConfig:
     return RunConfig(
         seed=_resolve_as(args, config, "seed", int, 0),
         out=out,
-        scale=not bool(_resolve(args, config, "no-standardize", False)),
     )
 
 
@@ -212,8 +207,9 @@ def _graph_setup(args, config) -> tuple[str, GraphParams, tuple[tuple[str, tuple
     return model, params, tuple(axes)
 
 
-def _working_view(ds: Dataset, run: RunConfig) -> Dataset:
-    return standardize(ds) if run.scale else ds
+def _working_view(args, config, ds: Dataset) -> Dataset:
+    """The dataset z-scored, unless --no-standardize is set."""
+    return ds if _resolve(args, config, "no-standardize", False) else standardize(ds)
 
 
 def _param_columns(params: GraphParams) -> dict:
@@ -231,7 +227,7 @@ def cmd_graph(args, config) -> int:
         raise ParameterError(
             "graph builds a single graph; comma-separated parameter lists are for 'group'"
         )
-    work = _working_view(ds, run)
+    work = _working_view(args, config, ds)
     dist = pairwise_distances(work)
     graph = build_graph(dist, GraphSpec(model=model, params=params), seed=run.seed)
     count, labels = connected_components(graph)
@@ -259,7 +255,7 @@ def cmd_group(args, config) -> int:
     objective = _resolve(args, config, "objective", "f1" if use_truth else "db")
     if objective == "f1" and not use_truth:
         raise ParameterError("objective f1 scores against bag labels; drop --no-truth")
-    work = _working_view(ds, run)
+    work = _working_view(args, config, ds)
     if axes:
         grid = GridSpec(model=model, axes=axes, base=params)
         result = grid_search(
@@ -340,37 +336,12 @@ def cmd_train(args, config) -> int:
     run = _run_config(args, config)
     ds = _load_dataset(args, config, require_strong=True)
     classifier = _resolve(args, config, "classifier", "logistic")
-    if classifier not in CLASSIFIERS:
-        raise ParameterError(f"--classifier must be one of {CLASSIFIERS}, got {classifier!r}")
     ts = _training_set(args, config, ds)
     y = instance_labels(ts, ds)
-    x = _working_view(ds, run).x
-    payload: dict = {"kind": classifier, "n_train": int(x.shape[0])}
-    if classifier == "logistic":
-        model = train_logistic(x, y)
-        payload.update(
-            classes=list(model.classes),
-            coef=model.coef,
-            intercept=model.intercept,
-            converged=model.converged,
-            n_iter=model.n_iter,
-        )
-    elif classifier == "qda":
-        model = train_qda(x, y)
-        payload.update(
-            classes=list(model.classes),
-            priors=model.priors,
-            means=model.means,
-            covariances=model.covariances,
-            heavy_ridge_classes=list(model.heavy_ridge_classes),
-        )
-    else:
-        knn_k = _resolve_as(args, config, "knn-k", int)
-        if knn_k is None:
-            raise ParameterError("--knn-k is required when training a knn model")
-        model = train_knn(x, y, knn_k)
-        payload.update(classes=list(model.classes), k=model.k)
-    payload["training_labels"] = ts.summary()["per_provenance"]
+    x = _working_view(args, config, ds).x
+    model = train(classifier, x, y, _resolve_as(args, config, "knn-k", int))
+    payload = {f.name: getattr(model, f.name) for f in fields(model) if f.name not in ("train_x", "train_y")}
+    payload.update(kind=classifier, n_train=int(x.shape[0]), training_labels=ts.summary()["per_provenance"])
     _write_json(payload, run.out / "model.json")
     print(f"trained {classifier} on {x.shape[0]} instances, {len(set(y))} classes")
     return 0
@@ -380,15 +351,12 @@ def cmd_evaluate(args, config) -> int:
     run = _run_config(args, config)
     ds = _load_dataset(args, config, require_strong=True)
     classifier = _resolve(args, config, "classifier", "logistic")
-    if classifier not in CLASSIFIERS:
-        raise ParameterError(f"--classifier must be one of {CLASSIFIERS}, got {classifier!r}")
     ts = _training_set(args, config, ds)
     aggregation = AggregationRule(
         mode=_resolve(args, config, "aggregation", "majority"),
         tau=_resolve_as(args, config, "tau", float, 0.5),
     )
-    knn_k = _resolve_as(args, config, "knn-k", int)
-    cv = leave_one_bag_out_cv(ts, ds, classifier, aggregation, knn=KnnConfig(k=knn_k))
+    cv = leave_one_bag_out_cv(ts, ds, classifier, aggregation, _resolve_as(args, config, "knn-k", int))
     _write_json(cv.to_json_dict(), run.out / "cv.json")
     _write_csv(
         [
@@ -432,11 +400,14 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strong-label", help="the fully trusted bag label")
     p.add_argument("--features", help="comma-separated feature columns (default: all others)")
     p.add_argument("--delimiter", help="CSV delimiter (default: ,)")
+
+
+def _add_standardize_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--no-standardize",
         action="store_true",
         default=None,
-        help="skip z-scoring features before building graphs",
+        help="use the features as they are, without z-scoring",
     )
 
 
@@ -466,11 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", parents=[common], help="build one similarity graph")
     _add_dataset_flags(p)
+    _add_standardize_flag(p)
     _add_graph_flags(p, lists=False)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("group", parents=[common], help="spectral grouping, optionally grid-searched")
     _add_dataset_flags(p)
+    _add_standardize_flag(p)
     _add_graph_flags(p, lists=True)
     p.add_argument("--groups", help="number of groups (default 2)")
     p.add_argument("--objective", help="grid objective: f1 or db")
@@ -490,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common], help="fit a classifier on annotated labels")
     _add_dataset_flags(p)
+    _add_standardize_flag(p)
     p.add_argument("--training", help="annotated CSV from 'annotate' (default: bag-label baseline)")
     p.add_argument("--classifier", help=f"one of {', '.join(CLASSIFIERS)} (default logistic)")
     p.add_argument("--knn-k", help="neighbour count for knn")

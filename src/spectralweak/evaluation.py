@@ -99,10 +99,8 @@ def pair_confusion(candidate: np.ndarray, truth: np.ndarray) -> tuple[int, int, 
     return tp, fp, fn, tn
 
 
-def f1_score(candidate: np.ndarray | Grouping, truth: np.ndarray, beta: float = 1.0) -> IndexValue:
-    """Pair-counting F-score of a candidate grouping against ground truth."""
-    if beta <= 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
+def f1_score(candidate: np.ndarray | Grouping, truth: np.ndarray) -> IndexValue:
+    """Pair-counting F1 score of a candidate grouping against ground truth."""
     cand = candidate.assignments if isinstance(candidate, Grouping) else np.asarray(candidate)
     tp, fp, fn, tn = pair_confusion(cand, truth)
     if tp + fp == 0 or tp + fn == 0:
@@ -112,12 +110,11 @@ def f1_score(candidate: np.ndarray | Grouping, truth: np.ndarray, beta: float = 
     if precision == 0.0 and recall == 0.0:
         value = 0.0
     else:
-        b2 = beta * beta
-        value = (1 + b2) * precision * recall / (b2 * precision + recall)
+        value = 2.0 * precision * recall / (precision + recall)
     return IndexValue(
         name="f1",
         value=float(value),
-        details={"tp": tp, "fp": fp, "fn": fn, "tn": tn, "precision": precision, "recall": recall, "beta": beta},
+        details={"tp": tp, "fp": fp, "fn": fn, "tn": tn, "precision": precision, "recall": recall},
     )
 
 
@@ -191,17 +188,16 @@ def grid_search(
     k: int,
     objective: str,
     seed: int,
-    truth: np.ndarray | None = None,
     pre_standardized: bool = False,
     restarts: int = 10,
 ) -> GridSearchResult:
     """Evaluate every grid candidate on the full dataset and keep the best.
 
-    objective "f1" (higher wins) scores against `truth`, defaulting to each
-    instance's bag label; objective "db" (lower wins) needs no truth and uses
-    davies_bouldin. Candidates that raise are recorded with their error and
-    skipped; if all fail a SearchError carries the diagnostics. Exact
-    objective ties keep the earliest candidate in grid order.
+    objective "f1" (higher wins) scores against each instance's bag label;
+    objective "db" (lower wins) needs no truth and uses davies_bouldin.
+    Candidates that raise are recorded with their error and skipped; if all
+    fail a SearchError carries the diagnostics. Exact objective ties keep the
+    earliest candidate in grid order.
 
     Candidates are evaluated in grid order and share the work that does not
     depend on them: one distance matrix for the grid and, for the
@@ -215,13 +211,6 @@ def grid_search(
         raise ParameterError(f"objective must be 'f1' or 'db', got {objective!r}")
     work = ds if pre_standardized else standardize(ds)
     dist = pairwise_distances(work)
-    if objective == "f1":
-        if truth is None:
-            truth = work.label
-        else:
-            truth = np.asarray(truth)
-            if truth.shape[0] != work.n:
-                raise ParameterError("truth length does not match dataset size")
     sims_by_m: dict[float, InitialSimilarities] = {}
 
     def evaluate(spec: GraphSpec) -> GridRow:
@@ -234,7 +223,7 @@ def grid_search(
             graph = build_graph(dist, spec, seed=seed, sims=sims)
             grouping = spectral_grouping(graph, k=k, seed=seed, restarts=restarts)
             if objective == "f1":
-                value = f1_score(grouping, truth).value
+                value = f1_score(grouping, work.label).value
             else:
                 value = davies_bouldin(work.x, grouping).value
         except Exception as exc:  # recorded per candidate, re-raised only if all fail

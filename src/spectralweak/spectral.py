@@ -37,6 +37,8 @@ import scipy.sparse
 from .errors import NumericalError, ParameterError
 from .simgraph import KNN_MODELS, SimilarityGraph
 
+LLOYD_MAX_ITER = 300  # Lloyd steps per k-means start
+
 
 @dataclass(frozen=True)
 class SpectralEmbedding:
@@ -257,11 +259,11 @@ def _check_non_increasing(prev: float, obj: float) -> None:
         raise NumericalError(f"k-means objective increased: {prev!r} -> {obj!r}")
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int) -> KMeansRun:
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> KMeansRun:
     k = centers.shape[0]
     trace: list[float] = []
     labels, d2 = _assign(points, centers)
-    for it in range(max_iter):
+    for it in range(LLOYD_MAX_ITER):
         obj = float(d2[np.arange(points.shape[0]), labels].sum())
         if trace:
             _check_non_increasing(trace[-1], obj)
@@ -301,14 +303,14 @@ def kmeans_detailed(
     k: int,
     seed: int,
     restarts: int = 10,
-    max_iter: int = 300,
 ) -> KMeansResult:
     """Seeded k-means with k-means++ starts and Lloyd refinement.
 
     Runs `restarts` independent starts from child seeds of `seed` and keeps
-    the run with the smallest objective (first such run on exact ties). The
-    per-iteration objective is checked non-increasing on every run; an
-    increase raises NumericalError.
+    the run with the smallest objective (first such run on exact ties). Each
+    start runs at most LLOYD_MAX_ITER Lloyd steps. The per-iteration
+    objective is checked non-increasing on every run; an increase raises
+    NumericalError.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -325,14 +327,14 @@ def kmeans_detailed(
     for child in child_seeds:
         rng = np.random.default_rng(child)
         centers = _plus_plus_init(points, k, rng)
-        runs.append(_lloyd(points, centers, max_iter))
+        runs.append(_lloyd(points, centers))
     best = min(range(restarts), key=lambda r: (runs[r].objective, r))
     grouping = Grouping(assignments=runs[best].assignments, k=k)
     return KMeansResult(grouping=grouping, objective=runs[best].objective, runs=tuple(runs), best_run=best)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10, max_iter: int = 300) -> Grouping:
-    return kmeans_detailed(points, k, seed, restarts=restarts, max_iter=max_iter).grouping
+def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> Grouping:
+    return kmeans_detailed(points, k, seed, restarts=restarts).grouping
 
 
 def spectral_grouping(

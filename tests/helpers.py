@@ -131,3 +131,25 @@ def sym_laplacian_reference(w):
     sym = sym + sym.T
     sym /= 2.0
     return sym
+
+
+def knn_predict_reference(model, x):
+    """One query row at a time: rank the training rows by (distance, index)
+    with a lexsort, count the k nearest rows' votes per class, take the first
+    most-voted class.
+
+    The original kNN predict loop, kept as the oracle for its distances, its
+    ranking and its vote tie rule.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[0], dtype=object)
+    train_idx = np.arange(model.train_x.shape[0])
+    class_index = {lab: i for i, lab in enumerate(model.classes)}
+    for i in range(x.shape[0]):
+        dists = np.linalg.norm(model.train_x - x[i], axis=1)
+        order = np.lexsort((train_idx, dists))[: model.k]
+        votes = np.zeros(len(model.classes), dtype=int)
+        for j in order:
+            votes[class_index[model.train_y[j]]] += 1
+        out[i] = model.classes[int(np.argmax(votes))]
+    return out

@@ -1,26 +1,34 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from spectralweak.classify import (
+    HEAVY_RIDGE,
+    KNN_GRID,
+    L2,
+    RIDGE,
+    TOL,
     AggregationRule,
-    KnnConfig,
-    LogisticConfig,
+    KnnModel,
     LogisticModel,
-    QdaConfig,
     fully_supervised_baseline,
     leave_one_bag_out_cv,
     logistic_gradient,
     logistic_objective_value,
     predict,
     predict_proba,
+    train,
     train_knn,
     train_logistic,
     train_qda,
 )
 from spectralweak.errors import ParameterError, TrainingError
+from spectralweak.weakanno import AnnotatedTrainingSet
 
-from helpers import build_dataset, two_blobs
+from helpers import build_dataset, knn_predict_reference, two_blobs
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +55,9 @@ def test_logistic_gradient_small_at_fit():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 3))
     y = np.asarray(["a", "b", "c"] * 13 + ["a"])
-    config = LogisticConfig()
-    model = train_logistic(x, y, config)
-    grad = logistic_gradient(model, x, y, config.l2)
-    assert np.linalg.norm(grad.ravel()) / x.shape[0] <= config.tol
+    model = train_logistic(x, y)
+    grad = logistic_gradient(model, x, y, L2)
+    assert np.linalg.norm(grad.ravel()) / x.shape[0] <= TOL
 
 
 def test_logistic_gradient_matches_finite_differences():
@@ -109,15 +116,14 @@ def test_qda_moments_match_hand_formula():
     x = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0],
                   [10.0, 10.0], [12.0, 10.0], [10.0, 12.0]])
     y = np.asarray(["a"] * 4 + ["b"] * 3)
-    config = QdaConfig(ridge=1e-6)
-    model = train_qda(x, y, config)
+    model = train_qda(x, y)
     assert model.classes == ("a", "b")
     assert np.allclose(model.means[0], [1.0, 1.0])
     rows = x[:4]
     centred = rows - rows.mean(axis=0)
     cov = centred.T @ centred / 4
     scale = np.trace(cov) / 2
-    assert np.allclose(model.covariances[0], cov + 1e-6 * scale * np.eye(2), atol=1e-15)
+    assert np.allclose(model.covariances[0], cov + RIDGE * scale * np.eye(2), atol=1e-15)
     assert np.allclose(model.priors, [4 / 7, 3 / 7])
 
 
@@ -172,15 +178,14 @@ def test_qda_single_sample_class_rejected():
 def test_qda_small_class_gets_heavy_ridge():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0], [6.0, 5.0], [5.0, 6.0]])
     y = np.asarray(["tiny", "tiny", "big", "big", "big"])
-    config = QdaConfig(ridge=1e-6, heavy_ridge=1e-3)
-    model = train_qda(x, y, config)
+    model = train_qda(x, y)
     assert model.heavy_ridge_classes == ("tiny",)
     rows = x[:2]
     centred = rows - rows.mean(axis=0)
     cov = centred.T @ centred / 2
     scale = np.trace(cov) / 2
     tiny = model.classes.index("tiny")
-    assert np.allclose(model.covariances[tiny], cov + 1e-3 * scale * np.eye(2), atol=1e-15)
+    assert np.allclose(model.covariances[tiny], cov + HEAVY_RIDGE * scale * np.eye(2), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +216,55 @@ def test_knn_k_bounds():
         train_knn(x, y, 0)
     with pytest.raises(ParameterError):
         train_knn(x, y, 3)
+
+
+@st.composite
+def knn_predict_cases(draw):
+    """Training and query rows on a small integer grid, so distance ties and
+    vote ties are common, with p from 1 to 19 and k from 1 to n."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    n = draw(st.integers(1, 30))
+    p = draw(st.integers(1, 19))
+    n_classes = draw(st.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    train_x = rng.integers(0, 3, size=(n, p)).astype(float)
+    codes = rng.integers(0, n_classes, size=n)
+    # object labels as LOBO folds pass them, numpy strings, or plain integers
+    labels = draw(st.sampled_from([
+        np.asarray(["c0", "c1", "c2", "c3"], dtype=object)[codes],
+        np.asarray(["c0", "c1", "c2", "c3"])[codes],
+        codes * 10,
+    ]))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    queries = rng.integers(0, 3, size=(draw(st.integers(0, 12)), p)).astype(float)
+    return train_x, labels, k, queries
+
+
+@given(knn_predict_cases())
+@settings(max_examples=200)
+def test_knn_predict_matches_per_row_reference(case):
+    train_x, labels, k, queries = case
+    # built directly: train_knn wants two classes, the vote does not
+    model = KnnModel(classes=tuple(sorted(set(labels.tolist()))), train_x=train_x, train_y=labels, k=k)
+    got = predict(model, queries)
+    assert got.dtype == object
+    assert got.tolist() == knn_predict_reference(model, queries).tolist()
+
+
+def test_knn_predict_memory_is_blocked():
+    rng = np.random.default_rng(0)
+    model = train_knn(rng.normal(size=(2000, 5)), rng.choice(["a", "b", "c"], size=2000), 7)
+    queries = rng.normal(size=(5000, 5))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        predict(model, queries)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # one unblocked query-by-training difference array alone is 400 MB
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_knn_has_no_probabilities():
@@ -304,15 +358,43 @@ def test_lobo_flags_single_class_folds():
     assert by_bag["b0"].predicted_label == "ok"
 
 
+def test_lobo_flags_only_classes_the_dataset_uses():
+    ds = blob_bags()
+    base = fully_supervised_baseline(ds)
+    # an entry for an id outside the dataset carries a class no fold can have
+    extra = AnnotatedTrainingSet(
+        ids=[*base.ids, "zzz"], labels=[*base.labels, "alien"], provenance=[*base.provenance, "weak"]
+    )
+    result = leave_one_bag_out_cv(extra, ds, "logistic")
+    assert result.flagged_folds == ()
+    assert result == leave_one_bag_out_cv(base, ds, "logistic")
+
+
+def test_lobo_rejects_unknown_classifier_before_any_fold():
+    # every fold of two differently labelled bags has one class, so no fold
+    # ever reaches a classifier
+    ds = build_dataset([("a0", "ok", [(0.0, 0.0)]), ("b0", "flu", [(5.0, 5.0)])], strong="ok")
+    with pytest.raises(ParameterError, match="unknown classifier 'svm'; choose from logistic, qda, knn"):
+        leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "svm")
+
+
+def test_train_dispatches_by_name():
+    x, labels = two_blobs(n_per=6, gap=4.0, seed=0)
+    y = np.where(labels == 0, "a", "b")
+    assert train("logistic", x, y).n_iter == train_logistic(x, y).n_iter
+    assert np.array_equal(train("qda", x, y).covariances, train_qda(x, y).covariances)
+    assert train("knn", x, y, knn_k=3).k == 3
+    with pytest.raises(ParameterError, match="--knn-k is required"):
+        train("knn", x, y)
+    with pytest.raises(ParameterError, match="unknown classifier"):
+        train("svm", x, y)
+
+
 def test_lobo_selects_knn_neighbour_count():
     ds = blob_bags(n_bags=4, per_bag=3)
-    result = leave_one_bag_out_cv(
-        fully_supervised_baseline(ds), ds, "knn", knn=KnnConfig(grid=(1, 3))
-    )
-    assert result.chosen_knn_k in (1, 3)
-    fixed = leave_one_bag_out_cv(
-        fully_supervised_baseline(ds), ds, "knn", knn=KnnConfig(k=1)
-    )
+    result = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "knn")
+    assert result.chosen_knn_k in KNN_GRID
+    fixed = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "knn", knn_k=1)
     assert fixed.chosen_knn_k is None
 
 

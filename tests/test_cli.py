@@ -335,6 +335,52 @@ def test_train_knn_requires_neighbour_count(tmp_path, capsys):
     assert "--knn-k is required" in err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_unknown_classifier_exits_2_naming_the_choices(tmp_path, capsys, command):
+    data = write_bagged_csv(tmp_path / "bags.csv")
+    code, _, err = run(
+        [command, "--data", str(data), "--strong-label", "ok", "--out", str(tmp_path),
+         "--classifier", "svm"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: unknown classifier 'svm'; choose from logistic, qda, knn")
+    assert not any(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["annotate", "--model", "knn_symmetric", "--k", "3"], ["evaluate"]],
+    ids=["annotate", "evaluate"],
+)
+def test_no_standardize_is_a_usage_error_where_nothing_reads_it(tmp_path, capsys, argv):
+    # annotate's graphs and every LOBO fold z-score whatever the flag says
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--data", "builtin:dataset_a", "--strong-label", "dense", "--out", str(tmp_path),
+                  "--no-standardize"])
+    assert exc.value.code == 2
+    assert "--no-standardize" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--model", "epsilon", "--epsilon", "1.0"],
+        ["group", "--model", "epsilon", "--epsilon", "1.0"],
+        ["train", "--strong-label", "dense"],
+    ],
+    ids=["graph", "group", "train"],
+)
+def test_no_standardize_skips_z_scoring(tmp_path, capsys, argv):
+    outputs = []
+    for flags in ([], ["--no-standardize"]):
+        out = tmp_path / str(len(flags))
+        code, _, _ = run([*argv, "--data", "builtin:dataset_a", "--out", str(out), *flags], capsys)
+        assert code == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] != outputs[1]
+
+
 def test_evaluate_reports_bag_accuracy(tmp_path, capsys):
     data, _ = pipeline_files(tmp_path, capsys)
     code, out, _ = run(

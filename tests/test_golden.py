@@ -226,3 +226,33 @@ def test_annotate_pools_in_sorted_id_order(tmp_path, capsys):
     rows = (tmp_path / "annotated.csv").read_text().splitlines()
     assert rows[9:] == ["i8,myopathic,weak", "i9,normal,weak", "i10,myopathic,weak"]
     assert {f: sha256(tmp_path / f) for f in UNSORTED_IDS_GOLDEN} == UNSORTED_IDS_GOLDEN
+
+
+# `evaluate --classifier knn` with no --knn-k: the neighbour count comes from
+# the inner leave-one-bag-out sweep over the default grid, and cv.json records
+# the chosen count. Digests taken before the kNN vote was vectorized.
+KNN_SWEEP_GOLDEN = {
+    "bags": {
+        "cv.json": "18f3dcc43f026afc59e82fdbce475f076b78d287d328f1182bb336eb74d49a1f",
+        "cv.csv": "0d8c7485f1e1f8a022a6996cb0713376f52a7f776762e12598e17909ff7b0d0e",
+    },
+    "builtin:dataset_a": {
+        "cv.json": "8c2fd27a0170331a6c063bb831cc2eb73c89d03e4bc363ad1cce6d405f5583db",
+        "cv.csv": "cba354a1b640578a1ffdf88c90c81b6be86fcef7d555bf44d830b14546815f7f",
+    },
+}
+
+
+@pytest.mark.parametrize("data_name", sorted(PIPELINE_DATA))
+def test_evaluate_knn_inner_sweep_matches_golden_bytes(tmp_path, capsys, data_name):
+    if data_name == "builtin:dataset_a":
+        data = data_name
+    else:
+        data = tmp_path / "bags.csv"
+        write_seeded_bags(data)
+    base = ["--data", str(data), "--strong-label", PIPELINE_DATA[data_name]]
+    annotate, out = tmp_path / "annotate", tmp_path / "evaluate"
+    assert cli.main(["annotate", *base, "--model", "knn_symmetric", "--k", "3", "--out", str(annotate)]) == 0
+    argv = ["evaluate", *base, "--training", str(annotate / "annotated.csv"), "--classifier", "knn"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert {f: sha256(out / f) for f in ("cv.json", "cv.csv")} == KNN_SWEEP_GOLDEN[data_name]
