@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -341,7 +342,11 @@ def cmd_train(args, config) -> int:
     x = _working_view(args, config, ds).x
     model = train(classifier, x, y, _resolve_as(args, config, "knn-k", int))
     payload = {f.name: getattr(model, f.name) for f in fields(model) if f.name not in ("train_x", "train_y")}
-    payload.update(kind=classifier, n_train=int(x.shape[0]), training_labels=ts.summary()["per_provenance"])
+    # provenance of the entries the labels came from: ids in the dataset, the
+    # last entry of a repeated id (as instance_labels reads them)
+    used = dict(zip(ts.ids, ts.provenance))
+    provenance = dict(sorted(Counter(used[iid] for iid in ds.ids).items()))
+    payload.update(kind=classifier, n_train=int(x.shape[0]), training_labels=provenance)
     _write_json(payload, run.out / "model.json")
     print(f"trained {classifier} on {x.shape[0]} instances, {len(set(y))} classes")
     return 0

@@ -38,6 +38,7 @@ from .errors import NumericalError, ParameterError
 from .simgraph import KNN_MODELS, SimilarityGraph
 
 LLOYD_MAX_ITER = 300  # Lloyd steps per k-means start
+KMEANS_BLOCK_BYTES = 8 * 2**20  # size of the (starts, n, k, d) distance temporary of one Lloyd block
 
 
 @dataclass(frozen=True)
@@ -229,29 +230,65 @@ class KMeansResult:
     best_run: int
 
 
-def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _plus_plus_init(points: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """k-means++ starts (len(rngs), k, d), each drawn by its own generator.
+
+    The squared distances to the nearest chosen centre, (b, n), are updated
+    for all starts together; only the draws go start by start.
+    """
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    centers = np.empty((len(rngs), k, points.shape[1]))
+    centers[:, 0] = points[[int(rng.integers(n)) for rng in rngs]]
+    d2 = ((points[None] - centers[:, 0, None]) ** 2).sum(axis=2)
     for c in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            probs = d2 / total
-            choice = int(rng.choice(n, p=probs))
-        else:
-            # All remaining mass at zero distance; fall back to uniform choice.
-            choice = int(rng.integers(n))
-        centers[c] = points[choice]
-        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+        choices = []
+        for rng, row, total in zip(rngs, d2, d2.sum(axis=1)):
+            if total > 0:
+                choices.append(int(rng.choice(n, p=row / total)))
+            else:
+                # All remaining mass at zero distance; fall back to uniform choice.
+                choices.append(int(rng.integers(n)))
+        centers[:, c] = points[choices]
+        d2 = np.minimum(d2, ((points[None] - centers[:, c, None]) ** 2).sum(axis=2))
     return centers
 
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)  # ties go to the lowest center index
-    return labels, d2
+    """Nearest centre of every point for a block of runs.
+
+    centers (b, k, d) -> labels (b, n) and squared distances (b, n, k); ties
+    go to the lowest centre index. Each distance reduces a contiguous
+    length-d axis, so a run's row holds the bits it would get alone.
+    """
+    d2 = ((points[None, :, None, :] - centers[:, None]) ** 2).sum(axis=3)
+    return np.argmin(d2, axis=2), d2
+
+
+def _own_distances(d2: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Squared distance of every point to its own centre, (b, n)."""
+    return np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0]
+
+
+def _group_means(points: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-run group means (b, k, d), zero for empty groups, and sizes (b, k).
+
+    Each mean has the bits of points[labels[r] == c].mean(axis=0). For d >= 2
+    that sums the rows in index order, as bincount does. For d = 1 numpy sums
+    the group pairwise, so each group is summed as its own contiguous slice.
+    """
+    b, n = labels.shape
+    d = points.shape[1]
+    keys = (labels + k * np.arange(b)[:, None]).ravel()
+    counts = np.bincount(keys, minlength=b * k)
+    if d == 1:
+        column = np.tile(points[:, 0], b)[np.argsort(keys, kind="stable")]
+        ends = np.cumsum(counts)
+        sums = np.array([column[e - m : e].sum() for e, m in zip(ends, counts)])[:, None]
+    else:
+        cells = (keys[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(cells, weights=np.tile(points, (b, 1)).ravel(), minlength=b * k * d).reshape(b * k, d)
+    means = sums / np.maximum(counts, 1)[:, None]
+    return means.reshape(b, k, d), counts.reshape(b, k)
 
 
 def _check_non_increasing(prev: float, obj: float) -> None:
@@ -259,43 +296,52 @@ def _check_non_increasing(prev: float, obj: float) -> None:
         raise NumericalError(f"k-means objective increased: {prev!r} -> {obj!r}")
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray) -> KMeansRun:
-    k = centers.shape[0]
-    trace: list[float] = []
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> list[KMeansRun]:
+    """Lloyd refinement of a block of runs, centers (b, k, d), advanced together.
+
+    A run leaves the block when its labels stop changing and its centres stop
+    moving (np.allclose), or after LLOYD_MAX_ITER steps; its objective trace
+    and step count are its own. An empty group is reseeded with the run's
+    point farthest from its current centre (lowest index on ties, a distinct
+    point per empty group).
+    """
+    k = centers.shape[1]
+    live = np.arange(centers.shape[0])
+    runs: list[KMeansRun | None] = [None] * live.size
+    traces: list[list[float]] = [[] for _ in live]
     labels, d2 = _assign(points, centers)
+    own = _own_distances(d2, labels)
+    objs = own.sum(axis=1)
     for it in range(LLOYD_MAX_ITER):
-        obj = float(d2[np.arange(points.shape[0]), labels].sum())
-        if trace:
-            _check_non_increasing(trace[-1], obj)
-        trace.append(obj)
-        new_centers = centers.copy()
-        dist_to_own = d2[np.arange(points.shape[0]), labels]
-        reseeded: set[int] = set()
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                new_centers[c] = points[mask].mean(axis=0)
-            else:
-                # Reseed an empty group with the point farthest from its
-                # current center (lowest index on ties, distinct point per
-                # empty group).
-                masked = dist_to_own.copy()
-                if reseeded:
-                    masked[list(reseeded)] = -np.inf
+        for r, obj in zip(live, objs.tolist()):
+            if traces[r]:
+                _check_non_increasing(traces[r][-1], obj)
+            traces[r].append(obj)
+        new_centers, counts = _group_means(points, labels, k)
+        for i in np.flatnonzero((counts == 0).any(axis=1)):
+            masked = own[i].copy()
+            for c in np.flatnonzero(counts[i] == 0):
                 far = int(np.argmax(masked))
-                reseeded.add(far)
-                new_centers[c] = points[far]
-        new_labels, new_d2 = _assign(points, new_centers)
-        converged = np.array_equal(new_labels, labels) and np.allclose(new_centers, centers)
-        centers, labels, d2 = new_centers, new_labels, new_d2
-        if converged:
+                masked[far] = -np.inf
+                new_centers[i, c] = points[far]
+        new_labels, d2 = _assign(points, new_centers)
+        done = (new_labels == labels).all(axis=1) & np.isclose(new_centers, centers).all(axis=(1, 2))
+        if it == LLOYD_MAX_ITER - 1:
+            done[:] = True
+        centers, labels = new_centers, new_labels
+        own = _own_distances(d2, labels)
+        objs = own.sum(axis=1)
+        for i in np.flatnonzero(done):
+            r, obj, trace = live[i], float(objs[i]), traces[live[i]]
+            if obj != trace[-1]:
+                _check_non_increasing(trace[-1], obj)
+                trace.append(obj)
+            runs[r] = KMeansRun(assignments=labels[i], objective=obj, objective_trace=tuple(trace), n_iter=len(trace))
+        if done.all():
             break
-    obj = float(d2[np.arange(points.shape[0]), labels].sum())
-    if not trace or obj != trace[-1]:
-        if trace:
-            _check_non_increasing(trace[-1], obj)
-        trace.append(obj)
-    return KMeansRun(assignments=labels, objective=obj, objective_trace=tuple(trace), n_iter=len(trace))
+        keep = ~done
+        live, centers, labels, own, objs = live[keep], centers[keep], labels[keep], own[keep], objs[keep]
+    return runs
 
 
 def kmeans_detailed(
@@ -308,7 +354,9 @@ def kmeans_detailed(
 
     Runs `restarts` independent starts from child seeds of `seed` and keeps
     the run with the smallest objective (first such run on exact ties). Each
-    start runs at most LLOYD_MAX_ITER Lloyd steps. The per-iteration
+    start runs at most LLOYD_MAX_ITER Lloyd steps. The starts advance
+    together, in blocks whose distance temporary stays near
+    KMEANS_BLOCK_BYTES, with the bits each would get alone. The per-iteration
     objective is checked non-increasing on every run; an increase raises
     NumericalError.
     """
@@ -322,12 +370,11 @@ def kmeans_detailed(
         raise ParameterError("kmeans requires an explicit seed")
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
-    child_seeds = np.random.SeedSequence(seed).spawn(restarts)
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
+    block = max(1, KMEANS_BLOCK_BYTES // (8 * points.size * k))
     runs: list[KMeansRun] = []
-    for child in child_seeds:
-        rng = np.random.default_rng(child)
-        centers = _plus_plus_init(points, k, rng)
-        runs.append(_lloyd(points, centers))
+    for lo in range(0, restarts, block):
+        runs.extend(_lloyd(points, _plus_plus_init(points, k, rngs[lo : lo + block])))
     best = min(range(restarts), key=lambda r: (runs[r].objective, r))
     grouping = Grouping(assignments=runs[best].assignments, k=k)
     return KMeansResult(grouping=grouping, objective=runs[best].objective, runs=tuple(runs), best_run=best)

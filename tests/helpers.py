@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from spectralweak.dataset import Dataset
+from spectralweak.errors import NumericalError
 from spectralweak.simgraph import bump_peak, gaussian_bump, symmetrize
+from spectralweak.spectral import LLOYD_MAX_ITER, Grouping, KMeansResult, KMeansRun
 
 
 def build_dataset(bags, strong):
@@ -153,3 +155,86 @@ def knn_predict_reference(model, x):
             votes[class_index[model.train_y[j]]] += 1
         out[i] = model.classes[int(np.argmax(votes))]
     return out
+
+
+def plus_plus_reference(points, k, rng):
+    """One k-means++ start: the first centre uniform, each next one drawn with
+    probability proportional to the squared distance to the nearest chosen
+    centre (uniform when all of that mass is zero)."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        choice = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
+        centers[c] = points[choice]
+        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+    return centers
+
+
+def lloyd_reference(points, centers):
+    """Lloyd refinement of one start with a Python loop over the centres."""
+    n, k = points.shape[0], centers.shape[0]
+
+    def assign(centers):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        return np.argmin(d2, axis=1), d2
+
+    def check(prev, obj):
+        if not obj <= prev + 1e-9 * max(1.0, prev):
+            raise NumericalError(f"k-means objective increased: {prev!r} -> {obj!r}")
+
+    trace = []
+    labels, d2 = assign(centers)
+    for _ in range(LLOYD_MAX_ITER):
+        obj = float(d2[np.arange(n), labels].sum())
+        if trace:
+            check(trace[-1], obj)
+        trace.append(obj)
+        new_centers = centers.copy()
+        dist_to_own = d2[np.arange(n), labels]
+        reseeded = set()
+        for c in range(k):
+            mask = labels == c
+            if mask.any():
+                new_centers[c] = points[mask].mean(axis=0)
+            else:
+                masked = dist_to_own.copy()
+                if reseeded:
+                    masked[list(reseeded)] = -np.inf
+                far = int(np.argmax(masked))
+                reseeded.add(far)
+                new_centers[c] = points[far]
+        new_labels, new_d2 = assign(new_centers)
+        converged = np.array_equal(new_labels, labels) and np.allclose(new_centers, centers)
+        centers, labels, d2 = new_centers, new_labels, new_d2
+        if converged:
+            break
+    obj = float(d2[np.arange(n), labels].sum())
+    if obj != trace[-1]:
+        check(trace[-1], obj)
+        trace.append(obj)
+    return KMeansRun(assignments=labels, objective=obj, objective_trace=tuple(trace), n_iter=len(trace))
+
+
+def kmeans_reference(points, k, seed, restarts=10):
+    """k-means++ starts from child seeds of `seed`, each refined on its own;
+    the run with the smallest objective wins (the first on exact ties).
+
+    The original kmeans_detailed, one start at a time, kept as the oracle for
+    its bits: every run's assignments, objective trace and step count, and
+    the best run.
+    """
+    points = np.asarray(points, dtype=float)
+    runs = [
+        lloyd_reference(points, plus_plus_reference(points, k, np.random.default_rng(child)))
+        for child in np.random.SeedSequence(seed).spawn(restarts)
+    ]
+    best = min(range(restarts), key=lambda r: (runs[r].objective, r))
+    return KMeansResult(
+        grouping=Grouping(assignments=runs[best].assignments, k=k),
+        objective=runs[best].objective,
+        runs=tuple(runs),
+        best_run=best,
+    )

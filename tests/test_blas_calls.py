@@ -7,7 +7,9 @@ grouping loop, and the data and annotation modules that `build_training_set`
 runs between its per-label eigensolves, make no call that reaches numpy's
 BLAS or LAPACK: no `@`, no dot products and no `np.linalg` routine except
 `norm`, which reduces with ufuncs when given an axis and through a
-single-threaded `ddot` on the short vectors it sees without one.
+single-threaded `ddot` on the short vectors it sees without one. `np.einsum`
+is allowed only as it is by default, with `optimize=False`: any other
+`optimize` value routes its contractions through `tensordot`.
 """
 
 import ast
@@ -33,6 +35,16 @@ def dotted_name(node):
     return None
 
 
+def einsum_may_optimize(call):
+    """Whether an einsum call may pass an `optimize` other than a literal False."""
+    for keyword in call.keywords:
+        if keyword.arg is None:  # **kwargs can carry it
+            return True
+        if keyword.arg == "optimize":
+            return not (isinstance(keyword.value, ast.Constant) and keyword.value.value is False)
+    return False
+
+
 def numpy_blas_calls(source):
     """(line, description) of every construct in `source` that can reach
     numpy's BLAS or LAPACK."""
@@ -47,6 +59,8 @@ def numpy_blas_calls(source):
                 found.append((node.lineno, name))
             elif last in NUMPY_BLAS_FUNCTIONS and (head in ("np", "numpy") or last == "dot"):
                 found.append((node.lineno, name))
+            elif last == "einsum" and head in ("np", "numpy") and einsum_may_optimize(node):
+                found.append((node.lineno, f"{name}(optimize)"))
         elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
             for alias in node.names:
                 if alias.name in NUMPY_BLAS_FUNCTIONS or (node.module == "numpy.linalg" and alias.name != "norm"):
@@ -78,6 +92,12 @@ def test_guard_flags_numpy_blas_constructs():
             "scipy.linalg.eigh(a)",
             "scipy.linalg.blas.dgemm(1.0, a, b)",
             "a * b",
+            "np.einsum('ij,jk->ik', a, b)",
+            "np.einsum('ij,jk->ik', a, b, optimize=False)",
+            "np.einsum('ij,jk->ik', a, b, optimize=True)",
+            "numpy.einsum('ij,jk->ik', a, b, optimize='greedy')",
+            "np.einsum('ij,jk->ik', a, b, optimize=path)",
+            "np.einsum('ij,jk->ik', a, b, **options)",
         ]
     )
     assert numpy_blas_calls(source) == [
@@ -91,4 +111,8 @@ def test_guard_flags_numpy_blas_constructs():
         (9, "np.linalg.eigh"),
         (10, "np.linalg.eigvalsh"),
         (11, "np.linalg.inv"),
+        (19, "np.einsum(optimize)"),
+        (20, "numpy.einsum(optimize)"),
+        (21, "np.einsum(optimize)"),
+        (22, "np.einsum(optimize)"),
     ]

@@ -324,6 +324,28 @@ def test_train_logistic_model_json(tmp_path, capsys):
     assert model["training_labels"] == {"strong": 12, "weak": 24}
 
 
+def test_train_counts_provenance_of_the_entries_it_trains_on(tmp_path, capsys):
+    # a repeated id counts once (its last entry) and an id outside the
+    # dataset not at all, as for the labels the model is fitted to
+    base = ["--data", "builtin:dataset_a", "--strong-label", "dense"]
+    assert cli.main(["annotate", *base, "--model", "knn_symmetric", "--k", "3", "--out", str(tmp_path / "ann")]) == 0
+    clean = tmp_path / "ann" / "annotated.csv"
+    lines = clean.read_text().splitlines()
+    weak_row = next(line for line in lines if line.endswith(",weak"))
+    noisy = tmp_path / "noisy.csv"
+    noisy.write_text("\n".join([*lines, weak_row, "zzz,alien,weak"]) + "\n")
+    models = []
+    for name, training in (("clean", clean), ("noisy", noisy)):
+        out = tmp_path / name
+        assert cli.main(["train", *base, "--training", str(training), "--out", str(out)]) == 0
+        models.append((out / "model.json").read_text())
+    assert models[0] == models[1]
+    model = json.loads(models[0])
+    assert model["training_labels"] == {"strong": 10, "weak": 16}
+    assert model["n_train"] == 26
+    capsys.readouterr()
+
+
 def test_train_knn_requires_neighbour_count(tmp_path, capsys):
     data = write_bagged_csv(tmp_path / "bags.csv")
     code, _, err = run(

@@ -28,7 +28,13 @@ from spectralweak.spectral import (
     unnormalized_laplacian,
 )
 
-from helpers import rw_laplacian_reference, sym_laplacian_reference, two_blobs
+from helpers import (
+    kmeans_reference,
+    lloyd_reference,
+    rw_laplacian_reference,
+    sym_laplacian_reference,
+    two_blobs,
+)
 
 
 def graph_of(w):
@@ -478,20 +484,127 @@ def test_kmeans_objective_trace_non_increasing(seed):
     assert res.objective == min(r.objective for r in res.runs)
 
 
-def test_kmeans_objective_increase_raises(monkeypatch):
-    # not an assert: the check must hold under python -O as well
+def _inflating_assign(monkeypatch, rows=slice(None)):
+    """Make every _assign call after the first return the given rows (runs)
+    of the squared distances as 4 d2 + 1, so those runs' objectives grow
+    after their first Lloyd step."""
     real_assign = spectral._assign
     calls = []
 
     def inflating(points, centers):
         labels, d2 = real_assign(points, centers)
         calls.append(None)
-        return labels, d2 if len(calls) == 1 else d2 * 4.0 + 1.0
+        if len(calls) > 1:
+            d2 = d2.copy()
+            d2[rows] = d2[rows] * 4.0 + 1.0
+        return labels, d2
 
     monkeypatch.setattr(spectral, "_assign", inflating)
+
+
+def test_kmeans_objective_increase_raises(monkeypatch):
+    # not an assert: the check must hold under python -O as well
+    _inflating_assign(monkeypatch)
     pts, _ = two_blobs(n_per=6, gap=3.0, seed=2)
     with pytest.raises(NumericalError, match="k-means objective increased"):
         kmeans_detailed(pts, 2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "k, restarts, rows", [(2, 10, [7]), (12, 1, slice(None))], ids=["one-of-ten", "at-convergence"]
+)
+def test_kmeans_objective_increase_raises_per_run(monkeypatch, k, restarts, rows):
+    # with one inflated run of ten, the other nine must not mask it; with
+    # k = n the run converges on its first step, so only the check of the
+    # final objective can see the increase
+    _inflating_assign(monkeypatch, rows)
+    pts, _ = two_blobs(n_per=6, gap=3.0, seed=2)
+    with pytest.raises(NumericalError, match="k-means objective increased"):
+        kmeans_detailed(pts, k, seed=0, restarts=restarts)
+
+
+def assert_same_kmeans(got, want):
+    assert got.best_run == want.best_run
+    assert got.objective == want.objective
+    assert np.array_equal(got.grouping.assignments, want.grouping.assignments)
+    assert_same_runs(got.runs, want.runs)
+
+
+def assert_same_runs(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.assignments, b.assignments)
+        assert a.objective_trace == b.objective_trace
+        assert a.objective == b.objective
+        assert a.n_iter == b.n_iter
+
+
+@st.composite
+def kmeans_points(draw):
+    """Points with d in {1, 2, 5}: an integer grid of three values (duplicate
+    points, tied distances) or standard normal."""
+    d = draw(st.sampled_from((1, 2, 5)))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.integers(0, 3, size=(n, d)).astype(float)
+    return rng.normal(size=(n, d))
+
+
+@given(kmeans_points(), st.data(), st.integers(0, 2**31 - 1), st.sampled_from((1, 10)))
+@settings(max_examples=150, deadline=None)
+def test_kmeans_matches_one_start_at_a_time_reference(points, data, seed, restarts):
+    # small k gives groups of more than eight points, where numpy's pairwise
+    # sum of a 1-d group and a sum in index order part ways
+    n = points.shape[0]
+    k = data.draw(st.one_of(st.just(n), st.integers(1, min(n, 3)), st.integers(1, n)), label="k")
+    assert_same_kmeans(kmeans_detailed(points, k, seed, restarts), kmeans_reference(points, k, seed, restarts))
+
+
+@given(kmeans_points(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lloyd_reseeds_empty_groups_like_the_reference(points, data):
+    # centres placed far outside the points start with empty groups, so
+    # every run takes the farthest-point reseed on its first step; with two
+    # or more of them the reseeds must pick distinct points
+    n, d = points.shape
+    k = data.draw(st.integers(2, max(2, min(n, 5))), label="k")
+    b = data.draw(st.integers(1, 4), label="runs")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    starts = points[rng.integers(n, size=(b, k))]
+    far = rng.random((b, k)) < 0.5
+    far[:, 0] = True
+    starts[far] = 1e3 * (1.0 + rng.random((int(far.sum()), d)))
+    assert_same_runs(spectral._lloyd(points, starts), [lloyd_reference(points, s) for s in starts])
+
+
+def test_kmeans_restarts_converge_at_different_steps_in_several_blocks():
+    # 3000 x 5 points at k = 8 need about 1 MB of distances per start, so the
+    # ten starts advance in more than one block
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(3000, 5)) + 3.0 * np.eye(5)[rng.integers(5, size=3000)]
+    assert spectral.KMEANS_BLOCK_BYTES // (8 * pts.size * 8) < 10
+    got = kmeans_detailed(pts, 8, seed=11)
+    assert len({run.n_iter for run in got.runs}) > 1
+    assert_same_kmeans(got, kmeans_reference(pts, 8, seed=11))
+
+
+def test_kmeans_memory_is_blocked():
+    # one start at a time peaks at 14.6 MB on these points; all ten starts
+    # in one block would hold ten (20000, 8, 8) distance temporaries, about
+    # 130 MB. Well-separated clusters keep the runs short; the peak depends
+    # on the shapes alone.
+    rng = np.random.default_rng(0)
+    pts = rng.normal(size=(20000, 8)) + 50.0 * np.eye(8)[rng.integers(8, size=20000)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kmeans_detailed(pts, 8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 14.6e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_grouping_validation():
