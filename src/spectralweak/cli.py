@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .classify import (
     leave_one_bag_out_cv,
     train,
 )
-from .dataset import CsvSchema, Dataset, load_csv, pairwise_distances, standardize
+from .dataset import CsvSchema, Dataset, load_csv, standardize
 from .errors import ParameterError, SchemaError, SpectralWeakError
 from .evaluation import GridSpec, davies_bouldin, f1_score, grid_search
 from .simgraph import (
@@ -145,8 +145,11 @@ def _load_dataset(args, config, require_strong: bool = False) -> Dataset:
     data = _resolve(args, config, "data")
     if data is None:
         raise ParameterError("--data is required (a CSV path or builtin:dataset_a)")
+    strong = _resolve(args, config, "strong-label")
     if data in BUILTIN_DATASETS:
-        return BUILTIN_DATASETS[data]()
+        ds = BUILTIN_DATASETS[data]()
+        # replace() validates like a CSV load: a label no bag carries is an IntegrityError.
+        return ds if strong is None else replace(ds, strong_label=strong)
     id_col = _resolve(args, config, "id-col", "instance")
     bag_col = _resolve(args, config, "bag-col", "bag")
     label_col = _resolve(args, config, "label-col", "group")
@@ -163,7 +166,6 @@ def _load_dataset(args, config, require_strong: bool = False) -> Dataset:
         feature_cols = tuple(tok.strip() for tok in str(features).split(","))
     else:
         feature_cols = tuple(c for c in header if c not in (id_col, bag_col, label_col))
-    strong = _resolve(args, config, "strong-label")
     if strong is None and require_strong:
         raise ParameterError("--strong-label is required for this command")
     # Without one, load_csv picks a label that exists so the dataset
@@ -229,8 +231,7 @@ def cmd_graph(args, config) -> int:
             "graph builds a single graph; comma-separated parameter lists are for 'group'"
         )
     work = _working_view(args, config, ds)
-    dist = pairwise_distances(work)
-    graph = build_graph(dist, GraphSpec(model=model, params=params), seed=run.seed)
+    graph = build_graph(work, GraphSpec(model=model, params=params), seed=run.seed)
     count, labels = connected_components(graph)
     write_graph_json(graph, run.out / "graph.json")
     print(f"wrote {run.out / 'graph.json'}")
@@ -282,7 +283,7 @@ def cmd_group(args, config) -> int:
         grouping = result.best.grouping
         print(f"grid winner: {result.best.spec.params} ({objective}={result.best.objective:.6g})")
     else:
-        graph = build_graph(pairwise_distances(work), GraphSpec(model=model, params=params), seed=run.seed)
+        graph = build_graph(work, GraphSpec(model=model, params=params), seed=run.seed)
         grouping = spectral_grouping(graph, groups, seed=run.seed)
     _write_json(
         {"k": grouping.k, "assignments": [int(a) for a in grouping.assignments]},

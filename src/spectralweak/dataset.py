@@ -222,20 +222,27 @@ class DistanceMatrix:
         return self.d[~np.eye(n, dtype=bool)]
 
 
+def coordinates(ds_or_matrix: Dataset | np.ndarray) -> np.ndarray:
+    """The n x p coordinates of a Dataset, or an array checked to be 2-d and finite."""
+    if isinstance(ds_or_matrix, Dataset):
+        return ds_or_matrix.x
+    mat = np.asarray(ds_or_matrix, dtype=float)
+    if mat.ndim != 2:
+        raise ParameterError(f"expected 2-d coordinate array, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ParameterError("coordinates must be finite")
+    return mat
+
+
 def pairwise_distances(ds_or_matrix: Dataset | np.ndarray) -> DistanceMatrix:
     """All-pairs Euclidean distances.
 
     cdist evaluates d(i,j) and d(j,i) from the same coordinate arrays, so the
-    result is bitwise symmetric and passes the exact checks above.
+    result is bitwise symmetric and passes the exact checks above. Each entry
+    depends on its two points alone, so cdist of a block of rows against all
+    points gives the same bits as those rows of the full matrix.
     """
-    if isinstance(ds_or_matrix, Dataset):
-        mat = ds_or_matrix.x
-    else:
-        mat = np.asarray(ds_or_matrix, dtype=float)
-        if mat.ndim != 2:
-            raise ParameterError(f"expected 2-d coordinate array, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ParameterError("coordinates must be finite")
+    mat = coordinates(ds_or_matrix)
     d = cdist(mat, mat, metric="euclidean")
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(d=d)

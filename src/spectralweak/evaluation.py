@@ -16,7 +16,15 @@ import numpy as np
 
 from .dataset import Dataset, DistanceMatrix, pairwise_distances, standardize
 from .errors import DegenerateGroupingError, ParameterError, SearchError, UndefinedIndexError
-from .simgraph import PROB_MODELS, GraphParams, GraphSpec, InitialSimilarities, build_graph, initial_similarities
+from .simgraph import (
+    KNN_MODELS,
+    PROB_MODELS,
+    GraphParams,
+    GraphSpec,
+    InitialSimilarities,
+    build_graph,
+    initial_similarities,
+)
 from .spectral import Grouping, spectral_grouping
 
 
@@ -200,17 +208,17 @@ def grid_search(
     earliest candidate in grid order.
 
     Candidates are evaluated in grid order and share the work that does not
-    depend on them: one distance matrix for the grid and, for the
-    probabilistic models, one set of initial similarities per exponent m,
-    computed by the first candidate that needs it (a failure there is that
-    candidate's error, and the next candidate with that m tries again). Each
-    row keeps the grouping it was scored on, so the winner's grouping needs
-    no refit.
+    depend on them: one distance matrix for the grid (a kNN grid reads the
+    coordinates in row blocks instead) and, for the probabilistic models, one
+    set of initial similarities per exponent m, computed by the first
+    candidate that needs it (a failure there is that candidate's error, and
+    the next candidate with that m tries again). Each row keeps the grouping
+    it was scored on, so the winner's grouping needs no refit.
     """
     if objective not in ("f1", "db"):
         raise ParameterError(f"objective must be 'f1' or 'db', got {objective!r}")
     work = ds if pre_standardized else standardize(ds)
-    dist = pairwise_distances(work)
+    data = work.x if grid.model in KNN_MODELS else pairwise_distances(work)
     sims_by_m: dict[float, InitialSimilarities] = {}
 
     def evaluate(spec: GraphSpec) -> GridRow:
@@ -219,8 +227,8 @@ def grid_search(
             sims = sims_by_m.get(p.m)
             # build_graph checks w_thresh and sigma before it needs similarities
             if sims is None and spec.model in PROB_MODELS and None not in (p.w_thresh, p.sigma):
-                sims = sims_by_m[p.m] = initial_similarities(dist, m=p.m)
-            graph = build_graph(dist, spec, seed=seed, sims=sims)
+                sims = sims_by_m[p.m] = initial_similarities(data, m=p.m)
+            graph = build_graph(data, spec, seed=seed, sims=sims)
             grouping = spectral_grouping(graph, k=k, seed=seed, restarts=restarts)
             if objective == "f1":
                 value = f1_score(grouping, work.label).value

@@ -1,4 +1,4 @@
-"""Similarity graph construction over a distance matrix.
+"""Similarity graph construction.
 
 Six graph models are provided:
 
@@ -12,18 +12,30 @@ Six graph models are provided:
   threshold).
 
 All builders return an exactly symmetric weight matrix with zero diagonal.
+The kNN models hold it as a canonical scipy CSR array with no stored zeros,
+so an edge is a positive stored weight. They read the distance matrix in row
+blocks of about ROW_BLOCK_BYTES: given coordinates, each block is cdist of
+those rows against all points, and no n x n array exists on their route;
+given a DistanceMatrix, the blocks are its rows. Their default sigma, the
+median pair distance, comes from an exact two-pass selection over the same
+blocks. The other four models read a dense DistanceMatrix (built from
+coordinates when given those) and hold W as a dense n x n array; the
+probabilistic ones also hold the n x n initial similarities.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
+import scipy.sparse
+from scipy.spatial.distance import cdist
 
-from .dataset import DistanceMatrix
+from .dataset import Dataset, DistanceMatrix, coordinates, pairwise_distances
 from .errors import DegenerateDistanceError, IntegrityError, ParameterError
 
 MODELS = (
@@ -38,8 +50,21 @@ MODELS = (
 SYMMETRIZE_RULES = ("min", "max")
 # Models built from initial_similarities.
 PROB_MODELS = ("prob_threshold", "prob_criterion")
-# Models whose weight matrix is sparse by construction.
+# Models whose weight matrix is sparse by construction, held as CSR.
 KNN_MODELS = ("knn_symmetric", "knn_mutual")
+
+ROW_BLOCK_BYTES = 2**20  # size of one (rows, n) float64 block of distances or densified weights
+# The median sigma counts pair distances per bin. A bin is a run of float64
+# bit patterns, which order nonnegative floats like their values: the
+# exponent and top 8 mantissa bits, so 256 bins per octave over
+# [2**-64, 2**64), with everything below in the first bin and everything
+# above in the last.
+MEDIAN_BIN_SHIFT = 44
+MEDIAN_BIN_LOW = (1023 - 64) << 8  # the bin of 2**-64 before the offset
+MEDIAN_BINS = 128 << 8
+
+# Coordinates, a Dataset's among them, or a precomputed distance matrix.
+GraphInput = Dataset | np.ndarray | DistanceMatrix
 
 
 @dataclass(frozen=True)
@@ -78,33 +103,68 @@ class InitialSimilarities:
         object.__setattr__(self, "s", s)
 
 
+def _dense_weights(w) -> np.ndarray:
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise IntegrityError(f"weight matrix must be square, got {w.shape}")
+    if not np.array_equal(w, w.T):
+        raise IntegrityError("weight matrix is not exactly symmetric")
+    if np.any(np.diag(w) != 0.0):
+        raise IntegrityError("weight matrix diagonal must be exactly zero")
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise IntegrityError("weights must be finite and nonnegative")
+    w.setflags(write=False)
+    return w
+
+
+def _csr_weights(w) -> scipy.sparse.csr_array:
+    """W as a read-only canonical CSR array; a dense input drops its zeros."""
+    w = scipy.sparse.csr_array(w, dtype=float)
+    if w.shape[0] != w.shape[1]:
+        raise IntegrityError(f"weight matrix must be square, got {w.shape}")
+    if not w.has_canonical_format:
+        raise IntegrityError("sparse weight matrix must be canonical CSR: sorted, no duplicate entries")
+    if not np.all(np.isfinite(w.data)) or np.any(w.data <= 0.0):
+        raise IntegrityError("stored weights must be finite and positive")
+    if np.any(w.indices == csr_rows(w)):
+        raise IntegrityError("weight matrix diagonal must be exactly zero")
+    t = w.T.tocsr()
+    if not all(np.array_equal(a, b) for a, b in ((t.indptr, w.indptr), (t.indices, w.indices), (t.data, w.data))):
+        raise IntegrityError("weight matrix is not exactly symmetric")
+    for part in (w.data, w.indices, w.indptr):
+        part.setflags(write=False)
+    return w
+
+
+def csr_rows(w: scipy.sparse.csr_array) -> np.ndarray:
+    """Row index of every stored entry of a CSR array."""
+    return np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
+
+
 @dataclass(frozen=True)
 class SimilarityGraph:
-    """Symmetric weighted graph; weights live in w, model/params record provenance."""
+    """Symmetric weighted graph; weights live in w, model/params record provenance.
 
-    w: np.ndarray
+    The kNN models hold w as CSR (a dense w given for them is converted),
+    the others as a dense array (module docstring).
+    """
+
+    w: np.ndarray | scipy.sparse.csr_array
     model: str
     params: GraphParams
     seed: int | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise IntegrityError(f"weight matrix must be square, got {w.shape}")
-        if not np.array_equal(w, w.T):
-            raise IntegrityError("weight matrix is not exactly symmetric")
-        if np.any(np.diag(w) != 0.0):
-            raise IntegrityError("weight matrix diagonal must be exactly zero")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise IntegrityError("weights must be finite and nonnegative")
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
+        convert = _csr_weights if self.model in KNN_MODELS else _dense_weights
+        object.__setattr__(self, "w", convert(self.w))
 
     @property
     def n(self) -> int:
         return self.w.shape[0]
 
     def n_edges(self) -> int:
+        if scipy.sparse.issparse(self.w):
+            return self.w.nnz // 2
         return int(np.count_nonzero(np.triu(self.w, 1) > 0.0))
 
 
@@ -143,8 +203,24 @@ def epsilon_graph(dist: DistanceMatrix, epsilon: float) -> SimilarityGraph:
     return SimilarityGraph(w=w, model="epsilon", params=GraphParams(epsilon=epsilon))
 
 
-def _knn_adjacency(dist: DistanceMatrix, k: int) -> np.ndarray:
-    """Directed boolean adjacency: row i marks i's k nearest others.
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) covering 0..n-1, each (hi - lo, n) float64 block
+    about ROW_BLOCK_BYTES."""
+    step = max(1, ROW_BLOCK_BYTES // (8 * n))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _distance_rows(data: GraphInput) -> tuple[int, Callable[[int, int], np.ndarray]]:
+    """n, and a function giving rows lo..hi-1 of the distance matrix of `data`."""
+    if isinstance(data, DistanceMatrix):
+        return data.n, lambda lo, hi: data.d[lo:hi]
+    points = coordinates(data)
+    return points.shape[0], lambda lo, hi: cdist(points[lo:hi], points)
+
+
+def _block_neighbours(d: np.ndarray, lo: int, k: int) -> np.ndarray:
+    """Columns (rows, k), ascending per row, of the k nearest others of each
+    point in a block of distance rows lo, lo + 1, ...
 
     Distance ties resolve toward the smaller index; the point itself is
     excluded even when other points sit at distance zero.
@@ -154,21 +230,96 @@ def _knn_adjacency(dist: DistanceMatrix, k: int) -> np.ndarray:
     and its k nearest others, in whatever order. Only rows with more, a tie at
     the threshold, are ranked in full by distance and then index.
     """
-    d = dist.d
+    b, n = d.shape
+    local = np.arange(b)
     thr = np.partition(d, k, axis=1)[:, k]
     adj = d <= thr[:, None]
-    np.fill_diagonal(adj, False)
-    idx = np.arange(dist.n)
-    for i in np.flatnonzero(adj.sum(axis=1) != k):
-        order = np.lexsort((idx, d[i]))
-        order = order[order != i]
-        adj[i] = False
-        adj[i, order[:k]] = True
-    return adj
+    adj[local, lo + local] = False
+    idx = np.arange(n)
+    for r in np.flatnonzero(adj.sum(axis=1) != k):
+        order = np.lexsort((idx, d[r]))
+        order = order[order != lo + r]
+        adj[r] = False
+        adj[r, order[:k]] = True
+    return np.nonzero(adj)[1].reshape(b, k)
+
+
+def _median_bins(d: np.ndarray) -> np.ndarray:
+    bins = d.view(np.int64) >> MEDIAN_BIN_SHIFT
+    bins -= MEDIAN_BIN_LOW
+    return np.clip(bins, 0, MEDIAN_BINS - 1, out=bins)
+
+
+def _bin_floor(b: int) -> float:
+    """Smallest nonnegative distance in bin b; infinity past the last bin."""
+    if b == 0:
+        return 0.0
+    if b == MEDIAN_BINS:
+        return math.inf
+    return float(np.int64((b + MEDIAN_BIN_LOW) << MEDIAN_BIN_SHIFT).view(np.float64))
+
+
+def _median_from_bins(counts: np.ndarray, n: int, rows: Callable[[int, int], np.ndarray]) -> float:
+    """The exact median of the n(n-1)/2 pair distances, with the bits of
+    np.median over the strict upper triangle.
+
+    `counts` holds the bin counts of every entry of the distance matrix
+    (pass 1). The matrix is bitwise symmetric, so each pair is counted twice,
+    and each point once at distance zero from itself, in the first bin. Pass 2
+    recomputes the blocks, keeps only the upper-triangle distances in the bin
+    or bins that hold the middle rank(s), found by value since bins are
+    ordered, and partitions those. Two middle values are averaged as
+    np.median averages them.
+    """
+    pair_counts = counts.copy()
+    pair_counts[0] -= n
+    pair_counts //= 2
+    pairs = n * (n - 1) // 2
+    middle = ((pairs - 1) // 2, pairs // 2)  # equal when the pair count is odd
+    ends = np.cumsum(pair_counts)
+    wanted = np.searchsorted(ends, middle, side="right")
+    below = int(ends[wanted[0]] - pair_counts[wanted[0]])
+    # any bins between the two are empty
+    floor, ceiling = _bin_floor(wanted[0]), _bin_floor(wanted[1] + 1)
+    kept = []
+    for lo, hi in row_blocks(n):
+        d = rows(lo, hi)
+        take = (d >= floor) & (d < ceiling)
+        take &= np.arange(n) > np.arange(lo, hi)[:, None]
+        kept.append(d[take])
+    first, last = middle[0] - below, middle[1] - below
+    part = np.partition(np.concatenate(kept), (first, last))
+    return float(np.mean(part[first : last + 1]))
+
+
+def _knn_csr(n: int, neighbours: np.ndarray, near: np.ndarray, mutual: bool, sigma: float) -> scipy.sparse.csr_array:
+    """W as canonical CSR from each point's k neighbours and their distances.
+
+    A pair is joined when either point lists the other (both, if mutual). The
+    distance of a pair is read from a row that lists it; the distance matrix
+    is bitwise symmetric, so either row gives the same bits. Weights are
+    exp(-d^2 / (2 sigma^2)); one that underflows to zero is no edge.
+    """
+    k = neighbours.shape[1]
+    listed = np.repeat(np.arange(n), k) * n + neighbours.ravel()  # row-major keys i * n + j, ascending
+    reverse = neighbours.ravel() * n + np.repeat(np.arange(n), k)
+    dist = near.ravel()
+    if mutual:
+        both = np.isin(listed, reverse)
+        keys, dist = listed[both], dist[both]
+    else:
+        keys, first = np.unique(np.concatenate((listed, reverse)), return_index=True)
+        dist = np.concatenate((dist, dist))[first]
+    weights = np.exp(-(dist**2) / (2.0 * sigma**2))
+    edge = weights > 0.0
+    rows, cols = np.divmod(keys[edge], n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return scipy.sparse.csr_array((weights[edge], cols, indptr), shape=(n, n))
 
 
 def knn_graph(
-    dist: DistanceMatrix,
+    data: GraphInput,
     k: int,
     mode: str = "symmetric",
     sigma: float | None = None,
@@ -177,27 +328,30 @@ def knn_graph(
 
     mode "symmetric" joins i~j when either lists the other among its k nearest;
     mode "mutual" requires both. sigma defaults to the median off-diagonal
-    distance.
+    distance. `data` is coordinates or a DistanceMatrix; either is read in
+    row blocks (module docstring), and both give the same bits.
     """
-    n = dist.n
+    n, rows = _distance_rows(data)
     if not (1 <= k <= n - 1):
         raise ParameterError(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
     if mode not in ("symmetric", "mutual"):
         raise ParameterError(f"mode must be 'symmetric' or 'mutual', got {mode!r}")
+    if sigma is not None and not (sigma > 0 and math.isfinite(sigma)):
+        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
+    counts = np.zeros(MEDIAN_BINS, dtype=np.int64) if sigma is None else None
+    neighbours = np.empty((n, k), dtype=np.int64)
+    near = np.empty((n, k))
+    for lo, hi in row_blocks(n):
+        d = rows(lo, hi)
+        neighbours[lo:hi] = _block_neighbours(d, lo, k)
+        near[lo:hi] = np.take_along_axis(d, neighbours[lo:hi], axis=1)
+        if counts is not None:
+            counts += np.bincount(_median_bins(d).ravel(), minlength=MEDIAN_BINS)
     if sigma is None:
-        # offdiag() holds every pair twice; the strict upper triangle holds it
-        # once and has the same median, computed from the same two values.
-        sigma = float(np.median(dist.d[~np.tri(n, dtype=bool)]))
+        sigma = _median_from_bins(counts, n, rows)
         if sigma <= 0:
             raise ParameterError("median distance is zero; pass sigma explicitly")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
-    adj = _knn_adjacency(dist, k)
-    joined = (adj | adj.T) if mode == "symmetric" else (adj & adj.T)
-    # Gaussian weights on joined pairs only; the diagonal is never joined.
-    rows, cols = np.nonzero(joined)
-    w = np.zeros((n, n))
-    w[rows, cols] = np.exp(-(dist.d[rows, cols] ** 2) / (2.0 * sigma**2))
+    w = _knn_csr(n, neighbours, near, mode == "mutual", sigma)
     model = "knn_symmetric" if mode == "symmetric" else "knn_mutual"
     return SimilarityGraph(w=w, model=model, params=GraphParams(k=k, sigma=sigma))
 
@@ -335,29 +489,32 @@ def prob_criterion_graph(
 
 
 def build_graph(
-    dist: DistanceMatrix,
+    data: GraphInput,
     spec: GraphSpec,
     seed: int | None = None,
     sims: InitialSimilarities | None = None,
 ) -> SimilarityGraph:
     """Dispatch a GraphSpec to the matching builder.
 
-    The probabilistic models derive their inputs from `dist` via
-    initial_similarities using params.m as the exponent, unless `sims`
-    already holds them for that exponent (a grid search shares one across
-    its candidates); `sims` computed with another exponent is a
+    `data` is coordinates or a DistanceMatrix. The kNN models read it in row
+    blocks; the others need the dense distance matrix and compute it from
+    coordinates. The probabilistic models derive their inputs from the
+    distances via initial_similarities using params.m as the exponent, unless
+    `sims` already holds them for that exponent (a grid search shares one
+    across its candidates); `sims` computed with another exponent is a
     ParameterError.
     """
     p = spec.params
-    if spec.model == "epsilon":
-        if p.epsilon is None:
-            raise ParameterError("epsilon model needs params.epsilon")
-        return epsilon_graph(dist, p.epsilon)
     if spec.model in KNN_MODELS:
         if p.k is None:
             raise ParameterError(f"{spec.model} needs params.k")
         mode = "symmetric" if spec.model == "knn_symmetric" else "mutual"
-        return knn_graph(dist, p.k, mode=mode, sigma=p.sigma)
+        return knn_graph(data, p.k, mode=mode, sigma=p.sigma)
+    dist = data if isinstance(data, DistanceMatrix) else pairwise_distances(data)
+    if spec.model == "epsilon":
+        if p.epsilon is None:
+            raise ParameterError("epsilon model needs params.epsilon")
+        return epsilon_graph(dist, p.epsilon)
     if spec.model == "fully_connected":
         if p.sigma is None:
             raise ParameterError("fully_connected needs params.sigma")
@@ -383,22 +540,28 @@ def connected_components(graph: SimilarityGraph | np.ndarray) -> tuple[int, np.n
     """
     import scipy.sparse.csgraph  # only the graph command and bench suites need it
 
-    w = graph.w if isinstance(graph, SimilarityGraph) else np.asarray(graph)
-    count, labels = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_array(w > 0.0), directed=False
-    )
+    w = graph.w if isinstance(graph, SimilarityGraph) else graph
+    support = w if scipy.sparse.issparse(w) else scipy.sparse.csr_array(np.asarray(w) > 0.0)
+    count, labels = scipy.sparse.csgraph.connected_components(support, directed=False)
     return int(count), labels.astype(int)
 
 
 def graph_to_json_dict(graph: SimilarityGraph) -> dict:
-    """Sparse serialization: nonzero upper-triangle entries as (i, j, weight)."""
-    rows, cols = np.nonzero(np.triu(graph.w, 1))
+    """Sparse serialization: nonzero upper-triangle entries as (i, j, weight), row-major."""
+    w = graph.w
+    if scipy.sparse.issparse(w):
+        rows = csr_rows(w)
+        upper = w.indices > rows
+        rows, cols, weights = rows[upper], w.indices[upper], w.data[upper]
+    else:
+        rows, cols = np.nonzero(np.triu(w, 1))
+        weights = w[rows, cols]
     return {
         "n": graph.n,
         "model": graph.model,
         "params": {k: v for k, v in asdict(graph.params).items() if v is not None},
         "seed": graph.seed,
-        "triplets": [[int(i), int(j), float(graph.w[i, j])] for i, j in zip(rows, cols)],
+        "triplets": [[int(i), int(j), float(v)] for i, j, v in zip(rows, cols, weights)],
     }
 
 
@@ -406,10 +569,18 @@ def graph_from_json_dict(payload: dict) -> SimilarityGraph:
     params = GraphParams(**{k: payload["params"].get(k, GraphParams.__dataclass_fields__[k].default)
                             for k in GraphParams.__dataclass_fields__})
     n = payload["n"]
-    w = np.zeros((n, n))
-    for i, j, weight in payload["triplets"]:
-        w[i, j] = weight
-        w[j, i] = weight
+    if payload["model"] in KNN_MODELS:
+        i, j, weight = np.array(payload["triplets"], dtype=float).reshape(-1, 3).T
+        i, j = i.astype(np.int64), j.astype(np.int64)
+        w = scipy.sparse.csr_array(
+            (np.concatenate((weight, weight)), (np.concatenate((i, j)), np.concatenate((j, i)))), shape=(n, n)
+        )
+        w.eliminate_zeros()
+    else:
+        w = np.zeros((n, n))
+        for i, j, weight in payload["triplets"]:
+            w[i, j] = weight
+            w[j, i] = weight
     return SimilarityGraph(w=w, model=payload["model"], params=params, seed=payload.get("seed"))
 
 

@@ -7,22 +7,30 @@ well-conditioned symmetric territory. Both are derived from the weights W of
 the graph; L_rw is never formed. Embedding rows are clustered as-is (no row
 renormalization).
 
-Two solvers share that route. Connected kNN graphs without a clamped vertex,
-asked for k < n - 1 vectors, go to ARPACK (scipy.sparse.linalg.eigsh) on the
-sparse N = D^-1/2 W D^-1/2, whose k largest eigenpairs are the k smallest of
-L_sym = I - N; no n x n array is allocated beside W. Every other graph, the
-probabilistic, epsilon and fully connected ones included, goes to a dense
-scipy.linalg.eigh of L_sym, as does a kNN graph on which ARPACK fails or does
-not converge; that route holds L_sym and its symmetrized copy, two n x n
-arrays beside W. On both routes the residual L_rw u - u diag(vals) of every
-eigenpair is checked, computed as (D u - W u) / d from W.
+Two solvers share that route. The kNN models hold W as CSR. A connected kNN
+graph (so no clamped vertex), asked for k < n - 1 vectors, goes to ARPACK
+(scipy.sparse.linalg.eigsh) on N = D^-1/2 W D^-1/2, built as CSR on the
+pattern of W, whose k largest eigenpairs are the k smallest of
+L_sym = I - N. That route allocates no n x n array: the degrees are row sums
+of W densified one block of rows at a time (a dense row sum adds in another
+order than a CSR row sum, and the densified blocks keep the dense bits).
+Every other graph, the probabilistic, epsilon and fully connected ones
+included, goes to a dense scipy.linalg.eigh of L_sym; that route holds L_sym
+and its symmetrized copy, two n x n arrays beside the dense W. A kNN graph
+that is disconnected, or asked for k >= n - 1 vectors, or on which ARPACK
+fails or does not converge, goes there too with W densified, a third n x n
+array, but only up to DENSE_FALLBACK_MAX_N vertices; above that it is a
+NumericalError naming the component count. On both routes the residual
+L_rw u - u diag(vals) of every eigenpair is checked, computed as
+(D u - W u) / d from W.
 
 All dense linear algebra of this module runs on the BLAS/LAPACK that scipy
-links, the eigen residual check included (scipy.linalg.blas.dgemm, not the
-numpy `@`). The numpy and scipy wheels each bundle their own OpenBLAS with
-its own thread pool; a numpy product between scipy eigensolves leaves numpy's
-workers spinning while scipy's run, so one BLAS keeps the step from fighting
-itself for cores.
+links, the eigen residual check included (scipy.linalg.blas.dgemm on a dense
+W, not the numpy `@`; on a CSR W the product W u is a bincount over the
+stored entries). The numpy and scipy wheels each bundle their own OpenBLAS
+with its own thread pool; a numpy product between scipy eigensolves leaves
+numpy's workers spinning while scipy's run, so one BLAS keeps the step from
+fighting itself for cores.
 """
 
 from __future__ import annotations
@@ -35,9 +43,10 @@ import scipy.linalg.blas
 import scipy.sparse
 
 from .errors import NumericalError, ParameterError
-from .simgraph import KNN_MODELS, SimilarityGraph
+from .simgraph import SimilarityGraph, csr_rows, row_blocks
 
 LLOYD_MAX_ITER = 300  # Lloyd steps per k-means start
+DENSE_FALLBACK_MAX_N = 10_000  # largest kNN graph densified for eigh, about 2.4 GB of n x n arrays
 KMEANS_BLOCK_BYTES = 8 * 2**20  # size of the (starts, n, k, d) distance temporary of one Lloyd block
 
 
@@ -89,13 +98,21 @@ class Grouping:
 
 
 def degree_matrix(graph: SimilarityGraph) -> np.ndarray:
-    """Vertex degrees (weighted row sums); the D of L = D - W as a vector."""
-    return graph.w.sum(axis=1)
+    """Vertex degrees (weighted row sums); the D of L = D - W as a vector.
+
+    A CSR W is summed one densified block of rows at a time, which gives the
+    bits of the dense row sums.
+    """
+    w = graph.w
+    if not scipy.sparse.issparse(w):
+        return w.sum(axis=1)
+    return np.concatenate([w[lo:hi].toarray().sum(axis=1) for lo, hi in row_blocks(graph.n)])
 
 
 def unnormalized_laplacian(graph: SimilarityGraph) -> np.ndarray:
     """L = D - W as a read-only dense array."""
-    lap = np.diag(degree_matrix(graph)) - graph.w
+    w = graph.w.toarray() if scipy.sparse.issparse(graph.w) else graph.w
+    lap = np.diag(degree_matrix(graph)) - w
     lap.setflags(write=False)
     return lap
 
@@ -119,27 +136,22 @@ def _sym_laplacian(w: np.ndarray, deg: np.ndarray, deg_safe: np.ndarray, inv_sqr
     return sym
 
 
-def _normalized_adjacency(w: np.ndarray, inv_sqrt: np.ndarray) -> scipy.sparse.csr_array:
-    """N = D^-1/2 W D^-1/2 as CSR, evaluated on the nonzeros of W only."""
-    rows, cols = np.nonzero(w)
-    data = w[rows, cols] * (inv_sqrt[rows] * inv_sqrt[cols])
-    return scipy.sparse.csr_array((data, (rows, cols)), shape=w.shape)
+def _normalized_adjacency(w: scipy.sparse.csr_array, inv_sqrt: np.ndarray) -> scipy.sparse.csr_array:
+    """N = D^-1/2 W D^-1/2 as CSR on the pattern of W."""
+    data = w.data * (inv_sqrt[csr_rows(w)] * inv_sqrt[w.indices])
+    return scipy.sparse.csr_array((data, w.indices, w.indptr), shape=w.shape)
 
 
-def _arpack_eigenpairs(w: np.ndarray, k: int, inv_sqrt: np.ndarray):
+def _arpack_eigenpairs(w: scipy.sparse.csr_array, k: int, inv_sqrt: np.ndarray):
     """The k smallest eigenpairs of L_sym, ascending, from the k largest of N.
 
-    Returns None, and leaves the graph to the dense solver, when the graph is
-    not connected or when ARPACK fails, not converging included. The start
-    vector is fixed, so the result depends on the graph alone.
+    Returns None when ARPACK fails, not converging included. The start vector
+    is fixed, so the result depends on the graph alone.
     """
-    # Imported here so that runs on dense-only graphs never load them.
-    import scipy.sparse.csgraph
+    # Imported here so that runs on dense-only graphs never load it.
     import scipy.sparse.linalg
 
     norm_adj = _normalized_adjacency(w, inv_sqrt)
-    if scipy.sparse.csgraph.connected_components(norm_adj, directed=False, return_labels=False) != 1:
-        return None
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, w.shape[0])
     try:
         mu, vecs = scipy.sparse.linalg.eigsh(norm_adj, k=k, which="LA", v0=v0)
@@ -149,14 +161,45 @@ def _arpack_eigenpairs(w: np.ndarray, k: int, inv_sqrt: np.ndarray):
     return 1.0 - mu[order], vecs[:, order]
 
 
-def _residual(w: np.ndarray, deg: np.ndarray, deg_safe: np.ndarray, u: np.ndarray, vals: np.ndarray) -> np.ndarray:
+def _residual(w, deg: np.ndarray, deg_safe: np.ndarray, u: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """L_rw u - u diag(vals) = (D u - W u) / d - u diag(vals).
 
-    W u runs on scipy's BLAS (module docstring). A C-ordered W's transpose is
-    Fortran-ordered and reaches dgemm (as trans_a) without an n x n copy.
+    A dense W u runs on scipy's BLAS (module docstring). A C-ordered W's
+    transpose is Fortran-ordered and reaches dgemm (as trans_a) without an
+    n x n copy. A CSR W u is one bincount of the stored products w_ij u_jc
+    into their (i, c) cells.
     """
-    wu = scipy.linalg.blas.dgemm(1.0, w.T, u, trans_a=True)
+    if scipy.sparse.issparse(w):
+        n, k = u.shape
+        cells = (csr_rows(w)[:, None] * k + np.arange(k)).ravel()
+        products = (w.data[:, None] * u[w.indices]).ravel()
+        wu = np.bincount(cells, weights=products, minlength=n * k).reshape(n, k)
+    else:
+        wu = scipy.linalg.blas.dgemm(1.0, w.T, u, trans_a=True)
     return (deg[:, None] * u - wu) / deg_safe[:, None] - u * vals[None, :]
+
+
+def _sparse_eigenpairs(w: scipy.sparse.csr_array, k: int, inv_sqrt: np.ndarray):
+    """ARPACK eigenpairs of a CSR W (module docstring), or None when the graph
+    goes to the dense solver; a NumericalError when it is too large for it."""
+    # Imported here so that runs on dense-only graphs never load it.
+    import scipy.sparse.csgraph
+
+    n = w.shape[0]
+    count = scipy.sparse.csgraph.connected_components(w, directed=False, return_labels=False)
+    pairs = _arpack_eigenpairs(w, k, inv_sqrt) if count == 1 and k < n - 1 else None
+    if pairs is None and n > DENSE_FALLBACK_MAX_N:
+        if count != 1:
+            why = f"it has {count} connected components"
+        elif k >= n - 1:
+            why = f"ARPACK needs k < n - 1, got k = {k}"
+        else:
+            why = "ARPACK failed on it"
+        raise NumericalError(
+            f"kNN graph of {n} vertices needs the dense eigensolver ({why}), "
+            f"which is limited to n <= {DENSE_FALLBACK_MAX_N}"
+        )
+    return pairs
 
 
 def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding:
@@ -164,7 +207,9 @@ def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding
 
     Solved through the symmetric normalized form: if L_sym v = lam v then
     u = D^-1/2 v satisfies L_rw u = lam u. Connected kNN graphs are solved by
-    ARPACK, everything else by a dense eigh (see the module docstring).
+    ARPACK, everything else by a dense eigh (see the module docstring); a kNN
+    graph above DENSE_FALLBACK_MAX_N vertices that ARPACK cannot take is a
+    NumericalError.
     Vertices with zero degree would divide by zero; their degree is treated
     as 1 there (their row of D - W is all zero, so an isolated vertex keeps
     its eigenvalue-zero indicator) and they are recorded on the result.
@@ -180,9 +225,8 @@ def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding
     clamped = tuple(int(i) for i in np.flatnonzero(deg == 0.0))
     deg_safe = np.where(deg == 0.0, 1.0, deg)
     inv_sqrt = 1.0 / np.sqrt(deg_safe)
-    pairs = None
-    if graph.model in KNN_MODELS and not clamped and k < n - 1:
-        pairs = _arpack_eigenpairs(w, k, inv_sqrt)
+    sparse = scipy.sparse.issparse(w)
+    pairs = _sparse_eigenpairs(w, k, inv_sqrt) if sparse else None
     if pairs is not None:
         solver = "eigsh"
         vals, vecs = pairs
@@ -190,7 +234,9 @@ def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding
         solver = "eigh"
         try:
             vals, vecs = scipy.linalg.eigh(
-                _sym_laplacian(w, deg, deg_safe, inv_sqrt), subset_by_index=(0, k - 1), overwrite_a=True
+                _sym_laplacian(w.toarray() if sparse else w, deg, deg_safe, inv_sqrt),
+                subset_by_index=(0, k - 1),
+                overwrite_a=True,
             )
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed: {exc}")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, pairwise_distances, standardize, string_array
+from .dataset import Dataset, standardize, string_array
 from .errors import (
     AnnotationError,
     DegenerateGroupingError,
@@ -147,8 +147,7 @@ def build_training_set(
         try:
             rows = collect_unlabelled(work, label)
             points = work.x[rows]
-            dist = pairwise_distances(points)
-            graph = build_graph(dist, graph_spec, seed=seed)
+            graph = build_graph(points, graph_spec, seed=seed)
             grouping = spectral_grouping(graph, k=2, seed=seed, restarts=restarts)
             pool_labels, audit = annotate_groups(points, grouping, label, work.strong_label, strong_centroid)
         except SpectralWeakError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 from spectralweak.dataset import Dataset
 from spectralweak.errors import NumericalError
@@ -54,6 +55,36 @@ def knn_adjacency_reference(d, k):
         order = order[order != i]
         adj[i, order[:k]] = True
     return adj
+
+
+def knn_graph_reference(dist, k, mode="symmetric", sigma=None):
+    """Dense W of the kNN graph over a DistanceMatrix, and its sigma.
+
+    The original dense kNN builder, kept as the oracle for the bits of the
+    blockwise CSR builder: sigma defaults to np.median of the strict upper
+    triangle; each row's (k+1)-th smallest entry is a threshold, and only
+    rows with a tie at it are ranked in full by (distance, index); Gaussian
+    weights are evaluated on the joined pairs, so one that underflows leaves
+    a zero in W.
+    """
+    d = dist.d
+    n = dist.n
+    if sigma is None:
+        sigma = float(np.median(d[~np.tri(n, dtype=bool)]))
+    thr = np.partition(d, k, axis=1)[:, k]
+    adj = d <= thr[:, None]
+    np.fill_diagonal(adj, False)
+    idx = np.arange(n)
+    for i in np.flatnonzero(adj.sum(axis=1) != k):
+        order = np.lexsort((idx, d[i]))
+        order = order[order != i]
+        adj[i] = False
+        adj[i, order[:k]] = True
+    joined = (adj | adj.T) if mode == "symmetric" else (adj & adj.T)
+    rows, cols = np.nonzero(joined)
+    w = np.zeros((n, n))
+    w[rows, cols] = np.exp(-(d[rows, cols] ** 2) / (2.0 * sigma**2))
+    return w, sigma
 
 
 def components_reference(w):
@@ -114,7 +145,7 @@ def rw_laplacian_reference(w):
     The matrix the spectral step used to build, in one buffer scaled in
     place, before it solved through L_sym.
     """
-    w = np.asarray(w, dtype=float)
+    w = w.toarray() if scipy.sparse.issparse(w) else np.asarray(w, dtype=float)
     deg = w.sum(axis=1)
     mat = 0.0 - w
     np.fill_diagonal(mat, deg)

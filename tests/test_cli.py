@@ -346,6 +346,20 @@ def test_train_counts_provenance_of_the_entries_it_trains_on(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_builtin_dataset_takes_the_strong_label_flag(tmp_path, capsys):
+    argv = ["annotate", "--data", "builtin:dataset_a", "--model", "knn_symmetric", "--k", "3"]
+    code, _, err = run([*argv, "--strong-label", "normal", "--out", str(tmp_path / "normal")], capsys)
+    assert code == 2
+    assert err.startswith("error: strong label 'normal' not present among bag labels")
+    assert not (tmp_path / "normal" / "annotated.csv").exists()
+    code, _, _ = run([*argv, "--strong-label", "sparse", "--out", str(tmp_path / "sparse")], capsys)
+    assert code == 0
+    with (tmp_path / "sparse" / "annotated.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["label"] for row in rows if row["provenance"] == "strong"} == {"sparse"}
+    assert sum(row["provenance"] == "strong" for row in rows) == 16
+
+
 def test_train_knn_requires_neighbour_count(tmp_path, capsys):
     data = write_bagged_csv(tmp_path / "bags.csv")
     code, _, err = run(
@@ -484,7 +498,7 @@ def test_missing_data_flag_and_unknown_model(tmp_path, capsys):
     "argv, flag",
     [
         (["group", "--data", "builtin:dataset_a", "--model", "knn_symmetric", "--k", "abc"], "--k"),
-        (["evaluate", "--data", "builtin:dataset_a", "--strong-label", "A", "--tau", "x"], "--tau"),
+        (["evaluate", "--data", "builtin:dataset_a", "--strong-label", "dense", "--tau", "x"], "--tau"),
     ],
 )
 def test_bad_numeric_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):

@@ -1,17 +1,21 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse
+from hypothesis import example, given, settings, strategies as st
 
+from spectralweak import simgraph
 from spectralweak.dataset import DistanceMatrix, pairwise_distances
-from spectralweak.errors import DegenerateDistanceError, ParameterError
+from spectralweak.errors import DegenerateDistanceError, IntegrityError, ParameterError
 from spectralweak.simgraph import (
     MODELS,
     SYMMETRIZE_RULES,
     GraphParams,
     GraphSpec,
+    SimilarityGraph,
     acceptance_probability,
     build_graph,
     bump_peak,
@@ -22,7 +26,7 @@ from spectralweak.simgraph import (
     graph_from_json_dict,
     graph_to_json_dict,
     initial_similarities,
-    _knn_adjacency,
+    _block_neighbours,
     knn_graph,
     prob_criterion_graph,
     prob_threshold_graph,
@@ -32,7 +36,7 @@ from spectralweak.simgraph import (
     write_graph_json,
 )
 
-from helpers import components_reference, knn_adjacency_reference, prob_criterion_reference
+from helpers import components_reference, knn_adjacency_reference, knn_graph_reference, prob_criterion_reference
 
 LINE4 = np.array([[0.0], [1.0], [2.5], [5.0]])
 
@@ -114,6 +118,13 @@ def test_epsilon_graph_is_unweighted():
     assert set(np.unique(g.w)) <= {0.0, 1.0}
 
 
+def block_adjacency(d, k):
+    """Boolean adjacency of the builder's neighbour lists, the whole matrix as one block."""
+    adj = np.zeros((d.n, d.n), dtype=bool)
+    adj[np.arange(d.n)[:, None], _block_neighbours(d.d, 0, k)] = True
+    return adj
+
+
 def test_knn_line_modes():
     d = pairwise_distances(LINE4)
     sym = knn_graph(d, 1, mode="symmetric", sigma=1.0)
@@ -143,14 +154,14 @@ def knn_cases(draw):
 def test_knn_adjacency_matches_lexsort_reference(case):
     pts, k = case
     d = pairwise_distances(pts)
-    assert np.array_equal(_knn_adjacency(d, k), knn_adjacency_reference(d.d, k))
+    assert np.array_equal(block_adjacency(d, k), knn_adjacency_reference(d.d, k))
 
 
 def test_knn_adjacency_ties_and_duplicates_hand_case():
     # row 0 has 1 and 3 tied at distance 1 and 2 at distance zero
     pts = np.array([[0.0], [1.0], [0.0], [-1.0], [5.0]])
     d = pairwise_distances(pts)
-    adj = _knn_adjacency(d, 2)
+    adj = block_adjacency(d, 2)
     assert np.flatnonzero(adj[0]).tolist() == [1, 2]
     assert np.flatnonzero(adj[2]).tolist() == [0, 1]
     assert np.array_equal(adj, knn_adjacency_reference(d.d, 2))
@@ -163,7 +174,7 @@ def test_knn_weights_equal_full_gaussian_on_joined_pairs(mode):
     adj = knn_adjacency_reference(d.d, 7)
     joined = (adj | adj.T) if mode == "symmetric" else (adj & adj.T)
     full = np.exp(-(d.d**2) / (2.0 * g.params.sigma**2))
-    assert np.array_equal(g.w, np.where(joined, full, 0.0))
+    assert np.array_equal(g.w.toarray(), np.where(joined, full, 0.0))
 
 
 def test_knn_default_sigma_is_median_distance():
@@ -183,9 +194,150 @@ def test_knn_k_bounds():
 @given(st.integers(0, 2**31 - 1), st.integers(1, 6))
 def test_mutual_edges_subset_of_symmetric(seed, k):
     d = pairwise_distances(seeded_points(seed))
-    sym = knn_graph(d, k, sigma=1.0).w > 0
-    mut = knn_graph(d, k, mode="mutual", sigma=1.0).w > 0
+    sym = knn_graph(d, k, sigma=1.0).w.toarray() > 0
+    mut = knn_graph(d, k, mode="mutual", sigma=1.0).w.toarray() > 0
     assert not np.any(mut & ~sym)
+
+
+# ---------------------------------------------------------------------------
+# the blockwise CSR kNN builder against the dense reference
+
+
+@st.composite
+def knn_builds(draw):
+    """A kNN case, a mode, a sigma (the default median, or one small enough
+    that most weights underflow to zero) and a row block size from one row up."""
+    pts, k = draw(knn_cases())
+    n = len(pts)
+    mode = draw(st.sampled_from(["symmetric", "mutual"]))
+    sigma = draw(st.one_of(st.none(), st.just(0.02), st.floats(0.05, 3.0)))
+    block_bytes = draw(st.sampled_from([8, 8 * n * 2, 8 * n * 3 + 1, simgraph.ROW_BLOCK_BYTES]))
+    return pts, k, mode, sigma, block_bytes
+
+
+def upper_median(pts):
+    d = pairwise_distances(pts).d
+    return np.median(d[~np.tri(len(pts), dtype=bool)])
+
+
+@given(knn_builds())
+@settings(max_examples=300)
+@example(case=(np.array([[0.0], [1.0], [2.0], [40.0], [41.0]]), 2, "symmetric", 0.02, 8))
+@example(case=(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 4, "mutual", None, 8))
+def test_csr_knn_builder_equals_dense_reference(case):
+    pts, k, mode, sigma, block_bytes = case
+    dist = pairwise_distances(pts)
+    with mock.patch.object(simgraph, "ROW_BLOCK_BYTES", block_bytes):
+        if sigma is None and upper_median(pts) == 0.0:
+            with pytest.raises(ParameterError, match="median distance is zero"):
+                knn_graph(pts, k, mode=mode)
+            return
+        g = knn_graph(pts, k, mode=mode, sigma=sigma)
+        from_dist = knn_graph(dist, k, mode=mode, sigma=sigma)
+    want, want_sigma = knn_graph_reference(dist, k, mode=mode, sigma=sigma)
+    assert np.float64(g.params.sigma).tobytes() == np.float64(want_sigma).tobytes()
+    assert g.w.toarray().tobytes() == want.tobytes()
+    assert g.w.has_canonical_format and np.all(g.w.data > 0.0)
+    for a, b in zip((g.w.data, g.w.indices, g.w.indptr), (from_dist.w.data, from_dist.w.indices, from_dist.w.indptr)):
+        assert np.array_equal(a, b)
+    assert from_dist.params == g.params
+
+
+def test_knn_underflowed_weight_is_not_an_edge():
+    # 50 / sigma = 50 standard deviations: exp(-1250) is 0.0 in float64
+    pts = np.array([[0.0], [1.0], [50.0]])
+    g = knn_graph(pts, 2, sigma=1.0)
+    want, _ = knn_graph_reference(pairwise_distances(pts), 2, sigma=1.0)
+    assert np.array_equal(g.w.toarray(), want)
+    assert g.n_edges() == 1
+    assert connected_components(g)[0] == 2
+
+
+def test_build_graph_reads_knn_from_coordinates():
+    pts = seeded_points(3, 40, 3)
+    spec = GraphSpec("knn_mutual", GraphParams(k=5))
+    a = build_graph(pts, spec)
+    b = build_graph(pairwise_distances(pts), spec)
+    assert isinstance(a.w, scipy.sparse.csr_array)
+    assert np.array_equal(a.w.toarray(), b.w.toarray())
+    assert a.params == b.params
+
+
+@st.composite
+def median_cases(draw):
+    """Points with many tied distances (an integer grid, duplicates too), in
+    general position, or rounded to one decimal; and a row block size."""
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["grid", "normal", "rounded"]))
+    if kind == "grid":
+        pts = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=p, max_size=p), min_size=n, max_size=n)), dtype=float)
+    else:
+        pts = np.random.default_rng(draw(st.integers(0, 2**31 - 1))).normal(size=(n, p))
+        if kind == "rounded":
+            pts = np.round(pts, 1)
+    return pts, draw(st.sampled_from([8, 8 * n * 2, simgraph.ROW_BLOCK_BYTES]))
+
+
+@given(median_cases())
+@settings(max_examples=300)
+@example(case=(np.array([[0.0], [2.0]]), 8))
+@example(case=(np.array([[0.0], [1.0], [3.0], [7.0]]), 8))
+def test_blockwise_sigma_equals_numpy_median(case):
+    pts, block_bytes = case
+    want = upper_median(pts)
+    with mock.patch.object(simgraph, "ROW_BLOCK_BYTES", block_bytes):
+        if want == 0.0:
+            with pytest.raises(ParameterError, match="median distance is zero"):
+                knn_graph(pts, 1)
+        else:
+            assert np.float64(knn_graph(pts, 1).params.sigma).tobytes() == want.tobytes()
+
+
+def test_median_of_two_middle_values_in_different_bins():
+    # pair distances 1, 2, 3, 4, 6, 7: the middle two straddle an octave
+    pts = np.array([[0.0], [1.0], [3.0], [7.0]])
+    bins = simgraph._median_bins(np.array([3.0, 4.0]))
+    assert bins[0] != bins[1]
+    with mock.patch.object(simgraph, "ROW_BLOCK_BYTES", 8):
+        assert knn_graph(pts, 1).params.sigma == 3.5
+
+
+def test_knn_all_equal_points_median_zero():
+    pts = np.ones((6, 2))
+    for data in (pts, pairwise_distances(pts)):
+        with pytest.raises(ParameterError, match="median distance is zero; pass sigma explicitly"):
+            knn_graph(data, 2)
+
+
+def test_sparse_weights_are_validated():
+    edge = scipy.sparse.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    params = GraphParams(k=1, sigma=1.0)
+    assert SimilarityGraph(w=edge, model="knn_symmetric", params=params).n_edges() == 1
+    one_way = scipy.sparse.csr_array(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(IntegrityError, match="not exactly symmetric"):
+        SimilarityGraph(w=one_way, model="knn_symmetric", params=params)
+    stored_zero = scipy.sparse.csr_array((np.array([0.0, 0.0]), np.array([1, 0]), np.array([0, 1, 2])), shape=(2, 2))
+    with pytest.raises(IntegrityError, match="finite and positive"):
+        SimilarityGraph(w=stored_zero, model="knn_symmetric", params=params)
+    loop = scipy.sparse.csr_array(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(IntegrityError, match="diagonal"):
+        SimilarityGraph(w=loop, model="knn_mutual", params=params)
+
+
+def test_knn_graph_json_roundtrip(tmp_path):
+    pts = np.round(seeded_points(4, 30, 2), 1)
+    g = knn_graph(pts, 4, mode="mutual")
+    want, _ = knn_graph_reference(pairwise_distances(pts), 4, mode="mutual")
+    as_dense = SimilarityGraph(w=want, model="fully_connected", params=g.params)
+    assert graph_to_json_dict(g)["triplets"] == graph_to_json_dict(as_dense)["triplets"]
+    path = tmp_path / "g.json"
+    write_graph_json(g, path)
+    back = read_graph_json(path)
+    assert isinstance(back.w, scipy.sparse.csr_array)
+    for a, b in zip((back.w.data, back.w.indices, back.w.indptr), (g.w.data, g.w.indices, g.w.indptr)):
+        assert np.array_equal(a, b)
+    assert (back.model, back.params) == (g.model, g.params)
 
 
 def test_fully_connected_weights():

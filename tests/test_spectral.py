@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spectralweak.bench import partition_matches
 from spectralweak.dataset import pairwise_distances
-from spectralweak import spectral
+from spectralweak import simgraph, spectral
 from spectralweak.errors import NumericalError, ParameterError
 from spectralweak.simgraph import (
     GraphParams,
@@ -21,6 +21,7 @@ from spectralweak.simgraph import (
 )
 from spectralweak.spectral import (
     Grouping,
+    degree_matrix,
     kmeans,
     kmeans_detailed,
     smallest_k_eigenvectors,
@@ -30,6 +31,7 @@ from spectralweak.spectral import (
 
 from helpers import (
     kmeans_reference,
+    knn_graph_reference,
     lloyd_reference,
     rw_laplacian_reference,
     sym_laplacian_reference,
@@ -249,7 +251,7 @@ def blob_points(seed, n, p=5):
 
 def dense_route(graph):
     """The same weights under a model that only eigh solves."""
-    return SimilarityGraph(w=graph.w, model="fully_connected", params=graph.params)
+    return SimilarityGraph(w=graph.w.toarray(), model="fully_connected", params=graph.params)
 
 
 @pytest.mark.parametrize(
@@ -293,7 +295,7 @@ def test_clamped_knn_graph_takes_dense_route():
 
 def test_route_follows_the_graph_model():
     g = knn_graph(pairwise_distances(blob_points(5, 200)), 10)
-    as_prob = SimilarityGraph(w=g.w, model="prob_threshold", params=g.params)
+    as_prob = SimilarityGraph(w=g.w.toarray(), model="prob_threshold", params=g.params)
     assert smallest_k_eigenvectors(g, 2).solver == "eigsh"
     assert smallest_k_eigenvectors(as_prob, 2).solver == "eigh"
     # ARPACK needs k < n - 1
@@ -322,6 +324,54 @@ def test_arpack_no_convergence_falls_back_to_dense(monkeypatch):
     got = smallest_k_eigenvectors(g, 2)
     assert got.solver == "eigh"
     assert np.array_equal(got.vectors, want.vectors)
+
+
+def test_dense_fallback_is_refused_above_its_size(monkeypatch):
+    pts = blob_points(4, 80)
+    pts[40:, 1] += 1000.0
+    g = knn_graph(pts, 5)
+    monkeypatch.setattr(spectral, "DENSE_FALLBACK_MAX_N", 79)
+    with pytest.raises(NumericalError, match=r"kNN graph of 80 vertices .* has 2 connected components"):
+        smallest_k_eigenvectors(g, 2)
+    monkeypatch.setattr(spectral, "DENSE_FALLBACK_MAX_N", 80)
+    assert smallest_k_eigenvectors(g, 2).solver == "eigh"
+
+
+def test_arpack_failure_above_the_fallback_size_is_an_error(monkeypatch):
+    g = knn_graph(blob_points(8, 300), 10)
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((300, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(spectral, "DENSE_FALLBACK_MAX_N", 299)
+    with pytest.raises(NumericalError, match="ARPACK failed on it"):
+        smallest_k_eigenvectors(g, 2)
+
+
+@pytest.mark.parametrize("block_bytes", [8, 8 * 300 * 7, simgraph.ROW_BLOCK_BYTES])
+def test_csr_degrees_keep_the_dense_row_sum_bits(monkeypatch, block_bytes):
+    pts = blob_points(9, 300)
+    g = knn_graph(pts, 10)
+    want, _ = knn_graph_reference(pairwise_distances(pts), 10)
+    monkeypatch.setattr(simgraph, "ROW_BLOCK_BYTES", block_bytes)
+    assert degree_matrix(g).tobytes() == want.sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "mutual"])
+def test_arpack_input_has_the_dense_route_bits(mode):
+    # N as it was built from a dense W: evaluated on np.nonzero(W), converted from COO
+    pts = blob_points(10, 400)
+    g = knn_graph(pts, 10, mode=mode)
+    want, _ = knn_graph_reference(pairwise_distances(pts), 10, mode=mode)
+    deg = want.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(np.where(deg == 0.0, 1.0, deg))
+    rows, cols = np.nonzero(want)
+    ref = scipy.sparse.csr_array((want[rows, cols] * (inv_sqrt[rows] * inv_sqrt[cols]), (rows, cols)), shape=want.shape)
+    got = spectral._normalized_adjacency(g.w, inv_sqrt)
+    assert got.data.tobytes() == ref.data.tobytes()
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.indptr, ref.indptr)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +469,23 @@ def test_spectral_step_memory_budget(make_graph, n, budget):
     finally:
         tracemalloc.stop()
     assert peak < budget * 8 * n * n, f"peak {peak} B = {peak / (8 * n * n):.2f} dense n x n arrays"
+
+
+def test_knn_route_memory_budget_from_coordinates():
+    # graph build and ARPACK eigensolve from coordinates: no n x n array anywhere
+    n = 3000
+    pts = blob_points(0, n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = build_graph(pts, GraphSpec("knn_symmetric", GraphParams(k=10)))
+        emb = smallest_k_eigenvectors(g, 2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert emb.solver == "eigsh"
+    assert peak < 0.1 * 8 * n * n, f"peak {peak} B = {peak / (8 * n * n):.2f} dense n x n arrays"
 
 
 # ---------------------------------------------------------------------------
