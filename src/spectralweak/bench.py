@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .classify import fully_supervised_baseline, leave_one_bag_out_cv
-from .dataset import Dataset, DistanceMatrix, pairwise_distances
+from .dataset import Dataset, DistanceMatrix, pairwise_distances, standardize
 from .errors import MissingDataError, ParseError
-from .evaluation import GridSearchResult, GridSpec, f1_score, grid_search
+from .evaluation import GridSpec, f1_score, grid_search
 from .simgraph import (
     GraphParams,
     GraphSpec,
@@ -313,14 +313,6 @@ class BenchReport:
         out.append(f"suite {self.suite}: {'PASS' if self.passed else 'FAIL'}")
         return out
 
-    def write_rows_csv(self, path: str | Path) -> None:
-        if not self.rows:
-            return
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(self.rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(self.rows)
-
 
 # ---------------------------------------------------------------------------
 # suite: published grouping scores
@@ -329,28 +321,18 @@ BANKNOTES_W_GRID = tuple(round(w, 2) for w in np.arange(0.01, 0.201, 0.01))
 BANKNOTES_SIGMA_GRID = (0.05, 0.1, 0.2, 0.35, 0.5)
 BANKNOTES_EPS_WEIGHT = 1e-4
 
-
-def _grid_rows(dataset: str, result: GridSearchResult) -> list[dict]:
-    rows = []
-    for row in result.rows:
-        p = row.spec.params
-        rows.append(
-            {
-                "dataset": dataset,
-                "model": row.spec.model,
-                "symmetrize": p.symmetrize,
-                "w_thresh": p.w_thresh,
-                "sigma": p.sigma,
-                "objective": row.objective,
-                "error": row.error or "",
-            }
-        )
-    return rows
-
-
-def _best_summary(result: GridSearchResult) -> str:
-    p = result.best.spec.params
-    return f"best w={p.w_thresh:g} sigma={p.sigma:g}"
+# One grid per case: dataset, model, symmetrize rule, groups, w axis (scaled by
+# 1/(n - 1) when the flag is set), sigma axis, eps_weight, and the published
+# F1, a soft band of +/- 0.10 around it; None makes F1 >= 0.99 a hard check.
+TABLE1_CASES = (
+    *(
+        ("banknotes", model, rule, 2, BANKNOTES_W_GRID, False, BANKNOTES_SIGMA_GRID, BANKNOTES_EPS_WEIGHT, None)
+        for model in ("prob_threshold", "prob_criterion")
+        for rule in ("min", "max")
+    ),
+    ("segmentation", "prob_threshold", "min", 7, (0.5, 1.0, 2.0, 3.0, 5.0), True, (1e-4, 5e-4, 2e-3), 1e-6, 0.581),
+    ("abalone", "prob_threshold", "max", 10, (1.0, 3.0), True, (2e-4, 1e-3), 1e-6, 0.903),
+)
 
 
 def table1(
@@ -358,7 +340,8 @@ def table1(
     seed: int = 0,
     datasets: tuple[str, ...] = BENCH_DATASETS,
 ) -> BenchReport:
-    """Grouping scores on the public benchmarks.
+    """Grouping scores on the public benchmarks, one grid search per case of
+    TABLE1_CASES on the z-scored dataset.
 
     Banknotes rows are hard checks (the probabilistic graphs should group the
     two classes almost perfectly); Segmentation and Abalone are soft bands
@@ -368,76 +351,42 @@ def table1(
     t0 = time.perf_counter()
     checks: list[BenchCheck] = []
     rows: list[dict] = []
-    if "banknotes" in datasets:
-        ds = load_banknotes(data_dir)
-        for model in ("prob_threshold", "prob_criterion"):
-            for rule in ("min", "max"):
-                grid = GridSpec(
-                    model=model,
-                    axes=(("w_thresh", BANKNOTES_W_GRID), ("sigma", BANKNOTES_SIGMA_GRID)),
-                    base=GraphParams(eps_weight=BANKNOTES_EPS_WEIGHT, symmetrize=rule),
-                )
-                result = grid_search(ds, grid, k=2, objective="f1", seed=seed)
-                value = result.best.objective
-                checks.append(
-                    BenchCheck(
-                        name=f"banknotes {model} {rule}",
-                        kind="hard",
-                        passed=value is not None and value >= 0.99,
-                        value=value,
-                        target="F1 >= 0.99",
-                        detail=_best_summary(result),
-                    )
-                )
-                rows.extend(_grid_rows("banknotes", result))
-    if "segmentation" in datasets:
-        ds = load_segmentation(data_dir)
-        n = ds.n
+    loaded: dict[str, Dataset] = {}
+    for name, model, rule, groups, w_axis, w_scaled, sigma_axis, eps_weight, published in TABLE1_CASES:
+        if name not in datasets:
+            continue
+        if name not in loaded:
+            loaded[name] = standardize(BENCH_LOADERS[name](data_dir))
+        ds = loaded[name]
+        if w_scaled:
+            w_axis = tuple(c / (ds.n - 1) for c in w_axis)
         grid = GridSpec(
-            model="prob_threshold",
-            axes=(
-                ("w_thresh", tuple(c / (n - 1) for c in (0.5, 1.0, 2.0, 3.0, 5.0))),
-                ("sigma", (1e-4, 5e-4, 2e-3)),
-            ),
-            base=GraphParams(eps_weight=1e-6, symmetrize="min"),
+            model=model,
+            axes=(("w_thresh", w_axis), ("sigma", sigma_axis)),
+            base=GraphParams(eps_weight=eps_weight, symmetrize=rule),
         )
-        result = grid_search(ds, grid, k=7, objective="f1", seed=seed)
-        value = result.best.objective
-        checks.append(
-            BenchCheck(
-                name="segmentation prob_threshold min",
-                kind="soft",
-                passed=value is not None and abs(value - 0.581) <= 0.10,
-                value=value,
-                target="F1 in 0.581 +/- 0.10",
-                detail=_best_summary(result),
+        result = grid_search(ds, grid, k=groups, objective="f1", seed=seed)
+        value = result.best.objective  # the best row always has one; grid_search raises otherwise
+        if published is None:
+            kind, target, passed = "hard", "F1 >= 0.99", value >= 0.99
+        else:
+            kind, target, passed = "soft", f"F1 in {published} +/- 0.10", abs(value - published) <= 0.10
+        best = result.best.spec.params
+        detail = f"best w={best.w_thresh:g} sigma={best.sigma:g}"
+        checks.append(BenchCheck(f"{name} {model} {rule}", kind, passed, value, target, detail))
+        for row in result.rows:
+            p = row.spec.params
+            rows.append(
+                {
+                    "dataset": name,
+                    "model": row.spec.model,
+                    "symmetrize": p.symmetrize,
+                    "w_thresh": p.w_thresh,
+                    "sigma": p.sigma,
+                    "objective": row.objective,
+                    "error": row.error or "",
+                }
             )
-        )
-        rows.extend(_grid_rows("segmentation", result))
-    if "abalone" in datasets:
-        ds = load_abalone(data_dir)
-        n = ds.n
-        grid = GridSpec(
-            model="prob_threshold",
-            axes=(
-                ("w_thresh", tuple(c / (n - 1) for c in (1.0, 3.0))),
-                ("sigma", (2e-4, 1e-3)),
-            ),
-            base=GraphParams(eps_weight=1e-6, symmetrize="max"),
-        )
-        result = grid_search(ds, grid, k=10, objective="f1", seed=seed)
-        value = result.best.objective
-        checks.append(
-            BenchCheck(
-                name="abalone prob_threshold max",
-                kind="soft",
-                passed=value is not None and abs(value - 0.903) <= 0.10,
-                value=value,
-                target="F1 in 0.903 +/- 0.10",
-                detail=_best_summary(result),
-            )
-        )
-        rows.extend(_grid_rows("abalone", result))
     return BenchReport("table1", tuple(checks), time.perf_counter() - t0, tuple(rows))
 
 
@@ -501,6 +450,24 @@ def table2synth(
 # ---------------------------------------------------------------------------
 # suite: toy reconstruction properties
 
+def _component_sweep(family: str, params, build, planted: np.ndarray, rows: list[dict]) -> tuple[list[int], list]:
+    """Connected components of build(param) for each param, one row each.
+
+    Returns the component counts and the params whose components are exactly
+    the planted groups.
+    """
+    counts: list[int] = []
+    hits = []
+    for param in params:
+        count, labels = connected_components(build(param))
+        hit = count == 2 and partition_matches(labels, planted)
+        counts.append(count)
+        if hit:
+            hits.append(param)
+        rows.append({"family": family, "param": param, "components": count, "planted": int(hit)})
+    return counts, hits
+
+
 def toyfig() -> BenchReport:
     """Property sweep over the bundled reconstruction: classical graphs are
     either too coarse or too fine at every setting, while the threshold graph
@@ -512,97 +479,55 @@ def toyfig() -> BenchReport:
     checks: list[BenchCheck] = []
     rows: list[dict] = []
 
-    eps_counts: list[int] = []
-    eps_hit = False
-    for eps in epsilon_sweep_grid(dist):
-        count, labels = connected_components(epsilon_graph(dist, eps))
-        hit = count == 2 and partition_matches(labels, planted)
-        eps_counts.append(count)
-        eps_hit |= hit
-        rows.append({"family": "epsilon", "param": eps, "components": count, "planted": int(hit)})
-    checks.append(
-        BenchCheck(
-            name="epsilon components monotone in epsilon",
-            kind="hard",
-            passed=_non_increasing(eps_counts),
-            detail=f"counts {eps_counts[0]}..{eps_counts[-1]} over {len(eps_counts)} radii",
-        )
+    counts, hits = _component_sweep(
+        "epsilon", epsilon_sweep_grid(dist), lambda eps: epsilon_graph(dist, eps), planted, rows
     )
-    checks.append(
-        BenchCheck(
-            name="no epsilon yields the planted groups",
-            kind="hard",
-            passed=not eps_hit,
-        )
-    )
+    span = f"counts {counts[0]}..{counts[-1]} over {len(counts)} radii"
+    checks.append(BenchCheck("epsilon components monotone in epsilon", "hard", _non_increasing(counts), detail=span))
+    checks.append(BenchCheck("no epsilon yields the planted groups", "hard", not hits))
 
     for mode, model in (("symmetric", "knn_symmetric"), ("mutual", "knn_mutual")):
-        counts: list[int] = []
-        knn_hit = False
-        for k in range(1, TOY_K_MAX + 1):
-            count, labels = connected_components(knn_graph(dist, k, mode=mode))
-            hit = count == 2 and partition_matches(labels, planted)
-            counts.append(count)
-            knn_hit |= hit
-            rows.append({"family": model, "param": k, "components": count, "planted": int(hit)})
-        checks.append(
-            BenchCheck(
-                name=f"{model} components monotone in k",
-                kind="hard",
-                passed=_non_increasing(counts),
-                detail=f"counts {counts[0]}..{counts[-1]} for k=1..{TOY_K_MAX}",
-            )
+        counts, hits = _component_sweep(
+            model, range(1, TOY_K_MAX + 1), lambda k: knn_graph(dist, k, mode=mode), planted, rows
         )
-        checks.append(
-            BenchCheck(
-                name=f"no k yields the planted groups ({model})",
-                kind="hard",
-                passed=not knn_hit,
-            )
-        )
+        span = f"counts {counts[0]}..{counts[-1]} for k=1..{TOY_K_MAX}"
+        checks.append(BenchCheck(f"{model} components monotone in k", "hard", _non_increasing(counts), detail=span))
+        checks.append(BenchCheck(f"no k yields the planted groups ({model})", "hard", not hits))
 
     sims = initial_similarities(dist)
-    recovered: list[float] = []
-    for w in TOY_W_GRID:
-        graph = prob_threshold_graph(sims, w, TOY_SIGMA_W, TOY_EPS_WEIGHT, TOY_SYMMETRIZE)
-        count, labels = connected_components(graph)
-        hit = count == 2 and partition_matches(labels, planted)
-        if hit:
-            recovered.append(w)
-        rows.append(
-            {"family": "prob_threshold", "param": w, "components": count, "planted": int(hit)}
-        )
+
+    def threshold_graph(w: float):
+        return prob_threshold_graph(sims, w, TOY_SIGMA_W, TOY_EPS_WEIGHT, TOY_SYMMETRIZE)
+
+    _, recovered = _component_sweep("prob_threshold", TOY_W_GRID, threshold_graph, planted, rows)
     window = f"w in [{min(recovered):g}, {max(recovered):g}]" if recovered else "empty"
     checks.append(
         BenchCheck(
-            name="prob_threshold recovers the planted groups for some w",
-            kind="hard",
-            passed=bool(recovered),
+            "prob_threshold recovers the planted groups for some w",
+            "hard",
+            bool(recovered),
             value=float(len(recovered)),
             detail=window,
         )
     )
 
-    ref = prob_threshold_graph(
-        sims, TOY_REFERENCE_W, TOY_SIGMA_W, TOY_EPS_WEIGHT, TOY_SYMMETRIZE
-    )
+    ref = threshold_graph(TOY_REFERENCE_W)
     ref_count, _ = connected_components(ref)
     checks.append(
         BenchCheck(
-            name=f"reference threshold w={TOY_REFERENCE_W} gives 2 components",
-            kind="hard",
-            passed=ref_count == 2,
+            f"reference threshold w={TOY_REFERENCE_W} gives 2 components",
+            "hard",
+            ref_count == 2,
             value=float(ref_count),
             target="2 components",
         )
     )
-    grouping = spectral_grouping(ref, k=2, seed=0)
-    ref_f1 = f1_score(grouping, planted).value
+    ref_f1 = f1_score(spectral_grouping(ref, k=2, seed=0), planted).value
     checks.append(
         BenchCheck(
-            name="spectral grouping at the reference threshold matches the plant",
-            kind="hard",
-            passed=math.isclose(ref_f1, 1.0),
+            "spectral grouping at the reference threshold matches the plant",
+            "hard",
+            math.isclose(ref_f1, 1.0),
             value=ref_f1,
             target="F1 = 1",
         )

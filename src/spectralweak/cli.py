@@ -150,33 +150,21 @@ def _load_dataset(args, config, require_strong: bool = False) -> Dataset:
         ds = BUILTIN_DATASETS[data]()
         # replace() validates like a CSV load: a label no bag carries is an IntegrityError.
         return ds if strong is None else replace(ds, strong_label=strong)
-    id_col = _resolve(args, config, "id-col", "instance")
-    bag_col = _resolve(args, config, "bag-col", "bag")
-    label_col = _resolve(args, config, "label-col", "group")
-    delimiter = _resolve(args, config, "delimiter", ",")
     path = Path(data)
     if not path.is_file():
         raise SchemaError(f"dataset file not found: {path}")
-    with path.open(newline="") as fh:
-        header = next(csv.reader(fh, delimiter=delimiter), None)
-    if header is None:
-        raise SchemaError(f"{path}: empty file")
-    features = _resolve(args, config, "features")
-    if features:
-        feature_cols = tuple(tok.strip() for tok in str(features).split(","))
-    else:
-        feature_cols = tuple(c for c in header if c not in (id_col, bag_col, label_col))
     if strong is None and require_strong:
         raise ParameterError("--strong-label is required for this command")
+    features = _resolve(args, config, "features")
     # Without one, load_csv picks a label that exists so the dataset
     # validates; grouping-only commands never consult the strong label.
     schema = CsvSchema(
-        instance_id=id_col,
-        bag_id=bag_col,
-        bag_label=label_col,
-        features=feature_cols,
+        instance_id=_resolve(args, config, "id-col", "instance"),
+        bag_id=_resolve(args, config, "bag-col", "bag"),
+        bag_label=_resolve(args, config, "label-col", "group"),
+        features=tuple(tok.strip() for tok in str(features).split(",")) if features else None,
         strong_label=strong,
-        delimiter=delimiter,
+        delimiter=_resolve(args, config, "delimiter", ","),
     )
     return load_csv(path, schema)
 
@@ -260,14 +248,7 @@ def cmd_group(args, config) -> int:
     work = _working_view(args, config, ds)
     if axes:
         grid = GridSpec(model=model, axes=axes, base=params)
-        result = grid_search(
-            work,
-            grid,
-            k=groups,
-            objective=objective,
-            seed=run.seed,
-            pre_standardized=True,
-        )
+        result = grid_search(work, grid, k=groups, objective=objective, seed=run.seed)
         grid_rows = []
         for row in result.rows:
             grid_rows.append(
@@ -315,8 +296,7 @@ def cmd_annotate(args, config) -> int:
     model, params, axes = _graph_setup(args, config)
     if axes:
         raise ParameterError("annotate uses a single graph setting; comma lists are for 'group'")
-    restarts = _resolve_as(args, config, "restarts", int, 10)
-    ts = build_training_set(ds, GraphSpec(model=model, params=params), seed=run.seed, restarts=restarts)
+    ts = build_training_set(ds, GraphSpec(model=model, params=params), seed=run.seed)
     write_training_csv(ts, run.out / "annotated.csv")
     print(f"wrote {run.out / 'annotated.csv'}")
     summary = ts.summary()
@@ -385,10 +365,7 @@ def cmd_bench(args, config) -> int:
     seeds = None if n_seeds is None else tuple(range(n_seeds))
     report = bench.run_suite(suite, data_dir=data_dir, seed=run.seed, seeds=seeds)
     _write_json(report.to_json_dict(), run.out / f"bench_{suite}.json")
-    rows_path = run.out / f"bench_{suite}_rows.csv"
-    report.write_rows_csv(rows_path)
-    if report.rows:
-        print(f"wrote {rows_path}")
+    _write_csv(list(report.rows), run.out / f"bench_{suite}_rows.csv")
     for line in report.lines():
         print(line)
     print(f"elapsed: {report.elapsed_s:.2f}s", file=sys.stderr)
@@ -464,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annotate", parents=[common], help="weakly annotate non-strong bags")
     _add_dataset_flags(p)
     _add_graph_flags(p, lists=False)
-    p.add_argument("--restarts", help="k-means restarts (default 10)")
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("train", parents=[common], help="fit a classifier on annotated labels")

@@ -109,7 +109,7 @@ class CsvSchema:
     instance_id: str
     bag_id: str
     bag_label: str
-    features: tuple[str, ...]
+    features: tuple[str, ...] | None  # None: every other column, in header order
     strong_label: str | None  # None: the smallest bag label in the file
     delimiter: str = ","
 
@@ -130,8 +130,11 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
         header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path}: empty file")
-        needed = [schema.instance_id, schema.bag_id, schema.bag_label, *schema.features]
-        missing = [c for c in needed if c not in header]
+        keys = (schema.instance_id, schema.bag_id, schema.bag_label)
+        features = schema.features
+        if features is None:
+            features = tuple(c for c in header if c not in keys)
+        missing = [c for c in (*keys, *features) if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}; found {header}")
         rows = [row for row in reader if row]  # blank lines are not data rows
@@ -144,7 +147,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
 
     faults = []  # (row, column order, error) of the first bad cell per column
     values = []
-    for j, col in enumerate(schema.features):
+    for j, col in enumerate(features):
         cells = column(col)
         parsed: list[float] = []
         try:
@@ -159,9 +162,9 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
             row = int(bad[0]) + 1
             faults.append((row, j, ParseError(f"{path}: row {row}, column {col!r}: non-finite value {cells[row - 1]!r}")))
         values.append(parsed_array)
-    ids, bag, label = (column(col) for col in (schema.instance_id, schema.bag_id, schema.bag_label))
-    p = len(schema.features)
-    for j, (col, cells) in enumerate(((schema.instance_id, ids), (schema.bag_id, bag), (schema.bag_label, label))):
+    ids, bag, label = (column(col) for col in keys)
+    p = len(features)
+    for j, (col, cells) in enumerate(zip(keys, (ids, bag, label))):
         if None in cells:
             row = cells.index(None) + 1
             faults.append((row, p + j, ParseError(f"{path}: row {row}, column {col!r}: missing cell")))

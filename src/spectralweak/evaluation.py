@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Dataset, DistanceMatrix, pairwise_distances, standardize
+from .dataset import Dataset, pairwise_distances
 from .errors import DegenerateGroupingError, ParameterError, SearchError, UndefinedIndexError
 from .simgraph import (
     KNN_MODELS,
@@ -196,10 +196,9 @@ def grid_search(
     k: int,
     objective: str,
     seed: int,
-    pre_standardized: bool = False,
-    restarts: int = 10,
 ) -> GridSearchResult:
-    """Evaluate every grid candidate on the full dataset and keep the best.
+    """Evaluate every grid candidate on the dataset as given and keep the
+    best. Callers that want z-scored features pass a standardized dataset.
 
     objective "f1" (higher wins) scores against each instance's bag label;
     objective "db" (lower wins) needs no truth and uses davies_bouldin.
@@ -217,8 +216,7 @@ def grid_search(
     """
     if objective not in ("f1", "db"):
         raise ParameterError(f"objective must be 'f1' or 'db', got {objective!r}")
-    work = ds if pre_standardized else standardize(ds)
-    data = work.x if grid.model in KNN_MODELS else pairwise_distances(work)
+    data = ds.x if grid.model in KNN_MODELS else pairwise_distances(ds)
     sims_by_m: dict[float, InitialSimilarities] = {}
 
     def evaluate(spec: GraphSpec) -> GridRow:
@@ -229,11 +227,11 @@ def grid_search(
             if sims is None and spec.model in PROB_MODELS and None not in (p.w_thresh, p.sigma):
                 sims = sims_by_m[p.m] = initial_similarities(data, m=p.m)
             graph = build_graph(data, spec, seed=seed, sims=sims)
-            grouping = spectral_grouping(graph, k=k, seed=seed, restarts=restarts)
+            grouping = spectral_grouping(graph, k=k, seed=seed)
             if objective == "f1":
-                value = f1_score(grouping, work.label).value
+                value = f1_score(grouping, ds.label).value
             else:
-                value = davies_bouldin(work.x, grouping).value
+                value = davies_bouldin(ds.x, grouping).value
         except Exception as exc:  # recorded per candidate, re-raised only if all fail
             return GridRow(spec=spec, objective=None, error=f"{type(exc).__name__}: {exc}")
         return GridRow(spec=spec, objective=float(value), grouping=grouping)

@@ -46,6 +46,7 @@ from .errors import NumericalError, ParameterError
 from .simgraph import SimilarityGraph, csr_rows, row_blocks
 
 LLOYD_MAX_ITER = 300  # Lloyd steps per k-means start
+KMEANS_RESTARTS = 10  # k-means++ starts per grouping; the best objective wins
 DENSE_FALLBACK_MAX_N = 10_000  # largest kNN graph densified for eigh, about 2.4 GB of n x n arrays
 KMEANS_BLOCK_BYTES = 8 * 2**20  # size of the (starts, n, k, d) distance temporary of one Lloyd block
 
@@ -394,17 +395,17 @@ def kmeans_detailed(
     points: np.ndarray,
     k: int,
     seed: int,
-    restarts: int = 10,
+    restarts: int = KMEANS_RESTARTS,
 ) -> KMeansResult:
     """Seeded k-means with k-means++ starts and Lloyd refinement.
 
-    Runs `restarts` independent starts from child seeds of `seed` and keeps
-    the run with the smallest objective (first such run on exact ties). Each
-    start runs at most LLOYD_MAX_ITER Lloyd steps. The starts advance
-    together, in blocks whose distance temporary stays near
-    KMEANS_BLOCK_BYTES, with the bits each would get alone. The per-iteration
-    objective is checked non-increasing on every run; an increase raises
-    NumericalError.
+    Runs `restarts` independent starts (KMEANS_RESTARTS in every grouping)
+    from child seeds of `seed` and keeps the run with the smallest objective
+    (first such run on exact ties). Each start runs at most LLOYD_MAX_ITER
+    Lloyd steps. The starts advance together, in blocks whose distance
+    temporary stays near KMEANS_BLOCK_BYTES, with the bits each would get
+    alone. The per-iteration objective is checked non-increasing on every
+    run; an increase raises NumericalError.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -426,19 +427,14 @@ def kmeans_detailed(
     return KMeansResult(grouping=grouping, objective=runs[best].objective, runs=tuple(runs), best_run=best)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> Grouping:
-    return kmeans_detailed(points, k, seed, restarts=restarts).grouping
+def kmeans(points: np.ndarray, k: int, seed: int) -> Grouping:
+    return kmeans_detailed(points, k, seed).grouping
 
 
-def spectral_grouping(
-    graph: SimilarityGraph,
-    k: int,
-    seed: int,
-    restarts: int = 10,
-) -> Grouping:
+def spectral_grouping(graph: SimilarityGraph, k: int, seed: int) -> Grouping:
     """Group graph vertices: the k smallest eigenvectors of L_rw, k-means on
     the embedding rows."""
     if k < 2:
         raise ParameterError(f"spectral grouping needs k >= 2, got {k}")
     emb = smallest_k_eigenvectors(graph, k)
-    return kmeans(emb.vectors, k, seed=seed, restarts=restarts)
+    return kmeans(emb.vectors, k, seed=seed)

@@ -28,7 +28,7 @@ from .errors import (
     SpectralWeakError,
 )
 from .simgraph import GraphSpec, build_graph
-from .spectral import Grouping, spectral_grouping
+from .spectral import KMEANS_RESTARTS, Grouping, spectral_grouping
 
 PROVENANCES = ("strong", "weak")
 
@@ -86,7 +86,7 @@ def annotate_groups(
     grouping: Grouping,
     bag_label: str,
     strong_label: str,
-    strong_centroid: np.ndarray | None = None,
+    strong_centroid: np.ndarray,
 ) -> tuple[tuple[str, ...], dict]:
     """Turn a two-way grouping of pooled instances into instance labels.
 
@@ -103,8 +103,6 @@ def annotate_groups(
     if sizes[0] != sizes[1]:
         disordered_group = int(np.argmax(sizes))
     else:
-        if strong_centroid is None:
-            raise ParameterError("size tie needs strong_centroid to break it")
         cents = [points[grouping.assignments == g].mean(axis=0) for g in (0, 1)]
         dists = [float(np.linalg.norm(c - strong_centroid)) for c in cents]
         disordered_group = 1 if dists[1] >= dists[0] else 0
@@ -121,12 +119,7 @@ def annotate_groups(
     return labels, audit
 
 
-def build_training_set(
-    ds: Dataset,
-    graph_spec: GraphSpec,
-    seed: int,
-    restarts: int = 10,
-) -> AnnotatedTrainingSet:
+def build_training_set(ds: Dataset, graph_spec: GraphSpec, seed: int) -> AnnotatedTrainingSet:
     """Full weak-annotation pass over a bagged dataset.
 
     Features are z-scored over the whole dataset once; each non-strong label's
@@ -148,7 +141,7 @@ def build_training_set(
             rows = collect_unlabelled(work, label)
             points = work.x[rows]
             graph = build_graph(points, graph_spec, seed=seed)
-            grouping = spectral_grouping(graph, k=2, seed=seed, restarts=restarts)
+            grouping = spectral_grouping(graph, k=2, seed=seed)
             pool_labels, audit = annotate_groups(points, grouping, label, work.strong_label, strong_centroid)
         except SpectralWeakError as exc:
             raise type(exc)(f"annotating bag label {label!r}: {exc}") from exc
@@ -161,7 +154,7 @@ def build_training_set(
     source = {
         "graph_model": graph_spec.model,
         "seed": seed,
-        "restarts": restarts,
+        "restarts": KMEANS_RESTARTS,
         "params": {
             k: v
             for k, v in graph_spec.params.__dict__.items()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import scipy.sparse
 
@@ -269,3 +271,21 @@ def kmeans_reference(points, k, seed, restarts=10):
         runs=tuple(runs),
         best_run=best,
     )
+
+
+def write_fake_banknotes(path, n_per_class=100, sep=3.0, spread=0.2, rownames=True):
+    """Stand-in for the Rdatasets banknote CSV: two well separated classes of
+    six measurements, with or without the row-name column."""
+    rng = np.random.default_rng(0)
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        header = ["Status", "Length", "Left", "Right", "Bottom", "Top", "Diagonal"]
+        if rownames:
+            header = ["rownames"] + header
+        w.writerow(header)
+        for i in range(n_per_class):
+            row = ["genuine", *np.round(rng.normal(0.0, spread, 6), 4)]
+            w.writerow(([i + 1] + row) if rownames else row)
+        for i in range(n_per_class):
+            row = ["counterfeit", *np.round(rng.normal(sep, spread, 6), 4)]
+            w.writerow(([i + 101] + row) if rownames else row)

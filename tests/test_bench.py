@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from spectralweak import bench
+from spectralweak import bench, cli
 from spectralweak.dataset import pairwise_distances
 from spectralweak.errors import MissingDataError, ParseError
 from spectralweak.weakanno import SynthBagsConfig
+
+from helpers import write_fake_banknotes
 
 
 # ---------------------------------------------------------------------------
@@ -35,22 +37,6 @@ def test_missing_files_raise_with_instructions(tmp_path):
 
 # ---------------------------------------------------------------------------
 # loaders on synthetic stand-in files
-
-def write_fake_banknotes(path, n_per_class=100, sep=3.0, spread=0.2, rownames=True):
-    rng = np.random.default_rng(0)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["Status", "Length", "Left", "Right", "Bottom", "Top", "Diagonal"]
-        if rownames:
-            header = ["rownames"] + header
-        w.writerow(header)
-        for i in range(n_per_class):
-            row = ["genuine", *np.round(rng.normal(0.0, spread, 6), 4)]
-            w.writerow(([i + 1] + row) if rownames else row)
-        for i in range(n_per_class):
-            row = ["counterfeit", *np.round(rng.normal(sep, spread, 6), 4)]
-            w.writerow(([i + 101] + row) if rownames else row)
-
 
 def test_banknotes_loader_accepts_both_layouts(tmp_path):
     write_fake_banknotes(tmp_path / "banknote.csv")
@@ -192,17 +178,17 @@ def test_check_lines_and_report_gating():
     json.dumps(payload)
 
 
-def test_report_rows_csv(tmp_path):
+def test_report_rows_csv(tmp_path, capsys):
     report = bench.BenchReport(
         "demo", (), 0.0, rows=({"a": 1, "b": "x"}, {"a": 2, "b": "y"})
     )
     path = tmp_path / "rows.csv"
-    report.write_rows_csv(path)
+    cli._write_csv(list(report.rows), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b"
     assert lines[1:] == ["1,x", "2,y"]
     empty = bench.BenchReport("demo", (), 0.0)
-    empty.write_rows_csv(tmp_path / "none.csv")
+    cli._write_csv(list(empty.rows), tmp_path / "none.csv")
     assert not (tmp_path / "none.csv").exists()
 
 

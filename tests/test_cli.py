@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -215,6 +216,42 @@ def test_threads_flag_is_rejected_and_config_key_ignored(tmp_path, capsys):
     config.write_text(json.dumps({"threads": 2}))
     code, _, _ = run([*argv, "--config", str(config)], capsys)
     assert code == 0
+
+
+COMMON = {"-h", "--help", "--config", "--seed", "--out"}
+DATASET = {"--data", "--id-col", "--bag-col", "--label-col", "--strong-label", "--features", "--delimiter"}
+GRAPH = {"--model", "--epsilon", "--k", "--sigma", "--w", "--eps-weight", "--m", "--symmetrize"}
+CLASSIFIER = {"--training", "--classifier", "--knn-k"}
+COMMAND_FLAGS = {
+    "graph": COMMON | DATASET | GRAPH | {"--no-standardize"},
+    "group": COMMON | DATASET | GRAPH | {"--no-standardize", "--groups", "--objective", "--no-truth"},
+    "annotate": COMMON | DATASET | GRAPH,
+    "train": COMMON | DATASET | CLASSIFIER | {"--no-standardize"},
+    "evaluate": COMMON | DATASET | CLASSIFIER | {"--aggregation", "--tau"},
+    "bench": COMMON | {"--suite", "--data-dir", "--synth-seeds"},
+}
+
+
+def test_each_command_takes_exactly_the_listed_flags():
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {name: {o for a in sub._actions for o in a.option_strings} for name, sub in commands.items()}
+    assert found == COMMAND_FLAGS
+
+
+def test_restarts_flag_is_rejected_and_config_key_ignored(tmp_path, capsys):
+    data = write_bagged_csv(tmp_path / "bags.csv")
+    argv = ["annotate", "--data", str(data), "--strong-label", "ok", "--model", "knn_symmetric", "--k", "5",
+            "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--restarts", "5"])
+    assert exc.value.code == 2
+    assert "--restarts" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"restarts": 5}))
+    code, _, _ = run([*argv, "--config", str(config)], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "audit.json").read_text())["source"]["restarts"] == 10
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +552,15 @@ def test_dataset_file_not_found(tmp_path, capsys):
     )
     assert code == 2
     assert "not found" in err
+
+
+def test_empty_dataset_file_exits_2(tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("")
+    code, _, err = run(["group", "--data", str(data), "--out", str(tmp_path), "--model", "epsilon", "--epsilon", "1.0"],
+                       capsys)
+    assert code == 2
+    assert err == f"error: {data}: empty file\n"
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

@@ -135,6 +135,14 @@ def test_load_csv_rejects_missing_id_bag_or_label_cell(tmp_path):
         load_csv(write_csv(tmp_path / "d.csv", rows, header), SCHEMA)
 
 
+def test_load_csv_without_features_reads_every_other_column_in_header_order(tmp_path):
+    schema = dataclasses.replace(SCHEMA, features=None)
+    p = write_csv(tmp_path / "d.csv", ["1.0,a,b1,2.0,good", "3.0,b,b2,4.0,bad"], header="y,id,bag,x,label")
+    ds = load_csv(p, schema)
+    assert np.array_equal(ds.x, [[1.0, 2.0], [3.0, 4.0]])
+    assert ds.ids.tolist() == ["a", "b"]
+
+
 def test_load_csv_without_strong_label_takes_the_smallest(tmp_path):
     schema = dataclasses.replace(SCHEMA, strong_label=None)
     p = write_csv(tmp_path / "d.csv", ["a,b1,good,0.0,1.0", "b,b2,bad,2.0,3.0"])

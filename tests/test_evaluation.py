@@ -233,7 +233,7 @@ def separable_singletons(seed=0):
 def test_grid_search_finds_connecting_epsilon():
     ds = separable_singletons()
     grid = GridSpec(model="epsilon", axes=(("epsilon", (1e-6, 2.0)),))
-    result = grid_search(ds, grid, k=2, objective="f1", seed=0)
+    result = grid_search(standardize(ds), grid, k=2, objective="f1", seed=0)
     assert result.best_index == 1
     assert result.best.objective == 1.0
     # an empty graph still groups, just badly
@@ -243,7 +243,7 @@ def test_grid_search_finds_connecting_epsilon():
 def test_grid_search_records_failed_candidates():
     ds = separable_singletons(seed=4)
     grid = GridSpec(model="knn_symmetric", axes=(("k", (2, 50)),))
-    result = grid_search(ds, grid, k=2, objective="f1", seed=0)
+    result = grid_search(standardize(ds), grid, k=2, objective="f1", seed=0)
     assert result.rows[1].objective is None
     assert "ParameterError" in result.rows[1].error
     assert result.best_index == 0
@@ -252,7 +252,7 @@ def test_grid_search_records_failed_candidates():
 def test_grid_search_db_objective_prefers_lower():
     ds = separable_singletons(seed=3)
     grid = GridSpec(model="knn_symmetric", axes=(("k", (2, 3)),))
-    result = grid_search(ds, grid, k=2, objective="db", seed=0)
+    result = grid_search(standardize(ds), grid, k=2, objective="db", seed=0)
     values = [row.objective for row in result.rows]
     assert result.best.objective == min(v for v in values if v is not None)
 
@@ -261,7 +261,7 @@ def test_grid_search_tie_keeps_earliest():
     ds = separable_singletons(seed=5)
     # both radii recover the blobs exactly, so both reach f1 = 1.0
     grid = GridSpec(model="epsilon", axes=(("epsilon", (1.8, 2.0)),))
-    result = grid_search(ds, grid, k=2, objective="f1", seed=0)
+    result = grid_search(standardize(ds), grid, k=2, objective="f1", seed=0)
     assert result.rows[0].objective == result.rows[1].objective == 1.0
     assert result.best_index == 0
 
@@ -276,7 +276,7 @@ def test_grid_search_all_failures_raise():
         base=GraphParams(sigma=0.1, eps_weight=1e-6),
     )
     with pytest.raises(SearchError, match="all 2 grid candidates failed"):
-        grid_search(ds, grid, k=2, objective="f1", seed=0)
+        grid_search(standardize(ds), grid, k=2, objective="f1", seed=0)
 
 
 def test_grid_search_duplicate_points_fail_every_prob_candidate():
@@ -292,7 +292,7 @@ def test_grid_search_duplicate_points_fail_every_prob_candidate():
                "inverse-distance similarities are undefined")
         detail = "; ".join(f"[{i}] {row}" for i in range(4))
         with pytest.raises(SearchError) as exc:
-            grid_search(ds, grid, k=2, objective="f1", seed=0, pre_standardized=True)
+            grid_search(ds, grid, k=2, objective="f1", seed=0)
         assert str(exc.value) == f"all 4 grid candidates failed: {detail}"
 
 
@@ -322,7 +322,7 @@ def test_grid_search_computes_similarities_once_per_exponent(name, monkeypatch):
 
     monkeypatch.setattr(evaluation, "initial_similarities", counting)
     ds = separable_singletons(seed=7)
-    result = grid_search(ds, grid, k=2, objective="f1", seed=3)
+    result = grid_search(standardize(ds), grid, k=2, objective="f1", seed=3)
     assert sorted(exponents) == sorted({spec.params.m for spec in grid.candidates()})
     # every row equals the candidate evaluated on its own
     dist = pairwise_distances(standardize(ds))
@@ -338,4 +338,4 @@ def test_grid_search_validates_inputs():
     ds = separable_singletons(seed=2)
     grid = GridSpec(model="epsilon", axes=(("epsilon", (2.0,)),))
     with pytest.raises(ParameterError):
-        grid_search(ds, grid, k=2, objective="accuracy", seed=0)
+        grid_search(standardize(ds), grid, k=2, objective="accuracy", seed=0)

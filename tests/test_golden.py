@@ -4,8 +4,9 @@ The `group` grid digests were taken from the grid search as it stood before
 it shared its similarity matrices and reused the winner's grouping. The
 `graph`, `annotate`, `train`, `evaluate` and `bench --suite toyfig` digests
 were taken from the per-instance-object data model, before `Dataset` and the
-training set became columnar. Any later change to these files, however small,
-is a change of behaviour.
+training set became columnar. The `table1` and `table2synth` digests were
+taken before the bench suites were rewritten as case tables. Any later change
+to these files, however small, is a change of behaviour.
 """
 
 import hashlib
@@ -13,7 +14,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from spectralweak import cli
+from spectralweak import bench, cli
+
+from helpers import write_fake_banknotes
 
 OUTPUTS = ("grid.json", "grid.csv", "grouping.json", "indices.json")
 W_SCALES = (0.5, 1.0, 2.0)
@@ -186,6 +189,34 @@ TOYFIG_GOLDEN = {
 def test_bench_toyfig_outputs_match_golden_bytes(tmp_path, capsys):
     assert cli.main(["bench", "--suite", "toyfig", "--out", str(tmp_path)]) == 0
     assert {f: sha256(tmp_path / f) for f in TOYFIG_GOLDEN} == TOYFIG_GOLDEN
+
+
+# `table1` on stand-in banknotes (the public files are not in the repo): the
+# report and rows as `bench --suite table1` writes them.
+TABLE1_BANKNOTES_GOLDEN = {
+    "bench_table1.json": "5026e30c2c2b49037ec7a56e87cd15f88ea195dd5c57a1441eaba4d18fee6e32",
+    "bench_table1_rows.csv": "4388d4a8febbfb62741c26ee384f9fdbd70133887496f9a554fa173c546c57a6",
+}
+
+
+def test_table1_banknotes_standin_matches_golden_bytes(tmp_path, capsys):
+    write_fake_banknotes(tmp_path / "banknote.csv")
+    report = bench.table1(tmp_path, datasets=("banknotes",))
+    cli._write_json(report.to_json_dict(), tmp_path / "bench_table1.json")
+    cli._write_csv(list(report.rows), tmp_path / "bench_table1_rows.csv")
+    assert {f: sha256(tmp_path / f) for f in TABLE1_BANKNOTES_GOLDEN} == TABLE1_BANKNOTES_GOLDEN
+
+
+TABLE2SYNTH_GOLDEN = {
+    "bench_table2synth.json": "3e873bb7ea5a9ec61668b809e1c650267bf16b8297dd9a3497b0d84e6bb246df",
+    "bench_table2synth_rows.csv": "9ecf484b456130b51566aa1854f5253cec29f4cf6ec606216b57b04bb01e6631",
+}
+
+
+def test_bench_table2synth_outputs_match_golden_bytes(tmp_path, capsys):
+    argv = ["bench", "--suite", "table2synth", "--synth-seeds", "2", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert {f: sha256(tmp_path / f) for f in TABLE2SYNTH_GOLDEN} == TABLE2SYNTH_GOLDEN
 
 
 # Ids i0..i10 without padding, so file order is not sorted-id order (i10 sorts

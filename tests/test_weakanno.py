@@ -70,7 +70,7 @@ def test_collect_unlabelled_unknown_label():
 def test_smaller_group_takes_strong_label():
     assignments = np.array([0] * 3 + [1] * 7)
     points = np.zeros((10, 2))
-    labels, audit = annotate_groups(points, Grouping(assignments, 2), "flu", "ok")
+    labels, audit = annotate_groups(points, Grouping(assignments, 2), "flu", "ok", np.zeros(2))
     assert labels == ("ok",) * 3 + ("flu",) * 7
     assert audit["disordered_group"] == 1
     assert audit["disordered_share"] == pytest.approx(0.7)
@@ -99,20 +99,14 @@ def test_double_tie_prefers_group_one():
     assert labels == ("ok", "ok", "flu", "flu")
 
 
-def test_size_tie_without_centroid_is_an_error():
-    points = np.zeros((4, 1))
-    with pytest.raises(ParameterError, match="centroid"):
-        annotate_groups(points, Grouping(np.array([0, 0, 1, 1]), 2), "flu", "ok")
-
-
 def test_empty_group_rejected():
     with pytest.raises(DegenerateGroupingError):
-        annotate_groups(np.zeros((2, 1)), Grouping(np.array([0, 0]), 2), "flu", "ok")
+        annotate_groups(np.zeros((2, 1)), Grouping(np.array([0, 0]), 2), "flu", "ok", np.zeros(1))
 
 
 def test_three_groups_rejected():
     with pytest.raises(ParameterError):
-        annotate_groups(np.zeros((3, 1)), Grouping(np.array([0, 1, 2]), 3), "flu", "ok")
+        annotate_groups(np.zeros((3, 1)), Grouping(np.array([0, 1, 2]), 3), "flu", "ok", np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
