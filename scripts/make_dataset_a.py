@@ -138,7 +138,7 @@ def verify(coords: np.ndarray, labels: np.ndarray, verbose: bool = True) -> dict
         counts = []
         prev = None
         for k in range(1, K_MAX + 1):
-            g = knn_graph(dist, k, mode=mode, sigma=1.0)
+            g = knn_graph(coords, k, mode=mode, sigma=1.0)
             cnt, lab = connected_components(g)
             counts.append(cnt)
             if prev is not None and cnt > prev:

@@ -101,6 +101,7 @@ def load_banknotes(data_dir: str | Path) -> Dataset:
 
     Accepts the Rdatasets CSV layout: an optional row-name column, one
     non-numeric status column, six numeric columns.
+    Rows in error messages count from 1 after the header, blank ones included.
     """
     (path,) = _require_files("banknotes", data_dir)
     with path.open(newline="") as fh:
@@ -108,7 +109,8 @@ def load_banknotes(data_dir: str | Path) -> Dataset:
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{path}: empty file")
-        data = [row for row in reader if row]
+        numbered = [(r, row) for r, row in enumerate(reader, start=1) if row]
+    data = [row for _, row in numbered]
     if not data:
         raise ParseError(f"{path}: no data rows")
 
@@ -119,13 +121,14 @@ def load_banknotes(data_dir: str | Path) -> Dataset:
         except ValueError:
             return False
 
+    for r, row in numbered:
+        if len(row) < len(header):
+            raise ParseError(f"{path}: row {r} has {len(row)} cells, the header has {len(header)}")
     label_cols = [j for j in range(len(header)) if not is_num(data[0][j])]
     if len(label_cols) != 1:
         raise ParseError(f"{path}: expected exactly one non-numeric column, found {len(label_cols)}")
     label_col = label_cols[0]
-    name_cols = [
-        j for j, h in enumerate(header) if h.strip().lower() in ("", "rownames", "row", "id")
-    ]
+    name_cols = [j for j, h in enumerate(header) if h.strip().lower() in ("", "rownames", "row", "id")]
     feature_cols = [j for j in range(len(header)) if j != label_col and j not in name_cols]
     if len(feature_cols) != 6:
         raise ParseError(f"{path}: expected 6 feature columns, found {len(feature_cols)}")
@@ -135,6 +138,10 @@ def load_banknotes(data_dir: str | Path) -> Dataset:
     classes = sorted(set(labels))
     if len(classes) != 2:
         raise ParseError(f"{path}: expected 2 classes, found {classes}")
+    for r, row in numbered:
+        for j in feature_cols:
+            if not is_num(row[j]):
+                raise ParseError(f"{path}: row {r}, column {header[j]!r}: cannot parse {row[j]!r} as float")
     features = np.array([[float(row[j]) for j in feature_cols] for row in data])
     return _singleton_bags("bank", labels, features)
 
@@ -488,7 +495,7 @@ def toyfig() -> BenchReport:
 
     for mode, model in (("symmetric", "knn_symmetric"), ("mutual", "knn_mutual")):
         counts, hits = _component_sweep(
-            model, range(1, TOY_K_MAX + 1), lambda k: knn_graph(dist, k, mode=mode), planted, rows
+            model, range(1, TOY_K_MAX + 1), lambda k: knn_graph(ds.x, k, mode=mode), planted, rows
         )
         span = f"counts {counts[0]}..{counts[-1]} for k=1..{TOY_K_MAX}"
         checks.append(BenchCheck(f"{model} components monotone in k", "hard", _non_increasing(counts), detail=span))

@@ -99,11 +99,12 @@ def _logistic_gradient(theta, x1, probs, onehot, l2, mask):
 
 
 def _onehot(y, classes):
-    onehot = np.zeros((len(y), len(classes)))
-    index = {lab: i for i, lab in enumerate(classes)}
-    for i, lab in enumerate(np.asarray(y).tolist()):
-        onehot[i, index[lab]] = 1.0
-    return onehot
+    y = np.asarray(y)
+    onehot = y[:, None] == np.asarray(classes)
+    unknown = np.flatnonzero(~onehot.any(axis=1))
+    if unknown.size:
+        raise ParameterError(f"label {y.tolist()[unknown[0]]!r} is not one of the classes {classes}")
+    return onehot.astype(float)
 
 
 def train_logistic(x: np.ndarray, y: np.ndarray) -> LogisticModel:

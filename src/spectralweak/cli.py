@@ -362,6 +362,8 @@ def cmd_bench(args, config) -> int:
         raise ParameterError(f"--suite is required; choose from {bench.BENCH_SUITES}")
     data_dir = _resolve(args, config, "data-dir", "data")
     n_seeds = _resolve_as(args, config, "synth-seeds", int)
+    if n_seeds is not None and n_seeds < 1:
+        raise ParameterError(f"--synth-seeds: expected a positive seed count, got {n_seeds}")
     seeds = None if n_seeds is None else tuple(range(n_seeds))
     report = bench.run_suite(suite, data_dir=data_dir, seed=run.seed, seeds=seeds)
     _write_json(report.to_json_dict(), run.out / f"bench_{suite}.json")

@@ -13,14 +13,15 @@ Six graph models are provided:
 
 All builders return an exactly symmetric weight matrix with zero diagonal.
 The kNN models hold it as a canonical scipy CSR array with no stored zeros,
-so an edge is a positive stored weight. They read the distance matrix in row
-blocks of about ROW_BLOCK_BYTES: given coordinates, each block is cdist of
-those rows against all points, and no n x n array exists on their route;
-given a DistanceMatrix, the blocks are its rows. Their default sigma, the
-median pair distance, comes from an exact two-pass selection over the same
-blocks. The other four models read a dense DistanceMatrix (built from
+so an edge is a positive stored weight. They are built from coordinates in
+row blocks of about ROW_BLOCK_BYTES, each block cdist of those rows against
+all points, and no n x n array exists on their route. Their default sigma,
+the median pair distance, comes from an exact two-pass selection over the
+same blocks. The other four models read a dense DistanceMatrix (built from
 coordinates when given those) and hold W as a dense n x n array; the
-probabilistic ones also hold the n x n initial similarities.
+probabilistic ones also hold the n x n initial similarities, and share one
+sparsifier that differs only in which below-threshold entries it revives.
+graph.json holds the upper triangle of W as triplets for every model.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ ROW_BLOCK_BYTES = 2**20  # size of one (rows, n) float64 block of distances or d
 MEDIAN_BIN_SHIFT = 44
 MEDIAN_BIN_LOW = (1023 - 64) << 8  # the bin of 2**-64 before the offset
 MEDIAN_BINS = 128 << 8
-
-# Coordinates, a Dataset's among them, or a precomputed distance matrix.
-GraphInput = Dataset | np.ndarray | DistanceMatrix
-
 
 @dataclass(frozen=True)
 class GraphParams:
@@ -163,9 +160,7 @@ class SimilarityGraph:
         return self.w.shape[0]
 
     def n_edges(self) -> int:
-        if scipy.sparse.issparse(self.w):
-            return self.w.nnz // 2
-        return int(np.count_nonzero(np.triu(self.w, 1) > 0.0))
+        return scipy.sparse.csr_array(self.w).nnz // 2
 
 
 def initial_similarities(dist: DistanceMatrix, m: float = -1.0) -> InitialSimilarities:
@@ -210,14 +205,6 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _distance_rows(data: GraphInput) -> tuple[int, Callable[[int, int], np.ndarray]]:
-    """n, and a function giving rows lo..hi-1 of the distance matrix of `data`."""
-    if isinstance(data, DistanceMatrix):
-        return data.n, lambda lo, hi: data.d[lo:hi]
-    points = coordinates(data)
-    return points.shape[0], lambda lo, hi: cdist(points[lo:hi], points)
-
-
 def _block_neighbours(d: np.ndarray, lo: int, k: int) -> np.ndarray:
     """Columns (rows, k), ascending per row, of the k nearest others of each
     point in a block of distance rows lo, lo + 1, ...
@@ -259,7 +246,7 @@ def _bin_floor(b: int) -> float:
     return float(np.int64((b + MEDIAN_BIN_LOW) << MEDIAN_BIN_SHIFT).view(np.float64))
 
 
-def _median_from_bins(counts: np.ndarray, n: int, rows: Callable[[int, int], np.ndarray]) -> float:
+def _median_from_bins(counts: np.ndarray, points: np.ndarray) -> float:
     """The exact median of the n(n-1)/2 pair distances, with the bits of
     np.median over the strict upper triangle.
 
@@ -271,6 +258,7 @@ def _median_from_bins(counts: np.ndarray, n: int, rows: Callable[[int, int], np.
     ordered, and partitions those. Two middle values are averaged as
     np.median averages them.
     """
+    n = points.shape[0]
     pair_counts = counts.copy()
     pair_counts[0] -= n
     pair_counts //= 2
@@ -283,7 +271,7 @@ def _median_from_bins(counts: np.ndarray, n: int, rows: Callable[[int, int], np.
     floor, ceiling = _bin_floor(wanted[0]), _bin_floor(wanted[1] + 1)
     kept = []
     for lo, hi in row_blocks(n):
-        d = rows(lo, hi)
+        d = cdist(points[lo:hi], points)
         take = (d >= floor) & (d < ceiling)
         take &= np.arange(n) > np.arange(lo, hi)[:, None]
         kept.append(d[take])
@@ -319,7 +307,7 @@ def _knn_csr(n: int, neighbours: np.ndarray, near: np.ndarray, mutual: bool, sig
 
 
 def knn_graph(
-    data: GraphInput,
+    data: Dataset | np.ndarray,
     k: int,
     mode: str = "symmetric",
     sigma: float | None = None,
@@ -328,10 +316,14 @@ def knn_graph(
 
     mode "symmetric" joins i~j when either lists the other among its k nearest;
     mode "mutual" requires both. sigma defaults to the median off-diagonal
-    distance. `data` is coordinates or a DistanceMatrix; either is read in
-    row blocks (module docstring), and both give the same bits.
+    distance. `data` is coordinates, a Dataset's or an n x p array, read in
+    row blocks (module docstring).
     """
-    n, rows = _distance_rows(data)
+    try:
+        points = coordinates(data)
+    except TypeError as exc:
+        raise ParameterError(f"kNN graphs are built from coordinates, got {type(data).__name__}") from exc
+    n = points.shape[0]
     if not (1 <= k <= n - 1):
         raise ParameterError(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
     if mode not in ("symmetric", "mutual"):
@@ -342,13 +334,13 @@ def knn_graph(
     neighbours = np.empty((n, k), dtype=np.int64)
     near = np.empty((n, k))
     for lo, hi in row_blocks(n):
-        d = rows(lo, hi)
+        d = cdist(points[lo:hi], points)
         neighbours[lo:hi] = _block_neighbours(d, lo, k)
         near[lo:hi] = np.take_along_axis(d, neighbours[lo:hi], axis=1)
         if counts is not None:
             counts += np.bincount(_median_bins(d).ravel(), minlength=MEDIAN_BINS)
     if sigma is None:
-        sigma = _median_from_bins(counts, n, rows)
+        sigma = _median_from_bins(counts, points)
         if sigma <= 0:
             raise ParameterError("median distance is zero; pass sigma explicitly")
     w = _knn_csr(n, neighbours, near, mode == "mutual", sigma)
@@ -374,31 +366,6 @@ def bump_peak(sigma: float) -> float:
     return 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def similarity_floor(w_thresh: float, sigma: float, eps_weight: float) -> float | None:
-    """Smallest similarity that can survive the deterministic sparsifier.
-
-    Below this value the bump falls under eps_weight so the edge is dropped.
-    Returns None when the peak itself is below eps_weight (nothing below the
-    threshold survives).
-    """
-    peak = bump_peak(sigma)
-    if peak <= eps_weight:
-        return None
-    return w_thresh - sigma * math.sqrt(2.0 * math.log(peak / eps_weight))
-
-
-def acceptance_probability(s: float, w_thresh: float, sigma: float) -> float:
-    """Keep probability used by the randomized sparsifier for s below threshold."""
-    return float(gaussian_bump(s, w_thresh, sigma) / bump_peak(sigma))
-
-
-def _check_prob_params(w_thresh: float, sigma: float) -> None:
-    if not (0.0 < w_thresh < 1.0):
-        raise ParameterError(f"w_thresh must be in (0, 1), got {w_thresh}")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
-
-
 def symmetrize(directed: np.ndarray, rule: str = "max") -> np.ndarray:
     """Combine w_ij and w_ji with elementwise min or max."""
     if rule not in SYMMETRIZE_RULES:
@@ -409,6 +376,33 @@ def symmetrize(directed: np.ndarray, rule: str = "max") -> np.ndarray:
     return np.maximum(directed, directed.T)
 
 
+def _sparsify(
+    sims: InitialSimilarities,
+    w_thresh: float,
+    sigma: float,
+    rule: str,
+    revive: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """The rule both probabilistic models share, per directed entry s: keep
+    s >= w_thresh; an off-diagonal s < w_thresh that revive(below, f) marks
+    gets min(f, w_thresh), f its bump, so it never outweighs an entry that
+    passed on its own; drop the rest. Then min/max symmetrization."""
+    if not (0.0 < w_thresh < 1.0):
+        raise ParameterError(f"w_thresh must be in (0, 1), got {w_thresh}")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
+    s = sims.s
+    f = gaussian_bump(s, w_thresh, sigma)
+    below = s < w_thresh
+    np.fill_diagonal(below, False)
+    directed = np.minimum(f, w_thresh)
+    directed *= revive(below, f)
+    np.copyto(directed, s, where=s >= w_thresh)
+    w = symmetrize(directed, rule)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
 def prob_threshold_graph(
     sims: InitialSimilarities,
     w_thresh: float,
@@ -416,25 +410,11 @@ def prob_threshold_graph(
     eps_weight: float,
     symmetrize_rule: str = "max",
 ) -> SimilarityGraph:
-    """Deterministic sparsifier over initial similarities.
-
-    Directed rule per entry s:
-      s >= w_thresh            -> keep s,
-      bump(s) < eps_weight     -> drop,
-      otherwise                -> min(bump(s), w_thresh),
-    then min/max symmetrization. The middle clamp keeps a revived edge from
-    outweighing edges that passed the threshold on their own.
-    """
-    _check_prob_params(w_thresh, sigma)
+    """Deterministic sparsifier over initial similarities: a below-threshold
+    entry is revived when its bump reaches eps_weight (see _sparsify)."""
     if not (eps_weight > 0 and math.isfinite(eps_weight)):
         raise ParameterError(f"eps_weight must be positive and finite, got {eps_weight}")
-    s = sims.s
-    f = gaussian_bump(s, w_thresh, sigma)
-    revived = np.where(f < eps_weight, 0.0, np.minimum(f, w_thresh))
-    directed = np.where(s >= w_thresh, s, revived)
-    np.fill_diagonal(directed, 0.0)
-    w = symmetrize(directed, symmetrize_rule)
-    np.fill_diagonal(w, 0.0)
+    w = _sparsify(sims, w_thresh, sigma, symmetrize_rule, lambda below, f: below & (f >= eps_weight))
     params = GraphParams(
         sigma=sigma, w_thresh=w_thresh, eps_weight=eps_weight, m=sims.m, symmetrize=symmetrize_rule
     )
@@ -448,8 +428,8 @@ def prob_criterion_graph(
     symmetrize_rule: str = "max",
     seed: int | None = None,
 ) -> SimilarityGraph:
-    """Randomized sparsifier: below-threshold entries survive with probability
-    bump(s)/bump_peak and keep weight min(bump(s), w_thresh).
+    """Randomized sparsifier: a below-threshold entry is revived with
+    probability bump(s)/bump_peak (see _sparsify).
 
     Draws come from one generator seeded with `seed`, consumed in a fixed
     order: unordered pairs (i, j), i < j, row-major, the (i, j) direction
@@ -457,52 +437,42 @@ def prob_criterion_graph(
     or above the threshold never consume randomness, so a graph whose
     similarities all clear the threshold is identical for every seed.
     """
-    _check_prob_params(w_thresh, sigma)
     if seed is None:
         raise ParameterError("prob_criterion_graph requires an explicit seed")
-    s = sims.s
-    n = s.shape[0]
-    directed = np.where(s >= w_thresh, s, 0.0)
-    np.fill_diagonal(directed, 0.0)
-    rng = np.random.default_rng(seed)
-    # One uniform per below-threshold direction. Entry [i, j, 0] of the mask
-    # marks the (i, j) direction of pair i < j and [i, j, 1] its (j, i)
-    # direction, so the mask read in row-major order is the draw order; a
-    # batched draw consumes the generator stream exactly like the equivalent
-    # sequence of single draws.
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    below = s < w_thresh
-    draws = np.empty((n, n, 2), dtype=bool)
-    np.logical_and(below, upper, out=draws[:, :, 0])
-    np.logical_and(below.T, upper, out=draws[:, :, 1])
-    f = gaussian_bump(np.stack((s, s.T), axis=2)[draws], w_thresh, sigma)
-    accepted = rng.random(f.shape[0]) < f / bump_peak(sigma)
-    pair, flipped = np.divmod(np.flatnonzero(draws)[accepted], 2)
-    i, j = np.divmod(pair, n)
-    rows = np.where(flipped, j, i)
-    cols = np.where(flipped, i, j)
-    directed[rows, cols] = np.minimum(f[accepted], w_thresh)
-    w = symmetrize(directed, symmetrize_rule)
-    np.fill_diagonal(w, 0.0)
+
+    def draw(below: np.ndarray, f: np.ndarray) -> np.ndarray:
+        # Rows: the pairs i < j, row-major as np.triu_indices lists them;
+        # columns: their (i, j) and (j, i) directions. An undrawn u is inf.
+        upper = np.triu(np.ones(below.shape, dtype=bool), 1)
+        drawn = np.column_stack((below[upper], below.T[upper]))
+        u = np.full(drawn.shape, np.inf)
+        u[drawn] = np.random.default_rng(seed).random(np.count_nonzero(drawn))
+        accepted = u < np.column_stack((f[upper], f.T[upper])) / bump_peak(sigma)
+        revived = np.zeros_like(below)
+        revived[upper] = accepted[:, 0]
+        revived.T[upper] = accepted[:, 1]
+        return revived
+
+    w = _sparsify(sims, w_thresh, sigma, symmetrize_rule, draw)
     params = GraphParams(sigma=sigma, w_thresh=w_thresh, m=sims.m, symmetrize=symmetrize_rule)
     return SimilarityGraph(w=w, model="prob_criterion", params=params, seed=seed)
 
 
 def build_graph(
-    data: GraphInput,
+    data: Dataset | np.ndarray | DistanceMatrix,
     spec: GraphSpec,
     seed: int | None = None,
     sims: InitialSimilarities | None = None,
 ) -> SimilarityGraph:
     """Dispatch a GraphSpec to the matching builder.
 
-    `data` is coordinates or a DistanceMatrix. The kNN models read it in row
-    blocks; the others need the dense distance matrix and compute it from
-    coordinates. The probabilistic models derive their inputs from the
-    distances via initial_similarities using params.m as the exponent, unless
-    `sims` already holds them for that exponent (a grid search shares one
-    across its candidates); `sims` computed with another exponent is a
-    ParameterError.
+    `data` is coordinates or, for the dense models, a DistanceMatrix. The kNN
+    models read coordinates in row blocks; the others need the dense distance
+    matrix and compute it from coordinates. The probabilistic models derive
+    their inputs from the distances via initial_similarities using params.m
+    as the exponent, unless `sims` already holds them for that exponent (a
+    grid search shares one across its candidates); `sims` computed with
+    another exponent is a ParameterError.
     """
     p = spec.params
     if spec.model in KNN_MODELS:
@@ -548,39 +518,29 @@ def connected_components(graph: SimilarityGraph | np.ndarray) -> tuple[int, np.n
 
 def graph_to_json_dict(graph: SimilarityGraph) -> dict:
     """Sparse serialization: nonzero upper-triangle entries as (i, j, weight), row-major."""
-    w = graph.w
-    if scipy.sparse.issparse(w):
-        rows = csr_rows(w)
-        upper = w.indices > rows
-        rows, cols, weights = rows[upper], w.indices[upper], w.data[upper]
-    else:
-        rows, cols = np.nonzero(np.triu(w, 1))
-        weights = w[rows, cols]
+    w = scipy.sparse.csr_array(graph.w)
+    rows = csr_rows(w)
+    upper = w.indices > rows
     return {
         "n": graph.n,
         "model": graph.model,
         "params": {k: v for k, v in asdict(graph.params).items() if v is not None},
         "seed": graph.seed,
-        "triplets": [[int(i), int(j), float(v)] for i, j, v in zip(rows, cols, weights)],
+        "triplets": [[int(i), int(j), float(v)] for i, j, v in zip(rows[upper], w.indices[upper], w.data[upper])],
     }
 
 
 def graph_from_json_dict(payload: dict) -> SimilarityGraph:
+    """The graph of a graph_to_json_dict payload; W is densified for the
+    models that hold it dense."""
     params = GraphParams(**{k: payload["params"].get(k, GraphParams.__dataclass_fields__[k].default)
                             for k in GraphParams.__dataclass_fields__})
     n = payload["n"]
-    if payload["model"] in KNN_MODELS:
-        i, j, weight = np.array(payload["triplets"], dtype=float).reshape(-1, 3).T
-        i, j = i.astype(np.int64), j.astype(np.int64)
-        w = scipy.sparse.csr_array(
-            (np.concatenate((weight, weight)), (np.concatenate((i, j)), np.concatenate((j, i)))), shape=(n, n)
-        )
-        w.eliminate_zeros()
-    else:
-        w = np.zeros((n, n))
-        for i, j, weight in payload["triplets"]:
-            w[i, j] = weight
-            w[j, i] = weight
+    i, j, weight = np.array(payload["triplets"], dtype=float).reshape(-1, 3).T
+    upper = scipy.sparse.csr_array((weight, (i.astype(np.int64), j.astype(np.int64))), shape=(n, n))
+    w = upper + upper.T  # the sum stores no zeros
+    if payload["model"] not in KNN_MODELS:
+        w = w.toarray()
     return SimilarityGraph(w=w, model=payload["model"], params=params, seed=payload.get("seed"))
 
 

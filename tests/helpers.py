@@ -111,6 +111,23 @@ def components_reference(w):
     return count, labels
 
 
+def prob_threshold_reference(sims, w_thresh, sigma, eps_weight, symmetrize_rule="max"):
+    """Weights of the deterministic sparsifier: keep s at or above the
+    threshold, drop a direction whose bump falls under eps_weight, revive the
+    rest at min(bump, w_thresh).
+
+    The original prob_threshold_graph body, kept as the oracle for its weights.
+    """
+    s = sims.s
+    f = gaussian_bump(s, w_thresh, sigma)
+    revived = np.where(f < eps_weight, 0.0, np.minimum(f, w_thresh))
+    directed = np.where(s >= w_thresh, s, revived)
+    np.fill_diagonal(directed, 0.0)
+    w = symmetrize(directed, symmetrize_rule)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
 def prob_criterion_reference(sims, w_thresh, sigma, symmetrize_rule="max", seed=0):
     """Weights of the randomized sparsifier, drawing through an explicit
     enumeration of the below-threshold directions: unordered pairs i < j in

@@ -69,6 +69,48 @@ def test_banknotes_loader_validates_shape(tmp_path):
         bench.load_banknotes(two_labels)
 
 
+def rewrite_banknotes_row(path, row, cells):
+    """Replace data row `row` (1-based) of a banknote CSV with `cells`."""
+    lines = path.read_text().splitlines()
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "row, cells, message",
+    [
+        (1, ["1", "genuine", "1", "2"], "row 1 has 4 cells, the header has 8"),
+        (150, ["150", "counterfeit", "1", "2", "3"], "row 150 has 5 cells, the header has 8"),
+        (37, ["37", "genuine", "1", "2", "3", "x4", "5", "6"], "row 37, column 'Bottom': cannot parse 'x4' as float"),
+    ],
+    ids=["short_first_row", "short_later_row", "non_numeric_cell"],
+)
+def test_banknotes_loader_names_file_and_row_of_a_malformed_row(tmp_path, row, cells, message):
+    path = tmp_path / "banknote.csv"
+    write_fake_banknotes(path)
+    rewrite_banknotes_row(path, row, cells)
+    with pytest.raises(ParseError, match=f"banknote.csv: {message}"):
+        bench.load_banknotes(tmp_path)
+
+
+def test_banknotes_row_numbers_count_blank_lines(tmp_path):
+    path = tmp_path / "banknote.csv"
+    write_fake_banknotes(path)
+    rewrite_banknotes_row(path, 37, ["37", "genuine", "1", "2", "3", "x4", "5", "6"])
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:11] + [""] + lines[11:]) + "\n")
+    with pytest.raises(ParseError, match="banknote.csv: row 38, column 'Bottom'"):
+        bench.load_banknotes(tmp_path)
+
+
+def test_table1_on_a_malformed_banknotes_row_exits_2(tmp_path, capsys):
+    write_fake_banknotes(tmp_path / "banknote.csv")
+    rewrite_banknotes_row(tmp_path / "banknote.csv", 1, ["1", "genuine", "1", "2"])
+    argv = ["bench", "--suite", "table1", "--data-dir", str(tmp_path), "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "banknote.csv: row 1 has 4 cells" in capsys.readouterr().err
+
+
 def write_fake_segmentation(d, n_train=210, n_test=2100):
     classes = ["SKY", "CEMENT", "WINDOW", "BRICKWORK", "FOLIAGE", "PATH", "GRASS"]
     rng = np.random.default_rng(1)

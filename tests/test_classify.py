@@ -60,6 +60,16 @@ def test_logistic_gradient_small_at_fit():
     assert np.linalg.norm(grad.ravel()) / x.shape[0] <= TOL
 
 
+def test_logistic_label_outside_the_classes_is_a_parameter_error():
+    x, y = two_blobs()
+    model = train_logistic(x, y.astype(str))
+    foreign = np.asarray(["0"] * 5 + ["2"] + ["1"] * 6)
+    with pytest.raises(ParameterError, match="label '2' is not one of the classes"):
+        logistic_gradient(model, x, foreign, L2)
+    with pytest.raises(ParameterError, match="label '2'"):
+        logistic_objective_value(model, x, foreign, L2)
+
+
 def test_logistic_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(25, 2))

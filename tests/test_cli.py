@@ -633,6 +633,17 @@ def test_bench_synth_seed_override(tmp_path, capsys):
     assert [r["seed"] for r in rows] == ["0", "1"]
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_bench_synth_seeds_must_be_positive(tmp_path, capsys, count):
+    code, _, err = run(
+        ["bench", "--suite", "table2synth", "--synth-seeds", count, "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert f"--synth-seeds: expected a positive seed count, got {count}" in err
+    assert not (tmp_path / "bench_table2synth.json").exists()
+
+
 def test_bench_missing_data_gives_instructions(tmp_path, capsys):
     empty = tmp_path / "nodata"
     empty.mkdir()

@@ -180,6 +180,72 @@ def test_pipeline_outputs_match_golden_bytes(tmp_path, capsys, data_name):
     assert pipeline_digests(tmp_path, data_name) == PIPELINE_GOLDEN[data_name]
 
 
+def dense_graph_flags(model, n):
+    """`graph` flags for a dense model. The probabilistic settings, w = 2/(n-1)
+    and sigma = 0.25/(n-1), leave directions above the threshold, revived at
+    w, revived below w, and dropped."""
+    w, sigma = scaled((2.0,), n), scaled((0.25,), n)
+    return {
+        "epsilon": ["--epsilon", "1.0"],
+        "fully_connected": ["--sigma", "1.0"],
+        "prob_threshold": ["--w", w, "--sigma", sigma, "--eps-weight", "1e-3", "--symmetrize", "min"],
+        "prob_criterion": ["--w", w, "--sigma", sigma, "--symmetrize", "max", "--seed", "3"],
+    }[model]
+
+
+# Digests taken before the two probabilistic models shared one sparsifier and
+# graph.json had one CSR path.
+DENSE_GRAPH_GOLDEN = {
+    ("builtin:dataset_a", "epsilon"): {
+        "graph.json": "d29cfe259bb701999d4c59f25c8b8dab0044e715c8a8b2dfa152b0b9db8d82d9",
+        "components.json": "e701e3d3eb31e23cbc790bb5932f837ce42d567bda431365e856f35f3eb6959f",
+    },
+    ("builtin:dataset_a", "fully_connected"): {
+        "graph.json": "286d4cdce9597a6744f314706144e9f55d41fbe55efb3706ca294fd382e72235",
+        "components.json": "e701e3d3eb31e23cbc790bb5932f837ce42d567bda431365e856f35f3eb6959f",
+    },
+    ("builtin:dataset_a", "prob_criterion"): {
+        "graph.json": "e18575f5c84da8ca6e63415ebb618ccf5097e8811edea2b77f9e912333eeb23b",
+        "components.json": "e701e3d3eb31e23cbc790bb5932f837ce42d567bda431365e856f35f3eb6959f",
+    },
+    ("builtin:dataset_a", "prob_threshold"): {
+        "graph.json": "30f995ea51f336481a3cd1a748e49c73d6a23dd1e3540fbca840d22ee5fd0ea6",
+        "components.json": "e701e3d3eb31e23cbc790bb5932f837ce42d567bda431365e856f35f3eb6959f",
+    },
+    ("bags", "epsilon"): {
+        "graph.json": "c8531e1e91d5962dc112d5b685bcced0d1a9af2fc6f3609bd60743fdf32f859a",
+        "components.json": "b34e4fd4a2bd60ce8b44b55c49163cd99b6d9c5d6e2bb80b0c35948814ae2eb0",
+    },
+    ("bags", "fully_connected"): {
+        "graph.json": "8ecd690b4006217b73a3ca5142b49f6e80a6f3832d5620046c386528575aee81",
+        "components.json": "b34e4fd4a2bd60ce8b44b55c49163cd99b6d9c5d6e2bb80b0c35948814ae2eb0",
+    },
+    ("bags", "prob_criterion"): {
+        "graph.json": "a1775c51a94ce30870140fdc2658e4dc27cc9e8b84192cf2289cd8283a38de5c",
+        "components.json": "b34e4fd4a2bd60ce8b44b55c49163cd99b6d9c5d6e2bb80b0c35948814ae2eb0",
+    },
+    ("bags", "prob_threshold"): {
+        "graph.json": "f4a0d0fb84ae75eb53b39c3debd4ccc3f69c547b528dc923ec72e853f79716f3",
+        "components.json": "b34e4fd4a2bd60ce8b44b55c49163cd99b6d9c5d6e2bb80b0c35948814ae2eb0",
+    },
+}
+
+
+@pytest.mark.parametrize("data_name", sorted(PIPELINE_DATA))
+@pytest.mark.parametrize("model", ["epsilon", "fully_connected", "prob_criterion", "prob_threshold"])
+def test_dense_graph_outputs_match_golden_bytes(tmp_path, capsys, data_name, model):
+    if data_name == "builtin:dataset_a":
+        data, n = data_name, 26
+    else:
+        data = tmp_path / "bags.csv"
+        n = write_seeded_bags(data)
+    out = tmp_path / "graph"
+    argv = ["graph", "--data", str(data), "--model", model, *dense_graph_flags(model, n), "--out", str(out)]
+    assert cli.main(argv) == 0
+    digests = {f: sha256(out / f) for f in ("graph.json", "components.json")}
+    assert digests == DENSE_GRAPH_GOLDEN[(data_name, model)]
+
+
 TOYFIG_GOLDEN = {
     "bench_toyfig.json": "22c710db9033442c7405d684e984046c21978eeedc8e94551e62173138e0cb7f",
     "bench_toyfig_rows.csv": "a27d75cb016456d8e54a609a9b368133a700efbaf73d1bcbf22807658d1ffb91",

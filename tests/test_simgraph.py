@@ -16,7 +16,6 @@ from spectralweak.simgraph import (
     GraphParams,
     GraphSpec,
     SimilarityGraph,
-    acceptance_probability,
     build_graph,
     bump_peak,
     connected_components,
@@ -31,12 +30,17 @@ from spectralweak.simgraph import (
     prob_criterion_graph,
     prob_threshold_graph,
     read_graph_json,
-    similarity_floor,
     symmetrize,
     write_graph_json,
 )
 
-from helpers import components_reference, knn_adjacency_reference, knn_graph_reference, prob_criterion_reference
+from helpers import (
+    components_reference,
+    knn_adjacency_reference,
+    knn_graph_reference,
+    prob_criterion_reference,
+    prob_threshold_reference,
+)
 
 LINE4 = np.array([[0.0], [1.0], [2.5], [5.0]])
 
@@ -126,9 +130,8 @@ def block_adjacency(d, k):
 
 
 def test_knn_line_modes():
-    d = pairwise_distances(LINE4)
-    sym = knn_graph(d, 1, mode="symmetric", sigma=1.0)
-    mut = knn_graph(d, 1, mode="mutual", sigma=1.0)
+    sym = knn_graph(LINE4, 1, mode="symmetric", sigma=1.0)
+    mut = knn_graph(LINE4, 1, mode="mutual", sigma=1.0)
     assert connected_components(sym)[0] == 1
     assert connected_components(mut)[0] == 3
     assert mut.w[0, 1] == pytest.approx(math.exp(-0.5))
@@ -169,8 +172,9 @@ def test_knn_adjacency_ties_and_duplicates_hand_case():
 
 @pytest.mark.parametrize("mode", ["symmetric", "mutual"])
 def test_knn_weights_equal_full_gaussian_on_joined_pairs(mode):
-    d = pairwise_distances(seeded_points(5, n=120, p=4))
-    g = knn_graph(d, 7, mode=mode)
+    pts = seeded_points(5, n=120, p=4)
+    d = pairwise_distances(pts)
+    g = knn_graph(pts, 7, mode=mode)
     adj = knn_adjacency_reference(d.d, 7)
     joined = (adj | adj.T) if mode == "symmetric" else (adj & adj.T)
     full = np.exp(-(d.d**2) / (2.0 * g.params.sigma**2))
@@ -178,24 +182,31 @@ def test_knn_weights_equal_full_gaussian_on_joined_pairs(mode):
 
 
 def test_knn_default_sigma_is_median_distance():
-    d = pairwise_distances(LINE4)
-    g = knn_graph(d, 2)
+    g = knn_graph(LINE4, 2)
     assert g.params.sigma == pytest.approx(2.5)
 
 
 def test_knn_k_bounds():
+    with pytest.raises(ParameterError):
+        knn_graph(LINE4, 0)
+    with pytest.raises(ParameterError):
+        knn_graph(LINE4, 4)
+
+
+def test_knn_rejects_a_distance_matrix():
     d = pairwise_distances(LINE4)
-    with pytest.raises(ParameterError):
-        knn_graph(d, 0)
-    with pytest.raises(ParameterError):
-        knn_graph(d, 4)
+    with pytest.raises(ParameterError, match="kNN graphs are built from coordinates, got DistanceMatrix"):
+        knn_graph(d, 2)
+    for model in ("knn_symmetric", "knn_mutual"):
+        with pytest.raises(ParameterError, match="kNN graphs are built from coordinates"):
+            build_graph(d, GraphSpec(model, GraphParams(k=2)))
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 6))
 def test_mutual_edges_subset_of_symmetric(seed, k):
-    d = pairwise_distances(seeded_points(seed))
-    sym = knn_graph(d, k, sigma=1.0).w.toarray() > 0
-    mut = knn_graph(d, k, mode="mutual", sigma=1.0).w.toarray() > 0
+    pts = seeded_points(seed)
+    sym = knn_graph(pts, k, sigma=1.0).w.toarray() > 0
+    mut = knn_graph(pts, k, mode="mutual", sigma=1.0).w.toarray() > 0
     assert not np.any(mut & ~sym)
 
 
@@ -233,14 +244,10 @@ def test_csr_knn_builder_equals_dense_reference(case):
                 knn_graph(pts, k, mode=mode)
             return
         g = knn_graph(pts, k, mode=mode, sigma=sigma)
-        from_dist = knn_graph(dist, k, mode=mode, sigma=sigma)
     want, want_sigma = knn_graph_reference(dist, k, mode=mode, sigma=sigma)
     assert np.float64(g.params.sigma).tobytes() == np.float64(want_sigma).tobytes()
     assert g.w.toarray().tobytes() == want.tobytes()
     assert g.w.has_canonical_format and np.all(g.w.data > 0.0)
-    for a, b in zip((g.w.data, g.w.indices, g.w.indptr), (from_dist.w.data, from_dist.w.indices, from_dist.w.indptr)):
-        assert np.array_equal(a, b)
-    assert from_dist.params == g.params
 
 
 def test_knn_underflowed_weight_is_not_an_edge():
@@ -257,10 +264,10 @@ def test_build_graph_reads_knn_from_coordinates():
     pts = seeded_points(3, 40, 3)
     spec = GraphSpec("knn_mutual", GraphParams(k=5))
     a = build_graph(pts, spec)
-    b = build_graph(pairwise_distances(pts), spec)
+    want, want_sigma = knn_graph_reference(pairwise_distances(pts), 5, mode="mutual")
     assert isinstance(a.w, scipy.sparse.csr_array)
-    assert np.array_equal(a.w.toarray(), b.w.toarray())
-    assert a.params == b.params
+    assert np.array_equal(a.w.toarray(), want)
+    assert a.params == GraphParams(k=5, sigma=want_sigma)
 
 
 @st.composite
@@ -304,10 +311,8 @@ def test_median_of_two_middle_values_in_different_bins():
 
 
 def test_knn_all_equal_points_median_zero():
-    pts = np.ones((6, 2))
-    for data in (pts, pairwise_distances(pts)):
-        with pytest.raises(ParameterError, match="median distance is zero; pass sigma explicitly"):
-            knn_graph(data, 2)
+    with pytest.raises(ParameterError, match="median distance is zero; pass sigma explicitly"):
+        knn_graph(np.ones((6, 2)), 2)
 
 
 def test_sparse_weights_are_validated():
@@ -353,22 +358,6 @@ def test_bump_peak_value():
     sigma = 0.2
     assert bump_peak(sigma) == pytest.approx(1.0 / (sigma * math.sqrt(2 * math.pi)))
     assert gaussian_bump(0.4, 0.4, sigma) == pytest.approx(bump_peak(sigma))
-
-
-def test_similarity_floor_inverts_bump():
-    w, sigma, eps = 0.3, 0.05, 1e-4
-    floor = similarity_floor(w, sigma, eps)
-    assert floor is not None
-    assert gaussian_bump(floor, w, sigma) == pytest.approx(eps, rel=1e-9)
-    # an eps above the peak admits nothing
-    assert similarity_floor(w, sigma, bump_peak(sigma) * 2) is None
-
-
-def test_acceptance_probability_is_normalized_bump():
-    w, sigma = 0.5, 0.1
-    assert acceptance_probability(w, w, sigma) == pytest.approx(1.0)
-    val = acceptance_probability(0.3, w, sigma)
-    assert val == pytest.approx(math.exp(-((0.3 - w) ** 2) / (2 * sigma**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +506,14 @@ def test_criterion_matches_enumeration_reference(case):
     assert got.tobytes() == want.tobytes()
 
 
+@given(criterion_cases(), st.one_of(st.sampled_from([1e-300, 1e-3, 1.0]), st.floats(1e-12, 1e3)))
+def test_threshold_matches_reference(case, eps_weight):
+    sims, w_thresh, sigma, rule, _ = case
+    got = prob_threshold_graph(sims, w_thresh, sigma, eps_weight, rule).w
+    want = prob_threshold_reference(sims, w_thresh, sigma, eps_weight, rule)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_criterion_accepted_weight_is_clamped():
     sims = initial_similarities(TRIPLE)
     w, sigma = 0.6, 0.1
@@ -565,7 +562,7 @@ def test_build_graph_takes_precomputed_similarities():
 
 
 def test_build_graph_dispatches_every_model():
-    d = pairwise_distances(seeded_points(0, 6, 2))
+    pts = seeded_points(0, 6, 2)
     specs = [
         GraphSpec("epsilon", GraphParams(epsilon=1.5)),
         GraphSpec("knn_symmetric", GraphParams(k=2)),
@@ -575,7 +572,7 @@ def test_build_graph_dispatches_every_model():
         GraphSpec("prob_criterion", GraphParams(w_thresh=0.3, sigma=0.1)),
     ]
     for spec in specs:
-        g = build_graph(d, spec, seed=1)
+        g = build_graph(pts, spec, seed=1)
         assert g.model == spec.model
 
 

@@ -264,7 +264,7 @@ def dense_route(graph):
     ],
 )
 def test_arpack_agrees_with_dense_on_knn_graphs(seed, n, k, neighbours, mode):
-    g = knn_graph(pairwise_distances(blob_points(seed, n)), neighbours, mode=mode)
+    g = knn_graph(blob_points(seed, n), neighbours, mode=mode)
     assert connected_components(g)[0] == 1
     sparse = smallest_k_eigenvectors(g, k)
     dense = smallest_k_eigenvectors(dense_route(g), k)
@@ -278,7 +278,7 @@ def test_arpack_agrees_with_dense_on_knn_graphs(seed, n, k, neighbours, mode):
 def test_disconnected_knn_graph_takes_dense_route():
     pts = blob_points(4, 80)
     pts[40:, 1] += 1000.0
-    g = knn_graph(pairwise_distances(pts), 5)
+    g = knn_graph(pts, 5)
     assert connected_components(g)[0] == 2
     emb = smallest_k_eigenvectors(g, 2)
     assert emb.solver == "eigh"
@@ -287,19 +287,19 @@ def test_disconnected_knn_graph_takes_dense_route():
 
 def test_clamped_knn_graph_takes_dense_route():
     # mutual 1-NN on a line: 2.5 and 5.0 are nobody's mutual neighbour
-    g = knn_graph(pairwise_distances(np.array([[0.0], [1.0], [2.5], [5.0]])), 1, mode="mutual")
+    g = knn_graph(np.array([[0.0], [1.0], [2.5], [5.0]]), 1, mode="mutual")
     emb = smallest_k_eigenvectors(g, 2)
     assert emb.clamped == (2, 3)
     assert emb.solver == "eigh"
 
 
 def test_route_follows_the_graph_model():
-    g = knn_graph(pairwise_distances(blob_points(5, 200)), 10)
+    g = knn_graph(blob_points(5, 200), 10)
     as_prob = SimilarityGraph(w=g.w.toarray(), model="prob_threshold", params=g.params)
     assert smallest_k_eigenvectors(g, 2).solver == "eigsh"
     assert smallest_k_eigenvectors(as_prob, 2).solver == "eigh"
     # ARPACK needs k < n - 1
-    small = knn_graph(pairwise_distances(blob_points(6, 6)), 3)
+    small = knn_graph(blob_points(6, 6), 3)
     assert smallest_k_eigenvectors(small, 4).solver == "eigsh"
     assert smallest_k_eigenvectors(small, 5).solver == "eigh"
 
@@ -314,7 +314,7 @@ def test_prob_graphs_take_dense_route(model):
 
 
 def test_arpack_no_convergence_falls_back_to_dense(monkeypatch):
-    g = knn_graph(pairwise_distances(blob_points(8, 300)), 10)
+    g = knn_graph(blob_points(8, 300), 10)
     want = smallest_k_eigenvectors(dense_route(g), 2)
 
     def no_convergence(*args, **kwargs):
@@ -384,7 +384,7 @@ def prob_graph(seed=7, n=60):
 
 
 def connected_knn_graph(seed=5, n=200):
-    g = knn_graph(pairwise_distances(blob_points(seed, n)), 10)
+    g = knn_graph(blob_points(seed, n), 10)
     assert connected_components(g)[0] == 1
     return g
 
