@@ -1,10 +1,11 @@
 """Instance classifiers and bag-level cross-validation.
 
 Three classifiers share one practice: deterministic fits, sorted class order,
-ties resolved toward the smallest class index. `train` is the one place that
-maps a classifier name to its fit. Evaluation is leave-one-bag-out: train on
-every instance outside the held-out bag, predict its members, reduce instance
-votes to one bag label.
+ties resolved toward the smallest class index. `train` maps a classifier
+name to its fit; only leave-one-bag-out calls `train_logistic` itself, to
+pass a warm start. Evaluation is leave-one-bag-out: train on every instance
+outside the held-out bag, predict its members, reduce instance votes to one
+bag label.
 """
 
 from __future__ import annotations
@@ -107,13 +108,18 @@ def _onehot(y, classes):
     return onehot.astype(float)
 
 
-def train_logistic(x: np.ndarray, y: np.ndarray) -> LogisticModel:
+def train_logistic(x: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> LogisticModel:
     """Multinomial logistic regression by damped Newton iterations.
 
     The last class in sorted order is the reference. The ridge penalty covers
     coefficients but not intercepts, which keeps separable problems bounded
     without biasing class priors. Stops when the gradient norm divided by n
     drops to TOL, or after MAX_ITER steps.
+
+    Newton starts from zero, or from `start`: one row per non-reference class
+    with the intercept entry last, the layout of `logistic_gradient`. The
+    objective is strictly convex, so the start moves the step count, not the
+    optimum the fit converges to.
     """
     x, y, classes = _check_training_inputs(x, y)
     n, p = x.shape
@@ -123,7 +129,12 @@ def train_logistic(x: np.ndarray, y: np.ndarray) -> LogisticModel:
     onehot = _onehot(y, classes)
     x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
     dim = p + 1
-    theta = np.zeros(((c - 1), dim))
+    if start is None:
+        theta = np.zeros(((c - 1), dim))
+    else:
+        theta = np.array(start, dtype=float)
+        if theta.shape != (c - 1, dim):
+            raise ParameterError(f"start must have shape {(c - 1, dim)}, got {theta.shape}")
     mask = np.ones(dim)
     mask[p] = 0.0  # intercept escapes the penalty
     probs = _softmax_full(x1, theta)
@@ -138,12 +149,15 @@ def train_logistic(x: np.ndarray, y: np.ndarray) -> LogisticModel:
             break
         hess = np.empty(((c - 1) * dim, (c - 1) * dim))
         for a in range(c - 1):
-            for b in range(c - 1):
+            for b in range(a, c - 1):
+                # probs[:, a] * -probs[:, b] is the same product as its
+                # mirror, so block (b, a) is block (a, b) bit for bit.
                 wvec = probs[:, a] * ((1.0 if a == b else 0.0) - probs[:, b])
                 block = x1.T @ (x1 * wvec[:, None])
                 if a == b:
                     block = block + L2 * np.diag(mask)
                 hess[a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] = block
+                hess[b * dim : (b + 1) * dim, a * dim : (a + 1) * dim] = block
         try:
             step = np.linalg.solve(hess + 1e-10 * np.eye(hess.shape[0]), grad.ravel())
         except np.linalg.LinAlgError as exc:
@@ -425,15 +439,36 @@ class CVResult:
         }
 
 
-def _fold_standardizer(train_x: np.ndarray):
+def _fold_standardizer(train_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sd that z-score a fold from its training rows: ddof=1, and a
+    zero sd (or a single row) divides by 1."""
     mean = train_x.mean(axis=0)
     sd = train_x.std(axis=0, ddof=1) if train_x.shape[0] > 1 else np.ones(train_x.shape[1])
-    sd = np.where(sd == 0.0, 1.0, sd)
+    return mean, np.where(sd == 0.0, 1.0, sd)
 
-    def apply(mat: np.ndarray) -> np.ndarray:
-        return (mat - mean) / sd
 
-    return apply
+def _full_logistic_fit(x: np.ndarray, y: np.ndarray) -> tuple[LogisticModel, np.ndarray, np.ndarray] | None:
+    """The logistic fit on every row, z-scored by the fold rule, with its mean
+    and sd; None when that fit raises."""
+    mean, sd = _fold_standardizer(x)
+    try:
+        return train_logistic((x - mean) / sd, y), mean, sd
+    except (TrainingError, NumericalError):
+        return None
+
+
+def _mapped_start(
+    full: tuple[LogisticModel, np.ndarray, np.ndarray], mean: np.ndarray, sd: np.ndarray
+) -> np.ndarray:
+    """A `_full_logistic_fit` result as a `train_logistic` start in the
+    z-scoring (mean, sd).
+
+    Scores are affine in x: coef_g @ (x - m_g) / s_g + b_g equals
+    (coef_g * s / s_g) @ (x - m) / s + b_g + (coef_g / s_g) @ (m - m_g).
+    """
+    model, full_mean, full_sd = full
+    per_unit = model.coef / full_sd
+    return np.column_stack([per_unit * sd, model.intercept + per_unit @ (mean - full_mean)])
 
 
 def leave_one_bag_out_cv(
@@ -451,6 +486,11 @@ def leave_one_bag_out_cv(
     training labels. For knn with no knn_k, the count is chosen once, as the
     first best of an inner leave-one-bag-out sweep over KNN_GRID using the
     same ingredients; a count above a fold's training size is cut to it.
+
+    Logistic folds start Newton from one fit on every row, z-scored by the
+    same rule and mapped into the fold's z-scoring; folds that lack a class,
+    or all folds when that fit raises, start from zero. Folds whose fit stops
+    at MAX_ITER unconverged are named in one warning.
     """
     _check_kind(kind)
     if len(ds.bag_ids) < 2:
@@ -461,23 +501,32 @@ def leave_one_bag_out_cv(
         chosen_k = knn_k = max(
             KNN_GRID, key=lambda cand: leave_one_bag_out_cv(ts, ds, "knn", aggregation, cand).accuracy
         )
+    full = _full_logistic_fit(ds.x, y) if kind == "logistic" else None
+    all_classes, codes = np.unique(y, return_inverse=True)
     results: list[BagResult] = []
     flagged: list[str] = []
-    all_classes = sorted(set(y.tolist()))
+    unconverged: list[str] = []
     for bag_id in ds.bag_ids:
         test = ds.bag == bag_id
         train_x = ds.x[~test]
         train_y = y[~test]
-        fold_classes = sorted(set(train_y.tolist()))
-        if fold_classes != all_classes:
+        present = np.bincount(codes[~test], minlength=all_classes.size) > 0
+        if not present.all():
             flagged.append(bag_id)
-        if len(fold_classes) == 1:
+        if present.sum() == 1:
             # Degenerate fold: only one class left to predict from.
-            preds = np.asarray([fold_classes[0]] * int(test.sum()), dtype=object)
+            preds = np.asarray([all_classes[present][0]] * int(test.sum()), dtype=object)
         else:
-            scale = _fold_standardizer(train_x)
-            fold_k = None if knn_k is None else min(knn_k, train_x.shape[0])
-            preds = predict(train(kind, scale(train_x), train_y, fold_k), scale(ds.x[test]))
+            mean, sd = _fold_standardizer(train_x)
+            fold_x, held_x = (train_x - mean) / sd, (ds.x[test] - mean) / sd
+            if kind == "logistic":
+                start = _mapped_start(full, mean, sd) if full is not None and present.all() else None
+                model = train_logistic(fold_x, train_y, start=start)
+                if not model.converged:
+                    unconverged.append(bag_id)
+            else:
+                model = train(kind, fold_x, train_y, None if knn_k is None else min(knn_k, train_x.shape[0]))
+            preds = predict(model, held_x)
         bag_pred = aggregation.aggregate(preds, ds.strong_label)
         true_label = ds.label[np.argmax(test)]
         results.append(
@@ -485,6 +534,11 @@ def leave_one_bag_out_cv(
                 bag_id=bag_id, true_label=true_label, predicted_label=bag_pred,
                 instance_votes=Counter(preds.tolist()),
             )
+        )
+    if unconverged:
+        warnings.warn(
+            f"logistic fit stopped unconverged after MAX_ITER={MAX_ITER} Newton steps "
+            f"in the folds of bags {', '.join(unconverged)}"
         )
     return CVResult(
         per_bag=tuple(results),

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import csv
+import warnings
+from collections import Counter
 
 import numpy as np
 import scipy.sparse
 
+from spectralweak import classify
+from spectralweak.classify import AggregationRule, BagResult, CVResult, LogisticModel
 from spectralweak.dataset import Dataset
 from spectralweak.errors import NumericalError
 from spectralweak.simgraph import bump_peak, gaussian_bump, symmetrize
@@ -205,6 +209,98 @@ def knn_predict_reference(model, x):
             votes[class_index[model.train_y[j]]] += 1
         out[i] = model.classes[int(np.argmax(votes))]
     return out
+
+
+def train_logistic_reference(x, y):
+    """Damped Newton from zero with every Hessian block of the (c-1)^2 grid
+    computed by its own product.
+
+    The original train_logistic, kept as the oracle for the bits of the fit
+    that builds each off-diagonal block once and mirrors it.
+    """
+    x, y, classes = classify._check_training_inputs(x, y)
+    n, p = x.shape
+    if n <= p:
+        warnings.warn(f"logistic fit with n={n} <= p={p}; coefficients rely on the ridge term")
+    c = len(classes)
+    onehot = classify._onehot(y, classes)
+    x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
+    dim = p + 1
+    theta = np.zeros(((c - 1), dim))
+    mask = np.ones(dim)
+    mask[p] = 0.0
+    probs = classify._softmax_full(x1, theta)
+    obj = classify._logistic_objective(probs, onehot, theta[:, :p], classify.L2)
+    converged = False
+    it = 0
+    for it in range(1, classify.MAX_ITER + 1):
+        grad = classify._logistic_gradient(theta, x1, probs, onehot, classify.L2, mask)
+        if float(np.linalg.norm(grad.ravel())) / n <= classify.TOL:
+            converged = True
+            break
+        hess = np.empty(((c - 1) * dim, (c - 1) * dim))
+        for a in range(c - 1):
+            for b in range(c - 1):
+                wvec = probs[:, a] * ((1.0 if a == b else 0.0) - probs[:, b])
+                block = x1.T @ (x1 * wvec[:, None])
+                if a == b:
+                    block = block + classify.L2 * np.diag(mask)
+                hess[a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] = block
+        step = np.linalg.solve(hess + 1e-10 * np.eye(hess.shape[0]), grad.ravel())
+        scale = 1.0
+        for _ in range(30):
+            trial = theta - scale * step.reshape(c - 1, dim)
+            trial_probs = classify._softmax_full(x1, trial)
+            trial_obj = classify._logistic_objective(trial_probs, onehot, trial[:, :p], classify.L2)
+            if trial_obj <= obj + 1e-12 * max(1.0, abs(obj)):
+                break
+            scale /= 2.0
+        theta, probs, obj = trial, trial_probs, trial_obj
+    return LogisticModel(
+        classes=classes, coef=theta[:, :p].copy(), intercept=theta[:, p].copy(),
+        converged=converged, n_iter=it,
+    )
+
+
+def lobo_logistic_cold_reference(ts, ds, aggregation=AggregationRule()):
+    """Logistic leave-one-bag-out with every fold's Newton run started from
+    zero, and each fold's classes found by sorting a set of its labels.
+
+    The original fold loop, kept as the oracle for the warm-started one: both
+    must reach the same instance votes on every fold.
+    """
+    y = classify.instance_labels(ts, ds)
+    all_classes = sorted(set(y.tolist()))
+    results = []
+    flagged = []
+    for bag_id in ds.bag_ids:
+        test = ds.bag == bag_id
+        train_x = ds.x[~test]
+        train_y = y[~test]
+        fold_classes = sorted(set(train_y.tolist()))
+        if fold_classes != all_classes:
+            flagged.append(bag_id)
+        if len(fold_classes) == 1:
+            preds = np.asarray([fold_classes[0]] * int(test.sum()), dtype=object)
+        else:
+            mean = train_x.mean(axis=0)
+            sd = train_x.std(axis=0, ddof=1) if train_x.shape[0] > 1 else np.ones(train_x.shape[1])
+            sd = np.where(sd == 0.0, 1.0, sd)
+            model = classify.train_logistic((train_x - mean) / sd, train_y)
+            preds = classify.predict(model, (ds.x[test] - mean) / sd)
+        results.append(
+            BagResult(
+                bag_id=bag_id, true_label=ds.label[np.argmax(test)],
+                predicted_label=aggregation.aggregate(preds, ds.strong_label),
+                instance_votes=Counter(preds.tolist()),
+            )
+        )
+    return CVResult(
+        per_bag=tuple(results),
+        accuracy=sum(r.true_label == r.predicted_label for r in results) / len(results),
+        confusion=Counter((r.true_label, r.predicted_label) for r in results),
+        flagged_folds=tuple(flagged),
+    )
 
 
 def plus_plus_reference(points, k, rng):

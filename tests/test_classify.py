@@ -1,10 +1,14 @@
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from spectralweak import classify
+from spectralweak.bench import SYNTH_ANNOTATION_GRAPH
 from spectralweak.classify import (
     HEAVY_RIDGE,
     KNN_GRID,
@@ -25,10 +29,16 @@ from spectralweak.classify import (
     train_logistic,
     train_qda,
 )
-from spectralweak.errors import ParameterError, TrainingError
-from spectralweak.weakanno import AnnotatedTrainingSet
+from spectralweak.errors import NumericalError, ParameterError, TrainingError
+from spectralweak.weakanno import AnnotatedTrainingSet, SynthBagsConfig, build_training_set, synth_bags
 
-from helpers import build_dataset, knn_predict_reference, two_blobs
+from helpers import (
+    build_dataset,
+    knn_predict_reference,
+    lobo_logistic_cold_reference,
+    train_logistic_reference,
+    two_blobs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +127,45 @@ def test_logistic_reference_class_is_last_sorted():
     model = train_logistic(x, y)
     assert model.classes == ("ant", "zed")
     assert model.coef.shape == (1, 2)
+
+
+@st.composite
+def logistic_cases(draw, classes):
+    """Gaussian rows whose class means are shifted by a drawn gap, so fits
+    range from overlapping to nearly separable classes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.integers(classes + 1, 60))
+    p = draw(st.integers(1, 5))
+    codes = np.concatenate([np.arange(classes), rng.integers(0, classes, size=n - classes)])
+    centres = rng.normal(scale=draw(st.floats(0.0, 4.0)), size=(classes, p))
+    x = centres[codes] + rng.normal(size=(n, p)) * draw(st.floats(0.1, 3.0))
+    return x, np.asarray([f"k{c}" for c in codes], dtype=object)
+
+
+@given(st.one_of(logistic_cases(3), logistic_cases(4)))
+@settings(max_examples=60, deadline=None)
+def test_logistic_mirrored_hessian_matches_four_block_reference(case):
+    x, y = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got, want = train_logistic(x, y), train_logistic_reference(x, y)
+    assert np.array_equal(got.coef, want.coef)
+    assert np.array_equal(got.intercept, want.intercept)
+    assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
+
+
+def test_logistic_start_must_match_the_parameter_shape():
+    x, labels = two_blobs()
+    with pytest.raises(ParameterError, match=r"start must have shape \(1, 3\)"):
+        train_logistic(x, labels, start=np.zeros((2, 3)))
+
+
+def test_logistic_start_at_the_optimum_stops_at_once():
+    x, labels = two_blobs(n_per=15, gap=2.0, seed=4)
+    cold = train_logistic(x, labels)
+    warm = train_logistic(x, labels, start=np.column_stack([cold.coef, cold.intercept]))
+    assert warm.converged and warm.n_iter == 1
+    assert np.array_equal(warm.coef, cold.coef)
 
 
 # ---------------------------------------------------------------------------
@@ -419,3 +468,92 @@ def test_lobo_input_validation():
     truncated = type(partial)(ids=partial.ids[:-1], labels=partial.labels[:-1], provenance=partial.provenance[:-1])
     with pytest.raises(ParameterError, match="lacks labels"):
         leave_one_bag_out_cv(truncated, ds, "logistic")
+
+
+@given(logistic_cases(3), st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_mapped_start_keeps_the_full_fit_scores(case, seed):
+    x, y = case
+    x = x * np.random.default_rng(seed).uniform(0.01, 100.0, size=x.shape[1]) + 7.0
+    held = np.random.default_rng(seed).random(x.shape[0]) < 0.3
+    held[:2] = False  # a fold keeps training rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        full = classify._full_logistic_fit(x, y)
+    model, full_mean, full_sd = full
+    mean, sd = classify._fold_standardizer(x[~held])
+    start = classify._mapped_start(full, mean, sd)
+    mapped = LogisticModel(model.classes, start[:, :-1], start[:, -1], False, 0)
+    np.testing.assert_allclose(
+        predict_proba(mapped, (x - mean) / sd), predict_proba(model, (x - full_mean) / full_sd), rtol=1e-12
+    )
+
+
+def synth_training_sets(seed):
+    bags = synth_bags(replace(SynthBagsConfig(), seed=seed))
+    weak = build_training_set(bags.dataset, SYNTH_ANNOTATION_GRAPH, seed=seed)
+    return bags.dataset, (weak, fully_supervised_baseline(bags.dataset))
+
+
+def test_lobo_warm_starts_match_cold_folds_on_table2synth():
+    # the condition the warm start lands on: identical results on every fold
+    # of the weak and the baseline sets, seeds 0-19
+    for seed in range(20):
+        ds, training_sets = synth_training_sets(seed)
+        for ts in training_sets:
+            got = leave_one_bag_out_cv(ts, ds, "logistic").to_json_dict()
+            assert got == lobo_logistic_cold_reference(ts, ds).to_json_dict(), f"seed {seed}"
+
+
+def test_lobo_folds_start_from_the_full_fit(monkeypatch):
+    ds, (weak, _) = synth_training_sets(0)
+    fits = []
+
+    def recording(x, y, start=None):
+        model = train_logistic(x, y, start=start)
+        fits.append((start is not None, model.n_iter))
+        return model
+
+    monkeypatch.setattr(classify, "train_logistic", recording)
+    leave_one_bag_out_cv(weak, ds, "logistic")
+    full, folds = fits[0], fits[1:]
+    assert not full[0] and all(warm for warm, _ in folds)
+    assert len(folds) == len(ds.bag_ids)
+    fits.clear()
+    lobo_logistic_cold_reference(weak, ds)
+    assert sum(n for _, n in folds) < sum(n for _, n in fits)
+
+
+def test_lobo_falls_back_to_zero_starts_when_the_full_fit_raises(monkeypatch):
+    ds = blob_bags()
+    want = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic")
+    starts = []
+
+    def full_fit_fails(x, y, start=None):
+        starts.append(start)
+        if len(starts) == 1:
+            raise NumericalError("Newton system is singular")
+        return train_logistic(x, y, start=start)
+
+    monkeypatch.setattr(classify, "train_logistic", full_fit_fails)
+    assert leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic") == want
+    assert len(starts) == 1 + len(ds.bag_ids)
+    assert all(start is None for start in starts)
+
+
+def test_lobo_warns_once_naming_unconverged_folds(monkeypatch):
+    ds = blob_bags()
+    want = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic").to_json_dict()
+    monkeypatch.setattr(classify, "MAX_ITER", 1)
+    with pytest.warns(UserWarning, match="MAX_ITER=1") as record:
+        got = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic")
+    assert len(record) == 1
+    assert str(record[0].message).endswith("bags " + ", ".join(ds.bag_ids))
+    assert set(got.to_json_dict()) == set(want)
+
+
+def test_lobo_converged_folds_do_not_warn():
+    ds = blob_bags()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic")

@@ -28,7 +28,7 @@ GRIDS = {
 
 
 def write_seeded_bags(path, seed=7):
-    """Three planted classes, 61 instances: a trusted class at the origin and
+    """Three planted classes, 53 instances: a trusted class at the origin and
     two disordered classes whose bags mix in trusted members."""
     rng = np.random.default_rng(seed)
     lines = ["instance,bag,group,x0,x1"]
