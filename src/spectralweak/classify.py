@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import NumericalError, ParameterError, TrainingError
+from .simgraph import nearest_columns
 from .weakanno import AnnotatedTrainingSet
 
 CLASSIFIERS = ("logistic", "qda", "knn")
@@ -304,15 +305,15 @@ def _check_predict_input(model, x: np.ndarray) -> np.ndarray:
 
 
 def _knn_vote(model: KnnModel, x: np.ndarray) -> np.ndarray:
-    """Class index voted for by each row's k nearest training rows, ranked by
-    distance then row index; vote ties go to the smallest class index."""
+    """Class index voted for by each row's k nearest training rows
+    (nearest_columns); vote ties go to the smallest class index."""
     classes = np.asarray(model.classes, dtype=object)
     step = max(1, _KNN_BLOCK_BYTES // (8 * max(1, model.train_x.size)))
     out = np.empty(x.shape[0], dtype=int)
     for start in range(0, x.shape[0], step):
         block = x[start : start + step]
         dists = np.linalg.norm(model.train_x[None] - block[:, None], axis=2)
-        nearest = model.train_y[np.argsort(dists, axis=1, kind="stable")[:, : model.k]]
+        nearest = model.train_y[nearest_columns(dists, model.k)]
         votes = (nearest[:, :, None] == classes).sum(axis=1)
         out[start : start + step] = np.argmax(votes, axis=1)
     return out
@@ -487,7 +488,8 @@ def leave_one_bag_out_cv(
     first best of an inner leave-one-bag-out sweep over KNN_GRID using the
     same ingredients; a count above a fold's training size is cut to it.
 
-    Logistic folds start Newton from one fit on every row, z-scored by the
+    Logistic folds fit integer class codes, indices into the sorted training
+    labels, and start Newton from one fit on every row, z-scored by the
     same rule and mapped into the fold's z-scoring; folds that lack a class,
     or all folds when that fit raises, start from zero. Folds whose fit stops
     at MAX_ITER unconverged are named in one warning.
@@ -501,15 +503,14 @@ def leave_one_bag_out_cv(
         chosen_k = knn_k = max(
             KNN_GRID, key=lambda cand: leave_one_bag_out_cv(ts, ds, "knn", aggregation, cand).accuracy
         )
-    full = _full_logistic_fit(ds.x, y) if kind == "logistic" else None
     all_classes, codes = np.unique(y, return_inverse=True)
+    full = _full_logistic_fit(ds.x, codes) if kind == "logistic" else None
     results: list[BagResult] = []
     flagged: list[str] = []
     unconverged: list[str] = []
     for bag_id in ds.bag_ids:
         test = ds.bag == bag_id
         train_x = ds.x[~test]
-        train_y = y[~test]
         present = np.bincount(codes[~test], minlength=all_classes.size) > 0
         if not present.all():
             flagged.append(bag_id)
@@ -521,12 +522,13 @@ def leave_one_bag_out_cv(
             fold_x, held_x = (train_x - mean) / sd, (ds.x[test] - mean) / sd
             if kind == "logistic":
                 start = _mapped_start(full, mean, sd) if full is not None and present.all() else None
-                model = train_logistic(fold_x, train_y, start=start)
+                model = train_logistic(fold_x, codes[~test], start=start)
                 if not model.converged:
                     unconverged.append(bag_id)
+                preds = all_classes[predict(model, held_x).astype(int)]
             else:
-                model = train(kind, fold_x, train_y, None if knn_k is None else min(knn_k, train_x.shape[0]))
-            preds = predict(model, held_x)
+                model = train(kind, fold_x, y[~test], None if knn_k is None else min(knn_k, train_x.shape[0]))
+                preds = predict(model, held_x)
         bag_pred = aggregation.aggregate(preds, ds.strong_label)
         true_label = ds.label[np.argmax(test)]
         results.append(

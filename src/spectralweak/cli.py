@@ -33,7 +33,7 @@ from .classify import (
 )
 from .dataset import CsvSchema, Dataset, load_csv, standardize
 from .errors import ParameterError, SchemaError, SpectralWeakError
-from .evaluation import GridSpec, davies_bouldin, f1_score, grid_search
+from .evaluation import OBJECTIVES, GridSpec, davies_bouldin, f1_score, grid_search
 from .simgraph import (
     MODELS,
     GraphParams,
@@ -237,14 +237,16 @@ def cmd_graph(args, config) -> int:
 
 
 def cmd_group(args, config) -> int:
+    use_truth = not bool(_resolve(args, config, "no-truth", False))
+    objective = _resolve(args, config, "objective", "f1" if use_truth else "db")
+    if objective not in OBJECTIVES:
+        raise ParameterError(f"--objective must be one of {', '.join(OBJECTIVES)}, got {objective!r}")
+    if objective == "f1" and not use_truth:
+        raise ParameterError("objective f1 scores against bag labels; drop --no-truth")
     run = _run_config(args, config)
     ds = _load_dataset(args, config)
     model, params, axes = _graph_setup(args, config)
     groups = _resolve_as(args, config, "groups", int, 2)
-    use_truth = not bool(_resolve(args, config, "no-truth", False))
-    objective = _resolve(args, config, "objective", "f1" if use_truth else "db")
-    if objective == "f1" and not use_truth:
-        raise ParameterError("objective f1 scores against bag labels; drop --no-truth")
     work = _working_view(args, config, ds)
     if axes:
         grid = GridSpec(model=model, axes=axes, base=params)

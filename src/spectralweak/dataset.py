@@ -113,6 +113,10 @@ class CsvSchema:
     strong_label: str | None  # None: the smallest bag label in the file
     delimiter: str = ","
 
+    def __post_init__(self):
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+            raise ParameterError(f"delimiter must be a single character, got {self.delimiter!r}")
+
 
 def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
     """Read a flat CSV (one row per instance) into a validated Dataset.

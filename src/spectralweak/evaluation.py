@@ -27,6 +27,8 @@ from .simgraph import (
 )
 from .spectral import Grouping, spectral_grouping
 
+OBJECTIVES = ("f1", "db")  # grid objectives: f1 against bag labels, db needs no truth
+
 
 @dataclass(frozen=True)
 class IndexValue:
@@ -214,8 +216,8 @@ def grid_search(
     the next candidate with that m tries again). Each row keeps the grouping
     it was scored on, so the winner's grouping needs no refit.
     """
-    if objective not in ("f1", "db"):
-        raise ParameterError(f"objective must be 'f1' or 'db', got {objective!r}")
+    if objective not in OBJECTIVES:
+        raise ParameterError(f"objective must be one of {', '.join(OBJECTIVES)}, got {objective!r}")
     data = ds.x if grid.model in KNN_MODELS else pairwise_distances(ds)
     sims_by_m: dict[float, InitialSimilarities] = {}
 

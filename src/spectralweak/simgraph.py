@@ -205,30 +205,21 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _block_neighbours(d: np.ndarray, lo: int, k: int) -> np.ndarray:
-    """Columns (rows, k), ascending per row, of the k nearest others of each
-    point in a block of distance rows lo, lo + 1, ...
+def nearest_columns(d: np.ndarray, k: int) -> np.ndarray:
+    """Columns (rows, k), ascending per row, of the k smallest entries of each
+    row of a block, ranked by value and then column index.
 
-    Distance ties resolve toward the smaller index; the point itself is
-    excluded even when other points sit at distance zero.
-
-    The (k+1)-th smallest entry of a row, the point itself included, is a
-    threshold. When exactly k+1 entries lie at or below it they are the point
-    and its k nearest others, in whatever order. Only rows with more, a tie at
-    the threshold, are ranked in full by distance and then index.
+    The k-th smallest entry of a row is a threshold. When exactly k entries
+    lie at or below it they are the k smallest. Only rows with more, a tie at
+    the threshold, are ranked in full by value and then index.
     """
     b, n = d.shape
-    local = np.arange(b)
-    thr = np.partition(d, k, axis=1)[:, k]
-    adj = d <= thr[:, None]
-    adj[local, lo + local] = False
+    near = d <= np.partition(d, k - 1, axis=1)[:, k - 1 : k]
     idx = np.arange(n)
-    for r in np.flatnonzero(adj.sum(axis=1) != k):
-        order = np.lexsort((idx, d[r]))
-        order = order[order != lo + r]
-        adj[r] = False
-        adj[r, order[:k]] = True
-    return np.nonzero(adj)[1].reshape(b, k)
+    for r in np.flatnonzero(near.sum(axis=1) != k):
+        near[r] = False
+        near[r, np.lexsort((idx, d[r]))[:k]] = True
+    return np.nonzero(near)[1].reshape(b, k)
 
 
 def _median_bins(d: np.ndarray) -> np.ndarray:
@@ -300,10 +291,7 @@ def _knn_csr(n: int, neighbours: np.ndarray, near: np.ndarray, mutual: bool, sig
         dist = np.concatenate((dist, dist))[first]
     weights = np.exp(-(dist**2) / (2.0 * sigma**2))
     edge = weights > 0.0
-    rows, cols = np.divmod(keys[edge], n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return scipy.sparse.csr_array((weights[edge], cols, indptr), shape=(n, n))
+    return scipy.sparse.csr_array((weights[edge], np.divmod(keys[edge], n)), shape=(n, n))
 
 
 def knn_graph(
@@ -314,10 +302,10 @@ def knn_graph(
 ) -> SimilarityGraph:
     """k-nearest-neighbour graph with Gaussian weights exp(-d^2 / (2 sigma^2)).
 
-    mode "symmetric" joins i~j when either lists the other among its k nearest;
-    mode "mutual" requires both. sigma defaults to the median off-diagonal
-    distance. `data` is coordinates, a Dataset's or an n x p array, read in
-    row blocks (module docstring).
+    mode "symmetric" joins i~j when either lists the other among its k nearest
+    others (nearest_columns); mode "mutual" requires both. sigma defaults to
+    the median off-diagonal distance. `data` is coordinates, a Dataset's or an
+    n x p array, read in row blocks (module docstring).
     """
     try:
         points = coordinates(data)
@@ -335,10 +323,11 @@ def knn_graph(
     near = np.empty((n, k))
     for lo, hi in row_blocks(n):
         d = cdist(points[lo:hi], points)
-        neighbours[lo:hi] = _block_neighbours(d, lo, k)
-        near[lo:hi] = np.take_along_axis(d, neighbours[lo:hi], axis=1)
-        if counts is not None:
+        if counts is not None:  # before the diagonal is masked: the median counts its zeros
             counts += np.bincount(_median_bins(d).ravel(), minlength=MEDIAN_BINS)
+        np.fill_diagonal(d[:, lo:], np.inf)  # entry (r, lo + r): a point is never its own neighbour
+        neighbours[lo:hi] = nearest_columns(d, k)
+        near[lo:hi] = np.take_along_axis(d, neighbours[lo:hi], axis=1)
     if sigma is None:
         sigma = _median_from_bins(counts, points)
         if sigma <= 0:

@@ -1,5 +1,9 @@
 import csv
+import importlib.util
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +183,22 @@ def test_dataset_a_shape():
     assert ds.x.shape == (26, 2)
     assert len(ds.labels) == 2
     assert np.array_equal(ds.bag, ds.ids)  # one bag per instance
+
+
+def test_fixture_script_verifies_and_rebuilds_the_bundled_csv():
+    """scripts/make_dataset_a.py passes its own checks without --write, and
+    its build_points() gives the bundled fixture's coordinates and groups
+    exactly."""
+    script_path = Path(__file__).resolve().parent.parent / "scripts" / "make_dataset_a.py"
+    done = subprocess.run([sys.executable, str(script_path)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    spec = importlib.util.spec_from_file_location("make_dataset_a", script_path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    coords, labels = script.build_points()
+    ds = bench.load_dataset_a()
+    assert np.array_equal(ds.x, coords)
+    assert ds.label.tolist() == [("dense", "sparse")[lab] for lab in labels]
 
 
 def test_partition_matches_ignores_names():

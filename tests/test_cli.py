@@ -563,6 +563,34 @@ def test_empty_dataset_file_exits_2(tmp_path, capsys):
     assert err == f"error: {data}: empty file\n"
 
 
+@pytest.mark.parametrize("delimiter", [";;", ""])
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+def test_bad_delimiter_exits_2_naming_it(tmp_path, capsys, delimiter, given_as):
+    data = write_bagged_csv(tmp_path / "bags.csv")
+    argv = ["group", "--data", str(data), "--model", "epsilon", "--epsilon", "1.0", "--out", str(tmp_path)]
+    if given_as == "flag":
+        argv += ["--delimiter", delimiter]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"delimiter": delimiter}))
+        argv += ["--config", str(config)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err == f"error: delimiter must be a single character, got {delimiter!r}\n"
+
+
+def test_unknown_objective_without_grid_exits_2_naming_the_choices(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run(
+        ["group", "--data", "builtin:dataset_a", "--model", "knn_symmetric", "--k", "3",
+         "--objective", "bogus", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert err == "error: --objective must be one of f1, db, got 'bogus'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_training_csv_without_provenance_exits_2_naming_file_and_column(tmp_path, capsys, command):
     data = write_bagged_csv(tmp_path / "bags.csv")

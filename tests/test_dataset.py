@@ -13,7 +13,7 @@ from spectralweak.dataset import (
     pairwise_distances,
     standardize,
 )
-from spectralweak.errors import IntegrityError, ParseError, SchemaError
+from spectralweak.errors import IntegrityError, ParameterError, ParseError, SchemaError
 
 SCHEMA = CsvSchema(
     instance_id="id",
@@ -42,6 +42,12 @@ def test_load_csv_roundtrip(tmp_path):
     assert ds.x.flags.c_contiguous
     assert ds.strong_label == "good"
     assert ds.bag_ids == ("b1", "b2")
+
+
+@pytest.mark.parametrize("delimiter", [";;", "", None])
+def test_csv_schema_rejects_a_delimiter_that_is_not_one_character(delimiter):
+    with pytest.raises(ParameterError, match="delimiter must be a single character"):
+        CsvSchema("instance", "bag", "group", None, None, delimiter=delimiter)
 
 
 def test_load_csv_missing_column(tmp_path):

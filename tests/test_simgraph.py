@@ -25,8 +25,8 @@ from spectralweak.simgraph import (
     graph_from_json_dict,
     graph_to_json_dict,
     initial_similarities,
-    _block_neighbours,
     knn_graph,
+    nearest_columns,
     prob_criterion_graph,
     prob_threshold_graph,
     read_graph_json,
@@ -123,10 +123,42 @@ def test_epsilon_graph_is_unweighted():
 
 
 def block_adjacency(d, k):
-    """Boolean adjacency of the builder's neighbour lists, the whole matrix as one block."""
+    """Boolean adjacency of the builder's neighbour selection, the whole
+    matrix as one block with its diagonal masked as knn_graph masks it."""
+    masked = d.d.copy()
+    np.fill_diagonal(masked, np.inf)
     adj = np.zeros((d.n, d.n), dtype=bool)
-    adj[np.arange(d.n)[:, None], _block_neighbours(d.d, 0, k)] = True
+    adj[np.arange(d.n)[:, None], nearest_columns(masked, k)] = True
     return adj
+
+
+@st.composite
+def selection_blocks(draw):
+    """A block of 1-5 rows over 1-12 columns: small integers, so ties at the
+    threshold are common, with some entries +inf; k from 1 to the width."""
+    rows, n = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    cell = st.one_of(st.integers(0, 3).map(float), st.just(np.inf))
+    d = np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=rows, max_size=rows)))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return d, k
+
+
+@given(selection_blocks())
+@settings(max_examples=300)
+@example((np.array([[1.0, 0.0, 1.0, 1.0, 2.0]]), 2))  # three-way tie at the threshold
+@example((np.array([[np.inf, 1.0, np.inf], [np.inf, np.inf, np.inf]]), 2))
+@example((np.array([[2.0, 2.0, 2.0]]), 3))
+def test_nearest_columns_match_stable_argsort(case):
+    d, k = case
+    expected = np.sort(np.argsort(d, axis=1, kind="stable")[:, :k], axis=1)
+    assert np.array_equal(nearest_columns(d, k), expected)
+
+
+def test_nearest_columns_rank_only_rows_tied_at_the_threshold():
+    d = np.array([[3.0, 1.0, 2.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        assert nearest_columns(d, 2).tolist() == [[1, 3], [0, 3]]
+    assert lexsort.call_count == 1
 
 
 def test_knn_line_modes():
