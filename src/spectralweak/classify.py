@@ -2,10 +2,11 @@
 
 Three classifiers share one practice: deterministic fits, sorted class order,
 ties resolved toward the smallest class index. `train` maps a classifier
-name to its fit; only leave-one-bag-out calls `train_logistic` itself, to
-pass a warm start. Evaluation is leave-one-bag-out: train on every instance
-outside the held-out bag, predict its members, reduce instance votes to one
-bag label.
+name to its fit; leave-one-bag-out calls `train_logistic` itself for one
+fit on every row, and runs its logistic folds through the same Newton core
+a block of folds at a time. Evaluation is leave-one-bag-out: train on every
+instance outside the held-out bag, predict its members, reduce instance
+votes to one bag label.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ KNN_GRID = tuple(range(1, 26, 2))  # neighbour counts the LOBO sweep tries
 # knn predict handles queries in blocks whose query-minus-training differences
 # take about this many bytes, so memory does not grow with the query count.
 _KNN_BLOCK_BYTES = 1 << 23
+LOGISTIC_BLOCK_BYTES = 2**18  # size of the (folds, n, p+1) design stack of one block of logistic LOBO folds
 
 
 @dataclass(frozen=True)
@@ -75,29 +77,148 @@ def _check_training_inputs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
     return x, y, classes
 
 
+def _class_sums(expd: np.ndarray) -> np.ndarray:
+    """Sums over axis 1 of a (b, c, n) stack, with the bits of numpy's row sums
+    of the (n, c) layout: numpy adds fewer than 8 terms of a row in order."""
+    if expd.shape[1] < 8:
+        return expd.sum(axis=1)
+    return np.ascontiguousarray(expd.swapaxes(1, 2)).sum(axis=-1)
+
+
 def _softmax_full(x1: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Class probabilities with the last class as the zero-score reference.
 
-    x1 is the intercept-augmented design; theta stacks one (p+1)-row per
-    non-reference class.
+    x1 (b, n, p+1) stacks intercept-augmented designs; theta (b, c-1, p+1)
+    one (p+1)-row per non-reference class. The result is class-major,
+    (b, c, n), so that the reductions over classes run on whole rows, with
+    the bits of the row-wise softmax of each (n, p+1) design.
     """
-    scores = x1 @ theta.T
-    full = np.concatenate([scores, np.zeros((scores.shape[0], 1))], axis=1)
+    scores = x1 @ theta.swapaxes(-1, -2)
+    full = np.zeros((scores.shape[0], scores.shape[2] + 1, scores.shape[1]))
+    full[:, :-1] = scores.swapaxes(-1, -2)
     full -= full.max(axis=1, keepdims=True)
     expd = np.exp(full)
-    return expd / expd.sum(axis=1, keepdims=True)
+    return expd / _class_sums(expd)[:, None]
 
 
-def _logistic_objective(probs, onehot, coef, l2):
-    nll = -float(np.log(np.clip((probs * onehot).sum(axis=1), 1e-300, None)).sum())
-    return nll + 0.5 * l2 * float((coef**2).sum())
+# The helpers below work on a stack of b logistic problems that share one
+# label coding: theta (b, c-1, p+1), x1 (b, n, p+1), probs (b, c, n), row
+# weights (b, n) and the class-major onehot (c, n). At weight 1 every product
+# is the one an unweighted fit computes, so a stack of one keeps a single
+# fit's bits.
 
 
-def _logistic_gradient(theta, x1, probs, onehot, l2, mask):
+def _logistic_objective(probs, onehot, weights, theta, l2):
+    picked = np.log(np.clip((probs * onehot).sum(axis=1), 1e-300, None))
+    coef = theta[..., :-1]
+    return -(weights * picked).sum(axis=-1) + 0.5 * l2 * (coef**2).reshape(len(theta), -1).sum(axis=-1)
+
+
+def _logistic_gradient(theta, x1, probs, onehot, weights, l2):
+    mask = np.ones(theta.shape[-1])
+    mask[-1] = 0.0  # intercept escapes the penalty
+    x1t = x1.swapaxes(-1, -2)
     grad = np.empty_like(theta)
-    for a in range(theta.shape[0]):
-        grad[a] = x1.T @ (probs[:, a] - onehot[:, a]) + l2 * theta[a] * mask
+    for a in range(theta.shape[1]):
+        resid = weights * (probs[:, a] - onehot[a])
+        grad[:, a] = (x1t @ resid[..., None])[..., 0] + l2 * theta[:, a] * mask
     return grad
+
+
+def _logistic_hessian(x1, probs, weights, l2):
+    """Hessians of the stacked objectives, (c-1)(p+1) square each."""
+    dim = x1.shape[-1]
+    k = probs.shape[1] - 1
+    ridge = l2 * np.diag(np.append(np.ones(dim - 1), 0.0))
+    x1t = x1.swapaxes(-1, -2)
+    hess = np.empty((len(x1), k * dim, k * dim))
+    for a in range(k):
+        for b in range(a, k):
+            # probs a * -probs b is the same product as its mirror, so
+            # block (b, a) is block (a, b) bit for bit.
+            wvec = weights * probs[:, a] * ((1.0 if a == b else 0.0) - probs[:, b])
+            block = x1t @ (x1 * wvec[..., None])
+            if a == b:
+                block = block + ridge
+            hess[:, a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] = block
+            hess[:, b * dim : (b + 1) * dim, a * dim : (a + 1) * dim] = block
+    return hess
+
+
+def _newton_steps(hess, grad):
+    """Each stacked Hessian (or one shared Hessian) solved against its
+    gradient, shaped like the gradient."""
+    try:
+        steps = np.linalg.solve(hess + 1e-10 * np.eye(hess.shape[-1]), grad.reshape(len(grad), -1, 1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Newton system is singular: {exc}")
+    return steps.reshape(grad.shape)
+
+
+def _rejects(trial_obj, obj):
+    """Line-search trials whose objective rises beyond rounding (or is NaN)."""
+    return ~(trial_obj <= obj + 1e-12 * np.maximum(1.0, np.abs(obj)))
+
+
+def _line_search(x1, onehot, weights, theta, obj, step):
+    """Each problem's first of the steps 1, 1/2, ..., 2**-29 that does not
+    raise its objective, or the last one tried; with its probabilities and
+    objective."""
+    trial = theta - step
+    probs = _softmax_full(x1, trial)
+    trial_obj = _logistic_objective(probs, onehot, weights, trial, L2)
+    retry = np.flatnonzero(_rejects(trial_obj, obj))
+    scale = 1.0
+    for _ in range(29):
+        if not retry.size:
+            break
+        scale /= 2.0
+        sub = theta[retry] - scale * step[retry]
+        sub_probs = _softmax_full(x1[retry], sub)
+        sub_obj = _logistic_objective(sub_probs, onehot, weights[retry], sub, L2)
+        trial[retry], probs[retry], trial_obj[retry] = sub, sub_probs, sub_obj
+        retry = retry[_rejects(sub_obj, obj[retry])]
+    return trial, probs, trial_obj
+
+
+def _newton(x1, onehot, weights, theta):
+    """Damped Newton on a stack of logistic problems, from the starts theta.
+
+    Each problem stops when its gradient norm divided by its weighted row
+    count drops to TOL, or after MAX_ITER steps, and then leaves the stack.
+    Returns the parameters, `converged` and the gradient checks made, `n_iter`,
+    per problem.
+    """
+    counts = weights.sum(axis=1)
+    p = x1.shape[-1] - 1
+    for n in counts[counts <= p]:
+        warnings.warn(f"logistic fit with n={int(n)} <= p={p}; coefficients rely on the ridge term")
+    out = np.array(theta, dtype=float)
+    converged = np.zeros(len(out), dtype=bool)
+    n_iter = np.zeros(len(out), dtype=int)
+    live = np.arange(len(out))
+    theta = out.copy()
+    probs = _softmax_full(x1, theta)
+    obj = _logistic_objective(probs, onehot, weights, theta, L2)
+    for it in range(1, MAX_ITER + 1):
+        n_iter[live] = it
+        grad = _logistic_gradient(theta, x1, probs, onehot, weights, L2)
+        flat = grad.reshape(len(grad), -1)
+        # a (1, d) @ (d, 1) product is the dot product np.linalg.norm takes
+        gnorm = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+        done = gnorm / counts <= TOL
+        if done.any():
+            converged[live[done]] = True
+            out[live[done]] = theta[done]
+            keep = ~done
+            live, x1, weights, counts = live[keep], x1[keep], weights[keep], counts[keep]
+            theta, probs, obj, grad = theta[keep], probs[keep], obj[keep], grad[keep]
+            if not live.size:
+                break
+        step = _newton_steps(_logistic_hessian(x1, probs, weights, L2), grad)
+        theta, probs, obj = _line_search(x1, onehot, weights, theta, obj, step)
+    out[live] = theta
+    return out, converged, n_iter
 
 
 def _onehot(y, classes):
@@ -120,88 +241,48 @@ def train_logistic(x: np.ndarray, y: np.ndarray, start: np.ndarray | None = None
     Newton starts from zero, or from `start`: one row per non-reference class
     with the intercept entry last, the layout of `logistic_gradient`. The
     objective is strictly convex, so the start moves the step count, not the
-    optimum the fit converges to.
+    optimum the fit converges to. The fit is the Newton core of the
+    leave-one-bag-out folds run on a stack of one.
     """
     x, y, classes = _check_training_inputs(x, y)
     n, p = x.shape
-    if n <= p:
-        warnings.warn(f"logistic fit with n={n} <= p={p}; coefficients rely on the ridge term")
     c = len(classes)
-    onehot = _onehot(y, classes)
     x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
-    dim = p + 1
     if start is None:
-        theta = np.zeros(((c - 1), dim))
+        theta = np.zeros((c - 1, p + 1))
     else:
         theta = np.array(start, dtype=float)
-        if theta.shape != (c - 1, dim):
-            raise ParameterError(f"start must have shape {(c - 1, dim)}, got {theta.shape}")
-    mask = np.ones(dim)
-    mask[p] = 0.0  # intercept escapes the penalty
-    probs = _softmax_full(x1, theta)
-    obj = _logistic_objective(probs, onehot, theta[:, :p], L2)
-    converged = False
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        grad = _logistic_gradient(theta, x1, probs, onehot, L2, mask)
-        gnorm = float(np.linalg.norm(grad.ravel()))
-        if gnorm / n <= TOL:
-            converged = True
-            break
-        hess = np.empty(((c - 1) * dim, (c - 1) * dim))
-        for a in range(c - 1):
-            for b in range(a, c - 1):
-                # probs[:, a] * -probs[:, b] is the same product as its
-                # mirror, so block (b, a) is block (a, b) bit for bit.
-                wvec = probs[:, a] * ((1.0 if a == b else 0.0) - probs[:, b])
-                block = x1.T @ (x1 * wvec[:, None])
-                if a == b:
-                    block = block + L2 * np.diag(mask)
-                hess[a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] = block
-                hess[b * dim : (b + 1) * dim, a * dim : (a + 1) * dim] = block
-        try:
-            step = np.linalg.solve(hess + 1e-10 * np.eye(hess.shape[0]), grad.ravel())
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Newton system is singular: {exc}")
-        scale = 1.0
-        for _ in range(30):
-            trial = theta - scale * step.reshape(c - 1, dim)
-            trial_probs = _softmax_full(x1, trial)
-            trial_obj = _logistic_objective(trial_probs, onehot, trial[:, :p], L2)
-            if trial_obj <= obj + 1e-12 * max(1.0, abs(obj)):
-                break
-            scale /= 2.0
-        theta, probs, obj = trial, trial_probs, trial_obj
+        if theta.shape != (c - 1, p + 1):
+            raise ParameterError(f"start must have shape {(c - 1, p + 1)}, got {theta.shape}")
+    theta, converged, n_iter = _newton(x1[None], _onehot(y, classes).T, np.ones((1, n)), theta[None])
     return LogisticModel(
         classes=classes,
-        coef=theta[:, :p].copy(),
-        intercept=theta[:, p].copy(),
-        converged=converged,
-        n_iter=it,
+        coef=theta[0, :, :p].copy(),
+        intercept=theta[0, :, p].copy(),
+        converged=bool(converged[0]),
+        n_iter=int(n_iter[0]),
     )
+
+
+def _model_stack(model: LogisticModel, x: np.ndarray, y: np.ndarray):
+    """A fitted model and labelled rows as a stack of one problem."""
+    x = np.asarray(x, dtype=float)
+    x1 = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)[None]
+    theta = np.column_stack([model.coef, model.intercept])[None]
+    return x1, theta, _softmax_full(x1, theta), _onehot(y, model.classes).T, np.ones((1, x.shape[0]))
 
 
 def logistic_objective_value(model: LogisticModel, x: np.ndarray, y: np.ndarray, l2: float) -> float:
     """Penalized negative log-likelihood at the model's parameters (for checks)."""
-    x = np.asarray(x, dtype=float)
-    x1 = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
-    theta = np.column_stack([model.coef, model.intercept])
-    probs = _softmax_full(x1, theta)
-    onehot = _onehot(y, model.classes)
-    return _logistic_objective(probs, onehot, model.coef, l2)
+    x1, theta, probs, onehot, weights = _model_stack(model, x, y)
+    return float(_logistic_objective(probs, onehot, weights, theta, l2)[0])
 
 
 def logistic_gradient(model: LogisticModel, x: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
     """Gradient of the penalized objective at the model's parameters, one row
     per non-reference class with the intercept entry last (for checks)."""
-    x = np.asarray(x, dtype=float)
-    x1 = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
-    theta = np.column_stack([model.coef, model.intercept])
-    probs = _softmax_full(x1, theta)
-    onehot = _onehot(y, model.classes)
-    mask = np.ones(theta.shape[1])
-    mask[-1] = 0.0
-    return _logistic_gradient(theta, x1, probs, onehot, l2, mask)
+    x1, theta, probs, onehot, weights = _model_stack(model, x, y)
+    return _logistic_gradient(theta, x1, probs, onehot, weights, l2)[0]
 
 
 def train_qda(x: np.ndarray, y: np.ndarray) -> QdaModel:
@@ -271,9 +352,16 @@ def _check_kind(kind: str) -> None:
         raise ParameterError(f"unknown classifier {kind!r}; choose from {', '.join(CLASSIFIERS)}")
 
 
+def _check_knn_k(kind: str, knn_k: int | None) -> None:
+    if knn_k is not None and kind != "knn":
+        raise ParameterError(f"--knn-k applies only to --classifier knn, got --classifier {kind}")
+
+
 def train(kind: str, x: np.ndarray, y: np.ndarray, knn_k: int | None = None):
-    """Fit the classifier named `kind`, one of CLASSIFIERS; knn needs knn_k."""
+    """Fit the classifier named `kind`, one of CLASSIFIERS; knn needs knn_k,
+    and no other classifier takes one."""
     _check_kind(kind)
+    _check_knn_k(kind, knn_k)
     if kind == "logistic":
         return train_logistic(x, y)
     if kind == "qda":
@@ -336,7 +424,7 @@ def predict_proba(model, x: np.ndarray) -> np.ndarray:
     x = _check_predict_input(model, x)
     if isinstance(model, LogisticModel):
         x1 = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
-        return _softmax_full(x1, np.column_stack([model.coef, model.intercept]))
+        return _softmax_full(x1[None], np.column_stack([model.coef, model.intercept])[None])[0].T
     if isinstance(model, QdaModel):
         scores = qda_scores(model, x)
         scores = scores - scores.max(axis=1, keepdims=True)
@@ -458,18 +546,89 @@ def _full_logistic_fit(x: np.ndarray, y: np.ndarray) -> tuple[LogisticModel, np.
         return None
 
 
-def _mapped_start(
-    full: tuple[LogisticModel, np.ndarray, np.ndarray], mean: np.ndarray, sd: np.ndarray
+def _deletion_starts(
+    full: tuple[LogisticModel, np.ndarray, np.ndarray], x: np.ndarray, onehot: np.ndarray, bag_of: np.ndarray
 ) -> np.ndarray:
-    """A `_full_logistic_fit` result as a `train_logistic` start in the
-    z-scoring (mean, sd).
+    """Each bag's one-step deletion update of the full fit, in the full fit's
+    z-scoring.
+
+    Without bag B the full optimum theta leaves the gradient -g_B, the bag's
+    share of the log-likelihood gradient, so theta + H(theta)^-1 g_B is one
+    Newton step toward the fold's optimum, with the full Hessian standing in
+    for the fold's.
+    """
+    model, mean, sd = full
+    n = x.shape[0]
+    x1 = np.concatenate([(x - mean) / sd, np.ones((n, 1))], axis=1)[None]
+    theta = np.column_stack([model.coef, model.intercept])[None]
+    probs = _softmax_full(x1, theta)
+    k = theta.shape[1]
+    per_row = ((probs[0, :k] - onehot[:k])[:, None, :] * x1[0].T).reshape(-1, n)
+    per_bag = np.stack([np.bincount(bag_of, weights=row) for row in per_row], axis=1)
+    hess = _logistic_hessian(x1, probs, np.ones((1, n)), L2)
+    return theta + _newton_steps(hess, per_bag.reshape(-1, *theta.shape[1:]))
+
+
+def _mapped_start(
+    theta: np.ndarray, full_mean: np.ndarray, full_sd: np.ndarray, mean: np.ndarray, sd: np.ndarray
+) -> np.ndarray:
+    """Parameters (..., c-1, p+1) fitted in the z-scoring (full_mean,
+    full_sd), as the same scores in the z-scoring (mean, sd).
 
     Scores are affine in x: coef_g @ (x - m_g) / s_g + b_g equals
     (coef_g * s / s_g) @ (x - m) / s + b_g + (coef_g / s_g) @ (m - m_g).
     """
-    model, full_mean, full_sd = full
-    per_unit = model.coef / full_sd
-    return np.column_stack([per_unit * sd, model.intercept + per_unit @ (mean - full_mean)])
+    per_unit = theta[..., :-1] / full_sd
+    shift = (per_unit * (mean - full_mean)[..., None, :]).sum(axis=-1)
+    return np.concatenate([per_unit * sd[..., None, :], (theta[..., -1] + shift)[..., None]], axis=-1)
+
+
+def _logistic_folds(
+    x: np.ndarray, codes: np.ndarray, bag_of: np.ndarray, present: np.ndarray
+) -> dict[int, tuple[LogisticModel, np.ndarray, np.ndarray]]:
+    """The logistic model of every fold with at least two classes, with the
+    mean and sd of its z-scoring, keyed by bag index.
+
+    A fold fits all n rows in its own z-scoring (the `_fold_standardizer`
+    rule, from sums over its training rows), with zero weight on its bag.
+    Folds with the same classes advance together through `_newton`, in
+    blocks whose design stack stays near LOGISTIC_BLOCK_BYTES. Folds with
+    every class start from their bag's `_deletion_starts` row; the others,
+    and all folds when the full fit raises, start from zero.
+    """
+    n, p = x.shape
+    onehot = (np.arange(present.shape[1])[:, None] == codes).astype(float)
+    full = _full_logistic_fit(x, codes)
+    starts = None if full is None else _deletion_starts(full, x, onehot, bag_of)
+    sizes = np.bincount(bag_of)
+    train_sums = x.sum(axis=0) - np.stack([np.bincount(bag_of, weights=col) for col in x.T], axis=1)
+    multi = present.sum(axis=1) > 1
+    block = max(1, LOGISTIC_BLOCK_BYTES // (8 * n * (p + 1)))
+    folds = {}
+    for pattern in np.unique(present[multi], axis=0):
+        classes = tuple(np.flatnonzero(pattern).tolist())
+        group = np.flatnonzero(multi & (present == pattern).all(axis=1))
+        for bags in np.split(group, range(block, group.size, block)):
+            weights = (bag_of != bags[:, None]).astype(float)
+            count = (n - sizes[bags])[:, None]
+            mean = train_sums[bags] / count
+            dev = x - mean[:, None]
+            sd = np.sqrt((weights[..., None] * dev**2).sum(axis=1) / (count - 1))
+            sd[sd == 0.0] = 1.0
+            x1 = np.ones((bags.size, n, p + 1))
+            x1[..., :p] = dev / sd[:, None]
+            if starts is not None and pattern.all():
+                theta = _mapped_start(starts[bags], full[1], full[2], mean, sd)
+            else:
+                theta = np.zeros((bags.size, len(classes) - 1, p + 1))
+            theta, converged, n_iter = _newton(x1, onehot[pattern], weights, theta)
+            for i, j in enumerate(bags):
+                model = LogisticModel(
+                    classes=classes, coef=theta[i, :, :p].copy(), intercept=theta[i, :, p].copy(),
+                    converged=bool(converged[i]), n_iter=int(n_iter[i]),
+                )
+                folds[j] = model, mean[i], sd[i]
+    return folds
 
 
 def leave_one_bag_out_cv(
@@ -487,14 +646,17 @@ def leave_one_bag_out_cv(
     training labels. For knn with no knn_k, the count is chosen once, as the
     first best of an inner leave-one-bag-out sweep over KNN_GRID using the
     same ingredients; a count above a fold's training size is cut to it.
+    knn_k with another classifier is a ParameterError.
 
     Logistic folds fit integer class codes, indices into the sorted training
-    labels, and start Newton from one fit on every row, z-scored by the
-    same rule and mapped into the fold's z-scoring; folds that lack a class,
-    or all folds when that fit raises, start from zero. Folds whose fit stops
-    at MAX_ITER unconverged are named in one warning.
+    labels, in batches (`_logistic_folds`). Each starts Newton from one fit
+    on every row, z-scored by the same rule, updated by one deletion step
+    for its bag and mapped into the fold's z-scoring; folds that lack a
+    class, or all folds when that fit raises, start from zero. Folds whose
+    fit stops at MAX_ITER unconverged are named in one warning.
     """
     _check_kind(kind)
+    _check_knn_k(kind, knn_k)
     if len(ds.bag_ids) < 2:
         raise ParameterError("leave-one-bag-out needs at least 2 bags")
     y = instance_labels(ts, ds)
@@ -504,31 +666,31 @@ def leave_one_bag_out_cv(
             KNN_GRID, key=lambda cand: leave_one_bag_out_cv(ts, ds, "knn", aggregation, cand).accuracy
         )
     all_classes, codes = np.unique(y, return_inverse=True)
-    full = _full_logistic_fit(ds.x, codes) if kind == "logistic" else None
+    bag_of = np.unique(ds.bag, return_inverse=True)[1]  # row -> index into ds.bag_ids
+    in_bag = np.bincount(bag_of * all_classes.size + codes, minlength=len(ds.bag_ids) * all_classes.size)
+    present = in_bag.reshape(len(ds.bag_ids), -1) < np.bincount(codes, minlength=all_classes.size)
+    logistic = _logistic_folds(ds.x, codes, bag_of, present) if kind == "logistic" else {}
     results: list[BagResult] = []
     flagged: list[str] = []
     unconverged: list[str] = []
-    for bag_id in ds.bag_ids:
-        test = ds.bag == bag_id
-        train_x = ds.x[~test]
-        present = np.bincount(codes[~test], minlength=all_classes.size) > 0
-        if not present.all():
+    for j, bag_id in enumerate(ds.bag_ids):
+        test = bag_of == j
+        if not present[j].all():
             flagged.append(bag_id)
-        if present.sum() == 1:
+        if present[j].sum() == 1:
             # Degenerate fold: only one class left to predict from.
-            preds = np.asarray([all_classes[present][0]] * int(test.sum()), dtype=object)
+            preds = np.asarray([all_classes[present[j]][0]] * int(test.sum()), dtype=object)
+        elif kind == "logistic":
+            model, mean, sd = logistic[j]
+            if not model.converged:
+                unconverged.append(bag_id)
+            preds = all_classes[predict(model, (ds.x[test] - mean) / sd).astype(int)]
         else:
+            train_x = ds.x[~test]
             mean, sd = _fold_standardizer(train_x)
             fold_x, held_x = (train_x - mean) / sd, (ds.x[test] - mean) / sd
-            if kind == "logistic":
-                start = _mapped_start(full, mean, sd) if full is not None and present.all() else None
-                model = train_logistic(fold_x, codes[~test], start=start)
-                if not model.converged:
-                    unconverged.append(bag_id)
-                preds = all_classes[predict(model, held_x).astype(int)]
-            else:
-                model = train(kind, fold_x, y[~test], None if knn_k is None else min(knn_k, train_x.shape[0]))
-                preds = predict(model, held_x)
+            model = train(kind, fold_x, y[~test], None if knn_k is None else min(knn_k, train_x.shape[0]))
+            preds = predict(model, held_x)
         bag_pred = aggregation.aggregate(preds, ds.strong_label)
         true_label = ds.label[np.argmax(test)]
         results.append(

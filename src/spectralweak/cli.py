@@ -133,12 +133,12 @@ class RunConfig:
 
 
 def _run_config(args, config) -> RunConfig:
+    seed = _resolve_as(args, config, "seed", int, 0)
+    if seed < 0:
+        raise ParameterError(f"--seed: expected a non-negative integer, got {seed}")
     out = Path(_resolve(args, config, "out", "."))
     out.mkdir(parents=True, exist_ok=True)
-    return RunConfig(
-        seed=_resolve_as(args, config, "seed", int, 0),
-        out=out,
-    )
+    return RunConfig(seed=seed, out=out)
 
 
 def _load_dataset(args, config, require_strong: bool = False) -> Dataset:

@@ -211,12 +211,33 @@ def knn_predict_reference(model, x):
     return out
 
 
+def _softmax_reference(x1, theta):
+    scores = x1 @ theta.T
+    full = np.concatenate([scores, np.zeros((scores.shape[0], 1))], axis=1)
+    full -= full.max(axis=1, keepdims=True)
+    expd = np.exp(full)
+    return expd / expd.sum(axis=1, keepdims=True)
+
+
+def _objective_reference(probs, onehot, coef, l2):
+    nll = -float(np.log(np.clip((probs * onehot).sum(axis=1), 1e-300, None)).sum())
+    return nll + 0.5 * l2 * float((coef**2).sum())
+
+
+def _gradient_reference(theta, x1, probs, onehot, l2, mask):
+    grad = np.empty_like(theta)
+    for a in range(theta.shape[0]):
+        grad[a] = x1.T @ (probs[:, a] - onehot[:, a]) + l2 * theta[a] * mask
+    return grad
+
+
 def train_logistic_reference(x, y):
-    """Damped Newton from zero with every Hessian block of the (c-1)^2 grid
-    computed by its own product.
+    """Damped Newton from zero on one problem, with every Hessian block of
+    the (c-1)^2 grid computed by its own product.
 
     The original train_logistic, kept as the oracle for the bits of the fit
-    that builds each off-diagonal block once and mirrors it.
+    that runs a stack of one through the batched Newton core and builds each
+    off-diagonal block once and mirrors it.
     """
     x, y, classes = classify._check_training_inputs(x, y)
     n, p = x.shape
@@ -229,12 +250,12 @@ def train_logistic_reference(x, y):
     theta = np.zeros(((c - 1), dim))
     mask = np.ones(dim)
     mask[p] = 0.0
-    probs = classify._softmax_full(x1, theta)
-    obj = classify._logistic_objective(probs, onehot, theta[:, :p], classify.L2)
+    probs = _softmax_reference(x1, theta)
+    obj = _objective_reference(probs, onehot, theta[:, :p], classify.L2)
     converged = False
     it = 0
     for it in range(1, classify.MAX_ITER + 1):
-        grad = classify._logistic_gradient(theta, x1, probs, onehot, classify.L2, mask)
+        grad = _gradient_reference(theta, x1, probs, onehot, classify.L2, mask)
         if float(np.linalg.norm(grad.ravel())) / n <= classify.TOL:
             converged = True
             break
@@ -250,8 +271,8 @@ def train_logistic_reference(x, y):
         scale = 1.0
         for _ in range(30):
             trial = theta - scale * step.reshape(c - 1, dim)
-            trial_probs = classify._softmax_full(x1, trial)
-            trial_obj = classify._logistic_objective(trial_probs, onehot, trial[:, :p], classify.L2)
+            trial_probs = _softmax_reference(x1, trial)
+            trial_obj = _objective_reference(trial_probs, onehot, trial[:, :p], classify.L2)
             if trial_obj <= obj + 1e-12 * max(1.0, abs(obj)):
                 break
             scale /= 2.0

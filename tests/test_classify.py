@@ -154,6 +154,19 @@ def test_logistic_mirrored_hessian_matches_four_block_reference(case):
     assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
 
 
+@pytest.mark.parametrize("classes", [2, 8, 9])
+def test_logistic_keeps_the_reference_bits_at_2_and_8_or_more_classes(classes):
+    # from 8 classes numpy's row sum of the softmax is pairwise, not in order
+    rng = np.random.default_rng(classes)
+    codes = np.concatenate([np.arange(classes), rng.integers(0, classes, size=150)])
+    x = rng.normal(scale=2.0, size=(classes, 3))[codes] + rng.normal(size=(codes.size, 3))
+    y = np.asarray([f"k{c:02d}" for c in codes], dtype=object)
+    got, want = train_logistic(x, y), train_logistic_reference(x, y)
+    assert np.array_equal(got.coef, want.coef)
+    assert np.array_equal(got.intercept, want.intercept)
+    assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
+
+
 def test_logistic_start_must_match_the_parameter_shape():
     x, labels = two_blobs()
     with pytest.raises(ParameterError, match=r"start must have shape \(1, 3\)"):
@@ -482,27 +495,146 @@ def test_mapped_start_keeps_the_full_fit_scores(case, seed):
         full = classify._full_logistic_fit(x, y)
     model, full_mean, full_sd = full
     mean, sd = classify._fold_standardizer(x[~held])
-    start = classify._mapped_start(full, mean, sd)
+    start = classify._mapped_start(np.column_stack([model.coef, model.intercept]), full_mean, full_sd, mean, sd)
     mapped = LogisticModel(model.classes, start[:, :-1], start[:, -1], False, 0)
     np.testing.assert_allclose(
         predict_proba(mapped, (x - mean) / sd), predict_proba(model, (x - full_mean) / full_sd), rtol=1e-12
     )
 
 
-def synth_training_sets(seed):
-    bags = synth_bags(replace(SynthBagsConfig(), seed=seed))
+HARD_REGIME = SynthBagsConfig(mix=0.6, separation=2.5, n_features=5)
+
+
+def synth_training_sets(seed, config=SynthBagsConfig()):
+    bags = synth_bags(replace(config, seed=seed))
     weak = build_training_set(bags.dataset, SYNTH_ANNOTATION_GRAPH, seed=seed)
     return bags.dataset, (weak, fully_supervised_baseline(bags.dataset))
 
 
-def test_lobo_warm_starts_match_cold_folds_on_table2synth():
-    # the condition the warm start lands on: identical results on every fold
-    # of the weak and the baseline sets, seeds 0-19
-    for seed in range(20):
-        ds, training_sets = synth_training_sets(seed)
+def record_fold_models(monkeypatch):
+    """The LogisticModel of every fold that reaches a fit, in bag order, as
+    leave_one_bag_out_cv hands it to predict."""
+    models = []
+
+    def recording(model, x):
+        if isinstance(model, LogisticModel):
+            models.append(model)
+        return predict(model, x)
+
+    monkeypatch.setattr(classify, "predict", recording)
+    return models
+
+
+def record_newton_starts(monkeypatch):
+    """The start stack of every call of the Newton core, in call order."""
+    starts = []
+    newton = classify._newton
+
+    def recording(x1, onehot, weights, theta):
+        starts.append(np.array(theta))
+        return newton(x1, onehot, weights, theta)
+
+    monkeypatch.setattr(classify, "_newton", recording)
+    return starts
+
+
+def lobo_matches_cold_folds(monkeypatch, config, seeds):
+    """Check leave_one_bag_out_cv against the cold fold loop on the weak and
+    the baseline sets of each seed; the fold models' n_iter."""
+    models = record_fold_models(monkeypatch)
+    n_iter = []
+    for seed in seeds:
+        ds, training_sets = synth_training_sets(seed, config)
         for ts in training_sets:
             got = leave_one_bag_out_cv(ts, ds, "logistic").to_json_dict()
+            n_iter += [model.n_iter for model in models]
             assert got == lobo_logistic_cold_reference(ts, ds).to_json_dict(), f"seed {seed}"
+            models.clear()
+    return n_iter
+
+
+def test_lobo_warm_starts_match_cold_folds_on_table2synth(monkeypatch):
+    # the condition the warm start lands on: identical results on every fold
+    # of the weak and the baseline sets, seeds 0-19; the deletion-updated
+    # starts leave at most 2 gradient checks per fold on average (2.83 from
+    # the full fit alone)
+    n_iter = lobo_matches_cold_folds(monkeypatch, SynthBagsConfig(), range(20))
+    assert len(n_iter) == 2400
+    assert np.mean(n_iter) <= 2.0
+
+
+def test_lobo_warm_starts_match_cold_folds_in_the_hard_regime(monkeypatch):
+    n_iter = lobo_matches_cold_folds(monkeypatch, HARD_REGIME, range(5))
+    assert len(n_iter) == 600
+
+
+@st.composite
+def small_bag_sets(draw):
+    """A few bags of 1-4 rows over 2-3 labels, each row labelled with its
+    bag's label or, at times, another one. Labels held by one bag only leave
+    folds that lack a class; two bags of different labels leave folds with
+    one class. Features are continuous draws, so no held-out row sits on a
+    decision boundary."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    names = ("a", "b", "c")[: draw(st.integers(2, 3))]
+    bag_labels = draw(st.lists(st.sampled_from(names), min_size=2, max_size=7))
+    p = draw(st.integers(1, 3))
+    centres = rng.normal(scale=draw(st.floats(0.5, 4.0)), size=(len(names), p))
+    bags = []
+    for b, label in enumerate(bag_labels):
+        rows = centres[names.index(label)] + rng.normal(size=(int(rng.integers(1, 5)), p))
+        bags.append((f"b{b}", label, rows.tolist()))
+    ds = build_dataset(bags, strong=bag_labels[0])
+    relabel = rng.random(ds.n) < draw(st.floats(0.0, 0.4))
+    labels = np.where(relabel, rng.choice(names, size=ds.n), ds.label).astype(object)
+    return ds, AnnotatedTrainingSet(ids=ds.ids, labels=labels, provenance=["weak"] * ds.n)
+
+
+@given(small_bag_sets())
+@settings(max_examples=80, deadline=None)
+def test_lobo_batched_folds_match_cold_folds_on_small_bag_sets(case):
+    ds, ts = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = leave_one_bag_out_cv(ts, ds, "logistic")
+        want = lobo_logistic_cold_reference(ts, ds)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_lobo_logistic_memory_is_blocked():
+    ds, (_, baseline) = synth_training_sets(0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        leave_one_bag_out_cv(baseline, ds, "logistic")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 60 folds of 891 rows: blocks of 12 folds peak near 2 MB, one stack of
+    # all 60 near 9 MB
+    assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+def deletion_update_reference(ds, codes, bag_id):
+    """The full fit plus the Newton step that removes the bag's gradient,
+    with the Hessian taken by central differences of logistic_gradient, in
+    the full fit's z-scoring."""
+    model, mean, sd = classify._full_logistic_fit(ds.x, codes)
+    z = (ds.x - mean) / sd
+    theta = np.column_stack([model.coef, model.intercept])
+    test = ds.bag == bag_id
+    resid = predict_proba(model, z[test]) - (codes[test][:, None] == np.arange(len(model.classes)))
+    g_bag = resid[:, :-1].T @ np.column_stack([z[test], np.ones(test.sum())])
+
+    def gradient(flat):
+        moved = flat.reshape(theta.shape)
+        return logistic_gradient(LogisticModel(model.classes, moved[:, :-1], moved[:, -1], True, 0), z, codes, L2)
+
+    h = 1e-5
+    columns = [(gradient(theta.ravel() + e) - gradient(theta.ravel() - e)).ravel() / (2 * h) for e in h * np.eye(theta.size)]
+    hess = np.column_stack(columns)
+    return theta + np.linalg.solve(hess, g_bag.ravel()).reshape(theta.shape), mean, sd
 
 
 def test_lobo_folds_start_from_the_full_fit(monkeypatch):
@@ -511,45 +643,76 @@ def test_lobo_folds_start_from_the_full_fit(monkeypatch):
 
     def recording(x, y, start=None):
         model = train_logistic(x, y, start=start)
-        fits.append((start is not None, model.n_iter))
+        fits.append((start, model.n_iter))
         return model
 
     monkeypatch.setattr(classify, "train_logistic", recording)
+    starts = record_newton_starts(monkeypatch)
+    models = record_fold_models(monkeypatch)
     leave_one_bag_out_cv(weak, ds, "logistic")
-    full, folds = fits[0], fits[1:]
-    assert not full[0] and all(warm for warm, _ in folds)
-    assert len(folds) == len(ds.bag_ids)
+    # one full fit from zero, then the folds, every one from its bag's
+    # deletion update of that fit
+    assert [start for start, _ in fits] == [None]
+    assert not starts[0].any()
+    fold_starts = np.concatenate(starts[1:])
+    assert len(fold_starts) == len(models) == len(ds.bag_ids)
+    codes = np.unique(classify.instance_labels(weak, ds), return_inverse=True)[1]
+    for j in (0, 17, 59):
+        bag_id = ds.bag_ids[j]
+        theta, full_mean, full_sd = deletion_update_reference(ds, codes, bag_id)
+        mean, sd = classify._fold_standardizer(ds.x[ds.bag != bag_id])
+        want = classify._mapped_start(theta, full_mean, full_sd, mean, sd)
+        np.testing.assert_allclose(fold_starts[j], want, rtol=1e-6, atol=1e-9)
+    warm = sum(model.n_iter for model in models)
     fits.clear()
     lobo_logistic_cold_reference(weak, ds)
-    assert sum(n for _, n in folds) < sum(n for _, n in fits)
+    assert len(fits) == len(ds.bag_ids) and all(start is None for start, _ in fits)
+    assert warm < sum(n for _, n in fits)
 
 
 def test_lobo_falls_back_to_zero_starts_when_the_full_fit_raises(monkeypatch):
     ds = blob_bags()
     want = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic")
-    starts = []
+    calls = []
 
     def full_fit_fails(x, y, start=None):
-        starts.append(start)
-        if len(starts) == 1:
-            raise NumericalError("Newton system is singular")
-        return train_logistic(x, y, start=start)
+        calls.append(start)
+        raise NumericalError("Newton system is singular")
 
     monkeypatch.setattr(classify, "train_logistic", full_fit_fails)
+    starts = record_newton_starts(monkeypatch)
+    models = record_fold_models(monkeypatch)
     assert leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic") == want
-    assert len(starts) == 1 + len(ds.bag_ids)
-    assert all(start is None for start in starts)
+    assert calls == [None]
+    assert sum(len(stack) for stack in starts) == len(models) == len(ds.bag_ids)
+    assert not any(stack.any() for stack in starts)
 
 
 def test_lobo_warns_once_naming_unconverged_folds(monkeypatch):
     ds = blob_bags()
     want = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic").to_json_dict()
     monkeypatch.setattr(classify, "MAX_ITER", 1)
+    models = record_fold_models(monkeypatch)
     with pytest.warns(UserWarning, match="MAX_ITER=1") as record:
         got = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic")
     assert len(record) == 1
-    assert str(record[0].message).endswith("bags " + ", ".join(ds.bag_ids))
+    assert len(models) == len(ds.bag_ids)
+    assert all(model.n_iter == 1 for model in models)
+    unconverged = [bag_id for bag_id, model in zip(ds.bag_ids, models) if not model.converged]
+    assert unconverged
+    assert str(record[0].message).endswith("bags " + ", ".join(unconverged))
     assert set(got.to_json_dict()) == set(want)
+
+
+def test_knn_k_is_for_knn_only():
+    x, labels = two_blobs()
+    for kind in ("logistic", "qda"):
+        message = f"--knn-k applies only to --classifier knn, got --classifier {kind}"
+        with pytest.raises(ParameterError, match=message):
+            train(kind, x, labels, knn_k=3)
+    ds = blob_bags()
+    with pytest.raises(ParameterError, match="--knn-k applies only to --classifier knn"):
+        leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic", knn_k=3)
 
 
 def test_lobo_converged_folds_do_not_warn():

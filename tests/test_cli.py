@@ -344,6 +344,18 @@ def test_group_grid_bytes_independent_of_blas_threads(tmp_path, model_flags):
     assert outputs[0] == outputs[1]
 
 
+def test_evaluate_bytes_independent_of_blas_threads(tmp_path):
+    # about 890 instances in 60 bags: the logistic folds advance in stacked
+    # products over blocks of folds
+    data = write_synth_csv(tmp_path / "bags.csv")
+    outputs = outputs_under_blas_threads(
+        tmp_path,
+        ["evaluate", "--data", str(data), "--strong-label", "normal", "--classifier", "logistic"],
+        ("cv.json", "cv.csv"),
+    )
+    assert outputs[0] == outputs[1]
+
+
 def test_train_logistic_model_json(tmp_path, capsys):
     data, _ = pipeline_files(tmp_path, capsys)
     code, out, _ = run(
@@ -577,6 +589,45 @@ def test_bad_delimiter_exits_2_naming_it(tmp_path, capsys, delimiter, given_as):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err == f"error: delimiter must be a single character, got {delimiter!r}\n"
+
+
+NEGATIVE_SEED_COMMANDS = {
+    "group": ["group", "--data", "builtin:dataset_a", "--model", "knn_symmetric", "--k", "3"],
+    "annotate": ["annotate", "--data", "builtin:dataset_a", "--strong-label", "dense",
+                 "--model", "knn_symmetric", "--k", "3"],
+    "evaluate": ["evaluate", "--data", "builtin:dataset_a", "--strong-label", "dense"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_SEED_COMMANDS))
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command, given_as):
+    out = tmp_path / "out"
+    argv = [*NEGATIVE_SEED_COMMANDS[command], "--out", str(out)]
+    if given_as == "flag":
+        argv += ["--seed", "-2"]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": -2}))
+        argv += ["--config", str(config)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err == "error: --seed: expected a non-negative integer, got -2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, output", [("train", "model.json"), ("evaluate", "cv.json")])
+@pytest.mark.parametrize("classifier", ["logistic", "qda"])
+def test_knn_k_with_another_classifier_exits_2_naming_both_flags(tmp_path, capsys, command, output, classifier):
+    data = write_bagged_csv(tmp_path / "bags.csv")
+    code, _, err = run(
+        [command, "--data", str(data), "--strong-label", "ok", "--out", str(tmp_path),
+         "--classifier", classifier, "--knn-k", "5"],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"error: --knn-k applies only to --classifier knn, got --classifier {classifier}\n"
+    assert not (tmp_path / output).exists()
 
 
 def test_unknown_objective_without_grid_exits_2_naming_the_choices(tmp_path, capsys):
