@@ -530,10 +530,12 @@ class CVResult:
 
 def _fold_standardizer(train_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and sd that z-score a fold from its training rows: ddof=1, and a
-    zero sd (or a single row) divides by 1."""
+    column whose training rows are all equal (a single row included) divides
+    by 1, whatever sd its rounding leaves."""
     mean = train_x.mean(axis=0)
+    constant = (train_x == train_x[0]).all(axis=0)
     sd = train_x.std(axis=0, ddof=1) if train_x.shape[0] > 1 else np.ones(train_x.shape[1])
-    return mean, np.where(sd == 0.0, 1.0, sd)
+    return mean, np.where(constant, 1.0, sd)
 
 
 def _full_logistic_fit(x: np.ndarray, y: np.ndarray) -> tuple[LogisticModel, np.ndarray, np.ndarray] | None:
@@ -590,7 +592,8 @@ def _logistic_folds(
     mean and sd of its z-scoring, keyed by bag index.
 
     A fold fits all n rows in its own z-scoring (the `_fold_standardizer`
-    rule, from sums over its training rows), with zero weight on its bag.
+    rule, its mean and sd from sums over its training rows), with zero
+    weight on its bag.
     Folds with the same classes advance together through `_newton`, in
     blocks whose design stack stays near LOGISTIC_BLOCK_BYTES. Folds with
     every class start from their bag's `_deletion_starts` row; the others,
@@ -614,7 +617,8 @@ def _logistic_folds(
             mean = train_sums[bags] / count
             dev = x - mean[:, None]
             sd = np.sqrt((weights[..., None] * dev**2).sum(axis=1) / (count - 1))
-            sd[sd == 0.0] = 1.0
+            first = x[np.argmax(weights, axis=1)]  # each fold's first training row
+            sd[((x == first[:, None]) | (weights[..., None] == 0.0)).all(axis=1)] = 1.0
             x1 = np.ones((bags.size, n, p + 1))
             x1[..., :p] = dev / sd[:, None]
             if starts is not None and pattern.all():

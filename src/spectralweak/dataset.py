@@ -186,17 +186,17 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
 def standardize(ds: Dataset) -> Dataset:
     """Z-score every feature column (sample standard deviation, ddof=1).
 
-    Columns with zero variance are left at zero and reported through the
-    dataset's warnings tuple rather than raising.
+    Constant columns, those whose rows are all equal, are mapped to zeros
+    and reported through the dataset's warnings tuple rather than raising.
+    Constancy is tested on the values, not on the sd, which need not come
+    out exactly 0 (890 rows of 0.3 give 5.55e-17).
     """
     mat = ds.x
     mean = mat.mean(axis=0)
-    sd = mat.std(axis=0, ddof=1)
-    flat = np.flatnonzero(sd == 0.0)
-    sd_safe = np.where(sd == 0.0, 1.0, sd)
-    scaled = (mat - mean) / sd_safe
-    scaled[:, flat] = 0.0
-    warnings = ds.warnings + tuple(f"constant feature column {j} mapped to zeros" for j in flat)
+    constant = (mat == mat[0]).all(axis=0)
+    scaled = (mat - mean) / np.where(constant, 1.0, mat.std(axis=0, ddof=1))
+    scaled[:, constant] = 0.0
+    warnings = ds.warnings + tuple(f"constant feature column {j} mapped to zeros" for j in np.flatnonzero(constant))
     return replace(ds, x=scaled, warnings=warnings)
 
 

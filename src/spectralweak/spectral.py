@@ -31,10 +31,26 @@ stored entries). The numpy and scipy wheels each bundle their own OpenBLAS
 with its own thread pool; a numpy product between scipy eigensolves leaves
 numpy's workers spinning while scipy's run, so one BLAS keeps the step from
 fighting itself for cores.
+
+ARPACK runs on one thread of scipy's pool (`_blas_threads`). Implicitly
+restarted Lanczos does level-1/2 BLAS on n x ncv blocks, where a second
+thread gains nothing: on 2 vCPUs an isolated eigsh took 27.8 ms on one
+thread against 28.1 ms on two at n = 1,000, 64.2 against 63.9 ms at 5,000,
+551 against 562 ms at 20,000 and 2.27 against 2.04 s at 50,000 (0.3% of
+that graph's build). Its eigenpairs are bitwise the same on one thread and
+on two. What the pin saves is the spin: after a threaded call OpenBLAS's
+workers spin for about 125 ms, burning a second core, and lowering the
+count after the call does not stop them, so the pin is set before eigsh.
+The dense eigh keeps the inherited thread count: from n of about 512 two
+threads are faster (43 against 75 ms at n = 896), and its eigenpairs, unlike
+ARPACK's, move in their last bits with the thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,11 +159,65 @@ def _normalized_adjacency(w: scipy.sparse.csr_array, inv_sqrt: np.ndarray) -> sc
     return scipy.sparse.csr_array((data, w.indices, w.indptr), shape=w.shape)
 
 
+@functools.cache
+def _scipy_openblas():
+    """The (get, set) thread-count functions of the OpenBLAS that scipy
+    loaded, or None where none is found.
+
+    Looked up once, on Linux, among the shared objects already mapped into
+    the process (/proc/self/maps) whose file name mentions blas, without
+    loading any: the one that exports scipy_openblas_set_num_threads, else
+    one that exports openblas_set_num_threads. numpy's own OpenBLAS exports
+    these names with a 64_ suffix and is left alone.
+    """
+    # Imported here so that runs that never reach ARPACK never load it.
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = dict.fromkeys(line.split()[-1] for line in maps)
+    except OSError:
+        return None
+    libraries = []
+    for path in paths:
+        if "blas" in os.path.basename(path):
+            with contextlib.suppress(OSError):
+                libraries.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD))
+    for prefix in ("scipy_openblas", "openblas"):
+        for lib in libraries:
+            get, set_ = (getattr(lib, f"{prefix}_{verb}_num_threads", None) for verb in ("get", "set"))
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Runs its block with scipy's OpenBLAS at `count` threads and restores
+    the previous count on the way out, also when the block raises; does
+    nothing where `_scipy_openblas` finds no OpenBLAS. The count is one per
+    process, so two threads inside such blocks at once would mix theirs."""
+    found = _scipy_openblas()
+    if found is None:
+        yield
+        return
+    get, set_ = found
+    previous = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def _arpack_eigenpairs(w: scipy.sparse.csr_array, k: int, inv_sqrt: np.ndarray):
     """The k smallest eigenpairs of L_sym, ascending, from the k largest of N.
 
     Returns None when ARPACK fails, not converging included. The start vector
-    is fixed, so the result depends on the graph alone.
+    is fixed, so the result depends on the graph alone. The solve runs on one
+    BLAS thread (module docstring).
     """
     # Imported here so that runs on dense-only graphs never load it.
     import scipy.sparse.linalg
@@ -155,7 +225,8 @@ def _arpack_eigenpairs(w: scipy.sparse.csr_array, k: int, inv_sqrt: np.ndarray):
     norm_adj = _normalized_adjacency(w, inv_sqrt)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, w.shape[0])
     try:
-        mu, vecs = scipy.sparse.linalg.eigsh(norm_adj, k=k, which="LA", v0=v0)
+        with _blas_threads(1):
+            mu, vecs = scipy.sparse.linalg.eigsh(norm_adj, k=k, which="LA", v0=v0)
     except scipy.sparse.linalg.ArpackError:  # ArpackNoConvergence included
         return None
     order = np.argsort(-mu, kind="stable")

@@ -306,7 +306,7 @@ def lobo_logistic_cold_reference(ts, ds, aggregation=AggregationRule()):
         else:
             mean = train_x.mean(axis=0)
             sd = train_x.std(axis=0, ddof=1) if train_x.shape[0] > 1 else np.ones(train_x.shape[1])
-            sd = np.where(sd == 0.0, 1.0, sd)
+            sd = np.where((train_x == train_x[0]).all(axis=0), 1.0, sd)
             model = classify.train_logistic((train_x - mean) / sd, train_y)
             preds = classify.predict(model, (ds.x[test] - mean) / sd)
         results.append(

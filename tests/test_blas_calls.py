@@ -1,4 +1,5 @@
-"""numpy's BLAS stays out of the grouping loop.
+"""numpy's BLAS stays out of the grouping loop; ARPACK runs on one thread of
+scipy's.
 
 The numpy and scipy wheels each bundle their own OpenBLAS with its own thread
 pool. The eigensolvers run on scipy's; a numpy matrix product between two of
@@ -10,6 +11,11 @@ BLAS or LAPACK: no `@`, no dot products and no `np.linalg` routine except
 single-threaded `ddot` on the short vectors it sees without one. `np.einsum`
 is allowed only as it is by default, with `optimize=False`: any other
 `optimize` value routes its contractions through `tensordot`.
+
+scipy's pool spins too, for about 125 ms after each threaded call, and ARPACK
+gains nothing from a second thread. So `eigsh` is referenced in `spectral.py`
+only, and only inside `with _blas_threads(1):`, the block that runs it on one
+thread of scipy's pool.
 """
 
 import ast
@@ -116,3 +122,56 @@ def test_guard_flags_numpy_blas_constructs():
         (21, "np.einsum(optimize)"),
         (22, "np.einsum(optimize)"),
     ]
+
+
+def eigsh_references(source):
+    """(pinned, unpinned): the lines that reference `eigsh` inside and outside
+    a `with _blas_threads(1):` block. Importing the name is never pinned."""
+    pinned, unpinned = [], []
+
+    def visit(node, inside):
+        if isinstance(node, ast.With) and any(ast.unparse(item.context_expr) == "_blas_threads(1)" for item in node.items):
+            for item in node.items:
+                visit(item, inside)
+            for child in node.body:
+                visit(child, True)
+            return
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "eigsh" for alias in node.names):
+            unpinned.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "eigsh") or (
+            isinstance(node, ast.Name) and node.id == "eigsh"
+        ):
+            (pinned if inside else unpinned).append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return pinned, unpinned
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_eigsh_runs_in_spectral_only_inside_the_one_thread_pin(module):
+    pinned, unpinned = eigsh_references((PACKAGE / module).read_text())
+    assert unpinned == []
+    assert bool(pinned) == (module == "spectral.py")
+
+
+def test_guard_flags_unpinned_eigsh():
+    source = "\n".join(
+        [
+            "from scipy.sparse.linalg import eigsh",
+            "with _blas_threads(1):",
+            "    scipy.sparse.linalg.eigsh(a, k=2)",
+            "    eigsh(a)",
+            "with _blas_threads(2):",
+            "    scipy.sparse.linalg.eigsh(a, k=2)",
+            "with contextlib.nullcontext():",
+            "    eigsh(a)",
+            "with open(f), _blas_threads(1):",
+            "    scipy.sparse.linalg.eigsh(a, k=2)",
+            "scipy.sparse.linalg.eigsh(a, k=2)",
+            "solve = scipy.sparse.linalg.eigsh",
+            "solver = 'eigsh'",
+        ]
+    )
+    assert eigsh_references(source) == ([3, 4, 10], [1, 6, 8, 11, 12])

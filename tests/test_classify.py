@@ -414,6 +414,28 @@ def test_lobo_fold_shape_and_accuracy():
     assert payload["confusion"] == {"flu->flu": 3, "ok->ok": 3}
 
 
+def test_fold_standardizer_divides_a_constant_column_by_one():
+    # 890 rows of 0.3 have a rounded sd of 5.55e-17, not 0
+    train_x = np.column_stack([np.full(890, 0.3), np.arange(890.0)])
+    mean, sd = classify._fold_standardizer(train_x)
+    assert sd[0] == 1.0
+    assert sd[1] == train_x[:, 1].std(ddof=1)
+    assert abs((0.0 - mean[0]) / sd[0]) < 1.0
+
+
+@pytest.mark.parametrize("kind, knn_k", [("logistic", None), ("knn", 5)])
+def test_lobo_fold_ignores_a_column_constant_on_its_training_side(kind, knn_k):
+    base = blob_bags(n_bags=10, per_bag=90, gap=1.0)
+    held = base.bag == "bag03"
+    ds = replace(base, x=np.column_stack([base.x, np.where(held, 0.0, 0.3)]))
+    # the column is constant on the fold's training side, yet its sd is not 0
+    assert ds.x[~held, 2].std(ddof=1) > 0.0
+    got = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, kind, knn_k=knn_k)
+    want = leave_one_bag_out_cv(fully_supervised_baseline(base), base, kind, knn_k=knn_k)
+    assert got.per_bag[3].bag_id == "bag03"
+    assert got.per_bag[3] == want.per_bag[3]
+
+
 def test_lobo_flags_single_class_folds():
     ds = build_dataset(
         [

@@ -196,6 +196,16 @@ def test_standardize_constant_column_warns_not_raises():
     assert any("constant" in w for w in out.warnings)
 
 
+def test_standardize_maps_a_constant_column_with_nonzero_sd_to_zeros():
+    # 890 rows of 0.3 have a rounded sd of 5.55e-17, not 0
+    x = np.column_stack([np.full(890, 0.3), np.arange(890.0)])
+    assert x[:, 0].std(ddof=1) > 0.0
+    ds = build_dataset([("b1", "good", x.tolist())], strong="good")
+    out = standardize(ds)
+    assert np.all(out.x[:, 0] == 0.0)
+    assert out.warnings == ("constant feature column 0 mapped to zeros",)
+
+
 @given(st.integers(0, 2**31 - 1))
 def test_standardize_is_idempotent(seed):
     rng = np.random.default_rng(seed)

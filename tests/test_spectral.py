@@ -1,8 +1,12 @@
+import contextlib
 import itertools
+import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
@@ -372,6 +376,112 @@ def test_arpack_input_has_the_dense_route_bits(mode):
     assert got.data.tobytes() == ref.data.tobytes()
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.indptr, ref.indptr)
+
+
+# ---------------------------------------------------------------------------
+# ARPACK on one thread of scipy's OpenBLAS pool
+
+def openblas_threads():
+    """get_num_threads of scipy's OpenBLAS; skips where the pin has none."""
+    found = spectral._scipy_openblas()
+    if found is None:
+        pytest.skip("no OpenBLAS found for scipy")
+    return found[0]
+
+
+def test_pin_finds_scipys_openblas():
+    if not sys.platform.startswith("linux"):
+        pytest.skip("the lookup reads /proc/self/maps")
+    blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas:
+        pytest.skip(f"scipy is built on {blas}")
+    found = spectral._scipy_openblas()
+    assert found is not None
+    # numpy's copy exports these names with a 64_ suffix
+    assert [f.__name__ for f in found] in (
+        ["scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"],
+        ["openblas_get_num_threads", "openblas_set_num_threads"],
+    )
+
+
+def spy_on_eigsh(monkeypatch, get_threads, fail=False):
+    """Record the pool's thread count at every eigsh call, then solve, or
+    raise ArpackNoConvergence when `fail`."""
+    real_eigsh = scipy.sparse.linalg.eigsh
+    seen = []
+
+    def eigsh(a, *args, **kwargs):
+        seen.append(get_threads())
+        if fail:
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((a.shape[0], 0)))
+        return real_eigsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+    return seen
+
+
+def test_arpack_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    get_threads = openblas_threads()
+    seen = spy_on_eigsh(monkeypatch, get_threads)
+    with spectral._blas_threads(2):
+        emb = smallest_k_eigenvectors(knn_graph(blob_points(11, 300), 10), 2)
+        assert get_threads() == 2
+    assert emb.solver == "eigsh"
+    assert seen == [1]
+
+
+def test_blas_thread_count_is_restored_when_arpack_does_not_converge(monkeypatch):
+    get_threads = openblas_threads()
+    g = knn_graph(blob_points(12, 300), 10)
+    deg = degree_matrix(g)
+    seen = spy_on_eigsh(monkeypatch, get_threads, fail=True)
+    with spectral._blas_threads(2):
+        assert spectral._arpack_eigenpairs(g.w, 2, 1.0 / np.sqrt(deg)) is None
+        assert get_threads() == 2
+    assert seen == [1]
+
+
+@pytest.mark.parametrize("seed, n", [(13, 1000), (14, 3000)])
+def test_arpack_eigenpairs_bitwise_equal_on_one_and_two_threads(monkeypatch, seed, n):
+    openblas_threads()
+    g = knn_graph(blob_points(seed, n), 10)
+    with spectral._blas_threads(2):
+        pinned = smallest_k_eigenvectors(g, 3)
+        monkeypatch.setattr(spectral, "_blas_threads", lambda count: contextlib.nullcontext())
+        unpinned = smallest_k_eigenvectors(g, 3)
+    assert pinned.solver == unpinned.solver == "eigsh"
+    assert pinned.vectors.tobytes() == unpinned.vectors.tobytes()
+    assert pinned.eigenvalues.tobytes() == unpinned.eigenvalues.tobytes()
+
+
+def block_diagonal_graph(seed, blocks=4, size=120):
+    """Dense random weights within each of `blocks` blocks, none between."""
+    rng = np.random.default_rng(seed)
+    n = blocks * size
+    w = np.zeros((n, n))
+    for lo in range(0, n, size):
+        b = rng.uniform(0.1, 1.0, (size, size))
+        w[lo : lo + size, lo : lo + size] = (b + b.T) / 2.0
+    np.fill_diagonal(w, 0.0)
+    return SimilarityGraph(w=w, model="prob_threshold", params=GraphParams())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="with more components than groups, eigenvalue 0 is repeated and the dense eigh's basis of "
+    "its eigenspace, and so the grouping, follows scipy's BLAS thread count",
+)
+def test_groupings_of_graphs_with_more_components_than_groups_ignore_the_thread_count():
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs 2 CPUs")
+    openblas_threads()
+    for seed in range(12):
+        g = block_diagonal_graph(seed)
+        with spectral._blas_threads(1):
+            one = spectral_grouping(g, 3, seed=0)
+        with spectral._blas_threads(2):
+            two = spectral_grouping(g, 3, seed=0)
+        assert partition_matches(one.assignments, two.assignments), f"seed {seed}"
 
 
 # ---------------------------------------------------------------------------
