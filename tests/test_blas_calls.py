@@ -12,10 +12,13 @@ single-threaded `ddot` on the short vectors it sees without one. `np.einsum`
 is allowed only as it is by default, with `optimize=False`: any other
 `optimize` value routes its contractions through `tensordot`.
 
-scipy's pool spins too, for about 125 ms after each threaded call, and ARPACK
-gains nothing from a second thread. So `eigsh` is referenced in `spectral.py`
+scipy's pool spins too, for about 125 ms after each threaded call. ARPACK
+gains nothing from a second thread, so `eigsh` is referenced in `spectral.py`
 only, and only inside `with _blas_threads(1):`, the block that runs it on one
-thread of scipy's pool.
+thread of scipy's pool. The dense route keeps the pool's count and shuts its
+workers down once it is done, so `scipy.linalg.eigh` and
+`scipy.linalg.blas.dgemm` are referenced in `spectral.py` only, and only
+inside `with _parked_blas():`, the block that ends with that shutdown.
 """
 
 import ast
@@ -124,34 +127,32 @@ def test_guard_flags_numpy_blas_constructs():
     ]
 
 
-def eigsh_references(source):
-    """(pinned, unpinned): the lines that reference `eigsh` inside and outside
-    a `with _blas_threads(1):` block. Importing the name is never pinned."""
-    pinned, unpinned = [], []
+def block_references(source, name, block):
+    """(inside, outside): the lines that reference `name` inside and outside
+    a `with <block>:` block. Importing the name is never inside."""
+    inside, outside = [], []
 
-    def visit(node, inside):
-        if isinstance(node, ast.With) and any(ast.unparse(item.context_expr) == "_blas_threads(1)" for item in node.items):
+    def visit(node, within):
+        if isinstance(node, ast.With) and any(ast.unparse(item.context_expr) == block for item in node.items):
             for item in node.items:
-                visit(item, inside)
+                visit(item, within)
             for child in node.body:
                 visit(child, True)
             return
-        if isinstance(node, ast.ImportFrom) and any(alias.name == "eigsh" for alias in node.names):
-            unpinned.append(node.lineno)
-        elif (isinstance(node, ast.Attribute) and node.attr == "eigsh") or (
-            isinstance(node, ast.Name) and node.id == "eigsh"
-        ):
-            (pinned if inside else unpinned).append(node.lineno)
+        if isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names):
+            outside.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == name) or (isinstance(node, ast.Name) and node.id == name):
+            (inside if within else outside).append(node.lineno)
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, within)
 
     visit(ast.parse(source), False)
-    return pinned, unpinned
+    return inside, outside
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_eigsh_runs_in_spectral_only_inside_the_one_thread_pin(module):
-    pinned, unpinned = eigsh_references((PACKAGE / module).read_text())
+    pinned, unpinned = block_references((PACKAGE / module).read_text(), "eigsh", "_blas_threads(1)")
     assert unpinned == []
     assert bool(pinned) == (module == "spectral.py")
 
@@ -174,4 +175,33 @@ def test_guard_flags_unpinned_eigsh():
             "solver = 'eigsh'",
         ]
     )
-    assert eigsh_references(source) == ([3, 4, 10], [1, 6, 8, 11, 12])
+    assert block_references(source, "eigsh", "_blas_threads(1)") == ([3, 4, 10], [1, 6, 8, 11, 12])
+
+
+@pytest.mark.parametrize("name", ["eigh", "dgemm"])
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_dense_blas_runs_in_spectral_only_inside_the_parking_block(module, name):
+    parked, unparked = block_references((PACKAGE / module).read_text(), name, "_parked_blas()")
+    assert unparked == []
+    assert bool(parked) == (module == "spectral.py")
+
+
+def test_guard_flags_unparked_dense_blas():
+    source = "\n".join(
+        [
+            "from scipy.linalg.blas import dgemm",
+            "with _parked_blas():",
+            "    vals, vecs = scipy.linalg.eigh(a)",
+            "    wu = scipy.linalg.blas.dgemm(1.0, a, b)",
+            "with _blas_threads(1):",
+            "    scipy.linalg.eigh(a)",
+            "def residual(a, b):",
+            "    return scipy.linalg.blas.dgemm(1.0, a, b)",
+            "with _parked_blas():",
+            "    pass",
+            "scipy.linalg.eigh(a)",
+            "solver = 'eigh'",
+        ]
+    )
+    assert block_references(source, "eigh", "_parked_blas()") == ([3], [6, 11])
+    assert block_references(source, "dgemm", "_parked_blas()") == ([4], [1, 8])

@@ -9,7 +9,7 @@ import pytest
 import scipy
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spectralweak.bench import partition_matches
 from spectralweak.dataset import pairwise_distances
@@ -399,8 +399,8 @@ def test_pin_finds_scipys_openblas():
     assert found is not None
     # numpy's copy exports these names with a 64_ suffix
     assert [f.__name__ for f in found] in (
-        ["scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"],
-        ["openblas_get_num_threads", "openblas_set_num_threads"],
+        ["scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads", "blas_thread_shutdown_"],
+        ["openblas_get_num_threads", "openblas_set_num_threads", "blas_thread_shutdown_"],
     )
 
 
@@ -485,6 +485,107 @@ def test_groupings_of_graphs_with_more_components_than_groups_ignore_the_thread_
 
 
 # ---------------------------------------------------------------------------
+# the dense route parks scipy's OpenBLAS pool
+
+def scipy_pool_threads():
+    """get_num_threads of scipy's OpenBLAS; skips where its pool cannot be
+    shut down."""
+    found = spectral._scipy_openblas()
+    if found is None or found[2] is None:
+        pytest.skip("no OpenBLAS pool shutdown found for scipy")
+    return found[0]
+
+
+def spy_on_shutdown(monkeypatch):
+    """Count the pool shutdowns, without making them."""
+    calls = []
+    get, set_, _ = spectral._scipy_openblas() or (lambda: 1, lambda count: None, None)
+    monkeypatch.setattr(spectral, "_scipy_openblas", lambda: (get, set_, lambda: calls.append(1)))
+    return calls
+
+
+def live_threads():
+    return len(os.listdir("/proc/self/task"))
+
+
+def test_dense_route_leaves_no_scipy_worker_running():
+    # counted, not timed: a worker left in place is a thread of the process
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs 2 CPUs")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("counts threads through /proc/self/task")
+    if scipy_pool_threads()() < 2:
+        pytest.skip("scipy's pool has one thread")
+    g = prob_graph(seed=21, n=440)
+    deg = degree_matrix(g)
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    assert smallest_k_eigenvectors(g, 3).solver == "eigh"
+    parked = live_threads()
+    scipy.linalg.eigh(spectral._sym_laplacian(g.w, deg, deg, inv_sqrt), subset_by_index=(0, 2))
+    assert parked < live_threads()
+
+
+def test_only_the_dense_route_parks(monkeypatch):
+    calls = spy_on_shutdown(monkeypatch)
+    assert smallest_k_eigenvectors(connected_knn_graph(), 3).solver == "eigsh"
+    assert calls == []
+    assert smallest_k_eigenvectors(prob_graph(), 3).solver == "eigh"
+    assert calls == [1]
+
+
+def test_pool_is_parked_when_the_dense_solve_fails(monkeypatch):
+    calls = spy_on_shutdown(monkeypatch)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    with pytest.raises(NumericalError, match="eigendecomposition failed"):
+        smallest_k_eigenvectors(prob_graph(), 3)
+    assert calls == [1]
+
+
+def assert_same_embeddings(got, want):
+    assert [e.solver for e in got] == [e.solver for e in want]
+    for a, b in zip(got, want):
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("seed, n", [(22, 100), (23, 440), (24, 900), (25, 2000)])
+def test_dense_eigenpairs_bitwise_equal_parked_and_unparked(monkeypatch, seed, n):
+    # the parked solves start on a live pool, then on a parked one; the
+    # unparked ones on a parked pool, then on a live one, as the parent's did
+    get_threads = scipy_pool_threads()
+    g = prob_graph(seed, n)
+    with spectral._blas_threads(2):
+        parked = [smallest_k_eigenvectors(g, 3) for _ in range(2)]
+        assert get_threads() == 2
+        monkeypatch.setattr(spectral, "_parked_blas", contextlib.nullcontext)
+        unparked = [smallest_k_eigenvectors(g, 3) for _ in range(2)]
+    assert parked[0].solver == "eigh"
+    assert_same_embeddings(parked + unparked, unparked[1:] * 4)
+
+
+def test_dense_arpack_dense_sequence_keeps_its_bits(monkeypatch):
+    # annotate on a pool whose graphs for one label are disconnected: a dense
+    # solve, then ARPACK, whose pin starts the parked pool again, then dense
+    scipy_pool_threads()
+    graphs = []
+    for seed in (26, 28):
+        pts = blob_points(seed, 400)
+        pts[200:, 1] += 1000.0
+        graphs.append(knn_graph(pts, 10))
+    graphs.insert(1, connected_knn_graph(seed=27, n=1000))
+    with spectral._blas_threads(2):
+        parked = [smallest_k_eigenvectors(g, 3) for g in graphs]
+        monkeypatch.setattr(spectral, "_parked_blas", contextlib.nullcontext)
+        unparked = [smallest_k_eigenvectors(g, 3) for g in graphs]
+    assert [e.solver for e in parked] == ["eigh", "eigsh", "eigh"]
+    assert_same_embeddings(parked, unparked)
+
+
+# ---------------------------------------------------------------------------
 # eigen residual check
 
 def prob_graph(seed=7, n=60):
@@ -532,13 +633,15 @@ def numpy_residual(w, u, vals):
     [(prob_graph, "eigh"), (connected_knn_graph, "eigsh")],
     ids=["prob_laplacian-eigh", "knn_laplacian-eigsh"],
 )
-def test_residual_matches_the_numpy_product(make_graph, solver):
+def test_residual_matches_the_numpy_product(make_graph, solver, monkeypatch):
     g = make_graph()
+    seen = []
+    real_residual = spectral._residual
+    monkeypatch.setattr(spectral, "_residual", lambda *args: seen.append(real_residual(*args)) or seen[-1])
     emb = smallest_k_eigenvectors(g, 3)
-    assert emb.solver == solver
+    assert emb.solver == solver and len(seen) == 1
     u, vals = emb.vectors, emb.eigenvalues
-    deg = g.w.sum(axis=1)
-    diff = spectral._residual(g.w, deg, np.where(deg == 0.0, 1.0, deg), u, vals) - numpy_residual(g.w, u, vals)
+    diff = seen[0] - numpy_residual(g.w, u, vals)
     # the two differ in rounding only, far below the check's 1e-8 * |u|; a
     # zero-eigenvalue column's L_rw u is itself rounding, so |u| is the scale
     assert np.all(np.linalg.norm(diff, axis=0) <= 1e-12 * np.linalg.norm(u, axis=0))
@@ -548,7 +651,7 @@ def test_residual_matches_the_numpy_product(make_graph, solver):
 def test_embedding_bitwise_equal_under_the_numpy_residual(make_graph, monkeypatch):
     g = make_graph()
     got = smallest_k_eigenvectors(g, 3)
-    monkeypatch.setattr(spectral, "_residual", lambda w, deg, deg_safe, u, vals: numpy_residual(w, u, vals))
+    monkeypatch.setattr(spectral, "_residual", lambda wu, deg, deg_safe, u, vals: numpy_residual(g.w, u, vals))
     want = smallest_k_eigenvectors(g, 3)
     assert got.solver == want.solver
     assert got.vectors.tobytes() == want.vectors.tobytes()
@@ -753,6 +856,63 @@ def test_lloyd_reseeds_empty_groups_like_the_reference(points, data):
     far[:, 0] = True
     starts[far] = 1e3 * (1.0 + rng.random((int(far.sum()), d)))
     assert_same_runs(spectral._lloyd(points, starts), [lloyd_reference(points, s) for s in starts])
+
+
+@st.composite
+def centre_moves(draw):
+    """(new, old) centre blocks whose moves straddle np.isclose's default
+    tolerance: zero, well inside, one ulp either side of it, far outside."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((0.0, 1e-12, 1e-3, 1.0, 1e6)))
+    old = scale * rng.normal(size=shape)
+    tol = 1e-8 + 1e-5 * np.abs(old)
+    move = rng.choice([0.0, 0.5, 1.0, 2.0], size=shape) * tol * rng.choice([-1.0, 1.0], size=shape)
+    new = old + move
+    nudge = rng.choice([-np.inf, 0.0, np.inf], size=shape)
+    return np.nextafter(new, nudge), old
+
+
+@given(centre_moves())
+@example((np.full((2, 1, 1), 1e-8), np.zeros((2, 1, 1))))  # a move of exactly the tolerance
+@example((np.full((1, 1, 2), 1.000001e-8), np.zeros((1, 1, 2))))  # within 1e-5 of the new centre only
+@settings(max_examples=300)
+def test_settled_decides_as_np_isclose(moves):
+    new, old = moves
+    assert np.array_equal(spectral._settled(new, old), np.isclose(new, old).all(axis=(1, 2)))
+
+
+@st.composite
+def lloyd_inputs(draw):
+    """Embedding rows of a random graph, or points of kmeans_points (ties
+    included), with k and a block of k-means++ or far-off starts (empty groups,
+    so reseeds)."""
+    if draw(st.booleans()):
+        g = random_graph(draw(st.integers(0, 2**31 - 1)), n=draw(st.integers(4, 40)), density=0.5)
+        points = smallest_k_eigenvectors(g, draw(st.integers(2, 4))).vectors
+    else:
+        points = draw(kmeans_points())
+    n, d = points.shape
+    k = draw(st.integers(1, min(n, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(int(rng.integers(2**31))).spawn(3)]
+        return points, spectral._plus_plus_init(points, k, rngs)
+    starts = points[rng.integers(n, size=(3, k))]
+    far = rng.random((3, k)) < 0.5
+    starts[far] = 1e3 * (1.0 + rng.random((int(far.sum()), d)))
+    return points, starts
+
+
+@given(lloyd_inputs())
+@settings(max_examples=100, deadline=None)
+def test_lloyd_stops_as_with_np_isclose(inputs):
+    points, starts = inputs
+    got = spectral._lloyd(points, starts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_settled", lambda new, old: np.isclose(new, old).all(axis=(1, 2)))
+        want = spectral._lloyd(points, starts)
+    assert_same_runs(got, want)
 
 
 def test_kmeans_restarts_converge_at_different_steps_in_several_blocks():
