@@ -21,7 +21,12 @@ same blocks. The other four models read a dense DistanceMatrix (built from
 coordinates when given those) and hold W as a dense n x n array; the
 probabilistic ones also hold the n x n initial similarities, and share one
 sparsifier that differs only in which below-threshold entries it revives.
-graph.json holds the upper triangle of W as triplets for every model.
+The similarities and the probabilistic W are each computed in their own
+n x n buffer, by row blocks of at most ROW_BLOCK_BYTES and 1/DENSE_BLOCK_PARTS
+of the rows, then symmetrized in place tile pair by tile pair, so no other
+n x n float array is made on the way (the criterion's draws also keep an
+n x n bool mask). graph.json holds the upper triangle of W as triplets for
+every model.
 """
 
 from __future__ import annotations
@@ -55,6 +60,10 @@ PROB_MODELS = ("prob_threshold", "prob_criterion")
 KNN_MODELS = ("knn_symmetric", "knn_mutual")
 
 ROW_BLOCK_BYTES = 2**20  # size of one (rows, n) float64 block of distances or densified weights
+# The dense route's blocks also hold at most 1/DENSE_BLOCK_PARTS of the rows,
+# so that their few temporaries stay a small share of one n x n array at
+# sizes where ROW_BLOCK_BYTES holds most of its rows.
+DENSE_BLOCK_PARTS = 16
 # The median sigma counts pair distances per bin. A bin is a run of float64
 # bit patterns, which order nonnegative floats like their values: the
 # exponent and top 8 mantissa bits, so 256 bins per octave over
@@ -168,23 +177,31 @@ def initial_similarities(dist: DistanceMatrix, m: float = -1.0) -> InitialSimila
 
     Each row sums to exactly one (up to float rounding); the matrix is not
     symmetric in general. Coincident distinct points make the power diverge,
-    so they are a hard error naming the offending pair.
+    so they are a hard error naming the offending pair. The powers go into
+    the output array one block of rows at a time (row_blocks), each row
+    zeroed on the diagonal and divided by its sum in place.
     """
     if not m < 0:
         raise ParameterError(f"exponent m must be negative, got {m}")
     d = dist.d
     n = dist.n
-    off = ~np.eye(n, dtype=bool)
-    zero_pairs = np.argwhere((d == 0.0) & off)
-    if zero_pairs.size:
-        i, j = zero_pairs[0]
+    zero = d == 0.0
+    np.fill_diagonal(zero, False)
+    if zero.any():
+        i, j = np.argwhere(zero)[0]
         raise DegenerateDistanceError(
             f"instances {i} and {j} are at distance zero; inverse-distance similarities are undefined"
         )
-    powered = np.zeros_like(d)
-    powered[off] = d[off] ** m
-    rows = powered.sum(axis=1, keepdims=True)
-    s = powered / rows
+    del zero
+    s = np.empty_like(d)
+    for lo, hi in row_blocks(n, parts=DENSE_BLOCK_PARTS):
+        rows = s[lo:hi]
+        # `**` as written: numpy computes d ** -1 as a reciprocal. The
+        # diagonal's 0 ** m is overwritten.
+        with np.errstate(divide="ignore"):
+            rows[...] = d[lo:hi] ** m
+        np.fill_diagonal(rows[:, lo:], 0.0)
+        rows /= rows.sum(axis=1, keepdims=True)
     np.fill_diagonal(s, 0.0)
     return InitialSimilarities(s=s, m=m)
 
@@ -198,11 +215,36 @@ def epsilon_graph(dist: DistanceMatrix, epsilon: float) -> SimilarityGraph:
     return SimilarityGraph(w=w, model="epsilon", params=GraphParams(epsilon=epsilon))
 
 
-def row_blocks(n: int) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) covering 0..n-1, each (hi - lo, n) float64 block
-    about ROW_BLOCK_BYTES."""
-    step = max(1, ROW_BLOCK_BYTES // (8 * n))
+def _ranges(n: int, step: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def row_blocks(n: int, parts: int = 1) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) covering 0..n-1, each (hi - lo, n) float64 block
+    about ROW_BLOCK_BYTES and at most ceil(n / parts) rows."""
+    return _ranges(n, max(1, min(ROW_BLOCK_BYTES // (8 * max(n, 1)), -(-n // parts))))
+
+
+def symmetrize_in_place(a: np.ndarray, combine: Callable) -> None:
+    """Make a square array exactly symmetric: a_ij and a_ji both become
+    combine(a_ij, a_ji), for a combine(x, y, out=x) that is symmetric in x
+    and y bit for bit, such as np.maximum.
+
+    Works tile pair by tile pair, (I, J) with its mirror (J, I), on square
+    tiles of at most ROW_BLOCK_BYTES and a quarter of the rows; the one
+    temporary is a copy of a diagonal tile.
+    """
+    n = a.shape[0]
+    tiles = _ranges(n, max(1, min(math.isqrt(ROW_BLOCK_BYTES // 8), -(-n // 4))))
+    for t, (lo, hi) in enumerate(tiles):
+        for col_lo, col_hi in tiles[t:]:
+            upper = a[lo:hi, col_lo:col_hi]
+            mirror = a[col_lo:col_hi, lo:hi]
+            if col_lo == lo:
+                combine(upper, mirror.T.copy(), out=upper)
+            else:
+                combine(upper, mirror.T, out=upper)
+                mirror[...] = upper.T
 
 
 def nearest_columns(d: np.ndarray, k: int) -> np.ndarray:
@@ -346,23 +388,34 @@ def fully_connected_gaussian(dist: DistanceMatrix, sigma: float) -> SimilarityGr
     return SimilarityGraph(w=w, model="fully_connected", params=GraphParams(sigma=sigma))
 
 
-def gaussian_bump(s: np.ndarray | float, w_thresh: float, sigma: float):
-    """Gaussian density (not truncated) centred at the keep threshold."""
-    return np.exp(-((s - w_thresh) ** 2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
+def gaussian_bump(s: np.ndarray | float, w_thresh: float, sigma: float, out: np.ndarray | None = None):
+    """Gaussian density (not truncated) centred at the keep threshold, into
+    `out` when given: exp(-((s - w_thresh) ** 2) / (2 sigma^2)) / (sigma sqrt(2 pi)),
+    one ufunc per step, as numpy evaluates that expression."""
+    f = np.subtract(s, w_thresh, out=out)
+    f = np.square(f, out=out)
+    f = np.negative(f, out=out)
+    f = np.divide(f, 2.0 * sigma**2, out=out)
+    f = np.exp(f, out=out)
+    return np.divide(f, sigma * math.sqrt(2.0 * math.pi), out=out)
 
 
 def bump_peak(sigma: float) -> float:
     return 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def symmetrize(directed: np.ndarray, rule: str = "max") -> np.ndarray:
-    """Combine w_ij and w_ji with elementwise min or max."""
+def _combine(rule: str) -> np.ufunc:
+    """The elementwise combination of w_ij and w_ji a symmetrize rule names."""
     if rule not in SYMMETRIZE_RULES:
         raise ParameterError(f"symmetrize rule must be one of {SYMMETRIZE_RULES}, got {rule!r}")
+    return np.minimum if rule == "min" else np.maximum
+
+
+def symmetrize(directed: np.ndarray, rule: str = "max") -> np.ndarray:
+    """Combine w_ij and w_ji with elementwise min or max."""
+    combine = _combine(rule)
     directed = np.asarray(directed, dtype=float)
-    if rule == "min":
-        return np.minimum(directed, directed.T)
-    return np.maximum(directed, directed.T)
+    return combine(directed, directed.T)
 
 
 def _sparsify(
@@ -370,24 +423,40 @@ def _sparsify(
     w_thresh: float,
     sigma: float,
     rule: str,
-    revive: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    revive: Callable[[np.ndarray, int, int, np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """The rule both probabilistic models share, per directed entry s: keep
-    s >= w_thresh; an off-diagonal s < w_thresh that revive(below, f) marks
-    gets min(f, w_thresh), f its bump, so it never outweighs an entry that
-    passed on its own; drop the rest. Then min/max symmetrization."""
+    s >= w_thresh; an off-diagonal s < w_thresh that revive marks gets
+    min(f, w_thresh), f its bump, so it never outweighs an entry that passed
+    on its own; drop the rest. Then min/max symmetrization.
+
+    Everything happens in W, one n x n array, by blocks of rows (row_blocks):
+    first every row's bump f, then per block the revived entries and the
+    final directed weights, then the symmetrization, tile pair by tile pair.
+    revive(below, lo, hi, w) gets the block's off-diagonal below-threshold
+    mask, which it may overwrite, and returns the block's revived mask; it
+    is called on the blocks in order, with the rows of w from lo on still
+    holding their bumps.
+    """
     if not (0.0 < w_thresh < 1.0):
         raise ParameterError(f"w_thresh must be in (0, 1), got {w_thresh}")
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ParameterError(f"sigma must be positive and finite, got {sigma}")
+    combine = _combine(rule)
     s = sims.s
-    f = gaussian_bump(s, w_thresh, sigma)
-    below = s < w_thresh
-    np.fill_diagonal(below, False)
-    directed = np.minimum(f, w_thresh)
-    directed *= revive(below, f)
-    np.copyto(directed, s, where=s >= w_thresh)
-    w = symmetrize(directed, rule)
+    w = np.empty_like(s)
+    blocks = row_blocks(s.shape[0], parts=DENSE_BLOCK_PARTS)
+    for lo, hi in blocks:
+        gaussian_bump(s[lo:hi], w_thresh, sigma, out=w[lo:hi])
+    for lo, hi in blocks:
+        rows = w[lo:hi]
+        below = s[lo:hi] < w_thresh
+        np.fill_diagonal(below[:, lo:], False)
+        revived = revive(below, lo, hi, w)
+        np.minimum(rows, w_thresh, out=rows)
+        rows *= revived
+        np.copyto(rows, s[lo:hi], where=np.greater_equal(s[lo:hi], w_thresh, out=below))
+    symmetrize_in_place(w, combine)
     np.fill_diagonal(w, 0.0)
     return w
 
@@ -403,7 +472,11 @@ def prob_threshold_graph(
     entry is revived when its bump reaches eps_weight (see _sparsify)."""
     if not (eps_weight > 0 and math.isfinite(eps_weight)):
         raise ParameterError(f"eps_weight must be positive and finite, got {eps_weight}")
-    w = _sparsify(sims, w_thresh, sigma, symmetrize_rule, lambda below, f: below & (f >= eps_weight))
+
+    def reaches(below: np.ndarray, lo: int, hi: int, f: np.ndarray) -> np.ndarray:
+        return np.logical_and(below, f[lo:hi] >= eps_weight, out=below)
+
+    w = _sparsify(sims, w_thresh, sigma, symmetrize_rule, reaches)
     params = GraphParams(
         sigma=sigma, w_thresh=w_thresh, eps_weight=eps_weight, m=sims.m, symmetrize=symmetrize_rule
     )
@@ -424,23 +497,32 @@ def prob_criterion_graph(
     order: unordered pairs (i, j), i < j, row-major, the (i, j) direction
     before (j, i), skipping directions at or above the threshold. Entries at
     or above the threshold never consume randomness, so a graph whose
-    similarities all clear the threshold is identical for every seed.
+    similarities all clear the threshold is identical for every seed. The
+    draws are made block by block of rows i, which gives the doubles of one
+    call, and each pair's two decisions go into an n x n bool mask.
     """
     if seed is None:
         raise ParameterError("prob_criterion_graph requires an explicit seed")
+    s = sims.s
+    n = s.shape[0]
+    rng = np.random.default_rng(seed)
+    peak = bump_peak(sigma)
+    revived = np.zeros((n, n), dtype=bool)
 
-    def draw(below: np.ndarray, f: np.ndarray) -> np.ndarray:
-        # Rows: the pairs i < j, row-major as np.triu_indices lists them;
-        # columns: their (i, j) and (j, i) directions. An undrawn u is inf.
-        upper = np.triu(np.ones(below.shape, dtype=bool), 1)
-        drawn = np.column_stack((below[upper], below.T[upper]))
+    def draw(below: np.ndarray, lo: int, hi: int, f: np.ndarray) -> np.ndarray:
+        # The block's pairs (i, j), j > i, in columns j from lo on: axis 0
+        # is i, axis 1 is j, axis 2 their (i, j) and (j, i) directions, so
+        # C order is the draw order. An undrawn u is inf.
+        upper = np.arange(n - lo) > np.arange(hi - lo)[:, None]
+        drawn = np.empty((hi - lo, n - lo, 2), dtype=bool)
+        np.logical_and(below[:, lo:], upper, out=drawn[:, :, 0])
+        np.less(s[lo:, lo:hi].T, w_thresh, out=drawn[:, :, 1])
+        drawn[:, :, 1] &= upper
         u = np.full(drawn.shape, np.inf)
-        u[drawn] = np.random.default_rng(seed).random(np.count_nonzero(drawn))
-        accepted = u < np.column_stack((f[upper], f.T[upper])) / bump_peak(sigma)
-        revived = np.zeros_like(below)
-        revived[upper] = accepted[:, 0]
-        revived.T[upper] = accepted[:, 1]
-        return revived
+        u[drawn] = rng.random(np.count_nonzero(drawn))
+        revived[lo:hi, lo:] |= u[:, :, 0] < f[lo:hi, lo:] / peak
+        revived[lo:, lo:hi] |= (u[:, :, 1] < f[lo:, lo:hi].T / peak).T
+        return revived[lo:hi]
 
     w = _sparsify(sims, w_thresh, sigma, symmetrize_rule, draw)
     params = GraphParams(sigma=sigma, w_thresh=w_thresh, m=sims.m, symmetrize=symmetrize_rule)

@@ -15,13 +15,15 @@ L_sym = I - N. That route allocates no n x n array: the degrees are row sums
 of W densified one block of rows at a time (a dense row sum adds in another
 order than a CSR row sum, and the densified blocks keep the dense bits).
 Every other graph, the probabilistic, epsilon and fully connected ones
-included, goes to a dense scipy.linalg.eigh of L_sym; that route holds L_sym
-and its symmetrized copy, two n x n arrays beside the dense W. A kNN graph
+included, goes to a dense scipy.linalg.eigh of L_sym. That route holds one
+n x n array beside the dense W: L_sym is scaled and symmetrized in place,
+and eigh takes its Fortran-ordered transpose, the same matrix, without a
+copy. W stays, since the residual check reads it after eigh. A kNN graph
 that is disconnected, or asked for k >= n - 1 vectors, or on which ARPACK
-fails or does not converge, goes there too with W densified, a third n x n
-array, but only up to DENSE_FALLBACK_MAX_N vertices; above that it is a
-NumericalError naming the component count. On both routes the residual
-L_rw u - u diag(vals) of every eigenpair is checked, computed as
+fails or does not converge, goes there too with W densified for as long as
+L_sym is being built, but only up to DENSE_FALLBACK_MAX_N vertices; above
+that it is a NumericalError naming the component count. On both routes the
+residual L_rw u - u diag(vals) of every eigenpair is checked, computed as
 (D u - W u) / d from W.
 
 All dense linear algebra of this module runs on the BLAS/LAPACK that scipy
@@ -50,8 +52,11 @@ the next threaded call starts the workers again on the same partitioning,
 so the eigenpairs keep their bits. On 2 vCPUs a shutdown took about 34 us,
 an eigh at n = 440 right after one 7.53 against 7.43 ms on a live pool, and
 over repeated n = 440 groupings (eigh and k-means) the process's CPU/wall
-ratio fell from 1.98 to 1.43. The ARPACK route is not parked: setting the
-count for its pin would start a new worker, which would spin again.
+ratio fell from 1.98 to 1.43. The ARPACK route parks nothing itself, but
+its pin leaves a parked pool parked: setting the count starts a shut-down
+pool's workers again, and a new worker spins at once (0.98 CPU-s per wall-s
+over the next 100 ms), so the pin shuts such a pool down again right after
+each setting.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ import contextlib
 import functools
 import os
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -67,11 +73,11 @@ import scipy.linalg.blas
 import scipy.sparse
 
 from .errors import NumericalError, ParameterError
-from .simgraph import SimilarityGraph, csr_rows, row_blocks
+from .simgraph import SimilarityGraph, csr_rows, row_blocks, symmetrize_in_place
 
 LLOYD_MAX_ITER = 300  # Lloyd steps per k-means start
 KMEANS_RESTARTS = 10  # k-means++ starts per grouping; the best objective wins
-DENSE_FALLBACK_MAX_N = 10_000  # largest kNN graph densified for eigh, about 2.4 GB of n x n arrays
+DENSE_FALLBACK_MAX_N = 10_000  # largest kNN graph densified for eigh, about 1.6 GB of n x n arrays
 KMEANS_BLOCK_BYTES = 8 * 2**20  # size of the (starts, n, k, d) distance temporary of one Lloyd block
 
 
@@ -142,23 +148,30 @@ def unnormalized_laplacian(graph: SimilarityGraph) -> np.ndarray:
     return lap
 
 
+def _mean(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(a + b) / 2 into `out`."""
+    np.add(a, b, out=out)
+    return np.divide(out, 2.0, out=out)
+
+
 def _sym_laplacian(w: np.ndarray, deg: np.ndarray, deg_safe: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
     """L_sym = D^-1/2 (D - W) D^-1/2, made exactly symmetric, for the dense eigh.
 
     Built in one n x n buffer scaled in place: -w_ij off the diagonal and d_i
     on it (the diagonal of W is zero), rows divided by d and multiplied by
-    sqrt(d), columns multiplied by d^-1/2, then (S + S^T) / 2. The rows are
-    scaled in two roundings rather than one by d^-1/2; that is the rounding
-    every recorded grouping was computed with, so it stays.
+    sqrt(d), columns multiplied by d^-1/2, then (S + S^T) / 2 in place, tile
+    pair by tile pair. The rows are scaled in two roundings rather than one
+    by d^-1/2; that is the rounding every recorded grouping was computed
+    with, so it stays. Returned as the buffer's transpose: the same matrix,
+    Fortran-ordered, which LAPACK takes without a copy.
     """
     sym = 0.0 - w
     np.fill_diagonal(sym, deg)
     sym /= deg_safe[:, None]
     sym *= np.sqrt(deg_safe)[:, None]
     sym *= inv_sqrt
-    sym = sym + sym.T
-    sym /= 2.0
-    return sym
+    symmetrize_in_place(sym, _mean)
+    return sym.T
 
 
 def _normalized_adjacency(w: scipy.sparse.csr_array, inv_sqrt: np.ndarray) -> scipy.sparse.csr_array:
@@ -167,11 +180,20 @@ def _normalized_adjacency(w: scipy.sparse.csr_array, inv_sqrt: np.ndarray) -> sc
     return scipy.sparse.csr_array((data, w.indices, w.indptr), shape=w.shape)
 
 
+class _OpenBlas(NamedTuple):
+    """The parts of scipy's OpenBLAS this module uses."""
+
+    get: Callable[[], int]  # the pool's thread count
+    set: Callable[[int], None]  # sets it, starting a shut-down pool's workers again
+    shutdown: Callable[[], int] | None  # joins the pool's workers
+    live: object | None  # blas_server_avail as a ctypes.c_int: nonzero while the workers exist
+
+
 @functools.cache
-def _scipy_openblas():
-    """The (get, set) thread-count functions of the OpenBLAS that scipy
-    loaded and its pool shutdown (None where it exports none), or None where
-    no such OpenBLAS is found.
+def _scipy_openblas() -> _OpenBlas | None:
+    """The thread-count functions of the OpenBLAS that scipy loaded, its pool
+    shutdown and its pool flag (each None where it exports none), or None
+    where no such OpenBLAS is found.
 
     Looked up once, on Linux, among the shared objects already mapped into
     the process (/proc/self/maps) whose file name mentions blas, without
@@ -180,7 +202,7 @@ def _scipy_openblas():
     these names with a 64_ suffix and is left alone. The shutdown,
     blas_thread_shutdown_, is the one OpenBLAS runs before a fork; numpy's
     copy exports it under the same name, so it is looked up on the library
-    whose thread-count functions were found.
+    whose thread-count functions were found, and so is the flag.
     """
     # Imported here so that runs that never solve never load it.
     import ctypes
@@ -204,7 +226,11 @@ def _scipy_openblas():
                 shutdown = getattr(lib, "blas_thread_shutdown_", None)
                 if shutdown:
                     shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-                return get, set_, shutdown
+                try:
+                    live = ctypes.c_int.in_dll(lib, "blas_server_avail")
+                except ValueError:
+                    live = None
+                return _OpenBlas(get, set_, shutdown, live)
     return None
 
 
@@ -213,18 +239,27 @@ def _blas_threads(count: int):
     """Runs its block with scipy's OpenBLAS at `count` threads and restores
     the previous count on the way out, also when the block raises; does
     nothing where `_scipy_openblas` finds no OpenBLAS. The count is one per
-    process, so two threads inside such blocks at once would mix theirs."""
+    process, so two threads inside such blocks at once would mix theirs.
+
+    Setting the count starts a shut-down pool's workers again, and a new
+    worker spins. So a pool found parked (`_parked_blas`) is shut down again
+    after each setting; a threaded call inside the block still starts it.
+    """
     found = _scipy_openblas()
     if found is None:
         yield
         return
-    get, set_, _ = found
-    previous = get()
-    set_(count)
+    parked = found.shutdown is not None and found.live is not None and not found.live.value
+    previous = found.get()
+    found.set(count)
+    if parked:
+        found.shutdown()
     try:
         yield
     finally:
-        set_(previous)
+        found.set(previous)
+        if parked:
+            found.shutdown()
 
 
 @contextlib.contextmanager
@@ -240,8 +275,8 @@ def _parked_blas():
         yield
     finally:
         found = _scipy_openblas()
-        if found is not None and found[2] is not None:
-            found[2]()
+        if found is not None and found.shutdown is not None:
+            found.shutdown()
 
 
 def _arpack_eigenpairs(w: scipy.sparse.csr_array, k: int, inv_sqrt: np.ndarray):

@@ -12,8 +12,8 @@ import scipy.sparse
 from spectralweak import classify
 from spectralweak.classify import AggregationRule, BagResult, CVResult, LogisticModel
 from spectralweak.dataset import Dataset
-from spectralweak.errors import NumericalError
-from spectralweak.simgraph import bump_peak, gaussian_bump, symmetrize
+from spectralweak.errors import DegenerateDistanceError, NumericalError
+from spectralweak.simgraph import InitialSimilarities, bump_peak, gaussian_bump, symmetrize
 from spectralweak.spectral import LLOYD_MAX_ITER, Grouping, KMeansResult, KMeansRun
 
 
@@ -115,6 +115,31 @@ def components_reference(w):
     return count, labels
 
 
+def initial_similarities_reference(dist, m=-1.0):
+    """Row-normalized inverse-distance similarities through whole-matrix
+    temporaries: the off-diagonal powers gathered and scattered with a mask,
+    then divided by their row sums into a new array.
+
+    The original initial_similarities body, kept as the oracle for the bits
+    of the one that powers and divides in its output buffer.
+    """
+    d = dist.d
+    n = dist.n
+    off = ~np.eye(n, dtype=bool)
+    zero_pairs = np.argwhere((d == 0.0) & off)
+    if zero_pairs.size:
+        i, j = zero_pairs[0]
+        raise DegenerateDistanceError(
+            f"instances {i} and {j} are at distance zero; inverse-distance similarities are undefined"
+        )
+    powered = np.zeros_like(d)
+    powered[off] = d[off] ** m
+    rows = powered.sum(axis=1, keepdims=True)
+    s = powered / rows
+    np.fill_diagonal(s, 0.0)
+    return InitialSimilarities(s=s, m=m)
+
+
 def prob_threshold_reference(sims, w_thresh, sigma, eps_weight, symmetrize_rule="max"):
     """Weights of the deterministic sparsifier: keep s at or above the
     threshold, drop a direction whose bump falls under eps_weight, revive the
@@ -184,6 +209,23 @@ def sym_laplacian_reference(w):
     deg_safe = np.where(deg == 0.0, 1.0, deg)
     sym = np.sqrt(deg_safe)[:, None] * rw_laplacian_reference(w)
     sym *= 1.0 / np.sqrt(deg_safe)
+    sym = sym + sym.T
+    sym /= 2.0
+    return sym
+
+
+def sym_laplacian_buffer_reference(w, deg, deg_safe, inv_sqrt):
+    """L_sym scaled in one buffer, then made symmetric as a new array
+    (S + S^T) / 2.
+
+    The original spectral._sym_laplacian body, kept as the oracle for the
+    bits of the one that symmetrizes in place, tile pair by tile pair.
+    """
+    sym = 0.0 - w
+    np.fill_diagonal(sym, deg)
+    sym /= deg_safe[:, None]
+    sym *= np.sqrt(deg_safe)[:, None]
+    sym *= inv_sqrt
     sym = sym + sym.T
     sym /= 2.0
     return sym

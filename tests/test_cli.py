@@ -616,6 +616,32 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command, given_
     assert not out.exists()
 
 
+INTEGER_KEY_COMMANDS = {
+    "seed": ["group", "--data", "builtin:dataset_a", "--model", "knn_symmetric", "--k", "3"],
+    "groups": ["group", "--data", "builtin:dataset_a", "--model", "knn_symmetric", "--k", "3"],
+    "k": ["group", "--data", "builtin:dataset_a", "--model", "knn_symmetric"],
+    "knn-k": ["evaluate", "--data", "builtin:dataset_a", "--strong-label", "dense", "--classifier", "knn"],
+    "synth-seeds": ["bench", "--suite", "table2synth"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(INTEGER_KEY_COMMANDS))
+@pytest.mark.parametrize("value", [1.5, 2.9, True])
+def test_config_value_for_an_integer_key_is_not_truncated(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value}))
+    code, _, err = run([*INTEGER_KEY_COMMANDS[key], "--config", str(config), "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: --{key}: expected int, got {value!r}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("raw", [2, 2.0, "2"])
+def test_integral_values_still_cast_to_int(raw):
+    assert cli._cast("k", raw, int) == 2
+
+
 @pytest.mark.parametrize("command, output", [("train", "model.json"), ("evaluate", "cv.json")])
 @pytest.mark.parametrize("classifier", ["logistic", "qda"])
 def test_knn_k_with_another_classifier_exits_2_naming_both_flags(tmp_path, capsys, command, output, classifier):

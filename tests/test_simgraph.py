@@ -31,11 +31,13 @@ from spectralweak.simgraph import (
     prob_threshold_graph,
     read_graph_json,
     symmetrize,
+    symmetrize_in_place,
     write_graph_json,
 )
 
 from helpers import (
     components_reference,
+    initial_similarities_reference,
     knn_adjacency_reference,
     knn_graph_reference,
     prob_criterion_reference,
@@ -99,6 +101,58 @@ def test_zero_distance_pair_rejected():
     d = pairwise_distances(np.array([[1.0], [1.0], [3.0]]))
     with pytest.raises(DegenerateDistanceError, match="0.*1|\\(0, 1\\)"):
         initial_similarities(d)
+
+
+EXPONENTS = (-0.5, -1.0, -2.0, -3.5)
+
+
+@st.composite
+def point_sets(draw, max_n=40):
+    n = draw(st.integers(2, max_n))
+    p = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    return np.random.default_rng(draw(st.integers(0, 2**31 - 1))).normal(size=(n, p)) * scale
+
+
+@given(point_sets(), st.sampled_from(EXPONENTS))
+def test_initial_similarities_match_reference(points, m):
+    d = pairwise_distances(points)
+    got = initial_similarities(d, m=m)
+    want = initial_similarities_reference(d, m=m)
+    assert got.m == want.m
+    assert got.s.tobytes() == want.s.tobytes()
+
+
+# blocks of one row, and of n / DENSE_BLOCK_PARTS rows
+@pytest.mark.parametrize("block_bytes", [2**12, 2**20])
+@pytest.mark.parametrize("m", EXPONENTS)
+def test_initial_similarities_match_reference_in_any_blocking(monkeypatch, block_bytes, m):
+    d = pairwise_distances(seeded_points(3, n=300, p=4))
+    monkeypatch.setattr(simgraph, "ROW_BLOCK_BYTES", block_bytes)
+    assert initial_similarities(d, m=m).s.tobytes() == initial_similarities_reference(d, m=m).s.tobytes()
+
+
+@given(point_sets(), st.data(), st.sampled_from(EXPONENTS))
+def test_near_duplicate_points_still_raise(points, data, m):
+    # a copy shifted by far less than an ulp of its coordinates lands on them
+    n = points.shape[0]
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+    points[j] = points[i] + 1e-300 * np.sign(points[i])
+    d = pairwise_distances(points)
+    with pytest.raises(DegenerateDistanceError) as want:
+        initial_similarities_reference(d, m=m)
+    with pytest.raises(DegenerateDistanceError) as got:
+        initial_similarities(d, m=m)
+    assert str(got.value) == str(want.value)
+    assert f"{min(i, j)} and" in str(got.value)
+
+
+def test_no_points_give_empty_similarities_and_graphs():
+    sims = initial_similarities(DistanceMatrix(np.zeros((0, 0))))
+    assert sims.s.shape == (0, 0)
+    assert prob_threshold_graph(sims, 0.5, 0.1, 1e-3).w.shape == (0, 0)
+    assert prob_criterion_graph(sims, 0.5, 0.1, seed=0).w.shape == (0, 0)
 
 
 def test_nonnegative_exponent_rejected():
@@ -395,6 +449,31 @@ def test_bump_peak_value():
 # ---------------------------------------------------------------------------
 # symmetrization
 
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 60),
+    st.sampled_from([2**6, 2**10, 2**20]),
+    st.sampled_from(SYMMETRIZE_RULES),
+)
+def test_symmetrize_in_place_matches_symmetrize(seed, n, block_bytes, rule):
+    a = np.random.default_rng(seed).random((n, n))
+    want = symmetrize(a, rule)
+    with mock.patch.object(simgraph, "ROW_BLOCK_BYTES", block_bytes):
+        symmetrize_in_place(a, np.minimum if rule == "min" else np.maximum)
+    assert a.tobytes() == want.tobytes()
+
+
+@given(st.integers(0, 2**31 - 1), st.floats(1e-3, 0.9), st.floats(1e-6, 1.0))
+def test_gaussian_bump_into_a_buffer_has_the_expressions_bits(seed, w_thresh, sigma):
+    s = np.random.default_rng(seed).random((7, 9))
+    want = np.exp(-((s - w_thresh) ** 2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
+    out = np.empty_like(s)
+    assert gaussian_bump(s, w_thresh, sigma, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    assert gaussian_bump(s, w_thresh, sigma).tobytes() == want.tobytes()
+    assert gaussian_bump(float(s[0, 0]), w_thresh, sigma) == want[0, 0]
+
+
 def test_symmetrize_min_max_hand_case():
     directed = np.array([[0.0, 0.8], [0.2, 0.0]])
     assert np.allclose(symmetrize(directed, "min"), [[0.0, 0.2], [0.2, 0.0]])
@@ -544,6 +623,29 @@ def test_threshold_matches_reference(case, eps_weight):
     got = prob_threshold_graph(sims, w_thresh, sigma, eps_weight, rule).w
     want = prob_threshold_reference(sims, w_thresh, sigma, eps_weight, rule)
     assert got.tobytes() == want.tobytes()
+
+
+@given(st.integers(0, 2**31 - 1), st.lists(st.integers(0, 60), max_size=12))
+def test_generator_random_in_chunks_gives_the_doubles_of_one_call(seed, chunks):
+    # the criterion draws block by block and must consume the stream as one call would
+    chunked = np.random.default_rng(seed)
+    got = np.concatenate([np.empty(0)] + [chunked.random(size) for size in chunks])
+    want = np.random.default_rng(seed).random(sum(chunks))
+    assert got.tobytes() == want.tobytes()
+    assert chunked.random() == np.random.default_rng(seed).random(sum(chunks) + 1)[-1]
+
+
+@pytest.mark.parametrize("block_bytes", [2**10, 2**14, 2**20])
+@pytest.mark.parametrize("rule", SYMMETRIZE_RULES)
+@pytest.mark.parametrize("n", [150, 301])
+def test_prob_builds_match_references_in_any_blocking(monkeypatch, block_bytes, rule, n):
+    sims = initial_similarities(pairwise_distances(seeded_points(n, n=n, p=3)))
+    w_thresh, sigma = 2.0 / (n - 1), 0.5 / (n - 1)
+    monkeypatch.setattr(simgraph, "ROW_BLOCK_BYTES", block_bytes)
+    got = prob_criterion_graph(sims, w_thresh, sigma, rule, seed=n).w
+    assert got.tobytes() == prob_criterion_reference(sims, w_thresh, sigma, rule, seed=n).tobytes()
+    got = prob_threshold_graph(sims, w_thresh, sigma, 1e-3, rule).w
+    assert got.tobytes() == prob_threshold_reference(sims, w_thresh, sigma, 1e-3, rule).tobytes()
 
 
 def test_criterion_accepted_weight_is_clamped():

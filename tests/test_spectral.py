@@ -1,7 +1,9 @@
 import contextlib
+import ctypes
 import itertools
 import os
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -38,6 +40,7 @@ from helpers import (
     knn_graph_reference,
     lloyd_reference,
     rw_laplacian_reference,
+    sym_laplacian_buffer_reference,
     sym_laplacian_reference,
     two_blobs,
 )
@@ -136,6 +139,34 @@ def test_eigh_input_bitwise_equals_the_route_through_rw(seed, integer, isolated)
     clamped = emb.clamped
     assert clamped == tuple(int(i) for i in np.flatnonzero(w.sum(axis=1) == 0.0))
     assert set(range(w.shape[0] - isolated, w.shape[0])) <= set(clamped)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(0, 3), st.sampled_from([2**6, 2**10, 2**20]))
+def test_sym_laplacian_matches_the_former_buffer(seed, isolated, block_bytes):
+    w = np.pad(random_graph(seed, n=int(np.random.default_rng(seed).integers(2, 60)), density=0.5).w, (0, isolated))
+    deg = w.sum(axis=1)
+    deg_safe = np.where(deg == 0.0, 1.0, deg)
+    inv_sqrt = 1.0 / np.sqrt(deg_safe)
+    want = sym_laplacian_buffer_reference(w, deg, deg_safe, inv_sqrt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simgraph, "ROW_BLOCK_BYTES", block_bytes)
+        got = spectral._sym_laplacian(w, deg, deg_safe, inv_sqrt)
+    assert got.flags.f_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_eigh_takes_its_input_without_a_copy(monkeypatch):
+    g = prob_graph(seed=3, n=200)
+    seen = []
+    real_eigh = scipy.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append((a.flags.f_contiguous, kwargs.get("overwrite_a")))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    assert smallest_k_eigenvectors(g, 3).solver == "eigh"
+    assert seen == [(True, True)]
 
 
 def test_zero_degree_vertex_is_clamped():
@@ -398,10 +429,11 @@ def test_pin_finds_scipys_openblas():
     found = spectral._scipy_openblas()
     assert found is not None
     # numpy's copy exports these names with a 64_ suffix
-    assert [f.__name__ for f in found] in (
+    assert [f.__name__ for f in found[:3]] in (
         ["scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads", "blas_thread_shutdown_"],
         ["openblas_get_num_threads", "openblas_set_num_threads", "blas_thread_shutdown_"],
     )
+    assert isinstance(found.live, ctypes.c_int)
 
 
 def spy_on_eigsh(monkeypatch, get_threads, fail=False):
@@ -497,10 +529,11 @@ def scipy_pool_threads():
 
 
 def spy_on_shutdown(monkeypatch):
-    """Count the pool shutdowns, without making them."""
+    """Count the pool shutdowns, without making them; the pool reads as live."""
     calls = []
-    get, set_, _ = spectral._scipy_openblas() or (lambda: 1, lambda count: None, None)
-    monkeypatch.setattr(spectral, "_scipy_openblas", lambda: (get, set_, lambda: calls.append(1)))
+    found = spectral._scipy_openblas() or spectral._OpenBlas(lambda: 1, lambda count: None, None, None)
+    spy = found._replace(shutdown=lambda: calls.append(1), live=ctypes.c_int(1))
+    monkeypatch.setattr(spectral, "_scipy_openblas", lambda: spy)
     return calls
 
 
@@ -523,6 +556,48 @@ def test_dense_route_leaves_no_scipy_worker_running():
     parked = live_threads()
     scipy.linalg.eigh(spectral._sym_laplacian(g.w, deg, deg, inv_sqrt), subset_by_index=(0, 2))
     assert parked < live_threads()
+
+
+def process_cpu_over_a_sleep(seconds=0.1):
+    start = time.process_time()
+    time.sleep(seconds)
+    return time.process_time() - start
+
+
+def test_arpack_after_a_dense_solve_leaves_no_worker_spinning():
+    # setting the count for the pin starts a parked pool's workers again;
+    # the pin shuts them down again, so no thread is added and none spins
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs 2 CPUs")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("counts threads through /proc/self/task")
+    get_threads = scipy_pool_threads()
+    if get_threads() < 2:
+        pytest.skip("scipy's pool has one thread")
+    found = spectral._scipy_openblas()
+    if found.live is None:
+        pytest.skip("no pool flag found for scipy's OpenBLAS")
+    dense, knn = prob_graph(seed=21, n=440), connected_knn_graph(seed=27, n=1000)
+    time.sleep(0.2)  # outlasts the spin of any BLAS call made before this test
+    assert smallest_k_eigenvectors(dense, 3).solver == "eigh"
+    parked = live_threads()
+    assert found.live.value == 0
+    assert smallest_k_eigenvectors(knn, 3).solver == "eigsh"
+    assert live_threads() == parked
+    assert found.live.value == 0
+    assert get_threads() >= 2
+    # a spinning worker burns about one CPU-second per second
+    assert process_cpu_over_a_sleep() < 0.05
+
+
+def test_arpack_pin_on_a_live_pool_does_not_park_it():
+    found = spectral._scipy_openblas()
+    if found is None or found.shutdown is None or found.live is None:
+        pytest.skip("no OpenBLAS pool shutdown or flag found for scipy")
+    found.set(found.get())  # setting the count starts a parked pool
+    assert found.live.value
+    assert smallest_k_eigenvectors(connected_knn_graph(), 3).solver == "eigsh"
+    assert found.live.value
 
 
 def test_only_the_dense_route_parks(monkeypatch):
@@ -666,7 +741,7 @@ def test_embedding_bitwise_equal_under_the_numpy_residual(make_graph, monkeypatc
     [
         # ARPACK on the CSR N: nothing n x n beside W
         (lambda n: connected_knn_graph(seed=0, n=n), 2000, 0.25),
-        # dense eigh: L_sym and its symmetrized copy
+        # dense eigh: L_sym, symmetrized in place
         (lambda n: prob_graph(seed=0, n=n), 1000, 2.5),
     ],
     ids=["knn_symmetric", "prob_threshold"],
@@ -682,6 +757,34 @@ def test_spectral_step_memory_budget(make_graph, n, budget):
     finally:
         tracemalloc.stop()
     assert peak < budget * 8 * n * n, f"peak {peak} B = {peak / (8 * n * n):.2f} dense n x n arrays"
+
+
+@pytest.mark.parametrize("model", ["prob_threshold", "prob_criterion"])
+def test_dense_prob_route_memory_budget(model):
+    # Beyond the distance and similarity matrices a grid search shares: the
+    # build holds W and block temporaries, the eigensolve L_sym beside W.
+    # With whole-matrix temporaries the builds peaked at 3.1 (threshold) and
+    # 5.4 (criterion) n x n arrays and the eigensolve at 2.0.
+    n = 1500
+    d = pairwise_distances(blob_points(0, n))
+    sims = simgraph.initial_similarities(d)
+    params = GraphParams(w_thresh=2.0 / (n - 1), sigma=0.25 / (n - 1), eps_weight=1e-3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = build_graph(d, GraphSpec(model, params), seed=0, sims=sims)
+        build = tracemalloc.get_traced_memory()[1] - base
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        emb = smallest_k_eigenvectors(g, 3)
+        solve = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert emb.solver == "eigh"
+    nn = 8 * n * n
+    assert build <= 2.5 * nn, f"build peak {build / nn:.2f} n x n arrays"
+    assert solve <= 1.5 * nn, f"eigensolve peak {solve / nn:.2f} n x n arrays"
 
 
 def test_knn_route_memory_budget_from_coordinates():
