@@ -69,10 +69,14 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
 
 def _cast(flag: str, raw, cast):
     """Convert one flag or config value; a value that does not convert is a
-    ParameterError naming the flag, and so is a boolean or a non-integral
-    number where an integer is expected, which int() would truncate."""
-    if cast is int and (isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer())):
-        raise ParameterError(f"--{flag}: expected int, got {raw!r}")
+    ParameterError naming the flag, and so is a boolean where a number is
+    expected, which int() and float() would take as 0 or 1, and a
+    non-integral number where an integer is expected, which int() would
+    truncate."""
+    if (cast in (int, float) and isinstance(raw, bool)) or (
+        cast is int and isinstance(raw, float) and not raw.is_integer()
+    ):
+        raise ParameterError(f"--{flag}: expected {cast.__name__}, got {raw!r}")
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:

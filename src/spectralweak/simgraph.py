@@ -13,12 +13,16 @@ Six graph models are provided:
 
 All builders return an exactly symmetric weight matrix with zero diagonal.
 The kNN models hold it as a canonical scipy CSR array with no stored zeros,
-so an edge is a positive stored weight. They are built from coordinates in
-row blocks of about ROW_BLOCK_BYTES, each block cdist of those rows against
-all points, and no n x n array exists on their route. Their default sigma,
+so an edge is a positive stored weight. They are built from coordinates,
+and no n x n array exists on their route. Each point's neighbours come from
+a k-d tree (scipy's cKDTree), their distances recomputed with cdist's bits;
+a row the tree's candidates cannot settle, a tie or duplicates at its last
+candidate, is widened to cdist against all points, so with sigma given
+the graph takes O(n log n) time when few rows widen. The default sigma,
 the median pair distance, comes from an exact two-pass selection over the
-same blocks. The other four models read a dense DistanceMatrix (built from
-coordinates when given those) and hold W as a dense n x n array; the
+strict upper triangle of the squared distances, in row blocks of about
+ROW_BLOCK_BYTES. The other four models read a dense DistanceMatrix (built
+from coordinates when given those) and hold W as a dense n x n array; the
 probabilistic ones also hold the n x n initial similarities, and share one
 sparsifier that differs only in which below-threshold entries it revives.
 The similarities and the probabilistic W are each computed in their own
@@ -39,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .dataset import Dataset, DistanceMatrix, coordinates, pairwise_distances
@@ -62,16 +67,25 @@ KNN_MODELS = ("knn_symmetric", "knn_mutual")
 ROW_BLOCK_BYTES = 2**20  # size of one (rows, n) float64 block of distances or densified weights
 # The dense route's blocks also hold at most 1/DENSE_BLOCK_PARTS of the rows,
 # so that their few temporaries stay a small share of one n x n array at
-# sizes where ROW_BLOCK_BYTES holds most of its rows.
+# sizes where ROW_BLOCK_BYTES holds most of its rows. The kNN sigma's upper
+# triangle blocks take the same bound: each also computes, and drops, the
+# square below its diagonal, so that waste stays within 1/DENSE_BLOCK_PARTS
+# of the upper triangle.
 DENSE_BLOCK_PARTS = 16
-# The median sigma counts pair distances per bin. A bin is a run of float64
-# bit patterns, which order nonnegative floats like their values: the
-# exponent and top 8 mantissa bits, so 256 bins per octave over
-# [2**-64, 2**64), with everything below in the first bin and everything
-# above in the last.
-MEDIAN_BIN_SHIFT = 44
-MEDIAN_BIN_LOW = (1023 - 64) << 8  # the bin of 2**-64 before the offset
-MEDIAN_BINS = 128 << 8
+# The median sigma counts squared pair distances per bin. A bin is a run of
+# float64 bit patterns, which order nonnegative floats like their values:
+# the exponent and top 7 mantissa bits, so 128 bins per octave of squared
+# distance, 256 per octave of distance, over squares in [2**-128, 2**128),
+# with everything below in the first bin and everything above in the last.
+MEDIAN_BIN_SHIFT = 45
+MEDIAN_BIN_LOW = (1023 - 128) << 7  # the bin of 2**-128 before the offset
+MEDIAN_BINS = 256 << 7
+# The kNN graph asks its k-d tree for TREE_SLACK candidates per point beyond
+# the k + 1 (itself included) it needs, so that a tie or a duplicate at the
+# k-th distance rarely leaves a row to the exact cdist selection.
+TREE_SLACK = 4
+TREE_MARGIN = 1e-9  # relative; see _tree_neighbours
+
 
 @dataclass(frozen=True)
 class GraphParams:
@@ -264,14 +278,14 @@ def nearest_columns(d: np.ndarray, k: int) -> np.ndarray:
     return np.nonzero(near)[1].reshape(b, k)
 
 
-def _median_bins(d: np.ndarray) -> np.ndarray:
-    bins = d.view(np.int64) >> MEDIAN_BIN_SHIFT
+def _median_bins(sq: np.ndarray) -> np.ndarray:
+    bins = sq.view(np.int64) >> MEDIAN_BIN_SHIFT
     bins -= MEDIAN_BIN_LOW
     return np.clip(bins, 0, MEDIAN_BINS - 1, out=bins)
 
 
 def _bin_floor(b: int) -> float:
-    """Smallest nonnegative distance in bin b; infinity past the last bin."""
+    """Smallest nonnegative square in bin b; infinity past the last bin."""
     if b == 0:
         return 0.0
     if b == MEDIAN_BINS:
@@ -279,38 +293,119 @@ def _bin_floor(b: int) -> float:
     return float(np.int64((b + MEDIAN_BIN_LOW) << MEDIAN_BIN_SHIFT).view(np.float64))
 
 
+def _upper_blocks(points: np.ndarray):
+    """The strict upper triangle of the squared distances by row blocks
+    [lo, hi): (sq, lower), sq the squared cdist of those rows against the
+    points from lo on, and lower marking the entries of sq[:, :hi - lo] on or
+    below the diagonal. A block is about ROW_BLOCK_BYTES, so it gains rows as
+    the triangle narrows, and at most ceil(n / DENSE_BLOCK_PARTS) rows.
+
+    cdist's squared distance is the sum its distance takes the square root
+    of, so the square roots of these entries are cdist's distances, bit for
+    bit, and they order the pairs the same way."""
+    n = points.shape[0]
+    most = -(-n // DENSE_BLOCK_PARTS)
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, min(most, ROW_BLOCK_BYTES // (8 * (n - lo)))))
+        yield cdist(points[lo:hi], points[lo:], "sqeuclidean"), np.tri(hi - lo, dtype=bool)
+        lo = hi
+
+
 def _median_from_bins(counts: np.ndarray, points: np.ndarray) -> float:
     """The exact median of the n(n-1)/2 pair distances, with the bits of
     np.median over the strict upper triangle.
 
-    `counts` holds the bin counts of every entry of the distance matrix
-    (pass 1). The matrix is bitwise symmetric, so each pair is counted twice,
-    and each point once at distance zero from itself, in the first bin. Pass 2
-    recomputes the blocks, keeps only the upper-triangle distances in the bin
-    or bins that hold the middle rank(s), found by value since bins are
-    ordered, and partitions those. Two middle values are averaged as
-    np.median averages them.
+    `counts` holds the bin counts of the strict upper triangle's squared
+    distances (pass 1, over _upper_blocks). Pass 2 recomputes the same
+    blocks, keeps only the squares in the bin or bins that hold the middle
+    rank(s), found by value since bins are ordered, and partitions those.
+    The square root of a middle square is a middle distance; two are
+    averaged as np.median averages them.
     """
     n = points.shape[0]
-    pair_counts = counts.copy()
-    pair_counts[0] -= n
-    pair_counts //= 2
     pairs = n * (n - 1) // 2
     middle = ((pairs - 1) // 2, pairs // 2)  # equal when the pair count is odd
-    ends = np.cumsum(pair_counts)
+    ends = np.cumsum(counts)
     wanted = np.searchsorted(ends, middle, side="right")
-    below = int(ends[wanted[0]] - pair_counts[wanted[0]])
+    below = int(ends[wanted[0]] - counts[wanted[0]])
     # any bins between the two are empty
     floor, ceiling = _bin_floor(wanted[0]), _bin_floor(wanted[1] + 1)
-    kept = []
-    for lo, hi in row_blocks(n):
-        d = cdist(points[lo:hi], points)
-        take = (d >= floor) & (d < ceiling)
-        take &= np.arange(n) > np.arange(lo, hi)[:, None]
-        kept.append(d[take])
+    kept = np.empty(ends[wanted[1]] - below)
+    at = 0
+    for sq, lower in _upper_blocks(points):
+        take = (sq >= floor) & (sq < ceiling)
+        take[:, : len(lower)][lower] = False
+        got = sq[take]
+        kept[at : at + len(got)] = got
+        at += len(got)
     first, last = middle[0] - below, middle[1] - below
-    part = np.partition(np.concatenate(kept), (first, last))
-    return float(np.mean(part[first : last + 1]))
+    kept.partition((first, last))
+    return float(np.mean(np.sqrt(kept[first : last + 1])))
+
+
+def _pair_distances(points: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Distances (len(rows), m) of the pairs (rows[i], cols[i, j]) with the
+    bits cdist gives them: the squared coordinate differences summed in
+    coordinate order, then the square root. One coordinate at a time, so no
+    (rows, m, p) array is made."""
+    d = np.zeros(cols.shape)
+    with np.errstate(over="ignore"):  # cdist overflows to inf without a word
+        for x in points.T:
+            diff = x[rows, None] - x[cols]
+            d += diff * diff
+    return np.sqrt(d, out=d)
+
+
+def _tree_neighbours(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's k nearest others, ascending by column, and their
+    distances, with the bits and the tie rule of nearest_columns over cdist
+    rows: ranked by (distance, index), the point itself never counted.
+
+    A k-d tree gives q = k + 1 + TREE_SLACK candidates per point. Their
+    distances are recomputed as cdist computes them, a sequential sum of
+    squared coordinate differences and then its square root, by row blocks.
+    A row whose k-th distance is strictly below the tree's q-th, shrunk by
+    the relative TREE_MARGIN, is settled: every point not returned is
+    farther than its k-th. The other rows, ties at the tree's boundary and
+    duplicates among them, are widened: cdist against all points, then
+    nearest_columns.
+    """
+    n = points.shape[0]
+    q = min(n, k + 1 + TREE_SLACK)
+    tree_d, cand = cKDTree(points).query(points, k=q)
+    neighbours = np.empty((n, k), dtype=np.int64)
+    near = np.empty((n, k))
+    settled = np.empty(n, dtype=bool)
+    for lo, hi in _ranges(n, max(1, ROW_BLOCK_BYTES // (8 * q))):
+        c = cand[lo:hi]
+        d = _pair_distances(points, np.arange(lo, hi), c)
+        own = c == np.arange(lo, hi)[:, None]
+        d[own] = np.inf
+        by_index = np.argsort(np.where(own, n, c), axis=1)  # the point itself last
+        c = np.take_along_axis(c, by_index, axis=1)
+        d = np.take_along_axis(d, by_index, axis=1)
+        at = nearest_columns(d, k)
+        neighbours[lo:hi] = np.take_along_axis(c, at, axis=1)
+        near[lo:hi] = np.take_along_axis(d, at, axis=1)
+        bound = tree_d[lo:hi, -1]
+        # The tree's distances and the recomputed ones each carry a relative
+        # rounding error of about (p + 4) * 2**-53, and the tree's pruning
+        # bounds as much again, while sums of squares near the tree's q-th
+        # distance stay in float64's normal range (that distance within
+        # 2**-511 to 2**511): TREE_MARGIN covers that for p up to about a
+        # million. Rows outside that range are widened.
+        settled[lo:hi] = (q == n) | (
+            (near[lo:hi].max(axis=1) < bound * (1.0 - TREE_MARGIN)) & (bound >= 2.0**-511) & (bound <= 2.0**511)
+        )
+    widened = np.flatnonzero(~settled)
+    for lo, hi in _ranges(len(widened), max(1, ROW_BLOCK_BYTES // (8 * n))):
+        rows = widened[lo:hi]
+        d = cdist(points[rows], points)
+        d[np.arange(len(rows)), rows] = np.inf  # a point is never its own neighbour
+        neighbours[rows] = nearest_columns(d, k)
+        near[rows] = np.take_along_axis(d, neighbours[rows], axis=1)
+    return neighbours, near
 
 
 def _knn_csr(n: int, neighbours: np.ndarray, near: np.ndarray, mutual: bool, sigma: float) -> scipy.sparse.csr_array:
@@ -345,9 +440,11 @@ def knn_graph(
     """k-nearest-neighbour graph with Gaussian weights exp(-d^2 / (2 sigma^2)).
 
     mode "symmetric" joins i~j when either lists the other among its k nearest
-    others (nearest_columns); mode "mutual" requires both. sigma defaults to
-    the median off-diagonal distance. `data` is coordinates, a Dataset's or an
-    n x p array, read in row blocks (module docstring).
+    others, ranked by (distance, index) (_tree_neighbours); mode "mutual"
+    requires both. sigma defaults to the median off-diagonal distance, which
+    two passes over the upper triangle's squared distances select exactly
+    (_upper_blocks, _median_from_bins). `data` is coordinates, a Dataset's or
+    an n x p array (module docstring).
     """
     try:
         points = coordinates(data)
@@ -360,18 +457,14 @@ def knn_graph(
         raise ParameterError(f"mode must be 'symmetric' or 'mutual', got {mode!r}")
     if sigma is not None and not (sigma > 0 and math.isfinite(sigma)):
         raise ParameterError(f"sigma must be positive and finite, got {sigma}")
-    counts = np.zeros(MEDIAN_BINS, dtype=np.int64) if sigma is None else None
-    neighbours = np.empty((n, k), dtype=np.int64)
-    near = np.empty((n, k))
-    for lo, hi in row_blocks(n):
-        d = cdist(points[lo:hi], points)
-        if counts is not None:  # before the diagonal is masked: the median counts its zeros
-            counts += np.bincount(_median_bins(d).ravel(), minlength=MEDIAN_BINS)
-        np.fill_diagonal(d[:, lo:], np.inf)  # entry (r, lo + r): a point is never its own neighbour
-        neighbours[lo:hi] = nearest_columns(d, k)
-        near[lo:hi] = np.take_along_axis(d, neighbours[lo:hi], axis=1)
+    neighbours, near = _tree_neighbours(points, k)
     if sigma is None:
-        sigma = _median_from_bins(counts, points)
+        counts = np.zeros(MEDIAN_BINS + 1, dtype=np.int64)  # the last bin takes what is not upper
+        for sq, lower in _upper_blocks(points):
+            bins = _median_bins(sq)
+            bins[:, : len(lower)][lower] = MEDIAN_BINS
+            counts += np.bincount(bins.ravel(), minlength=MEDIAN_BINS + 1)
+        sigma = _median_from_bins(counts[:-1], points)
         if sigma <= 0:
             raise ParameterError("median distance is zero; pass sigma explicitly")
     w = _knn_csr(n, neighbours, near, mode == "mutual", sigma)

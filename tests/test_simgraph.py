@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from spectralweak import simgraph
 from spectralweak.dataset import DistanceMatrix, pairwise_distances
@@ -301,10 +302,23 @@ def test_mutual_edges_subset_of_symmetric(seed, k):
 
 
 @st.composite
+def grid_knn_cases(draw):
+    """Up to 150 points on a small integer grid in up to 20 dimensions:
+    duplicates and equal distances everywhere, so ties straddle the tree's
+    last candidate; k is 1, n - 1 or up to 20."""
+    n = draw(st.integers(2, 150))
+    p = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    pts = rng.integers(0, draw(st.integers(1, 3)) + 1, size=(n, p)).astype(float)
+    k = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, min(n - 1, 20))))
+    return pts, k
+
+
+@st.composite
 def knn_builds(draw):
     """A kNN case, a mode, a sigma (the default median, or one small enough
     that most weights underflow to zero) and a row block size from one row up."""
-    pts, k = draw(knn_cases())
+    pts, k = draw(st.one_of(knn_cases(), grid_knn_cases()))
     n = len(pts)
     mode = draw(st.sampled_from(["symmetric", "mutual"]))
     sigma = draw(st.one_of(st.none(), st.just(0.02), st.floats(0.05, 3.0)))
@@ -324,16 +338,76 @@ def upper_median(pts):
 def test_csr_knn_builder_equals_dense_reference(case):
     pts, k, mode, sigma, block_bytes = case
     dist = pairwise_distances(pts)
-    with mock.patch.object(simgraph, "ROW_BLOCK_BYTES", block_bytes):
-        if sigma is None and upper_median(pts) == 0.0:
-            with pytest.raises(ParameterError, match="median distance is zero"):
-                knn_graph(pts, k, mode=mode)
-            return
-        g = knn_graph(pts, k, mode=mode, sigma=sigma)
-    want, want_sigma = knn_graph_reference(dist, k, mode=mode, sigma=sigma)
-    assert np.float64(g.params.sigma).tobytes() == np.float64(want_sigma).tobytes()
+    for slack in (1, simgraph.TREE_SLACK):  # 1: many rows widen
+        with mock.patch.object(simgraph, "ROW_BLOCK_BYTES", block_bytes), mock.patch.object(simgraph, "TREE_SLACK", slack):
+            if sigma is None and upper_median(pts) == 0.0:
+                with pytest.raises(ParameterError, match="median distance is zero"):
+                    knn_graph(pts, k, mode=mode)
+                continue
+            g = knn_graph(pts, k, mode=mode, sigma=sigma)
+        want, want_sigma = knn_graph_reference(dist, k, mode=mode, sigma=sigma)
+        assert np.float64(g.params.sigma).tobytes() == np.float64(want_sigma).tobytes()
+        assert g.w.toarray().tobytes() == want.tobytes()
+        assert g.w.has_canonical_format and np.all(g.w.data > 0.0)
+
+
+def cdist_calls(monkeypatch):
+    """The (rows, columns) shape of every cdist block simgraph computes."""
+    calls = []
+
+    def counted(a, b, *args, **kwargs):
+        calls.append((len(a), len(b)))
+        return cdist(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(simgraph, "cdist", counted)
+    return calls
+
+
+def test_rows_with_more_duplicates_than_tree_candidates_are_widened(monkeypatch):
+    # 12 copies of one point, more than the k + 1 + TREE_SLACK = 8 candidates
+    # the tree returns, interleaved with points in general position far away
+    k = 3
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(40, 2)) + 10.0
+    copies = np.sort(rng.choice(40, size=12, replace=False))
+    pts[copies] = 0.0
+    assert len(copies) > k + 1 + simgraph.TREE_SLACK
+    calls = cdist_calls(monkeypatch)
+    g = knn_graph(pts, k, sigma=1.0)
+    assert sum(rows for rows, _ in calls) == len(copies) and {cols for _, cols in calls} == {len(pts)}
+    want, _ = knn_graph_reference(pairwise_distances(pts), k, sigma=1.0)
     assert g.w.toarray().tobytes() == want.tobytes()
-    assert g.w.has_canonical_format and np.all(g.w.data > 0.0)
+
+
+@pytest.mark.parametrize("n, p", [(300, 2), (401, 5), (257, 12)])
+def test_knn_graph_computes_cdist_on_widened_rows_and_upper_triangle_only(monkeypatch, n, p):
+    pts = seeded_points(n, n, p)
+    calls = cdist_calls(monkeypatch)
+    knn_graph(pts, 10, sigma=1.0)
+    assert calls == []  # in general position the tree settles every row
+    knn_graph(pts, 10)
+    # both sigma passes over the upper triangle, with each block's square
+    # below its diagonal, blocks of at most ceil(n / 16) rows: at most
+    # n (n + ceil(n / 16)) entries, where full rows take 2 n^2
+    assert sum(rows * cols for rows, cols in calls) <= n * (n + -(-n // simgraph.DENSE_BLOCK_PARTS))
+
+
+@given(
+    st.integers(1, 32),
+    st.floats(-200.0, 200.0),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=300)
+def test_pair_distances_and_squared_cdist_have_cdist_bits(p, exponent, rows, cols, seed):
+    # the tree's candidates and the sigma passes lean on these two identities
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(rows + cols, p)) * 10.0**exponent * 10.0 ** rng.uniform(-3.0, 3.0, size=p)
+    want = cdist(pts[:rows], pts[rows:])
+    pairs = np.broadcast_to(rows + np.arange(cols), (rows, cols))
+    assert simgraph._pair_distances(pts, np.arange(rows), pairs).tobytes() == want.tobytes()
+    assert np.sqrt(cdist(pts[:rows], pts[rows:], "sqeuclidean")).tobytes() == want.tobytes()
 
 
 def test_knn_underflowed_weight_is_not_an_edge():
