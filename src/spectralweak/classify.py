@@ -2,11 +2,11 @@
 
 Three classifiers share one practice: deterministic fits, sorted class order,
 ties resolved toward the smallest class index. `train` maps a classifier
-name to its fit; leave-one-bag-out calls `train_logistic` itself for one
-fit on every row, and runs its logistic folds through the same Newton core
-a block of folds at a time. Evaluation is leave-one-bag-out: train on every
-instance outside the held-out bag, predict its members, reduce instance
-votes to one bag label.
+name to its fit. Evaluation is leave-one-bag-out: train on every instance
+outside the held-out bag, z-scored by one fold rule (`_fold_scaling`),
+predict its members, reduce instance votes to one bag label. Its logistic
+folds run through the Newton core of `train_logistic` a block of folds at a
+time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import NumericalError, ParameterError, TrainingError
+from .errors import NumericalError, ParameterError, SpectralWeakError, TrainingError
 from .simgraph import nearest_columns
 from .weakanno import AnnotatedTrainingSet
 
@@ -230,31 +230,20 @@ def _onehot(y, classes):
     return onehot.astype(float)
 
 
-def train_logistic(x: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> LogisticModel:
-    """Multinomial logistic regression by damped Newton iterations.
+def train_logistic(x: np.ndarray, y: np.ndarray) -> LogisticModel:
+    """Multinomial logistic regression by damped Newton iterations from zero.
 
     The last class in sorted order is the reference. The ridge penalty covers
     coefficients but not intercepts, which keeps separable problems bounded
     without biasing class priors. Stops when the gradient norm divided by n
-    drops to TOL, or after MAX_ITER steps.
-
-    Newton starts from zero, or from `start`: one row per non-reference class
-    with the intercept entry last, the layout of `logistic_gradient`. The
-    objective is strictly convex, so the start moves the step count, not the
-    optimum the fit converges to. The fit is the Newton core of the
+    drops to TOL, or after MAX_ITER steps. The fit is the Newton core of the
     leave-one-bag-out folds run on a stack of one.
     """
     x, y, classes = _check_training_inputs(x, y)
     n, p = x.shape
-    c = len(classes)
     x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
-    if start is None:
-        theta = np.zeros((c - 1, p + 1))
-    else:
-        theta = np.array(start, dtype=float)
-        if theta.shape != (c - 1, p + 1):
-            raise ParameterError(f"start must have shape {(c - 1, p + 1)}, got {theta.shape}")
-    theta, converged, n_iter = _newton(x1[None], _onehot(y, classes).T, np.ones((1, n)), theta[None])
+    theta = np.zeros((1, len(classes) - 1, p + 1))
+    theta, converged, n_iter = _newton(x1[None], _onehot(y, classes).T, np.ones((1, n)), theta)
     return LogisticModel(
         classes=classes,
         coef=theta[0, :, :p].copy(),
@@ -347,12 +336,9 @@ def train_knn(x: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
     return KnnModel(classes=classes, train_x=x, train_y=y, k=k)
 
 
-def _check_kind(kind: str) -> None:
+def _check_kind(kind: str, knn_k: int | None) -> None:
     if kind not in CLASSIFIERS:
         raise ParameterError(f"unknown classifier {kind!r}; choose from {', '.join(CLASSIFIERS)}")
-
-
-def _check_knn_k(kind: str, knn_k: int | None) -> None:
     if knn_k is not None and kind != "knn":
         raise ParameterError(f"--knn-k applies only to --classifier knn, got --classifier {kind}")
 
@@ -360,8 +346,7 @@ def _check_knn_k(kind: str, knn_k: int | None) -> None:
 def train(kind: str, x: np.ndarray, y: np.ndarray, knn_k: int | None = None):
     """Fit the classifier named `kind`, one of CLASSIFIERS; knn needs knn_k,
     and no other classifier takes one."""
-    _check_kind(kind)
-    _check_knn_k(kind, knn_k)
+    _check_kind(kind, knn_k)
     if kind == "logistic":
         return train_logistic(x, y)
     if kind == "qda":
@@ -392,18 +377,23 @@ def _check_predict_input(model, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _knn_vote(model: KnnModel, x: np.ndarray) -> np.ndarray:
-    """Class index voted for by each row's k nearest training rows
-    (nearest_columns); vote ties go to the smallest class index."""
-    classes = np.asarray(model.classes, dtype=object)
+def _knn_vote(model: KnnModel, x: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Class indices (ks.size, rows) voted for by each row's k nearest training
+    rows, for each k of ks; vote ties go to the smallest class index.
+
+    nearest_columns of the largest k is in ascending column order, so a stable
+    sort by distance ranks it by (distance, index): its first k columns are
+    nearest_columns of k, and running class counts give every k its votes.
+    """
     step = max(1, _KNN_BLOCK_BYTES // (8 * max(1, model.train_x.size)))
-    out = np.empty(x.shape[0], dtype=int)
+    out = np.empty((ks.size, x.shape[0]), dtype=int)
     for start in range(0, x.shape[0], step):
-        block = x[start : start + step]
-        dists = np.linalg.norm(model.train_x[None] - block[:, None], axis=2)
-        nearest = model.train_y[nearest_columns(dists, model.k)]
-        votes = (nearest[:, :, None] == classes).sum(axis=1)
-        out[start : start + step] = np.argmax(votes, axis=1)
+        dists = np.linalg.norm(model.train_x[None] - x[start : start + step, None], axis=2)
+        near = nearest_columns(dists, ks.max())
+        order = np.argsort(np.take_along_axis(dists, near, axis=1), axis=1, kind="stable")
+        ranked = model.train_y[np.take_along_axis(near, order, axis=1)]
+        votes = (ranked[..., None] == np.asarray(model.classes, dtype=object)).cumsum(axis=1)[:, ks - 1]
+        out[:, start : start + step] = np.argmax(votes, axis=2).T
     return out
 
 
@@ -411,7 +401,7 @@ def predict(model, x: np.ndarray) -> np.ndarray:
     """Predicted labels, ties toward the smallest class index."""
     x = _check_predict_input(model, x)
     if isinstance(model, KnnModel):
-        chosen = _knn_vote(model, x)
+        chosen = _knn_vote(model, x, np.array([model.k]))[0]
     elif isinstance(model, LogisticModel):
         chosen = np.argmax(predict_proba(model, x), axis=1)
     else:
@@ -528,22 +518,30 @@ class CVResult:
         }
 
 
-def _fold_standardizer(train_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and sd that z-score a fold from its training rows: ddof=1, and a
-    column whose training rows are all equal (a single row included) divides
-    by 1, whatever sd its rounding leaves."""
-    mean = train_x.mean(axis=0)
-    constant = (train_x == train_x[0]).all(axis=0)
-    sd = train_x.std(axis=0, ddof=1) if train_x.shape[0] > 1 else np.ones(train_x.shape[1])
-    return mean, np.where(constant, 1.0, sd)
+def _fold_scaling(x: np.ndarray, weights: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and sd, (folds, p), that z-score each fold from its training rows,
+    and every row of x in each fold's z-scoring, (folds, n, p).
+
+    weights (folds, n) are 1 on a fold's training rows and 0 on its held-out
+    bag, and sums (folds, p) are the column sums of its training rows. The
+    sd takes ddof=1, and a column whose training rows are all equal divides
+    by 1, whatever sd its rounding leaves. A fold needs two training rows.
+    """
+    count = weights.sum(axis=1, keepdims=True)
+    mean = sums / count
+    dev = x - mean[:, None]
+    sd = np.sqrt((weights[..., None] * dev**2).sum(axis=1) / (count - 1))
+    first = x[np.argmax(weights, axis=1)]  # each fold's first training row
+    sd[((x == first[:, None]) | (weights[..., None] == 0.0)).all(axis=1)] = 1.0
+    return mean, sd, dev / sd[:, None]
 
 
 def _full_logistic_fit(x: np.ndarray, y: np.ndarray) -> tuple[LogisticModel, np.ndarray, np.ndarray] | None:
-    """The logistic fit on every row, z-scored by the fold rule, with its mean
-    and sd; None when that fit raises."""
-    mean, sd = _fold_standardizer(x)
+    """The logistic fit on every row, z-scored by the fold rule as the fold
+    with no row held out, with its mean and sd; None when that fit raises."""
+    mean, sd, z = _fold_scaling(x, np.ones((1, x.shape[0])), x.sum(axis=0)[None])
     try:
-        return train_logistic((x - mean) / sd, y), mean, sd
+        return train_logistic(z[0], y), mean[0], sd[0]
     except (TrainingError, NumericalError):
         return None
 
@@ -586,13 +584,12 @@ def _mapped_start(
 
 
 def _logistic_folds(
-    x: np.ndarray, codes: np.ndarray, bag_of: np.ndarray, present: np.ndarray
+    x: np.ndarray, codes: np.ndarray, bag_of: np.ndarray, present: np.ndarray, train_sums: np.ndarray
 ) -> dict[int, tuple[LogisticModel, np.ndarray, np.ndarray]]:
     """The logistic model of every fold with at least two classes, with the
     mean and sd of its z-scoring, keyed by bag index.
 
-    A fold fits all n rows in its own z-scoring (the `_fold_standardizer`
-    rule, its mean and sd from sums over its training rows), with zero
+    A fold fits all n rows in its own z-scoring (`_fold_scaling`), with zero
     weight on its bag.
     Folds with the same classes advance together through `_newton`, in
     blocks whose design stack stays near LOGISTIC_BLOCK_BYTES. Folds with
@@ -603,8 +600,6 @@ def _logistic_folds(
     onehot = (np.arange(present.shape[1])[:, None] == codes).astype(float)
     full = _full_logistic_fit(x, codes)
     starts = None if full is None else _deletion_starts(full, x, onehot, bag_of)
-    sizes = np.bincount(bag_of)
-    train_sums = x.sum(axis=0) - np.stack([np.bincount(bag_of, weights=col) for col in x.T], axis=1)
     multi = present.sum(axis=1) > 1
     block = max(1, LOGISTIC_BLOCK_BYTES // (8 * n * (p + 1)))
     folds = {}
@@ -613,14 +608,9 @@ def _logistic_folds(
         group = np.flatnonzero(multi & (present == pattern).all(axis=1))
         for bags in np.split(group, range(block, group.size, block)):
             weights = (bag_of != bags[:, None]).astype(float)
-            count = (n - sizes[bags])[:, None]
-            mean = train_sums[bags] / count
-            dev = x - mean[:, None]
-            sd = np.sqrt((weights[..., None] * dev**2).sum(axis=1) / (count - 1))
-            first = x[np.argmax(weights, axis=1)]  # each fold's first training row
-            sd[((x == first[:, None]) | (weights[..., None] == 0.0)).all(axis=1)] = 1.0
+            mean, sd, z = _fold_scaling(x, weights, train_sums[bags])
             x1 = np.ones((bags.size, n, p + 1))
-            x1[..., :p] = dev / sd[:, None]
+            x1[..., :p] = z
             if starts is not None and pattern.all():
                 theta = _mapped_start(starts[bags], full[1], full[2], mean, sd)
             else:
@@ -635,6 +625,20 @@ def _logistic_folds(
     return folds
 
 
+def _fold_votes(kind, x, y, test, sums, knn_k, bag_id, ks=None) -> np.ndarray:
+    """The labels a kNN or QDA fold, z-scored by `_fold_scaling`, predicts for
+    its held-out rows `test`; knn_k is cut to the training size. With ks, one
+    row of kNN labels per k of ks, each cut too. An error names the bag."""
+    try:
+        _, _, (z,) = _fold_scaling(x, (~test).astype(float)[None], sums[None])
+        model = train(kind, z[~test], y[~test], None if knn_k is None else min(knn_k, z.shape[0] - int(test.sum())))
+        if ks is None:
+            return predict(model, z[test])
+        return np.asarray(model.classes, dtype=object)[_knn_vote(model, z[test], np.minimum(ks, model.k))]
+    except SpectralWeakError as exc:
+        raise type(exc)(f"fold of bag {bag_id!r}: {exc}") from exc
+
+
 def leave_one_bag_out_cv(
     ts: AnnotatedTrainingSet,
     ds: Dataset,
@@ -644,13 +648,14 @@ def leave_one_bag_out_cv(
 ) -> CVResult:
     """Bag-level cross-validation: one fold per bag, ordered by bag id.
 
-    Features are z-scored per fold from the training side only. Bags are
-    scored by comparing the aggregated instance prediction to the bag label.
-    A fold is flagged when its training side lacks a class of the dataset's
-    training labels. For knn with no knn_k, the count is chosen once, as the
-    first best of an inner leave-one-bag-out sweep over KNN_GRID using the
-    same ingredients; a count above a fold's training size is cut to it.
-    knn_k with another classifier is a ParameterError.
+    Features are z-scored per fold from the training side only, by one rule
+    (`_fold_scaling`). Bags are scored by comparing the aggregated instance
+    prediction to the bag label. A fold is flagged when its training side
+    lacks a class of the dataset's training labels. For knn with no knn_k,
+    the count is the first of KNN_GRID with the most bags right, in one pass
+    that ranks each fold once and votes for every count; a count above a
+    fold's training size is cut to it. knn_k with another classifier is a
+    ParameterError. A kNN or QDA fold error names its bag.
 
     Logistic folds fit integer class codes, indices into the sorted training
     labels, in batches (`_logistic_folds`). Each starts Newton from one fit
@@ -659,50 +664,44 @@ def leave_one_bag_out_cv(
     class, or all folds when that fit raises, start from zero. Folds whose
     fit stops at MAX_ITER unconverged are named in one warning.
     """
-    _check_kind(kind)
-    _check_knn_k(kind, knn_k)
+    _check_kind(kind, knn_k)
     if len(ds.bag_ids) < 2:
         raise ParameterError("leave-one-bag-out needs at least 2 bags")
     y = instance_labels(ts, ds)
-    chosen_k = None
-    if kind == "knn" and knn_k is None:
-        chosen_k = knn_k = max(
-            KNN_GRID, key=lambda cand: leave_one_bag_out_cv(ts, ds, "knn", aggregation, cand).accuracy
-        )
     all_classes, codes = np.unique(y, return_inverse=True)
-    bag_of = np.unique(ds.bag, return_inverse=True)[1]  # row -> index into ds.bag_ids
+    _, first, bag_of = np.unique(ds.bag, return_index=True, return_inverse=True)  # row -> index into ds.bag_ids
     in_bag = np.bincount(bag_of * all_classes.size + codes, minlength=len(ds.bag_ids) * all_classes.size)
     present = in_bag.reshape(len(ds.bag_ids), -1) < np.bincount(codes, minlength=all_classes.size)
-    logistic = _logistic_folds(ds.x, codes, bag_of, present) if kind == "logistic" else {}
+    train_sums = ds.x.sum(axis=0) - np.stack([np.bincount(bag_of, weights=col) for col in ds.x.T], axis=1)
+    chosen_k = None
+    if kind == "knn" and knn_k is None:
+        # one-class folds vote alike for every count, so the sweep skips them
+        hits = np.zeros(len(KNN_GRID), dtype=int)
+        for j in np.flatnonzero(present.sum(axis=1) > 1):
+            votes = _fold_votes(kind, ds.x, y, bag_of == j, train_sums[j], max(KNN_GRID), ds.bag_ids[j], KNN_GRID)
+            hits += [aggregation.aggregate(row, ds.strong_label) == ds.label[first[j]] for row in votes]
+        chosen_k = knn_k = KNN_GRID[int(np.argmax(hits))]
+    logistic = _logistic_folds(ds.x, codes, bag_of, present, train_sums) if kind == "logistic" else {}
     results: list[BagResult] = []
-    flagged: list[str] = []
-    unconverged: list[str] = []
     for j, bag_id in enumerate(ds.bag_ids):
         test = bag_of == j
-        if not present[j].all():
-            flagged.append(bag_id)
         if present[j].sum() == 1:
             # Degenerate fold: only one class left to predict from.
             preds = np.asarray([all_classes[present[j]][0]] * int(test.sum()), dtype=object)
         elif kind == "logistic":
             model, mean, sd = logistic[j]
-            if not model.converged:
-                unconverged.append(bag_id)
             preds = all_classes[predict(model, (ds.x[test] - mean) / sd).astype(int)]
         else:
-            train_x = ds.x[~test]
-            mean, sd = _fold_standardizer(train_x)
-            fold_x, held_x = (train_x - mean) / sd, (ds.x[test] - mean) / sd
-            model = train(kind, fold_x, y[~test], None if knn_k is None else min(knn_k, train_x.shape[0]))
-            preds = predict(model, held_x)
+            preds = _fold_votes(kind, ds.x, y, test, train_sums[j], knn_k, bag_id)
         bag_pred = aggregation.aggregate(preds, ds.strong_label)
-        true_label = ds.label[np.argmax(test)]
+        true_label = ds.label[first[j]]
         results.append(
             BagResult(
                 bag_id=bag_id, true_label=true_label, predicted_label=bag_pred,
                 instance_votes=Counter(preds.tolist()),
             )
         )
+    unconverged = [ds.bag_ids[j] for j, (model, _, _) in sorted(logistic.items()) if not model.converged]
     if unconverged:
         warnings.warn(
             f"logistic fit stopped unconverged after MAX_ITER={MAX_ITER} Newton steps "
@@ -712,6 +711,6 @@ def leave_one_bag_out_cv(
         per_bag=tuple(results),
         accuracy=sum(r.true_label == r.predicted_label for r in results) / len(results),
         confusion=Counter((r.true_label, r.predicted_label) for r in results),
-        flagged_folds=tuple(flagged),
+        flagged_folds=tuple(ds.bag_ids[j] for j in np.flatnonzero(~present.all(axis=1))),
         chosen_knn_k=chosen_k,
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse
@@ -364,6 +365,18 @@ def lobo_logistic_cold_reference(ts, ds, aggregation=AggregationRule()):
         confusion=Counter((r.true_label, r.predicted_label) for r in results),
         flagged_folds=tuple(flagged),
     )
+
+
+def lobo_knn_sweep_reference(ts, ds, aggregation=AggregationRule()):
+    """kNN leave-one-bag-out at the count of KNN_GRID whose fixed-count CV is
+    first best, with that count as chosen_knn_k.
+
+    The original inner sweep, one full CV per count, kept as the oracle for
+    the sweep that ranks each fold once for every count.
+    """
+    accuracy = [classify.leave_one_bag_out_cv(ts, ds, "knn", aggregation, k).accuracy for k in classify.KNN_GRID]
+    best = classify.KNN_GRID[accuracy.index(max(accuracy))]
+    return replace(classify.leave_one_bag_out_cv(ts, ds, "knn", aggregation, best), chosen_knn_k=best)
 
 
 def plus_plus_reference(points, k, rng):

@@ -35,6 +35,7 @@ from spectralweak.weakanno import AnnotatedTrainingSet, SynthBagsConfig, build_t
 from helpers import (
     build_dataset,
     knn_predict_reference,
+    lobo_knn_sweep_reference,
     lobo_logistic_cold_reference,
     train_logistic_reference,
     two_blobs,
@@ -165,20 +166,6 @@ def test_logistic_keeps_the_reference_bits_at_2_and_8_or_more_classes(classes):
     assert np.array_equal(got.coef, want.coef)
     assert np.array_equal(got.intercept, want.intercept)
     assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
-
-
-def test_logistic_start_must_match_the_parameter_shape():
-    x, labels = two_blobs()
-    with pytest.raises(ParameterError, match=r"start must have shape \(1, 3\)"):
-        train_logistic(x, labels, start=np.zeros((2, 3)))
-
-
-def test_logistic_start_at_the_optimum_stops_at_once():
-    x, labels = two_blobs(n_per=15, gap=2.0, seed=4)
-    cold = train_logistic(x, labels)
-    warm = train_logistic(x, labels, start=np.column_stack([cold.coef, cold.intercept]))
-    assert warm.converged and warm.n_iter == 1
-    assert np.array_equal(warm.coef, cold.coef)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +310,19 @@ def test_knn_predict_matches_per_row_reference(case):
     assert got.tolist() == knn_predict_reference(model, queries).tolist()
 
 
+@given(knn_predict_cases(), st.data())
+@settings(max_examples=200)
+def test_knn_vote_matches_the_per_row_reference_at_every_k(case, data):
+    train_x, labels, _, queries = case
+    ks = data.draw(st.lists(st.integers(1, train_x.shape[0]), min_size=1, max_size=6))
+    model = KnnModel(classes=tuple(sorted(set(labels.tolist()))), train_x=train_x, train_y=labels, k=max(ks))
+    votes = classify._knn_vote(model, queries, np.asarray(ks))
+    assert votes.shape == (len(ks), queries.shape[0])
+    for k, row in zip(ks, votes):
+        want = knn_predict_reference(replace(model, k=k), queries)
+        assert np.asarray(model.classes, dtype=object)[row].tolist() == want.tolist()
+
+
 def test_knn_predict_memory_is_blocked():
     rng = np.random.default_rng(0)
     model = train_knn(rng.normal(size=(2000, 5)), rng.choice(["a", "b", "c"], size=2000), 7)
@@ -417,17 +417,22 @@ def test_lobo_fold_shape_and_accuracy():
 def test_fold_standardizer_divides_a_constant_column_by_one():
     # 890 rows of 0.3 have a rounded sd of 5.55e-17, not 0
     train_x = np.column_stack([np.full(890, 0.3), np.arange(890.0)])
-    mean, sd = classify._fold_standardizer(train_x)
-    assert sd[0] == 1.0
-    assert sd[1] == train_x[:, 1].std(ddof=1)
-    assert abs((0.0 - mean[0]) / sd[0]) < 1.0
+    mean, sd, _ = classify._fold_scaling(train_x, np.ones((1, 890)), train_x.sum(axis=0)[None])
+    assert sd[0, 0] == 1.0
+    assert sd[0, 1] == train_x[:, 1].std(ddof=1)
+    assert abs((0.0 - mean[0, 0]) / sd[0, 0]) < 1.0
 
 
-@pytest.mark.parametrize("kind, knn_k", [("logistic", None), ("knn", 5)])
+@pytest.mark.parametrize("kind, knn_k", [("logistic", None), ("knn", 5), ("qda", None)])
 def test_lobo_fold_ignores_a_column_constant_on_its_training_side(kind, knn_k):
     base = blob_bags(n_bags=10, per_bag=90, gap=1.0)
     held = base.bag == "bag03"
-    ds = replace(base, x=np.column_stack([base.x, np.where(held, 0.0, 0.3)]))
+    # QDA weighs the column by its training variance, which is the ridge
+    # alone, so a held-out offset of 0.3 would decide its votes whatever the
+    # z-scoring. An offset of 1e-9 is negligible in sd units of 1, and 1.8e7
+    # in the rounded sd's.
+    held_value = 0.3 + 1e-9 if kind == "qda" else 0.0
+    ds = replace(base, x=np.column_stack([base.x, np.where(held, held_value, 0.3)]))
     # the column is constant on the fold's training side, yet its sd is not 0
     assert ds.x[~held, 2].std(ddof=1) > 0.0
     got = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, kind, knn_k=knn_k)
@@ -492,6 +497,53 @@ def test_lobo_selects_knn_neighbour_count():
     assert fixed.chosen_knn_k is None
 
 
+@st.composite
+def knn_bag_sets(draw):
+    """2-12 bags of 1-4 rows over 2-3 labels, each row labelled with its
+    bag's label or, at times, another one, and an aggregation rule of either
+    mode. Features lie on a small integer grid, so distance and vote ties
+    are common. Folds train on 1 to 47 rows, most on fewer than 25, and two
+    bags of different labels leave folds with one class."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    names = ("a", "b", "c")[: draw(st.integers(2, 3))]
+    bag_labels = draw(st.lists(st.sampled_from(names), min_size=2, max_size=12))
+    p = draw(st.integers(1, 3))
+    bags = [
+        (f"b{b:02d}", label, rng.integers(0, 3, size=(int(rng.integers(1, 5)), p)).astype(float).tolist())
+        for b, label in enumerate(bag_labels)
+    ]
+    ds = build_dataset(bags, strong=bag_labels[0])
+    relabel = rng.random(ds.n) < draw(st.floats(0.0, 0.4))
+    labels = np.where(relabel, rng.choice(names, size=ds.n), ds.label).astype(object)
+    ts = AnnotatedTrainingSet(ids=ds.ids, labels=labels, provenance=["weak"] * ds.n)
+    aggregation = draw(st.sampled_from([AggregationRule(), AggregationRule("disordered_threshold", 0.3)]))
+    return ds, ts, aggregation
+
+
+@given(knn_bag_sets())
+@settings(max_examples=80, deadline=None)
+def test_lobo_knn_sweep_matches_one_cv_per_count(case):
+    ds, ts, aggregation = case
+    got = leave_one_bag_out_cv(ts, ds, "knn", aggregation)
+    want = lobo_knn_sweep_reference(ts, ds, aggregation)
+    assert got.chosen_knn_k == want.chosen_knn_k
+    assert got.to_json_dict() == want.to_json_dict()
+    assert [r.predicted_label for r in got.per_bag] == [r.predicted_label for r in want.per_bag]
+
+
+def test_lobo_knn_sweep_enters_the_cv_once(monkeypatch):
+    ds = blob_bags(n_bags=4, per_bag=3)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return leave_one_bag_out_cv(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "leave_one_bag_out_cv", counting)
+    classify.leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "knn")
+    assert calls == ["knn"]
+
+
 def test_lobo_input_validation():
     ds = blob_bags()
     with pytest.raises(ParameterError, match="unknown classifier"):
@@ -516,7 +568,7 @@ def test_mapped_start_keeps_the_full_fit_scores(case, seed):
         warnings.simplefilter("ignore")
         full = classify._full_logistic_fit(x, y)
     model, full_mean, full_sd = full
-    mean, sd = classify._fold_standardizer(x[~held])
+    (mean,), (sd,), _ = classify._fold_scaling(x, (~held).astype(float)[None], x[~held].sum(axis=0)[None])
     start = classify._mapped_start(np.column_stack([model.coef, model.intercept]), full_mean, full_sd, mean, sd)
     mapped = LogisticModel(model.classes, start[:, :-1], start[:, -1], False, 0)
     np.testing.assert_allclose(
@@ -663,9 +715,9 @@ def test_lobo_folds_start_from_the_full_fit(monkeypatch):
     ds, (weak, _) = synth_training_sets(0)
     fits = []
 
-    def recording(x, y, start=None):
-        model = train_logistic(x, y, start=start)
-        fits.append((start, model.n_iter))
+    def recording(x, y):
+        model = train_logistic(x, y)
+        fits.append(model.n_iter)
         return model
 
     monkeypatch.setattr(classify, "train_logistic", recording)
@@ -674,7 +726,7 @@ def test_lobo_folds_start_from_the_full_fit(monkeypatch):
     leave_one_bag_out_cv(weak, ds, "logistic")
     # one full fit from zero, then the folds, every one from its bag's
     # deletion update of that fit
-    assert [start for start, _ in fits] == [None]
+    assert len(fits) == 1
     assert not starts[0].any()
     fold_starts = np.concatenate(starts[1:])
     assert len(fold_starts) == len(models) == len(ds.bag_ids)
@@ -682,14 +734,15 @@ def test_lobo_folds_start_from_the_full_fit(monkeypatch):
     for j in (0, 17, 59):
         bag_id = ds.bag_ids[j]
         theta, full_mean, full_sd = deletion_update_reference(ds, codes, bag_id)
-        mean, sd = classify._fold_standardizer(ds.x[ds.bag != bag_id])
+        kept = ds.bag != bag_id
+        (mean,), (sd,), _ = classify._fold_scaling(ds.x, kept.astype(float)[None], ds.x[kept].sum(axis=0)[None])
         want = classify._mapped_start(theta, full_mean, full_sd, mean, sd)
         np.testing.assert_allclose(fold_starts[j], want, rtol=1e-6, atol=1e-9)
     warm = sum(model.n_iter for model in models)
     fits.clear()
     lobo_logistic_cold_reference(weak, ds)
-    assert len(fits) == len(ds.bag_ids) and all(start is None for start, _ in fits)
-    assert warm < sum(n for _, n in fits)
+    assert len(fits) == len(ds.bag_ids)
+    assert warm < sum(fits)
 
 
 def test_lobo_falls_back_to_zero_starts_when_the_full_fit_raises(monkeypatch):
@@ -697,15 +750,15 @@ def test_lobo_falls_back_to_zero_starts_when_the_full_fit_raises(monkeypatch):
     want = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic")
     calls = []
 
-    def full_fit_fails(x, y, start=None):
-        calls.append(start)
+    def full_fit_fails(x, y):
+        calls.append(len(y))
         raise NumericalError("Newton system is singular")
 
     monkeypatch.setattr(classify, "train_logistic", full_fit_fails)
     starts = record_newton_starts(monkeypatch)
     models = record_fold_models(monkeypatch)
     assert leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic") == want
-    assert calls == [None]
+    assert calls == [ds.n]
     assert sum(len(stack) for stack in starts) == len(models) == len(ds.bag_ids)
     assert not any(stack.any() for stack in starts)
 

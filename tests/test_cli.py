@@ -495,6 +495,23 @@ def test_evaluate_baseline_without_training_file(tmp_path, capsys):
     assert "bag accuracy:" in out
 
 
+def test_evaluate_names_the_bag_of_a_failing_fold(tmp_path, capsys):
+    data = tmp_path / "bags.csv"
+    rows = [("b1", "ok", 0.0), ("b1", "ok", 0.5), ("b2", "ok", 0.2), ("b2", "ok", 0.4),
+            ("b3", "bad", 5.0), ("b4", "bad", 5.5)]
+    with data.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["instance", "bag", "group", "x", "y"])
+        w.writerows([f"i{i}", bag, label, x, x / 2] for i, (bag, label, x) in enumerate(rows))
+    code, _, err = run(
+        ["evaluate", "--data", str(data), "--strong-label", "ok", "--out", str(tmp_path), "--classifier", "qda"],
+        capsys,
+    )
+    # holding out b3 leaves one 'bad' row to train on
+    assert code == 2
+    assert err == "error: fold of bag 'b3': class 'bad' has 1 sample(s); covariance undefined\n"
+
+
 # ---------------------------------------------------------------------------
 # config files and error paths
 

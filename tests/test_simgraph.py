@@ -462,9 +462,10 @@ def test_blockwise_sigma_equals_numpy_median(case):
 
 
 def test_median_of_two_middle_values_in_different_bins():
-    # pair distances 1, 2, 3, 4, 6, 7: the middle two straddle an octave
+    # pair distances 1, 2, 3, 4, 6, 7: the squares of the middle two, 9 and
+    # 16, which the bins hold, straddle an octave
     pts = np.array([[0.0], [1.0], [3.0], [7.0]])
-    bins = simgraph._median_bins(np.array([3.0, 4.0]))
+    bins = simgraph._median_bins(np.array([9.0, 16.0]))
     assert bins[0] != bins[1]
     with mock.patch.object(simgraph, "ROW_BLOCK_BYTES", 8):
         assert knn_graph(pts, 1).params.sigma == 3.5
