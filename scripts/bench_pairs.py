@@ -9,7 +9,8 @@ Per workload and end-to-end metric of BENCHMARK.json, the summary gives
 each side's median with its quartiles (Q1-Q3), the pairs the change won
 (strictly better in the metric's direction), and the parent's quartile
 distance Q3 - Q1. Then it lists every run that was not `correct` or had
-failed ops.
+failed ops, each with the `FAILED` lines run.py printed for it (which op
+raised, exited non-zero or decided differently from the reference).
 
 Nothing is written into either tree but perfbench's own work directory,
 which run.py removes: bytecode goes to a temporary PYTHONPYCACHEPREFIX.
@@ -34,15 +35,17 @@ SIDES = ("parent", "change")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
-    """The JSON summary line of one benchmark run, or a failed stand-in."""
+    """The JSON summary line of one benchmark run, or a failed stand-in,
+    with run.py's FAILED lines, the prefix dropped, as "failures"."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
+    failures = [line.removeprefix("FAILED ") for line in done.stderr.splitlines() if line.startswith("FAILED ")]
     if done.returncode != 0 or not lines:
-        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
+        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "failures": failures,
                 "error": f"exit status {done.returncode}: {done.stderr.strip()[-300:]}"}
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "failures": failures}
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -89,6 +92,7 @@ def report(summary: dict) -> str:
             result = run["result"]
             lines.append(f"  NOT OK pair {run['pair']} {run['side']} seed {run['seed']}: correct={result['correct']}, "
                          f"{result['failed']} of {result['attempted']} ops failed {result.get('error', '')}".rstrip())
+            lines.extend(f"    FAILED {failure}" for failure in result.get("failures", []))
     return "\n".join(lines)
 
 

@@ -1,11 +1,13 @@
-"""Time knn_graph at pool sizes beyond the benchmark's, one row per process.
+"""Time knn_graph and its eigensolve at pool sizes beyond the benchmark's,
+one row per process.
 
 Each (n, p, sigma) row builds one knn_symmetric graph (k = 10 by default)
 over n seeded standard normal points in p dimensions, in a fresh Python
-process, and prints the wall time of the knn_graph call alone and the
-process's max RSS. sigma is the default median distance ("median") or the
-explicit value 1.0. Rows run one after another, so a row never shares the
-machine with another row.
+process, and prints the wall time of the knn_graph call alone, the wall
+time of smallest_k_eigenvectors(graph, 2) on that graph with the solver it
+took, and the process's max RSS over both. sigma is the default median
+distance ("median") or the explicit value 1.0. Rows run one after another,
+so a row never shares the machine with another row.
 
 The package is imported from --src, by default this checkout's src/, so
 two checkouts can be swept back to back on one machine. Nothing is
@@ -28,14 +30,19 @@ import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from spectralweak.simgraph import knn_graph
+from spectralweak.spectral import smallest_k_eigenvectors
 n, p, k, seed = (int(a) for a in sys.argv[2:6])
 sigma = None if sys.argv[6] == "median" else float(sys.argv[6])
 points = np.random.default_rng(seed).normal(size=(n, p))
 start = time.perf_counter()
 graph = knn_graph(points, k, sigma=sigma)
 seconds = time.perf_counter() - start
+start = time.perf_counter()
+solver = smallest_k_eigenvectors(graph, 2).solver
+embed_seconds = time.perf_counter() - start
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"seconds": seconds, "max_rss_mb": rss_mb, "sigma": graph.params.sigma, "edges": graph.n_edges()}))
+print(json.dumps({"seconds": seconds, "embed_seconds": embed_seconds, "solver": solver, "max_rss_mb": rss_mb,
+                  "sigma": graph.params.sigma, "edges": graph.n_edges()}))
 """
 
 
@@ -54,15 +61,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    print("n\tp\tsigma\tseconds\tmax_rss_mb\tedges\tsigma_used", flush=True)
+    print("n\tp\tsigma\tseconds\tembed_seconds\tsolver\tmax_rss_mb\tedges\tsigma_used", flush=True)
     for n in _ints(args.n):
         for p in _ints(args.p):
             for sigma in args.sigma.split(","):
                 cmd = [sys.executable, "-c", ROW, args.src, str(n), str(p), str(args.k), str(args.seed), sigma]
                 out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
                 row = json.loads(out.splitlines()[-1])
-                print(f"{n}\t{p}\t{sigma}\t{row['seconds']:.3f}\t{row['max_rss_mb']:.0f}\t{row['edges']}\t{row['sigma']!r}",
-                      flush=True)
+                print(f"{n}\t{p}\t{sigma}\t{row['seconds']:.3f}\t{row['embed_seconds']:.3f}\t{row['solver']}\t"
+                      f"{row['max_rss_mb']:.0f}\t{row['edges']}\t{row['sigma']!r}", flush=True)
     return 0
 
 

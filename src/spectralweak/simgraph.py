@@ -208,7 +208,7 @@ def initial_similarities(dist: DistanceMatrix, m: float = -1.0) -> InitialSimila
         )
     del zero
     s = np.empty_like(d)
-    for lo, hi in row_blocks(n, parts=DENSE_BLOCK_PARTS):
+    for lo, hi in row_blocks(n):
         rows = s[lo:hi]
         # `**` as written: numpy computes d ** -1 as a reciprocal. The
         # diagonal's 0 ** m is overwritten.
@@ -233,10 +233,10 @@ def _ranges(n: int, step: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def row_blocks(n: int, parts: int = 1) -> list[tuple[int, int]]:
+def row_blocks(n: int) -> list[tuple[int, int]]:
     """Row ranges [lo, hi) covering 0..n-1, each (hi - lo, n) float64 block
-    about ROW_BLOCK_BYTES and at most ceil(n / parts) rows."""
-    return _ranges(n, max(1, min(ROW_BLOCK_BYTES // (8 * max(n, 1)), -(-n // parts))))
+    about ROW_BLOCK_BYTES and at most ceil(n / DENSE_BLOCK_PARTS) rows."""
+    return _ranges(n, max(1, min(ROW_BLOCK_BYTES // (8 * max(n, 1)), -(-n // DENSE_BLOCK_PARTS))))
 
 
 def symmetrize_in_place(a: np.ndarray, combine: Callable) -> None:
@@ -538,7 +538,7 @@ def _sparsify(
     combine = _combine(rule)
     s = sims.s
     w = np.empty_like(s)
-    blocks = row_blocks(s.shape[0], parts=DENSE_BLOCK_PARTS)
+    blocks = row_blocks(s.shape[0])
     for lo, hi in blocks:
         gaussian_bump(s[lo:hi], w_thresh, sigma, out=w[lo:hi])
     for lo, hi in blocks:

@@ -11,20 +11,21 @@ Two solvers share that route. The kNN models hold W as CSR. A connected kNN
 graph (so no clamped vertex), asked for k < n - 1 vectors, goes to ARPACK
 (scipy.sparse.linalg.eigsh) on N = D^-1/2 W D^-1/2, built as CSR on the
 pattern of W, whose k largest eigenpairs are the k smallest of
-L_sym = I - N. That route allocates no n x n array: the degrees are row sums
-of W densified one block of rows at a time (a dense row sum adds in another
-order than a CSR row sum, and the densified blocks keep the dense bits).
-Every other graph, the probabilistic, epsilon and fully connected ones
-included, goes to a dense scipy.linalg.eigh of L_sym. That route holds one
-n x n array beside the dense W: L_sym is scaled and symmetrized in place,
-and eigh takes its Fortran-ordered transpose, the same matrix, without a
-copy. W stays, since the residual check reads it after eigh. A kNN graph
-that is disconnected, or asked for k >= n - 1 vectors, or on which ARPACK
-fails or does not converge, goes there too with W densified for as long as
-L_sym is being built, but only up to DENSE_FALLBACK_MAX_N vertices; above
-that it is a NumericalError naming the component count. On both routes the
-residual L_rw u - u diag(vals) of every eigenpair is checked, computed as
-(D u - W u) / d from W.
+L_sym = I - N. That route has no n x n array and no O(n^2) step, so a kNN
+grouping with sigma given has none left; the default median sigma is the
+O(n^2) step that remains. Every other graph, the probabilistic, epsilon and
+fully connected ones included, goes to a dense scipy.linalg.eigh of L_sym,
+which holds one n x n array beside the dense W: L_sym is scaled and
+symmetrized in place, and eigh takes its Fortran-ordered transpose, the
+same matrix, without a copy. W stays, since the residual check reads it
+after eigh. A kNN graph that is disconnected, or asked for k >= n - 1
+vectors, or on which ARPACK fails or does not converge, goes there too with
+W densified for as long as L_sym is being built, but only up to
+DENSE_FALLBACK_MAX_N vertices; above that it is a NumericalError naming the
+component count. Each route's degrees are the row sums of the W it reads,
+CSR on ARPACK and dense on eigh (the two add in different orders, so their
+last bits can differ). On both routes the residual L_rw u - u diag(vals)
+of every eigenpair is checked, computed as (D u - W u) / d from W.
 
 All dense linear algebra of this module runs on the BLAS/LAPACK that scipy
 links, the eigen residual check included (scipy.linalg.blas.dgemm on a dense
@@ -73,7 +74,7 @@ import scipy.linalg.blas
 import scipy.sparse
 
 from .errors import NumericalError, ParameterError
-from .simgraph import SimilarityGraph, csr_rows, row_blocks, symmetrize_in_place
+from .simgraph import SimilarityGraph, csr_rows, symmetrize_in_place
 
 LLOYD_MAX_ITER = 300  # Lloyd steps per k-means start
 KMEANS_RESTARTS = 10  # k-means++ starts per grouping; the best objective wins
@@ -129,21 +130,13 @@ class Grouping:
 
 
 def degree_matrix(graph: SimilarityGraph) -> np.ndarray:
-    """Vertex degrees (weighted row sums); the D of L = D - W as a vector.
-
-    A CSR W is summed one densified block of rows at a time, which gives the
-    bits of the dense row sums.
-    """
-    w = graph.w
-    if not scipy.sparse.issparse(w):
-        return w.sum(axis=1)
-    return np.concatenate([w[lo:hi].toarray().sum(axis=1) for lo, hi in row_blocks(graph.n)])
+    """Vertex degrees, the row sums of W as stored (dense or CSR): D of L = D - W."""
+    return graph.w.sum(axis=1)
 
 
 def unnormalized_laplacian(graph: SimilarityGraph) -> np.ndarray:
     """L = D - W as a read-only dense array."""
-    w = graph.w.toarray() if scipy.sparse.issparse(graph.w) else graph.w
-    lap = np.diag(degree_matrix(graph)) - w
+    lap = np.diag(degree_matrix(graph)) - graph.w  # a dense array for a CSR W too
     lap.setflags(write=False)
     return lap
 
@@ -154,8 +147,17 @@ def _mean(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(out, 2.0, out=out)
 
 
-def _sym_laplacian(w: np.ndarray, deg: np.ndarray, deg_safe: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
-    """L_sym = D^-1/2 (D - W) D^-1/2, made exactly symmetric, for the dense eigh.
+def _degrees(w: np.ndarray | scipy.sparse.csr_array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The degrees d of W, the row sums of W as it is given, dense or CSR;
+    d with zero degrees clamped to 1; and that clamped d^-1/2."""
+    deg = w.sum(axis=1)
+    safe = np.where(deg == 0.0, 1.0, deg)
+    return deg, safe, 1.0 / np.sqrt(safe)
+
+
+def _sym_laplacian(w: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """L_sym = D^-1/2 (D - W) D^-1/2, made exactly symmetric, for the dense
+    eigh, and the `_degrees` of the dense W it is scaled by.
 
     Built in one n x n buffer scaled in place: -w_ij off the diagonal and d_i
     on it (the diagonal of W is zero), rows divided by d and multiplied by
@@ -165,13 +167,14 @@ def _sym_laplacian(w: np.ndarray, deg: np.ndarray, deg_safe: np.ndarray, inv_sqr
     with, so it stays. Returned as the buffer's transpose: the same matrix,
     Fortran-ordered, which LAPACK takes without a copy.
     """
+    degrees = deg, safe, inv_sqrt = _degrees(w)
     sym = 0.0 - w
     np.fill_diagonal(sym, deg)
-    sym /= deg_safe[:, None]
-    sym *= np.sqrt(deg_safe)[:, None]
+    sym /= safe[:, None]
+    sym *= np.sqrt(safe)[:, None]
     sym *= inv_sqrt
     symmetrize_in_place(sym, _mean)
-    return sym.T
+    return sym.T, degrees
 
 
 def _normalized_adjacency(w: scipy.sparse.csr_array, inv_sqrt: np.ndarray) -> scipy.sparse.csr_array:
@@ -317,11 +320,8 @@ def _unit_columns(inv_sqrt: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise NumericalError("zero-norm eigenvector after degree rescaling")
     u = u / norms
-    for col in range(u.shape[1]):
-        pivot = int(np.argmax(np.abs(u[:, col])))
-        if u[pivot, col] < 0:
-            u[:, col] = -u[:, col]
-    return u
+    pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return u * np.where(pivots < 0, -1.0, 1.0)  # a sign flip is exact
 
 
 def _residual(wu: np.ndarray, deg: np.ndarray, deg_safe: np.ndarray, u: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -329,27 +329,31 @@ def _residual(wu: np.ndarray, deg: np.ndarray, deg_safe: np.ndarray, u: np.ndarr
     return (deg[:, None] * u - wu) / deg_safe[:, None] - u * vals[None, :]
 
 
-def _sparse_eigenpairs(w: scipy.sparse.csr_array, k: int, inv_sqrt: np.ndarray):
-    """ARPACK eigenpairs of a CSR W (module docstring), or None when the graph
-    goes to the dense solver; a NumericalError when it is too large for it."""
+def _sparse_eigenpairs(w: scipy.sparse.csr_array, k: int):
+    """The degrees of a CSR W and its ARPACK eigenpairs (module docstring),
+    or None when the graph goes to the dense solver; a NumericalError when
+    it is too large for it."""
     # Imported here so that runs on dense-only graphs never load it.
     import scipy.sparse.csgraph
 
     n = w.shape[0]
     count = scipy.sparse.csgraph.connected_components(w, directed=False, return_labels=False)
-    pairs = _arpack_eigenpairs(w, k, inv_sqrt) if count == 1 and k < n - 1 else None
-    if pairs is None and n > DENSE_FALLBACK_MAX_N:
-        if count != 1:
-            why = f"it has {count} connected components"
-        elif k >= n - 1:
-            why = f"ARPACK needs k < n - 1, got k = {k}"
-        else:
-            why = "ARPACK failed on it"
+    if count != 1:
+        why = f"it has {count} connected components"
+    elif k >= n - 1:
+        why = f"ARPACK needs k < n - 1, got k = {k}"
+    else:
+        degrees = _degrees(w)
+        pairs = _arpack_eigenpairs(w, k, degrees[2])
+        if pairs is not None:
+            return degrees, *pairs
+        why = "ARPACK failed on it"
+    if n > DENSE_FALLBACK_MAX_N:
         raise NumericalError(
             f"kNN graph of {n} vertices needs the dense eigensolver ({why}), "
             f"which is limited to n <= {DENSE_FALLBACK_MAX_N}"
         )
-    return pairs
+    return None
 
 
 def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding:
@@ -359,7 +363,7 @@ def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding
     u = D^-1/2 v satisfies L_rw u = lam u. Connected kNN graphs are solved by
     ARPACK, everything else by a dense eigh (see the module docstring); a kNN
     graph above DENSE_FALLBACK_MAX_N vertices that ARPACK cannot take is a
-    NumericalError.
+    NumericalError. The degrees are the row sums of the W the solver reads.
     Vertices with zero degree would divide by zero; their degree is treated
     as 1 there (their row of D - W is all zero, so an isolated vertex keeps
     its eigenvalue-zero indicator) and they are recorded on the result.
@@ -371,26 +375,20 @@ def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding
     n = w.shape[0]
     if not (1 <= k <= n):
         raise ParameterError(f"k must satisfy 1 <= k <= n = {n}, got {k}")
-    deg = degree_matrix(graph)
-    clamped = tuple(int(i) for i in np.flatnonzero(deg == 0.0))
-    deg_safe = np.where(deg == 0.0, 1.0, deg)
-    inv_sqrt = 1.0 / np.sqrt(deg_safe)
     sparse = scipy.sparse.issparse(w)
-    pairs = _sparse_eigenpairs(w, k, inv_sqrt) if sparse else None
-    if pairs is not None:
+    found = _sparse_eigenpairs(w, k) if sparse else None
+    if found is not None:
         solver = "eigsh"
-        vals, vecs = pairs
+        (deg, deg_safe, inv_sqrt), vals, vecs = found
         u = _unit_columns(inv_sqrt, vecs)
         wu = _csr_product(w, u)
     else:
         solver = "eigh"
         with _parked_blas():
+            # A CSR W is densified for as long as L_sym is being built.
+            sym, (deg, deg_safe, inv_sqrt) = _sym_laplacian(w.toarray() if sparse else w)
             try:
-                vals, vecs = scipy.linalg.eigh(
-                    _sym_laplacian(w.toarray() if sparse else w, deg, deg_safe, inv_sqrt),
-                    subset_by_index=(0, k - 1),
-                    overwrite_a=True,
-                )
+                vals, vecs = scipy.linalg.eigh(sym, subset_by_index=(0, k - 1), overwrite_a=True)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigendecomposition failed: {exc}")
             u = _unit_columns(inv_sqrt, vecs)
@@ -405,6 +403,7 @@ def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding
             f"eigenpair residual {float(resid_norms.max()):.3e} exceeds tolerance "
             f"for columns {np.flatnonzero(bad).tolist()}"
         )
+    clamped = tuple(int(i) for i in np.flatnonzero(deg == 0.0))
     return SpectralEmbedding(vectors=u, eigenvalues=vals, solver=solver, clamped=clamped)
 
 

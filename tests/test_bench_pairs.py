@@ -1,4 +1,5 @@
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ def test_summary_gives_quartiles_wins_and_the_runs_that_were_not_ok():
         runs.append({"workload": "w", "pair": pair, "side": "parent", "seed": pair, "result": result(*p)})
         runs.append({"workload": "w", "pair": pair, "side": "change", "seed": pair,
                      "result": result(*c, correct=pair != 1, failed=int(pair == 1))})
+    runs[3]["result"]["failures"] = ["op/7: decisions differ from the reference in grouping.json assignments"]
     broken = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "error": "exit status 1: boom"}
     runs.append({"workload": "v", "pair": 0, "side": "parent", "seed": 0, "result": result(1.0, 1.0)})
     runs.append({"workload": "v", "pair": 0, "side": "change", "seed": 0, "result": broken})
@@ -45,3 +47,23 @@ def test_summary_gives_quartiles_wins_and_the_runs_that_were_not_ok():
     assert [run["side"] for run in summary["v"]["bad"]] == ["change"]
     text = bench_pairs.report(summary)
     assert "3/4" in text and "NOT OK pair 1 change seed 1" in text and "boom" in text
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if "NOT OK pair 1 change" in line)
+    assert lines[at + 1] == "    FAILED op/7: decisions differ from the reference in grouping.json assignments"
+
+
+FAKE_RUN = """
+import json, sys
+print("FAILED out/3: decisions differ from the reference in winner", file=sys.stderr)
+print("FAILED out/5: raised ValueError: boom", file=sys.stderr)
+print("workload w")
+print(json.dumps({"correct": False, "attempted": 9, "failed": 2, "metrics": {}}))
+"""
+
+
+def test_run_once_keeps_the_failed_lines(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    got = bench_pairs.run_once(tmp_path, "w", 1, 1.0, dict(os.environ))
+    assert (got["correct"], got["failed"]) == (False, 2)
+    assert got["failures"] == ["out/3: decisions differ from the reference in winner", "out/5: raised ValueError: boom"]

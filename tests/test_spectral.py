@@ -150,9 +150,11 @@ def test_sym_laplacian_matches_the_former_buffer(seed, isolated, block_bytes):
     want = sym_laplacian_buffer_reference(w, deg, deg_safe, inv_sqrt)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simgraph, "ROW_BLOCK_BYTES", block_bytes)
-        got = spectral._sym_laplacian(w, deg, deg_safe, inv_sqrt)
+        got, (got_deg, got_safe, got_inv_sqrt) = spectral._sym_laplacian(w)
     assert got.flags.f_contiguous
     assert got.tobytes() == want.tobytes()
+    for a, b in ((got_deg, deg), (got_safe, deg_safe), (got_inv_sqrt, inv_sqrt)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_eigh_takes_its_input_without_a_copy(monkeypatch):
@@ -230,6 +232,29 @@ def test_full_spectrum_matches_dense_eigensolver():
     assert np.max(np.abs(emb.eigenvalues - reference)) < 1e-8
     resid = rw @ emb.vectors - emb.vectors * emb.eigenvalues[None, :]
     assert np.max(np.linalg.norm(resid, axis=0)) < 1e-8
+
+
+def unit_columns_reference(inv_sqrt, vecs):
+    """D^-1/2 v normalized, then each column's largest-magnitude entry (the
+    first on ties) made positive, one column at a time."""
+    u = inv_sqrt[:, None] * vecs
+    u = u / np.linalg.norm(u, axis=0)
+    for col in range(u.shape[1]):
+        pivot = int(np.argmax(np.abs(u[:, col])))
+        if u[pivot, col] < 0:
+            u[:, col] = -u[:, col]
+    return u
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 9), st.integers(1, 4))
+def test_unit_columns_match_the_column_loop(seed, n, k):
+    # small integers give ties for the pivot, zeros give signed zeros
+    rng = np.random.default_rng(seed)
+    vecs = rng.integers(-2, 3, (n, k)).astype(float)
+    vecs[0] = np.where(np.all(vecs == 0.0, axis=0), 1.0, vecs[0])
+    inv_sqrt = rng.choice([0.5, 1.0, 1.0 / np.sqrt(3.0)], n)
+    got = spectral._unit_columns(inv_sqrt, vecs)
+    assert got.tobytes() == unit_columns_reference(inv_sqrt, vecs).tobytes()
 
 
 def two_clique_graph(sizes=(3, 4)):
@@ -384,13 +409,14 @@ def test_arpack_failure_above_the_fallback_size_is_an_error(monkeypatch):
         smallest_k_eigenvectors(g, 2)
 
 
-@pytest.mark.parametrize("block_bytes", [8, 8 * 300 * 7, simgraph.ROW_BLOCK_BYTES])
-def test_csr_degrees_keep_the_dense_row_sum_bits(monkeypatch, block_bytes):
-    pts = blob_points(9, 300)
-    g = knn_graph(pts, 10)
-    want, _ = knn_graph_reference(pairwise_distances(pts), 10)
-    monkeypatch.setattr(simgraph, "ROW_BLOCK_BYTES", block_bytes)
-    assert degree_matrix(g).tobytes() == want.sum(axis=1).tobytes()
+def test_connected_knn_solve_densifies_nothing(monkeypatch):
+    g = knn_graph(blob_points(9, 300), 10)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a CSR array was densified")
+
+    monkeypatch.setattr(scipy.sparse.csr_array, "toarray", refuse)
+    assert smallest_k_eigenvectors(g, 2).solver == "eigsh"
 
 
 @pytest.mark.parametrize("mode", ["symmetric", "mutual"])
@@ -550,11 +576,9 @@ def test_dense_route_leaves_no_scipy_worker_running():
     if scipy_pool_threads()() < 2:
         pytest.skip("scipy's pool has one thread")
     g = prob_graph(seed=21, n=440)
-    deg = degree_matrix(g)
-    inv_sqrt = 1.0 / np.sqrt(deg)
     assert smallest_k_eigenvectors(g, 3).solver == "eigh"
     parked = live_threads()
-    scipy.linalg.eigh(spectral._sym_laplacian(g.w, deg, deg, inv_sqrt), subset_by_index=(0, 2))
+    scipy.linalg.eigh(spectral._sym_laplacian(g.w)[0], subset_by_index=(0, 2))
     assert parked < live_threads()
 
 
