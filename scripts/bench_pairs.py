@@ -7,10 +7,13 @@ to the next, so neither tree always runs on a warmer or cooler machine.
 
 Per workload and end-to-end metric of BENCHMARK.json, the summary gives
 each side's median with its quartiles (Q1-Q3), the pairs the change won
-(strictly better in the metric's direction), and the parent's quartile
-distance Q3 - Q1. Then it lists every run that was not `correct` or had
-failed ops, each with the `FAILED` lines run.py printed for it (which op
-raised, exited non-zero or decided differently from the reference).
+(strictly better in the metric's direction), the parent's quartile
+distance Q3 - Q1, and the change's median against the parent's as a signed
+percentage beside the metric's `bound`. A metric whose median is worse than
+the parent's by more than its bound is marked `OVER BOUND`. Then it lists
+every run that was not `correct` or had failed ops, each with the `FAILED`
+lines run.py printed for it (which op raised, exited non-zero or decided
+differently from the reference).
 
 Nothing is written into either tree but perfbench's own work directory,
 which run.py removes: bytecode goes to a temporary PYTHONPYCACHEPREFIX.
@@ -48,12 +51,14 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, env: dict) ->
     return {**json.loads(lines[-1]), "failures": failures}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per workload: the pair count, per metric of `better` (name -> "lower"
-    or "higher") each side's (Q1, median, Q3), the pairs the change won and
-    the parent's Q3 - Q1, and the runs that were not correct or had failed
-    ops. A run is {"workload", "pair", "side", "seed", "result"}, with the
-    result as run.py's JSON summary line."""
+    or "higher") each side's (Q1, median, Q3), the pairs the change won, the
+    parent's Q3 - Q1, the change's median relative to the parent's, and
+    whether it is worse by more than the metric's entry in `bounds` (a
+    fraction; a metric with none is never over); and the runs that were not
+    correct or had failed ops. A run is {"workload", "pair", "side", "seed",
+    "result"}, with the result as run.py's JSON summary line."""
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         mine = [run for run in runs if run["workload"] == workload]
@@ -72,7 +77,10 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 sign * (m["change"][name]["value"] - m["parent"][name]["value"]) < 0.0
                 for m in by_pair.values() if name in m.get("parent", {}) and name in m.get("change", {})
             )
-            metrics[name] = {**quartiles, "won": won, "parent_iqr": quartiles["parent"][2] - quartiles["parent"][0]}
+            relative = (quartiles["change"][1] - quartiles["parent"][1]) / quartiles["parent"][1]
+            bound = (bounds or {}).get(name)
+            metrics[name] = {**quartiles, "won": won, "parent_iqr": quartiles["parent"][2] - quartiles["parent"][0],
+                             "relative": relative, "bound": bound, "over_bound": bound is not None and sign * relative > bound}
         bad = [run for run in mine if not run["result"]["correct"] or run["result"]["failed"]]
         out[workload] = {"pairs": len(by_pair), "metrics": metrics, "bad": bad}
     return out
@@ -83,11 +91,13 @@ def report(summary: dict) -> str:
     for workload, entry in summary.items():
         lines.append(f"workload {workload} ({entry['pairs']} pairs)")
         lines.append(f"  {'metric':18s} {'parent median [Q1-Q3]':>34s} {'change median [Q1-Q3]':>34s} "
-                     f"{'won':>7s} {'parent Q3-Q1':>13s}")
+                     f"{'won':>7s} {'parent Q3-Q1':>13s} {'change':>8s} {'bound':>6s}")
         for name, row in entry["metrics"].items():
             sides = [f"{q[1]:.4g} [{q[0]:.4g}-{q[2]:.4g}]" for q in (row["parent"], row["change"])]
+            bound = "-" if row["bound"] is None else f"{100 * row['bound']:.0f}%"
             lines.append(f"  {name:18s} {sides[0]:>34s} {sides[1]:>34s} "
-                         f"{row['won']:>3d}/{entry['pairs']:<3d} {row['parent_iqr']:>13.4g}")
+                         f"{row['won']:>3d}/{entry['pairs']:<3d} {row['parent_iqr']:>13.4g} "
+                         f"{100 * row['relative']:>+7.1f}% {bound:>6s}" + ("  OVER BOUND" if row["over_bound"] else ""))
         for run in entry["bad"]:
             result = run["result"]
             lines.append(f"  NOT OK pair {run['pair']} {run['side']} seed {run['seed']}: correct={result['correct']}, "
@@ -108,6 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
     runs = []
     with tempfile.TemporaryDirectory() as cache:
         env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
@@ -119,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
                     result = run_once(trees[side], workload, seed, args.seconds, env)
                     runs.append({"workload": workload, "pair": pair, "side": side, "seed": seed, "result": result})
                     print(f"pair {pair} {side} {workload}: correct={result['correct']}", file=sys.stderr, flush=True)
-    print(report(summarize(runs, better)))
+    print(report(summarize(runs, better, bounds)))
     return 0
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .classify import fully_supervised_baseline, leave_one_bag_out_cv
 from .dataset import Dataset, DistanceMatrix, pairwise_distances, standardize
-from .errors import MissingDataError, ParseError
+from .errors import MissingDataError, ParameterError, ParseError
 from .evaluation import GridSpec, f1_score, grid_search
 from .simgraph import (
     GraphParams,
@@ -552,7 +552,9 @@ def run_suite(
     seeds: tuple[int, ...] | None = None,
 ) -> BenchReport:
     """Dispatch by suite name; `seeds` overrides the synthetic experiment's
-    seed list (handy for smoke tests)."""
+    seed list (handy for smoke tests) and is refused by the other suites."""
+    if seeds is not None and suite in ("table1", "toyfig"):
+        raise ParameterError(f"--synth-seeds applies only to --suite table2synth, got --suite {suite}")
     if suite == "table1":
         return table1(data_dir, seed=seed)
     if suite == "table2synth":

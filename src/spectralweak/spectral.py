@@ -35,29 +35,23 @@ with its own thread pool; a numpy product between scipy eigensolves leaves
 numpy's workers spinning while scipy's run, so one BLAS keeps the step from
 fighting itself for cores.
 
-ARPACK runs on one thread of scipy's pool (`_blas_threads`). Implicitly
-restarted Lanczos does level-1/2 BLAS on n x ncv blocks, where a second
-thread gains nothing: on 2 vCPUs an isolated eigsh took 27.8 ms on one
-thread against 28.1 ms on two at n = 1,000, 64.2 against 63.9 ms at 5,000,
-551 against 562 ms at 20,000 and 2.27 against 2.04 s at 50,000 (0.3% of
-that graph's build). Its eigenpairs are bitwise the same on one thread and
-on two. What the pin saves is the spin: after a threaded call OpenBLAS's
-workers spin for about 125 ms, burning a second core, and lowering the
-count after the call does not stop them, so the pin is set before eigsh.
-The dense eigh keeps the inherited thread count: from n of about 512 two
-threads are faster (43 against 75 ms at n = 896), and its eigenpairs, unlike
-ARPACK's, move in their last bits with the thread count. Its spin is stopped
-after the fact instead (`_parked_blas`): once the eigh and the residual's
-dgemm are done, scipy's worker threads are shut down. The count stays, and
-the next threaded call starts the workers again on the same partitioning,
-so the eigenpairs keep their bits. On 2 vCPUs a shutdown took about 34 us,
-an eigh at n = 440 right after one 7.53 against 7.43 ms on a live pool, and
-over repeated n = 440 groupings (eigh and k-means) the process's CPU/wall
-ratio fell from 1.98 to 1.43. The ARPACK route parks nothing itself, but
-its pin leaves a parked pool parked: setting the count starts a shut-down
-pool's workers again, and a new worker spins at once (0.98 CPU-s per wall-s
-over the next 100 ms), so the pin shuts such a pool down again right after
-each setting.
+Every eigensolve runs in one block, `_scipy_blas`, that leaves scipy's
+OpenBLAS pool parked: on the way out, also when the solve raises, the pool's
+worker threads are shut down. After a threaded call they spin for about
+125 ms, burning a second core, and lowering the count does not stop them.
+ARPACK runs at one thread: implicitly restarted Lanczos does level-1/2 BLAS
+on n x ncv blocks (Lehoucq, Sorensen & Yang 1998), where a second thread
+gains nothing (on 2 vCPUs an isolated eigsh took 27.8 ms on one thread
+against 28.1 ms on two at n = 1,000 and 551 against 562 ms at 20,000), and
+its eigenpairs are bitwise the same on one thread and on two. The dense eigh
+and the residual's dgemm keep the inherited count: from n of about 512 two
+threads are faster (43 against 75 ms at n = 896), and their last bits follow
+the count. The next threaded call starts the workers again on the same
+partitioning, so the bits stay. Setting a count starts a parked pool's
+workers too, so the block shuts the pool down right after setting one. On
+2 vCPUs that starting and joining made an ARPACK solve of a 1,000-vertex
+kNN graph about 0.35 ms slower than one on a pool left live (7.1 against
+6.8 ms).
 """
 
 from __future__ import annotations
@@ -188,15 +182,13 @@ class _OpenBlas(NamedTuple):
 
     get: Callable[[], int]  # the pool's thread count
     set: Callable[[int], None]  # sets it, starting a shut-down pool's workers again
-    shutdown: Callable[[], int] | None  # joins the pool's workers
-    live: object | None  # blas_server_avail as a ctypes.c_int: nonzero while the workers exist
+    shutdown: Callable[[], int]  # joins the pool's workers; a threaded call starts them again
 
 
 @functools.cache
 def _scipy_openblas() -> _OpenBlas | None:
-    """The thread-count functions of the OpenBLAS that scipy loaded, its pool
-    shutdown and its pool flag (each None where it exports none), or None
-    where no such OpenBLAS is found.
+    """The thread-count functions and the pool shutdown of the OpenBLAS that
+    scipy loaded, or None where no OpenBLAS exporting all three is found.
 
     Looked up once, on Linux, among the shared objects already mapped into
     the process (/proc/self/maps) whose file name mentions blas, without
@@ -205,7 +197,7 @@ def _scipy_openblas() -> _OpenBlas | None:
     these names with a 64_ suffix and is left alone. The shutdown,
     blas_thread_shutdown_, is the one OpenBLAS runs before a fork; numpy's
     copy exports it under the same name, so it is looked up on the library
-    whose thread-count functions were found, and so is the flag.
+    whose thread-count functions were found.
     """
     # Imported here so that runs that never solve never load it.
     import ctypes
@@ -223,84 +215,40 @@ def _scipy_openblas() -> _OpenBlas | None:
     for prefix in ("scipy_openblas", "openblas"):
         for lib in libraries:
             get, set_ = (getattr(lib, f"{prefix}_{verb}_num_threads", None) for verb in ("get", "set"))
-            if get and set_:
+            shutdown = getattr(lib, "blas_thread_shutdown_", None)
+            if get and set_ and shutdown:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                shutdown = getattr(lib, "blas_thread_shutdown_", None)
-                if shutdown:
-                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-                try:
-                    live = ctypes.c_int.in_dll(lib, "blas_server_avail")
-                except ValueError:
-                    live = None
-                return _OpenBlas(get, set_, shutdown, live)
+                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                return _OpenBlas(get, set_, shutdown)
     return None
 
 
 @contextlib.contextmanager
-def _blas_threads(count: int):
-    """Runs its block with scipy's OpenBLAS at `count` threads and restores
-    the previous count on the way out, also when the block raises; does
+def _scipy_blas(count: int | None = None):
+    """Runs its block on scipy's OpenBLAS, at `count` threads when given,
+    and leaves the pool parked (module docstring): on the way out, also
+    when the block raises, the count is restored if one was set and the
+    pool's worker threads are shut down. Setting a count starts a parked
+    pool's workers, so the pool is shut down right after that as well. Does
     nothing where `_scipy_openblas` finds no OpenBLAS. The count is one per
-    process, so two threads inside such blocks at once would mix theirs.
-
-    Setting the count starts a shut-down pool's workers again, and a new
-    worker spins. So a pool found parked (`_parked_blas`) is shut down again
-    after each setting; a threaded call inside the block still starts it.
-    """
+    process, and a shutdown while another thread is inside a threaded scipy
+    BLAS call is unsafe; nothing in this package calls scipy from a second
+    thread."""
     found = _scipy_openblas()
     if found is None:
         yield
         return
-    parked = found.shutdown is not None and found.live is not None and not found.live.value
     previous = found.get()
-    found.set(count)
-    if parked:
+    if count is not None:
+        found.set(count)
         found.shutdown()
     try:
         yield
     finally:
-        found.set(previous)
-        if parked:
-            found.shutdown()
-
-
-@contextlib.contextmanager
-def _parked_blas():
-    """Runs its block on scipy's OpenBLAS as it stands, then shuts that
-    pool's worker threads down, also when the block raises, so that none is
-    left spinning (module docstring); does nothing where `_scipy_openblas`
-    finds no OpenBLAS or no shutdown. The thread count is kept: the next
-    threaded call starts the workers again. A shutdown while another thread
-    is inside a threaded scipy BLAS call is unsafe; nothing in this package
-    calls scipy from a second thread."""
-    try:
-        yield
-    finally:
-        found = _scipy_openblas()
-        if found is not None and found.shutdown is not None:
-            found.shutdown()
-
-
-def _arpack_eigenpairs(w: scipy.sparse.csr_array, k: int, inv_sqrt: np.ndarray):
-    """The k smallest eigenpairs of L_sym, ascending, from the k largest of N.
-
-    Returns None when ARPACK fails, not converging included. The start vector
-    is fixed, so the result depends on the graph alone. The solve runs on one
-    BLAS thread (module docstring).
-    """
-    # Imported here so that runs on dense-only graphs never load it.
-    import scipy.sparse.linalg
-
-    norm_adj = _normalized_adjacency(w, inv_sqrt)
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, w.shape[0])
-    try:
-        with _blas_threads(1):
-            mu, vecs = scipy.sparse.linalg.eigsh(norm_adj, k=k, which="LA", v0=v0)
-    except scipy.sparse.linalg.ArpackError:  # ArpackNoConvergence included
-        return None
-    order = np.argsort(-mu, kind="stable")
-    return 1.0 - mu[order], vecs[:, order]
+        if count is not None:
+            found.set(previous)
+        found.shutdown()
 
 
 def _csr_product(w: scipy.sparse.csr_array, u: np.ndarray) -> np.ndarray:
@@ -330,11 +278,14 @@ def _residual(wu: np.ndarray, deg: np.ndarray, deg_safe: np.ndarray, u: np.ndarr
 
 
 def _sparse_eigenpairs(w: scipy.sparse.csr_array, k: int):
-    """The degrees of a CSR W and its ARPACK eigenpairs (module docstring),
-    or None when the graph goes to the dense solver; a NumericalError when
-    it is too large for it."""
-    # Imported here so that runs on dense-only graphs never load it.
+    """The degrees of a CSR W and the k smallest eigenpairs of its L_sym,
+    ascending, from ARPACK's k largest of N (module docstring); None when
+    the graph goes to the dense solver, ARPACK failing or not converging
+    included; a NumericalError when it is too large for that. The start
+    vector is fixed, so the result depends on the graph alone."""
+    # Imported here so that runs on dense-only graphs never load them.
     import scipy.sparse.csgraph
+    import scipy.sparse.linalg
 
     n = w.shape[0]
     count = scipy.sparse.csgraph.connected_components(w, directed=False, return_labels=False)
@@ -344,10 +295,16 @@ def _sparse_eigenpairs(w: scipy.sparse.csr_array, k: int):
         why = f"ARPACK needs k < n - 1, got k = {k}"
     else:
         degrees = _degrees(w)
-        pairs = _arpack_eigenpairs(w, k, degrees[2])
-        if pairs is not None:
-            return degrees, *pairs
-        why = "ARPACK failed on it"
+        norm_adj = _normalized_adjacency(w, degrees[2])
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        try:
+            with _scipy_blas(1):
+                mu, vecs = scipy.sparse.linalg.eigsh(norm_adj, k=k, which="LA", v0=v0)
+        except scipy.sparse.linalg.ArpackError:  # ArpackNoConvergence included
+            why = "ARPACK failed on it"
+        else:
+            order = np.argsort(-mu, kind="stable")
+            return degrees, 1.0 - mu[order], vecs[:, order]
     if n > DENSE_FALLBACK_MAX_N:
         raise NumericalError(
             f"kNN graph of {n} vertices needs the dense eigensolver ({why}), "
@@ -384,7 +341,7 @@ def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding
         wu = _csr_product(w, u)
     else:
         solver = "eigh"
-        with _parked_blas():
+        with _scipy_blas():
             # A CSR W is densified for as long as L_sym is being built.
             sym, (deg, deg_safe, inv_sqrt) = _sym_laplacian(w.toarray() if sparse else w)
             try:

@@ -52,6 +52,26 @@ def test_summary_gives_quartiles_wins_and_the_runs_that_were_not_ok():
     assert lines[at + 1] == "    FAILED op/7: decisions differ from the reference in grouping.json assignments"
 
 
+def test_summary_sets_each_median_against_its_bound():
+    # latency 10% slower, inside its 25% bound; throughput 30% lower, over it
+    runs = []
+    for pair in range(3):
+        runs.append({"workload": "w", "pair": pair, "side": "parent", "seed": pair, "result": result(2.0, 10.0)})
+        runs.append({"workload": "w", "pair": pair, "side": "change", "seed": pair, "result": result(2.2, 7.0)})
+
+    summary = bench_pairs.summarize(runs, {"op_p50_s": "lower", "instances_per_s": "higher"},
+                                    {"op_p50_s": 0.25, "instances_per_s": 0.25})
+
+    latency, throughput = (summary["w"]["metrics"][name] for name in ("op_p50_s", "instances_per_s"))
+    assert latency["relative"] == pytest.approx(0.10)
+    assert (latency["bound"], latency["over_bound"]) == (0.25, False)
+    assert throughput["relative"] == pytest.approx(-0.30)
+    assert (throughput["bound"], throughput["over_bound"]) == (0.25, True)
+    rows = {line.split()[0]: line for line in bench_pairs.report(summary).splitlines()[2:]}
+    assert "+10.0%    25%" in rows["op_p50_s"] and "OVER BOUND" not in rows["op_p50_s"]
+    assert rows["instances_per_s"].endswith("-30.0%    25%  OVER BOUND")
+
+
 FAKE_RUN = """
 import json, sys
 print("FAILED out/3: decisions differ from the reference in winner", file=sys.stderr)

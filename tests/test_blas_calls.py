@@ -12,13 +12,13 @@ single-threaded `ddot` on the short vectors it sees without one. `np.einsum`
 is allowed only as it is by default, with `optimize=False`: any other
 `optimize` value routes its contractions through `tensordot`.
 
-scipy's pool spins too, for about 125 ms after each threaded call. ARPACK
-gains nothing from a second thread, so `eigsh` is referenced in `spectral.py`
-only, and only inside `with _blas_threads(1):`, the block that runs it on one
-thread of scipy's pool. The dense route keeps the pool's count and shuts its
-workers down once it is done, so `scipy.linalg.eigh` and
-`scipy.linalg.blas.dgemm` are referenced in `spectral.py` only, and only
-inside `with _parked_blas():`, the block that ends with that shutdown.
+scipy's pool spins too, for about 125 ms after each threaded call, so every
+eigensolve runs in a `_scipy_blas` block, which shuts the pool's workers down
+on the way out. ARPACK gains nothing from a second thread, so `eigsh` is
+referenced in `spectral.py` only, and only inside `with _scipy_blas(1):`, the
+block that runs it on one thread of scipy's pool. The dense route keeps the
+pool's count, so `scipy.linalg.eigh` and `scipy.linalg.blas.dgemm` are
+referenced in `spectral.py` only, and only inside `with _scipy_blas():`.
 """
 
 import ast
@@ -152,7 +152,7 @@ def block_references(source, name, block):
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_eigsh_runs_in_spectral_only_inside_the_one_thread_pin(module):
-    pinned, unpinned = block_references((PACKAGE / module).read_text(), "eigsh", "_blas_threads(1)")
+    pinned, unpinned = block_references((PACKAGE / module).read_text(), "eigsh", "_scipy_blas(1)")
     assert unpinned == []
     assert bool(pinned) == (module == "spectral.py")
 
@@ -161,27 +161,27 @@ def test_guard_flags_unpinned_eigsh():
     source = "\n".join(
         [
             "from scipy.sparse.linalg import eigsh",
-            "with _blas_threads(1):",
+            "with _scipy_blas(1):",
             "    scipy.sparse.linalg.eigsh(a, k=2)",
             "    eigsh(a)",
-            "with _blas_threads(2):",
+            "with _scipy_blas():",
             "    scipy.sparse.linalg.eigsh(a, k=2)",
             "with contextlib.nullcontext():",
             "    eigsh(a)",
-            "with open(f), _blas_threads(1):",
+            "with open(f), _scipy_blas(1):",
             "    scipy.sparse.linalg.eigsh(a, k=2)",
             "scipy.sparse.linalg.eigsh(a, k=2)",
             "solve = scipy.sparse.linalg.eigsh",
             "solver = 'eigsh'",
         ]
     )
-    assert block_references(source, "eigsh", "_blas_threads(1)") == ([3, 4, 10], [1, 6, 8, 11, 12])
+    assert block_references(source, "eigsh", "_scipy_blas(1)") == ([3, 4, 10], [1, 6, 8, 11, 12])
 
 
 @pytest.mark.parametrize("name", ["eigh", "dgemm"])
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_dense_blas_runs_in_spectral_only_inside_the_parking_block(module, name):
-    parked, unparked = block_references((PACKAGE / module).read_text(), name, "_parked_blas()")
+    parked, unparked = block_references((PACKAGE / module).read_text(), name, "_scipy_blas()")
     assert unparked == []
     assert bool(parked) == (module == "spectral.py")
 
@@ -190,18 +190,18 @@ def test_guard_flags_unparked_dense_blas():
     source = "\n".join(
         [
             "from scipy.linalg.blas import dgemm",
-            "with _parked_blas():",
+            "with _scipy_blas():",
             "    vals, vecs = scipy.linalg.eigh(a)",
             "    wu = scipy.linalg.blas.dgemm(1.0, a, b)",
-            "with _blas_threads(1):",
+            "with _scipy_blas(1):",
             "    scipy.linalg.eigh(a)",
             "def residual(a, b):",
             "    return scipy.linalg.blas.dgemm(1.0, a, b)",
-            "with _parked_blas():",
+            "with _scipy_blas():",
             "    pass",
             "scipy.linalg.eigh(a)",
             "solver = 'eigh'",
         ]
     )
-    assert block_references(source, "eigh", "_parked_blas()") == ([3], [6, 11])
-    assert block_references(source, "dgemm", "_parked_blas()") == ([4], [1, 8])
+    assert block_references(source, "eigh", "_scipy_blas()") == ([3], [6, 11])
+    assert block_references(source, "dgemm", "_scipy_blas()") == ([4], [1, 8])

@@ -791,6 +791,17 @@ def test_bench_synth_seeds_must_be_positive(tmp_path, capsys, count):
     assert not (tmp_path / "bench_table2synth.json").exists()
 
 
+@pytest.mark.parametrize("suite", ["table1", "toyfig"])
+def test_bench_synth_seeds_with_another_suite_exits_2_naming_it(tmp_path, capsys, suite):
+    code, _, err = run(
+        ["bench", "--suite", suite, "--synth-seeds", "2", "--data-dir", str(tmp_path), "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"error: --synth-seeds applies only to --suite table2synth, got --suite {suite}\n"
+    assert not (tmp_path / f"bench_{suite}.json").exists()
+
+
 def test_bench_missing_data_gives_instructions(tmp_path, capsys):
     empty = tmp_path / "nodata"
     empty.mkdir()

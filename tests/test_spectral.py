@@ -27,7 +27,6 @@ from spectralweak.simgraph import (
 )
 from spectralweak.spectral import (
     Grouping,
-    degree_matrix,
     kmeans,
     kmeans_detailed,
     smallest_k_eigenvectors,
@@ -436,14 +435,37 @@ def test_arpack_input_has_the_dense_route_bits(mode):
 
 
 # ---------------------------------------------------------------------------
-# ARPACK on one thread of scipy's OpenBLAS pool
+# every eigensolve runs in one `_scipy_blas` block: ARPACK on one thread of
+# scipy's OpenBLAS pool, the dense route at its count, the pool parked after
 
-def openblas_threads():
-    """get_num_threads of scipy's OpenBLAS; skips where the pin has none."""
+def scipy_pool_threads():
+    """get_num_threads of scipy's OpenBLAS; skips where none is found."""
     found = spectral._scipy_openblas()
     if found is None:
-        pytest.skip("no OpenBLAS found for scipy")
-    return found[0]
+        pytest.skip("no OpenBLAS with a pool shutdown found for scipy")
+    return found.get
+
+
+def pool_flag():
+    """blas_server_avail, nonzero while the pool's workers exist, as a
+    ctypes.c_int of the OpenBLAS whose functions `_scipy_openblas` found;
+    None where it is not found."""
+    found = spectral._scipy_openblas()
+    if found is None or not os.path.exists("/proc/self/maps"):
+        return None
+    address = ctypes.cast(found.get, ctypes.c_void_p).value
+    with open("/proc/self/maps") as maps:
+        paths = dict.fromkeys(line.split()[-1] for line in maps)
+    for path in paths:
+        if "blas" not in os.path.basename(path):
+            continue
+        with contextlib.suppress(OSError):
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            own = getattr(lib, found.get.__name__, None)
+            if own is not None and ctypes.cast(own, ctypes.c_void_p).value == address:
+                with contextlib.suppress(ValueError):
+                    return ctypes.c_int.in_dll(lib, "blas_server_avail")
+    return None
 
 
 def test_pin_finds_scipys_openblas():
@@ -455,11 +477,11 @@ def test_pin_finds_scipys_openblas():
     found = spectral._scipy_openblas()
     assert found is not None
     # numpy's copy exports these names with a 64_ suffix
-    assert [f.__name__ for f in found[:3]] in (
+    assert [f.__name__ for f in found] in (
         ["scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads", "blas_thread_shutdown_"],
         ["openblas_get_num_threads", "openblas_set_num_threads", "blas_thread_shutdown_"],
     )
-    assert isinstance(found.live, ctypes.c_int)
+    assert isinstance(pool_flag(), ctypes.c_int)
 
 
 def spy_on_eigsh(monkeypatch, get_threads, fail=False):
@@ -479,9 +501,9 @@ def spy_on_eigsh(monkeypatch, get_threads, fail=False):
 
 
 def test_arpack_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
-    get_threads = openblas_threads()
+    get_threads = scipy_pool_threads()
     seen = spy_on_eigsh(monkeypatch, get_threads)
-    with spectral._blas_threads(2):
+    with spectral._scipy_blas(2):
         emb = smallest_k_eigenvectors(knn_graph(blob_points(11, 300), 10), 2)
         assert get_threads() == 2
     assert emb.solver == "eigsh"
@@ -489,23 +511,22 @@ def test_arpack_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
 
 
 def test_blas_thread_count_is_restored_when_arpack_does_not_converge(monkeypatch):
-    get_threads = openblas_threads()
+    get_threads = scipy_pool_threads()
     g = knn_graph(blob_points(12, 300), 10)
-    deg = degree_matrix(g)
     seen = spy_on_eigsh(monkeypatch, get_threads, fail=True)
-    with spectral._blas_threads(2):
-        assert spectral._arpack_eigenpairs(g.w, 2, 1.0 / np.sqrt(deg)) is None
+    with spectral._scipy_blas(2):
+        assert smallest_k_eigenvectors(g, 2).solver == "eigh"
         assert get_threads() == 2
     assert seen == [1]
 
 
 @pytest.mark.parametrize("seed, n", [(13, 1000), (14, 3000)])
 def test_arpack_eigenpairs_bitwise_equal_on_one_and_two_threads(monkeypatch, seed, n):
-    openblas_threads()
+    scipy_pool_threads()
     g = knn_graph(blob_points(seed, n), 10)
-    with spectral._blas_threads(2):
+    with spectral._scipy_blas(2):
         pinned = smallest_k_eigenvectors(g, 3)
-        monkeypatch.setattr(spectral, "_blas_threads", lambda count: contextlib.nullcontext())
+        monkeypatch.setattr(spectral, "_scipy_blas", lambda count=None: contextlib.nullcontext())
         unpinned = smallest_k_eigenvectors(g, 3)
     assert pinned.solver == unpinned.solver == "eigsh"
     assert pinned.vectors.tobytes() == unpinned.vectors.tobytes()
@@ -532,35 +553,67 @@ def block_diagonal_graph(seed, blocks=4, size=120):
 def test_groupings_of_graphs_with_more_components_than_groups_ignore_the_thread_count():
     if (os.cpu_count() or 1) < 2:
         pytest.skip("needs 2 CPUs")
-    openblas_threads()
+    scipy_pool_threads()
     for seed in range(12):
         g = block_diagonal_graph(seed)
-        with spectral._blas_threads(1):
+        with spectral._scipy_blas(1):
             one = spectral_grouping(g, 3, seed=0)
-        with spectral._blas_threads(2):
+        with spectral._scipy_blas(2):
             two = spectral_grouping(g, 3, seed=0)
         assert partition_matches(one.assignments, two.assignments), f"seed {seed}"
 
 
-# ---------------------------------------------------------------------------
-# the dense route parks scipy's OpenBLAS pool
-
-def scipy_pool_threads():
-    """get_num_threads of scipy's OpenBLAS; skips where its pool cannot be
-    shut down."""
+def spy_on_pool(monkeypatch):
+    """The pool as `_scipy_blas` sees it, with every count it sets and every
+    shutdown recorded, then made; a two-thread stand-in where no OpenBLAS is
+    found."""
     found = spectral._scipy_openblas()
-    if found is None or found[2] is None:
-        pytest.skip("no OpenBLAS pool shutdown found for scipy")
-    return found[0]
-
-
-def spy_on_shutdown(monkeypatch):
-    """Count the pool shutdowns, without making them; the pool reads as live."""
-    calls = []
-    found = spectral._scipy_openblas() or spectral._OpenBlas(lambda: 1, lambda count: None, None, None)
-    spy = found._replace(shutdown=lambda: calls.append(1), live=ctypes.c_int(1))
+    if found is None:
+        count = [2]
+        found = spectral._OpenBlas(lambda: count[0], lambda n: count.__setitem__(0, n), lambda: 0)
+    actions = []
+    spy = spectral._OpenBlas(
+        found.get,
+        lambda n: actions.append(("set", n)) or found.set(n),
+        lambda: actions.append("shutdown") or found.shutdown(),
+    )
     monkeypatch.setattr(spectral, "_scipy_openblas", lambda: spy)
-    return calls
+    return spy, actions
+
+
+PIN = [("set", 1), "shutdown", ("set", 2), "shutdown"]  # ARPACK's `_scipy_blas(1)` inside a count of 2
+POOL_ACTIONS = {
+    "arpack": PIN,
+    "dense": ["shutdown"],
+    "arpack-fails-into-dense": [*PIN, "shutdown"],
+    "dense-eigh-raises": ["shutdown"],
+}
+
+
+@pytest.mark.parametrize("route", POOL_ACTIONS)
+def test_every_route_leaves_the_pool_parked_at_its_count(monkeypatch, route):
+    g = connected_knn_graph() if route.startswith("arpack") else prob_graph()
+    spy, actions = spy_on_pool(monkeypatch)
+    if route == "arpack-fails-into-dense":
+        spy_on_eigsh(monkeypatch, spy.get, fail=True)
+    if route == "dense-eigh-raises":
+
+        def eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+    with spectral._scipy_blas(2):
+        actions.clear()
+        if route == "dense-eigh-raises":
+            with pytest.raises(NumericalError, match="eigendecomposition failed"):
+                smallest_k_eigenvectors(g, 3)
+        else:
+            assert smallest_k_eigenvectors(g, 3).solver == ("eigsh" if route == "arpack" else "eigh")
+        assert actions == POOL_ACTIONS[route]  # the last is a shutdown
+        assert spy.get() == 2
+        live = pool_flag()
+        if live is not None:
+            assert live.value == 0
 
 
 def live_threads():
@@ -589,8 +642,9 @@ def process_cpu_over_a_sleep(seconds=0.1):
 
 
 def test_arpack_after_a_dense_solve_leaves_no_worker_spinning():
-    # setting the count for the pin starts a parked pool's workers again;
-    # the pin shuts them down again, so no thread is added and none spins
+    # setting the count for the pin starts a parked pool's workers again, and
+    # a pool found live stays live through it; in both orders the pin shuts
+    # the pool down again, so no thread is added and none spins
     if (os.cpu_count() or 1) < 2:
         pytest.skip("needs 2 CPUs")
     if not os.path.isdir("/proc/self/task"):
@@ -598,50 +652,24 @@ def test_arpack_after_a_dense_solve_leaves_no_worker_spinning():
     get_threads = scipy_pool_threads()
     if get_threads() < 2:
         pytest.skip("scipy's pool has one thread")
-    found = spectral._scipy_openblas()
-    if found.live is None:
+    live = pool_flag()
+    if live is None:
         pytest.skip("no pool flag found for scipy's OpenBLAS")
     dense, knn = prob_graph(seed=21, n=440), connected_knn_graph(seed=27, n=1000)
     time.sleep(0.2)  # outlasts the spin of any BLAS call made before this test
     assert smallest_k_eigenvectors(dense, 3).solver == "eigh"
     parked = live_threads()
-    assert found.live.value == 0
-    assert smallest_k_eigenvectors(knn, 3).solver == "eigsh"
-    assert live_threads() == parked
-    assert found.live.value == 0
-    assert get_threads() >= 2
-    # a spinning worker burns about one CPU-second per second
-    assert process_cpu_over_a_sleep() < 0.05
-
-
-def test_arpack_pin_on_a_live_pool_does_not_park_it():
-    found = spectral._scipy_openblas()
-    if found is None or found.shutdown is None or found.live is None:
-        pytest.skip("no OpenBLAS pool shutdown or flag found for scipy")
-    found.set(found.get())  # setting the count starts a parked pool
-    assert found.live.value
-    assert smallest_k_eigenvectors(connected_knn_graph(), 3).solver == "eigsh"
-    assert found.live.value
-
-
-def test_only_the_dense_route_parks(monkeypatch):
-    calls = spy_on_shutdown(monkeypatch)
-    assert smallest_k_eigenvectors(connected_knn_graph(), 3).solver == "eigsh"
-    assert calls == []
-    assert smallest_k_eigenvectors(prob_graph(), 3).solver == "eigh"
-    assert calls == [1]
-
-
-def test_pool_is_parked_when_the_dense_solve_fails(monkeypatch):
-    calls = spy_on_shutdown(monkeypatch)
-
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("no convergence")
-
-    monkeypatch.setattr(scipy.linalg, "eigh", fail)
-    with pytest.raises(NumericalError, match="eigendecomposition failed"):
-        smallest_k_eigenvectors(prob_graph(), 3)
-    assert calls == [1]
+    assert live.value == 0
+    for pool in ("parked", "live"):
+        if pool == "live":
+            spectral._scipy_openblas().set(get_threads())  # setting the count starts a parked pool
+            assert live.value
+        assert smallest_k_eigenvectors(knn, 3).solver == "eigsh"
+        assert live_threads() == parked
+        assert live.value == 0
+        assert get_threads() >= 2
+        # a spinning worker burns about one CPU-second per second
+        assert process_cpu_over_a_sleep() < 0.05, pool
 
 
 def assert_same_embeddings(got, want):
@@ -657,10 +685,11 @@ def test_dense_eigenpairs_bitwise_equal_parked_and_unparked(monkeypatch, seed, n
     # unparked ones on a parked pool, then on a live one, as the parent's did
     get_threads = scipy_pool_threads()
     g = prob_graph(seed, n)
-    with spectral._blas_threads(2):
+    with spectral._scipy_blas(2):
+        spectral._scipy_openblas().set(2)  # setting the count starts a parked pool
         parked = [smallest_k_eigenvectors(g, 3) for _ in range(2)]
         assert get_threads() == 2
-        monkeypatch.setattr(spectral, "_parked_blas", contextlib.nullcontext)
+        monkeypatch.setattr(spectral, "_scipy_blas", lambda count=None: contextlib.nullcontext())
         unparked = [smallest_k_eigenvectors(g, 3) for _ in range(2)]
     assert parked[0].solver == "eigh"
     assert_same_embeddings(parked + unparked, unparked[1:] * 4)
@@ -676,9 +705,9 @@ def test_dense_arpack_dense_sequence_keeps_its_bits(monkeypatch):
         pts[200:, 1] += 1000.0
         graphs.append(knn_graph(pts, 10))
     graphs.insert(1, connected_knn_graph(seed=27, n=1000))
-    with spectral._blas_threads(2):
+    with spectral._scipy_blas(2):
         parked = [smallest_k_eigenvectors(g, 3) for g in graphs]
-        monkeypatch.setattr(spectral, "_parked_blas", contextlib.nullcontext)
+        monkeypatch.setattr(spectral, "_scipy_blas", lambda count=None: contextlib.nullcontext())
         unparked = [smallest_k_eigenvectors(g, 3) for g in graphs]
     assert [e.solver for e in parked] == ["eigh", "eigsh", "eigh"]
     assert_same_embeddings(parked, unparked)
@@ -715,8 +744,9 @@ def test_residual_check_rejects_a_perturbed_dense_eigenvector(monkeypatch):
 def test_residual_check_rejects_a_perturbed_arpack_eigenvector(monkeypatch):
     g = connected_knn_graph()
     assert smallest_k_eigenvectors(g, 3).solver == "eigsh"
-    real_arpack = spectral._arpack_eigenpairs
-    monkeypatch.setattr(spectral, "_arpack_eigenpairs", lambda *a: perturb_second_column(*real_arpack(*a)))
+    # eigsh's ascending column 1 stays column 1 of the k = 3 smallest of L_sym
+    real_eigsh = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **kw: perturb_second_column(*real_eigsh(*a, **kw)))
     with pytest.raises(NumericalError, match=r"eigenpair residual .* exceeds tolerance for columns \[1\]"):
         smallest_k_eigenvectors(g, 3)
 
