@@ -475,12 +475,13 @@ def _component_sweep(family: str, params, build, planted: np.ndarray, rows: list
     return counts, hits
 
 
-def toyfig() -> BenchReport:
-    """Property sweep over the bundled reconstruction: classical graphs are
-    either too coarse or too fine at every setting, while the threshold graph
-    has a parameter window that isolates exactly the planted two groups."""
+def toyfig(ds: Dataset | None = None) -> BenchReport:
+    """Property sweep over a two-group layout, by default the bundled
+    reconstruction: classical graphs are either too coarse or too fine at
+    every setting, while the threshold graph has a parameter window that
+    isolates exactly the planted two groups (the bag labels of `ds`)."""
     t0 = time.perf_counter()
-    ds = load_dataset_a()
+    ds = load_dataset_a() if ds is None else ds
     planted = ds.label
     dist = pairwise_distances(ds)
     checks: list[BenchCheck] = []

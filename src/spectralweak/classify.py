@@ -341,6 +341,8 @@ def _check_kind(kind: str, knn_k: int | None) -> None:
         raise ParameterError(f"unknown classifier {kind!r}; choose from {', '.join(CLASSIFIERS)}")
     if knn_k is not None and kind != "knn":
         raise ParameterError(f"--knn-k applies only to --classifier knn, got --classifier {kind}")
+    if knn_k is not None and knn_k < 1:
+        raise ParameterError(f"--knn-k: expected a positive integer, got {knn_k}")
 
 
 def train(kind: str, x: np.ndarray, y: np.ndarray, knn_k: int | None = None):

@@ -111,8 +111,6 @@ def _jsonable(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -200,6 +200,23 @@ def standardize(ds: Dataset) -> Dataset:
     return replace(ds, x=scaled, warnings=warnings)
 
 
+def checked_matrix(a, name: str) -> np.ndarray:
+    """`a` as a read-only float array, checked to be square, finite,
+    nonnegative, exactly symmetric and exactly zero on the diagonal. An
+    IntegrityError names the matrix `name` and the first failed check."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise IntegrityError(f"{name} must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)) or np.any(a < 0.0):
+        raise IntegrityError(f"{name} entries must be finite and nonnegative")
+    if not np.array_equal(a, a.T):
+        raise IntegrityError(f"{name} is not exactly symmetric")
+    if np.any(np.diag(a) != 0.0):
+        raise IntegrityError(f"{name} diagonal must be exactly zero")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Exact-symmetric, zero-diagonal, nonnegative pairwise distance matrix."""
@@ -207,17 +224,7 @@ class DistanceMatrix:
     d: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise IntegrityError(f"distance matrix must be square, got shape {d.shape}")
-        if not np.array_equal(d, d.T):
-            raise IntegrityError("distance matrix is not exactly symmetric")
-        if np.any(np.diag(d) != 0.0):
-            raise IntegrityError("distance matrix diagonal must be exactly zero")
-        if not np.all(np.isfinite(d)) or np.any(d < 0.0):
-            raise IntegrityError("distances must be finite and nonnegative")
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", checked_matrix(self.d, "distance matrix"))
 
     @property
     def n(self) -> int:

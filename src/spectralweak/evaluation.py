@@ -175,15 +175,13 @@ class GridSearchResult:
         return self.rows[self.best_index]
 
     def to_json_dict(self) -> dict:
-        from dataclasses import asdict
-
         return {
             "objective": self.objective,
             "best_index": self.best_index,
             "rows": [
                 {
                     "model": row.spec.model,
-                    "params": {k: v for k, v in asdict(row.spec.params).items() if v is not None},
+                    "params": row.spec.params.to_json_dict(),
                     "objective": row.objective,
                     "error": row.error,
                 }
@@ -225,8 +223,8 @@ def grid_search(
         p = spec.params
         try:
             sims = sims_by_m.get(p.m)
-            # build_graph checks w_thresh and sigma before it needs similarities
-            if sims is None and spec.model in PROB_MODELS and None not in (p.w_thresh, p.sigma):
+            # build_graph rejects a spec missing a required param before it reads similarities
+            if sims is None and spec.model in PROB_MODELS and not spec.missing_params():
                 sims = sims_by_m[p.m] = initial_similarities(data, m=p.m)
             graph = build_graph(data, spec, seed=seed, sims=sims)
             grouping = spectral_grouping(graph, k=k, seed=seed)

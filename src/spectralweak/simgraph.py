@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -46,17 +46,21 @@ import scipy.sparse
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .dataset import Dataset, DistanceMatrix, coordinates, pairwise_distances
+from .dataset import Dataset, DistanceMatrix, checked_matrix, coordinates, pairwise_distances
 from .errors import DegenerateDistanceError, IntegrityError, ParameterError
 
-MODELS = (
-    "epsilon",
-    "knn_symmetric",
-    "knn_mutual",
-    "fully_connected",
-    "prob_threshold",
-    "prob_criterion",
-)
+# The GraphParams fields each model cannot be built without; the other
+# fields are optional (a kNN sigma defaults to the median pair distance) or
+# unused.
+REQUIRED_PARAMS = {
+    "epsilon": ("epsilon",),
+    "knn_symmetric": ("k",),
+    "knn_mutual": ("k",),
+    "fully_connected": ("sigma",),
+    "prob_threshold": ("w_thresh", "sigma", "eps_weight"),
+    "prob_criterion": ("w_thresh", "sigma"),
+}
+MODELS = tuple(REQUIRED_PARAMS)
 
 SYMMETRIZE_RULES = ("min", "max")
 # Models built from initial_similarities.
@@ -99,6 +103,10 @@ class GraphParams:
     m: float = -1.0
     symmetrize: str = "max"
 
+    def to_json_dict(self) -> dict:
+        """The fields that are set (not None), by name, in field order."""
+        return {k: v for k, v in vars(self).items() if v is not None}
+
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -108,6 +116,10 @@ class GraphSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ParameterError(f"unknown graph model {self.model!r}; choose from {MODELS}")
+
+    def missing_params(self) -> tuple[str, ...]:
+        """The model's required params (REQUIRED_PARAMS) that are None."""
+        return tuple(name for name in REQUIRED_PARAMS[self.model] if getattr(self.params, name) is None)
 
 
 @dataclass(frozen=True)
@@ -121,20 +133,6 @@ class InitialSimilarities:
         s = np.asarray(self.s, dtype=float)
         s.setflags(write=False)
         object.__setattr__(self, "s", s)
-
-
-def _dense_weights(w) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise IntegrityError(f"weight matrix must be square, got {w.shape}")
-    if not np.array_equal(w, w.T):
-        raise IntegrityError("weight matrix is not exactly symmetric")
-    if np.any(np.diag(w) != 0.0):
-        raise IntegrityError("weight matrix diagonal must be exactly zero")
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-        raise IntegrityError("weights must be finite and nonnegative")
-    w.setflags(write=False)
-    return w
 
 
 def _csr_weights(w) -> scipy.sparse.csr_array:
@@ -175,8 +173,8 @@ class SimilarityGraph:
     seed: int | None = None
 
     def __post_init__(self):
-        convert = _csr_weights if self.model in KNN_MODELS else _dense_weights
-        object.__setattr__(self, "w", convert(self.w))
+        w = _csr_weights(self.w) if self.model in KNN_MODELS else checked_matrix(self.w, "weight matrix")
+        object.__setattr__(self, "w", w)
 
     @property
     def n(self) -> int:
@@ -636,32 +634,26 @@ def build_graph(
     their inputs from the distances via initial_similarities using params.m
     as the exponent, unless `sims` already holds them for that exponent (a
     grid search shares one across its candidates); `sims` computed with
-    another exponent is a ParameterError.
+    another exponent is a ParameterError, and so is a spec that leaves a
+    required param (REQUIRED_PARAMS) unset; it names every one missing.
     """
+    missing = spec.missing_params()
+    if missing:
+        raise ParameterError(f"{spec.model} needs " + ", ".join(f"params.{name}" for name in missing))
     p = spec.params
     if spec.model in KNN_MODELS:
-        if p.k is None:
-            raise ParameterError(f"{spec.model} needs params.k")
         mode = "symmetric" if spec.model == "knn_symmetric" else "mutual"
         return knn_graph(data, p.k, mode=mode, sigma=p.sigma)
     dist = data if isinstance(data, DistanceMatrix) else pairwise_distances(data)
     if spec.model == "epsilon":
-        if p.epsilon is None:
-            raise ParameterError("epsilon model needs params.epsilon")
         return epsilon_graph(dist, p.epsilon)
     if spec.model == "fully_connected":
-        if p.sigma is None:
-            raise ParameterError("fully_connected needs params.sigma")
         return fully_connected_gaussian(dist, p.sigma)
-    if p.w_thresh is None or p.sigma is None:
-        raise ParameterError(f"{spec.model} needs params.w_thresh and params.sigma")
     if sims is None:
         sims = initial_similarities(dist, m=p.m)
     elif sims.m != p.m:
         raise ParameterError(f"similarities were computed with m = {sims.m}, the spec has m = {p.m}")
     if spec.model == "prob_threshold":
-        if p.eps_weight is None:
-            raise ParameterError("prob_threshold needs params.eps_weight")
         return prob_threshold_graph(sims, p.w_thresh, p.sigma, p.eps_weight, p.symmetrize)
     return prob_criterion_graph(sims, p.w_thresh, p.sigma, p.symmetrize, seed=seed)
 
@@ -688,7 +680,7 @@ def graph_to_json_dict(graph: SimilarityGraph) -> dict:
     return {
         "n": graph.n,
         "model": graph.model,
-        "params": {k: v for k, v in asdict(graph.params).items() if v is not None},
+        "params": graph.params.to_json_dict(),
         "seed": graph.seed,
         "triplets": [[int(i), int(j), float(v)] for i, j, v in zip(rows[upper], w.indices[upper], w.data[upper])],
     }

@@ -155,11 +155,7 @@ def build_training_set(ds: Dataset, graph_spec: GraphSpec, seed: int) -> Annotat
         "graph_model": graph_spec.model,
         "seed": seed,
         "restarts": KMEANS_RESTARTS,
-        "params": {
-            k: v
-            for k, v in graph_spec.params.__dict__.items()
-            if v is not None
-        },
+        "params": graph_spec.params.to_json_dict(),
     }
     return AnnotatedTrainingSet(
         ids=work.ids, labels=labels, provenance=provenance, group_sizes=group_sizes, source=source

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -185,20 +186,70 @@ def test_dataset_a_shape():
     assert np.array_equal(ds.bag, ds.ids)  # one bag per instance
 
 
-def test_fixture_script_verifies_and_rebuilds_the_bundled_csv():
-    """scripts/make_dataset_a.py passes its own checks without --write, and
-    its build_points() gives the bundled fixture's coordinates and groups
-    exactly."""
-    script_path = Path(__file__).resolve().parent.parent / "scripts" / "make_dataset_a.py"
-    done = subprocess.run([sys.executable, str(script_path)], capture_output=True, text=True)
-    assert done.returncode == 0, done.stdout + done.stderr
-    spec = importlib.util.spec_from_file_location("make_dataset_a", script_path)
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_dataset_a.py"
+
+
+def script_copy(root: Path, monkeypatch):
+    """scripts/make_dataset_a.py copied under root and loaded, so that its
+    --write goes to root/src/spectralweak/data instead of the package."""
+    path = root / "scripts" / "make_dataset_a.py"
+    path.parent.mkdir(parents=True)
+    shutil.copy(SCRIPT, path)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src
+    spec = importlib.util.spec_from_file_location("make_dataset_a", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_fixture_script_verifies_and_rebuilds_the_bundled_csv(tmp_path, monkeypatch):
+    """scripts/make_dataset_a.py passes its own checks without --write, its
+    build_points() gives the bundled fixture's coordinates and groups
+    exactly, and its --write reproduces the bundled CSV byte for byte."""
+    done = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "w recovery window: 0.068-0.082" in done.stdout  # raw view
+    assert "w recovery window: 0.064-0.078" in done.stdout  # z-scored view
+    script = script_copy(tmp_path, monkeypatch)
     coords, labels = script.build_points()
     ds = bench.load_dataset_a()
     assert np.array_equal(ds.x, coords)
     assert ds.label.tolist() == [("dense", "sparse")[lab] for lab in labels]
+    assert script.main(["--write"]) == 0
+    written = tmp_path / "src" / "spectralweak" / "data" / "dataset_a.csv"
+    bundled = Path(bench.__file__).parent / "data" / "dataset_a.csv"
+    assert written.read_bytes() == bundled.read_bytes()
+
+
+def shift_group_1(coords, labels):
+    """Group 1 moved far off, so epsilon and kNN graphs separate the plant."""
+    return coords + 50.0 * (labels == 1)[:, None], labels
+
+
+def duplicate_point(coords, labels):
+    coords = coords.copy()
+    coords[1] = coords[0]
+    return coords, labels
+
+
+@pytest.mark.parametrize(
+    "defect, failed",
+    [
+        (shift_group_1, ["no epsilon yields", "no k yields the planted groups (knn_symmetric)",
+                         "no k yields the planted groups (knn_mutual)"]),
+        (duplicate_point, ["no two points nearly coincide"]),
+    ],
+)
+def test_fixture_script_rejects_a_bad_layout_and_writes_nothing(tmp_path, monkeypatch, capsys, defect, failed):
+    script = script_copy(tmp_path, monkeypatch)
+    good = script.build_points
+    monkeypatch.setattr(script, "build_points", lambda: defect(*good()))
+    assert script.main(["--write"]) == 1
+    out = capsys.readouterr().out
+    for name in failed:
+        assert out.count(f"[FAIL] {name}") == 2, out  # raw and z-scored views
+    assert "verification FAILED; fixture not written" in out
+    assert not (tmp_path / "src").exists()
 
 
 def test_partition_matches_ignores_names():

@@ -780,6 +780,8 @@ def test_lobo_warns_once_naming_unconverged_folds(monkeypatch):
 
 
 def test_knn_k_is_for_knn_only():
+    """--knn-k goes only with knn, and only as a positive count; both paths
+    refuse it before any fit."""
     x, labels = two_blobs()
     for kind in ("logistic", "qda"):
         message = f"--knn-k applies only to --classifier knn, got --classifier {kind}"
@@ -788,6 +790,12 @@ def test_knn_k_is_for_knn_only():
     ds = blob_bags()
     with pytest.raises(ParameterError, match="--knn-k applies only to --classifier knn"):
         leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic", knn_k=3)
+    for k in (0, -3):
+        message = f"^--knn-k: expected a positive integer, got {k}$"
+        with pytest.raises(ParameterError, match=message):
+            train("knn", x, labels, knn_k=k)
+        with pytest.raises(ParameterError, match=message):
+            leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "knn", knn_k=k)
 
 
 def test_lobo_converged_folds_do_not_warn():

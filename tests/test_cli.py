@@ -698,6 +698,20 @@ def test_knn_k_with_another_classifier_exits_2_naming_both_flags(tmp_path, capsy
     assert not (tmp_path / output).exists()
 
 
+@pytest.mark.parametrize("command, output", [("train", "model.json"), ("evaluate", "cv.json")])
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_knn_k_below_one_exits_2_naming_the_flag(tmp_path, capsys, command, output, k):
+    data = write_bagged_csv(tmp_path / "bags.csv")
+    code, _, err = run(
+        [command, "--data", str(data), "--strong-label", "ok", "--out", str(tmp_path),
+         "--classifier", "knn", "--knn-k", k],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"error: --knn-k: expected a positive integer, got {k}\n"
+    assert not (tmp_path / output).exists()
+
+
 def test_unknown_objective_without_grid_exits_2_naming_the_choices(tmp_path, capsys):
     out = tmp_path / "out"
     code, _, err = run(

@@ -14,6 +14,7 @@ from spectralweak.dataset import (
     standardize,
 )
 from spectralweak.errors import IntegrityError, ParameterError, ParseError, SchemaError
+from spectralweak.simgraph import GraphParams, SimilarityGraph
 
 SCHEMA = CsvSchema(
     instance_id="id",
@@ -267,13 +268,28 @@ def test_pairwise_distances_bitwise_symmetric(pts):
     assert d.tobytes() == np.ascontiguousarray(d.T).tobytes()
 
 
-def test_distance_matrix_validation():
-    with pytest.raises(IntegrityError):
-        DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
-    with pytest.raises(IntegrityError):
-        DistanceMatrix(np.array([[0.5, 1.0], [1.0, 0.0]]))  # nonzero diagonal
-    with pytest.raises(IntegrityError):
-        DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
+MATRIX_DEFECTS = {
+    "non-square": (np.zeros((2, 3)), "must be square"),
+    "asymmetric": (np.array([[0.0, 1.0], [2.0, 0.0]]), "is not exactly symmetric"),
+    "nonzero-diagonal": (np.array([[0.5, 1.0], [1.0, 0.0]]), "diagonal must be exactly zero"),
+    "nan": (np.array([[0.0, np.nan], [np.nan, 0.0]]), "entries must be finite and nonnegative"),
+    "negative": (np.array([[0.0, -1.0], [-1.0, 0.0]]), "entries must be finite and nonnegative"),
+}
+CHECKED_MATRICES = {
+    "distance matrix": DistanceMatrix,
+    "weight matrix": lambda w: SimilarityGraph(w=w, model="epsilon", params=GraphParams(epsilon=1.0)),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MATRIX_DEFECTS))
+@pytest.mark.parametrize("name", sorted(CHECKED_MATRICES))
+def test_matrix_validation_names_the_matrix_and_its_defect(name, defect):
+    """Distances and dense graph weights go through one validator
+    (dataset.checked_matrix), so both reject the same defects, each error
+    naming its matrix."""
+    matrix, message = MATRIX_DEFECTS[defect]
+    with pytest.raises(IntegrityError, match=f"^{name} {message}"):
+        CHECKED_MATRICES[name](matrix)
 
 
 def test_dataset_columns_read_only():

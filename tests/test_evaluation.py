@@ -334,6 +334,20 @@ def test_grid_search_computes_similarities_once_per_exponent(name, monkeypatch):
     assert all("grouping" not in row for row in result.to_json_dict()["rows"])
 
 
+def test_grid_search_computes_no_similarities_for_candidates_missing_a_param(monkeypatch):
+    from spectralweak import evaluation
+
+    calls = []
+    monkeypatch.setattr(evaluation, "initial_similarities", lambda dist, m=-1.0: calls.append(m))
+    ds = separable_singletons(seed=7)
+    grid = GridSpec(model="prob_threshold", axes=(("w_thresh", (0.05, 0.1)),), base=GraphParams(sigma=0.05))
+    row = "ParameterError: prob_threshold needs params.eps_weight"
+    with pytest.raises(SearchError) as exc:
+        grid_search(standardize(ds), grid, k=2, objective="f1", seed=0)
+    assert str(exc.value) == f"all 2 grid candidates failed: [0] {row}; [1] {row}"
+    assert calls == []
+
+
 def test_grid_search_validates_inputs():
     ds = separable_singletons(seed=2)
     grid = GridSpec(model="epsilon", axes=(("epsilon", (2.0,)),))

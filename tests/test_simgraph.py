@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -13,6 +14,7 @@ from spectralweak.dataset import DistanceMatrix, pairwise_distances
 from spectralweak.errors import DegenerateDistanceError, IntegrityError, ParameterError
 from spectralweak.simgraph import (
     MODELS,
+    REQUIRED_PARAMS,
     SYMMETRIZE_RULES,
     GraphParams,
     GraphSpec,
@@ -751,11 +753,28 @@ def test_models_tuple():
 
 
 def test_build_graph_missing_params():
+    """Each model, missing any one of its required params, is refused with
+    a message naming that field; a spec missing several names them all."""
     d = pairwise_distances(LINE4)
-    with pytest.raises(ParameterError):
-        build_graph(d, GraphSpec("epsilon", GraphParams()))
-    with pytest.raises(ParameterError):
-        build_graph(d, GraphSpec("prob_threshold", GraphParams(w_thresh=0.5)))
+    full = GraphParams(epsilon=1.5, k=2, sigma=0.5, w_thresh=0.3, eps_weight=1e-6)
+    requirements = {
+        "epsilon": ("epsilon",),
+        "knn_symmetric": ("k",),
+        "knn_mutual": ("k",),
+        "fully_connected": ("sigma",),
+        "prob_threshold": ("w_thresh", "sigma", "eps_weight"),
+        "prob_criterion": ("w_thresh", "sigma"),
+    }
+    assert REQUIRED_PARAMS == requirements
+    for model, required in requirements.items():
+        data = LINE4 if model in simgraph.KNN_MODELS else d
+        assert build_graph(data, GraphSpec(model, full), seed=0).model == model
+        for name in required:
+            spec = GraphSpec(model, dataclasses.replace(full, **{name: None}))
+            with pytest.raises(ParameterError, match=rf"^{model} needs params\.{name}$"):
+                build_graph(data, spec, seed=0)
+    with pytest.raises(ParameterError, match=r"^prob_threshold needs params\.w_thresh, params\.sigma, params\.eps_weight$"):
+        build_graph(d, GraphSpec("prob_threshold", GraphParams()))
     with pytest.raises(ParameterError):
         GraphSpec("voronoi", GraphParams())
 
