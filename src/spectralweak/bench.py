@@ -484,6 +484,9 @@ def toyfig(ds: Dataset | None = None) -> BenchReport:
     ds = load_dataset_a() if ds is None else ds
     planted = ds.label
     dist = pairwise_distances(ds)
+    # first, so that coincident points fail as a DegenerateDistanceError
+    # naming the pair, not as a zero radius in the epsilon sweep
+    sims = initial_similarities(dist)
     checks: list[BenchCheck] = []
     rows: list[dict] = []
 
@@ -501,8 +504,6 @@ def toyfig(ds: Dataset | None = None) -> BenchReport:
         span = f"counts {counts[0]}..{counts[-1]} for k=1..{TOY_K_MAX}"
         checks.append(BenchCheck(f"{model} components monotone in k", "hard", _non_increasing(counts), detail=span))
         checks.append(BenchCheck(f"no k yields the planted groups ({model})", "hard", not hits))
-
-    sims = initial_similarities(dist)
 
     def threshold_graph(w: float):
         return prob_threshold_graph(sims, w, TOY_SIGMA_W, TOY_EPS_WEIGHT, TOY_SYMMETRIZE)

@@ -355,6 +355,8 @@ def train(kind: str, x: np.ndarray, y: np.ndarray, knn_k: int | None = None):
         return train_qda(x, y)
     if knn_k is None:
         raise ParameterError("knn needs a neighbour count: --knn-k is required")
+    if knn_k > len(x):
+        raise ParameterError(f"--knn-k: expected at most the {len(x)} training rows, got {knn_k}")
     return train_knn(x, y, knn_k)
 
 

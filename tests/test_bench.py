@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from spectralweak import bench, cli
 from spectralweak.dataset import pairwise_distances
-from spectralweak.errors import MissingDataError, ParseError
+from spectralweak.errors import DegenerateDistanceError, MissingDataError, ParseError
 from spectralweak.weakanno import SynthBagsConfig
 
 from helpers import write_fake_banknotes
@@ -344,6 +345,14 @@ def test_toyfig_suite_passes():
     assert families == {"epsilon", "knn_symmetric", "knn_mutual", "prob_threshold"}
     names = " ".join(c.name for c in report.checks)
     assert "planted" in names and "reference" in names
+
+
+def test_toyfig_names_coincident_points():
+    ds = bench.load_dataset_a()
+    x = ds.x.copy()
+    x[1] = x[0]
+    with pytest.raises(DegenerateDistanceError, match="instances 0 and 1 are at distance zero"):
+        bench.toyfig(replace(ds, x=x))
 
 
 def test_run_suite_dispatch(tmp_path):

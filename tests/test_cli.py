@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -679,6 +680,46 @@ def test_config_boolean_for_a_float_key_exits_2(tmp_path, capsys, key, value):
     assert not out.exists() or not any(out.iterdir())
 
 
+WRONG_TYPE = {int: (1.5, True), float: (True,), str: (5, False), bool: ("false", 1)}
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in COMMAND_FLAGS.items() for f in sorted(flags - {"-h", "--help", "--config"})]
+)
+def test_config_value_of_the_wrong_type_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, command, flag):
+    # --out is left at its default, the working directory
+    monkeypatch.chdir(tmp_path)
+    kind = cli.FLAGS[flag[2:]][0]
+    for value in WRONG_TYPE[kind]:
+        (tmp_path / "run.json").write_text(json.dumps({flag[2:]: value}))
+        code, _, err = run([command, "--config", "run.json"], capsys)
+        assert code == 2
+        assert err == f"error: {flag}: expected {kind.__name__}, got {value!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_config_null_means_the_default(tmp_path, capsys):
+    argv = ["group", "--data", "builtin:dataset_a", "--model", "knn_symmetric", "--k", "3"]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": None, "groups": None}))
+    outputs = []
+    for flags in (["--config", str(config)], ["--seed", "0", "--groups", "2"]):
+        out = tmp_path / str(len(outputs))
+        code, _, _ = run([*argv, *flags, "--out", str(out)], capsys)
+        assert code == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_of_each_command_lists_every_flag_it_takes(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+    assert {"-h", *listed} == COMMAND_FLAGS[command]
+
+
 @pytest.mark.parametrize("raw", [2, 2.0, "2"])
 def test_integral_values_still_cast_to_int(raw):
     assert cli._cast("k", raw, int) == 2
@@ -696,6 +737,18 @@ def test_knn_k_with_another_classifier_exits_2_naming_both_flags(tmp_path, capsy
     assert code == 2
     assert err == f"error: --knn-k applies only to --classifier knn, got --classifier {classifier}\n"
     assert not (tmp_path / output).exists()
+
+
+def test_train_knn_k_above_the_training_rows_exits_2_naming_the_flag(tmp_path, capsys):
+    data = write_bagged_csv(tmp_path / "bags.csv")
+    code, _, err = run(
+        ["train", "--data", str(data), "--strong-label", "ok", "--out", str(tmp_path),
+         "--classifier", "knn", "--knn-k", "1000"],
+        capsys,
+    )
+    assert code == 2
+    assert err == "error: --knn-k: expected at most the 36 training rows, got 1000\n"
+    assert not (tmp_path / "model.json").exists()
 
 
 @pytest.mark.parametrize("command, output", [("train", "model.json"), ("evaluate", "cv.json")])
