@@ -401,11 +401,20 @@ def _knn_vote(model: KnnModel, x: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict(model, x: np.ndarray) -> np.ndarray:
-    """Predicted labels, ties toward the smallest class index."""
+def predict(model, x: np.ndarray, ks=None) -> np.ndarray:
+    """Predicted labels, ties toward the smallest class index. With ks, counts
+    from 1 to a KnnModel's training rows, one column of labels per count,
+    (rows, len(ks)), from one ranking; ks with another model is a
+    ParameterError."""
     x = _check_predict_input(model, x)
+    if ks is not None and not isinstance(model, KnnModel):
+        raise ParameterError(f"neighbour counts apply only to a kNN model, not {type(model).__name__}")
     if isinstance(model, KnnModel):
-        chosen = _knn_vote(model, x, np.array([model.k]))[0]
+        counts = np.asarray([model.k] if ks is None else ks, dtype=int)
+        if counts.ndim != 1 or not counts.size or not (1 <= counts.min() <= counts.max() <= len(model.train_y)):
+            raise ParameterError(f"neighbour counts must lie in 1..{len(model.train_y)}, got {counts.tolist()}")
+        chosen = _knn_vote(model, x, counts)
+        chosen = chosen[0] if ks is None else chosen.T
     elif isinstance(model, LogisticModel):
         chosen = np.argmax(predict_proba(model, x), axis=1)
     else:
@@ -589,12 +598,13 @@ def _mapped_start(
 
 def _logistic_folds(
     x: np.ndarray, codes: np.ndarray, bag_of: np.ndarray, present: np.ndarray, train_sums: np.ndarray
-) -> dict[int, tuple[LogisticModel, np.ndarray, np.ndarray]]:
-    """The logistic model of every fold with at least two classes, with the
-    mean and sd of its z-scoring, keyed by bag index.
+) -> tuple[dict[int, np.ndarray], list[int]]:
+    """The class codes the logistic model of every fold with at least two
+    classes predicts for its held-out rows, keyed by bag index, and the bags
+    whose fit stopped at MAX_ITER unconverged, in bag order.
 
     A fold fits all n rows in its own z-scoring (`_fold_scaling`), with zero
-    weight on its bag.
+    weight on its bag, and predicts its bag's rows in that z-scoring.
     Folds with the same classes advance together through `_newton`, in
     blocks whose design stack stays near LOGISTIC_BLOCK_BYTES. Folds with
     every class start from their bag's `_deletion_starts` row; the others,
@@ -606,7 +616,7 @@ def _logistic_folds(
     starts = None if full is None else _deletion_starts(full, x, onehot, bag_of)
     multi = present.sum(axis=1) > 1
     block = max(1, LOGISTIC_BLOCK_BYTES // (8 * n * (p + 1)))
-    folds = {}
+    held, unconverged = {}, []
     for pattern in np.unique(present[multi], axis=0):
         classes = tuple(np.flatnonzero(pattern).tolist())
         group = np.flatnonzero(multi & (present == pattern).all(axis=1))
@@ -625,20 +635,22 @@ def _logistic_folds(
                     classes=classes, coef=theta[i, :, :p].copy(), intercept=theta[i, :, p].copy(),
                     converged=bool(converged[i]), n_iter=int(n_iter[i]),
                 )
-                folds[j] = model, mean[i], sd[i]
-    return folds
+                held[j] = predict(model, z[i][bag_of == j]).astype(int)
+            unconverged += bags[~converged].tolist()
+    return held, sorted(unconverged)
 
 
-def _fold_votes(kind, x, y, test, sums, knn_k, bag_id, ks=None) -> np.ndarray:
-    """The labels a kNN or QDA fold, z-scored by `_fold_scaling`, predicts for
-    its held-out rows `test`; knn_k is cut to the training size. With ks, one
-    row of kNN labels per k of ks, each cut too. An error names the bag."""
+def _fold_votes(kind, x, y, test, sums, ks, bag_id) -> np.ndarray:
+    """The labels (held-out rows, counts) a kNN or QDA fold, z-scored by
+    `_fold_scaling`, predicts for its held-out rows `test`: one kNN column
+    per count of ks, each cut to the training size, or one QDA column. An
+    error names the bag."""
     try:
         _, _, (z,) = _fold_scaling(x, (~test).astype(float)[None], sums[None])
-        model = train(kind, z[~test], y[~test], None if knn_k is None else min(knn_k, z.shape[0] - int(test.sum())))
-        if ks is None:
-            return predict(model, z[test])
-        return np.asarray(model.classes, dtype=object)[_knn_vote(model, z[test], np.minimum(ks, model.k))]
+        if kind == "qda":
+            return predict(train(kind, z[~test], y[~test]), z[test])[:, None]
+        ks = np.minimum(ks, z.shape[0] - int(test.sum()))
+        return predict(train(kind, z[~test], y[~test], int(ks.max())), z[test], ks)
     except SpectralWeakError as exc:
         raise type(exc)(f"fold of bag {bag_id!r}: {exc}") from exc
 
@@ -653,13 +665,13 @@ def leave_one_bag_out_cv(
     """Bag-level cross-validation: one fold per bag, ordered by bag id.
 
     Features are z-scored per fold from the training side only, by one rule
-    (`_fold_scaling`). Bags are scored by comparing the aggregated instance
-    prediction to the bag label. A fold is flagged when its training side
-    lacks a class of the dataset's training labels. For knn with no knn_k,
-    the count is the first of KNN_GRID with the most bags right, in one pass
-    that ranks each fold once and votes for every count; a count above a
-    fold's training size is cut to it. knn_k with another classifier is a
-    ParameterError. A kNN or QDA fold error names its bag.
+    (`_fold_scaling`). Each fold's held-out labels are computed once: for
+    knn one column per count of KNN_GRID, or of knn_k alone, cut to the
+    fold's training size; one column otherwise. A bag is right when its
+    aggregated column matches its label; knn with no knn_k scores the first
+    count with the most bags right. A fold is flagged when its training side
+    lacks a class of the dataset's training labels. knn_k with another
+    classifier is a ParameterError. A kNN or QDA fold error names its bag.
 
     Logistic folds fit integer class codes, indices into the sorted training
     labels, in batches (`_logistic_folds`). Each starts Newton from one fit
@@ -677,44 +689,35 @@ def leave_one_bag_out_cv(
     in_bag = np.bincount(bag_of * all_classes.size + codes, minlength=len(ds.bag_ids) * all_classes.size)
     present = in_bag.reshape(len(ds.bag_ids), -1) < np.bincount(codes, minlength=all_classes.size)
     train_sums = ds.x.sum(axis=0) - np.stack([np.bincount(bag_of, weights=col) for col in ds.x.T], axis=1)
-    chosen_k = None
-    if kind == "knn" and knn_k is None:
-        # one-class folds vote alike for every count, so the sweep skips them
-        hits = np.zeros(len(KNN_GRID), dtype=int)
-        for j in np.flatnonzero(present.sum(axis=1) > 1):
-            votes = _fold_votes(kind, ds.x, y, bag_of == j, train_sums[j], max(KNN_GRID), ds.bag_ids[j], KNN_GRID)
-            hits += [aggregation.aggregate(row, ds.strong_label) == ds.label[first[j]] for row in votes]
-        chosen_k = knn_k = KNN_GRID[int(np.argmax(hits))]
-    logistic = _logistic_folds(ds.x, codes, bag_of, present, train_sums) if kind == "logistic" else {}
-    results: list[BagResult] = []
+    ks = np.asarray(KNN_GRID if knn_k is None else (knn_k,))
+    width = ks.size if kind == "knn" else 1
+    logistic, unconverged = {}, []
+    if kind == "logistic":
+        logistic, unconverged = _logistic_folds(ds.x, codes, bag_of, present, train_sums)
+    votes = []
     for j, bag_id in enumerate(ds.bag_ids):
         test = bag_of == j
         if present[j].sum() == 1:
             # Degenerate fold: only one class left to predict from.
-            preds = np.asarray([all_classes[present[j]][0]] * int(test.sum()), dtype=object)
+            votes.append(np.full((int(test.sum()), width), all_classes[present[j]][0], dtype=object))
         elif kind == "logistic":
-            model, mean, sd = logistic[j]
-            preds = all_classes[predict(model, (ds.x[test] - mean) / sd).astype(int)]
+            votes.append(all_classes[logistic[j]][:, None])
         else:
-            preds = _fold_votes(kind, ds.x, y, test, train_sums[j], knn_k, bag_id)
-        bag_pred = aggregation.aggregate(preds, ds.strong_label)
-        true_label = ds.label[first[j]]
-        results.append(
-            BagResult(
-                bag_id=bag_id, true_label=true_label, predicted_label=bag_pred,
-                instance_votes=Counter(preds.tolist()),
-            )
-        )
-    unconverged = [ds.bag_ids[j] for j, (model, _, _) in sorted(logistic.items()) if not model.converged]
+            votes.append(_fold_votes(kind, ds.x, y, test, train_sums[j], ks, bag_id))
+    bag_preds = np.array([[aggregation.aggregate(col, ds.strong_label) for col in v.T] for v in votes], dtype=object)
+    truth = ds.label[first]
+    column = int(np.argmax((bag_preds == truth[:, None]).sum(axis=0)))
+    results = tuple(BagResult(bag_id, truth[j], bag_preds[j, column], Counter(votes[j][:, column].tolist()))
+                    for j, bag_id in enumerate(ds.bag_ids))
     if unconverged:
         warnings.warn(
             f"logistic fit stopped unconverged after MAX_ITER={MAX_ITER} Newton steps "
-            f"in the folds of bags {', '.join(unconverged)}"
+            f"in the folds of bags {', '.join(ds.bag_ids[j] for j in unconverged)}"
         )
     return CVResult(
-        per_bag=tuple(results),
+        per_bag=results,
         accuracy=sum(r.true_label == r.predicted_label for r in results) / len(results),
         confusion=Counter((r.true_label, r.predicted_label) for r in results),
         flagged_folds=tuple(ds.bag_ids[j] for j in np.flatnonzero(~present.all(axis=1))),
-        chosen_knn_k=chosen_k,
+        chosen_knn_k=KNN_GRID[column] if kind == "knn" and knn_k is None else None,
     )

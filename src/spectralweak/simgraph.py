@@ -28,9 +28,8 @@ sparsifier that differs only in which below-threshold entries it revives.
 The similarities and the probabilistic W are each computed in their own
 n x n buffer, by row blocks of at most ROW_BLOCK_BYTES and 1/DENSE_BLOCK_PARTS
 of the rows, then symmetrized in place tile pair by tile pair, so no other
-n x n float array is made on the way (the criterion's draws also keep an
-n x n bool mask). graph.json holds the upper triangle of W as triplets for
-every model.
+n x n float array is made on the way. graph.json holds the upper triangle
+of W as triplets for every model.
 """
 
 from __future__ import annotations
@@ -482,11 +481,11 @@ def fully_connected_gaussian(dist: DistanceMatrix, sigma: float) -> SimilarityGr
 def gaussian_bump(s: np.ndarray | float, w_thresh: float, sigma: float, out: np.ndarray | None = None):
     """Gaussian density (not truncated) centred at the keep threshold, into
     `out` when given: exp(-((s - w_thresh) ** 2) / (2 sigma^2)) / (sigma sqrt(2 pi)),
-    one ufunc per step, as numpy evaluates that expression."""
+    one ufunc per step, with that expression's bits: x / -c is -(x / c) in
+    IEEE arithmetic, so the square is divided by -2 sigma^2, not negated."""
     f = np.subtract(s, w_thresh, out=out)
     f = np.square(f, out=out)
-    f = np.negative(f, out=out)
-    f = np.divide(f, 2.0 * sigma**2, out=out)
+    f = np.divide(f, -(2.0 * sigma**2), out=out)
     f = np.exp(f, out=out)
     return np.divide(f, sigma * math.sqrt(2.0 * math.pi), out=out)
 
@@ -514,20 +513,20 @@ def _sparsify(
     w_thresh: float,
     sigma: float,
     rule: str,
-    revive: Callable[[np.ndarray, int, int, np.ndarray], np.ndarray],
+    drop: Callable[[np.ndarray, int, int, np.ndarray], None],
 ) -> np.ndarray:
     """The rule both probabilistic models share, per directed entry s: keep
-    s >= w_thresh; an off-diagonal s < w_thresh that revive marks gets
+    s >= w_thresh; an off-diagonal s < w_thresh that the model revives gets
     min(f, w_thresh), f its bump, so it never outweighs an entry that passed
     on its own; drop the rest. Then min/max symmetrization.
 
     Everything happens in W, one n x n array, by blocks of rows (row_blocks):
-    first every row's bump f, then per block the revived entries and the
+    first every row's bump f, then per block the dropped entries and the
     final directed weights, then the symmetrization, tile pair by tile pair.
-    revive(below, lo, hi, w) gets the block's off-diagonal below-threshold
-    mask, which it may overwrite, and returns the block's revived mask; it
-    is called on the blocks in order, with the rows of w from lo on still
-    holding their bumps.
+    drop(below, lo, hi, w) gets the block's off-diagonal below-threshold
+    mask, which it may overwrite, and leaves 0 in w wherever that mask marks
+    an entry the model does not revive (min(0, w_thresh) keeps it 0). It is
+    called on the blocks in order, the rows from lo on holding bumps or 0.
     """
     if not (0.0 < w_thresh < 1.0):
         raise ParameterError(f"w_thresh must be in (0, 1), got {w_thresh}")
@@ -543,9 +542,8 @@ def _sparsify(
         rows = w[lo:hi]
         below = s[lo:hi] < w_thresh
         np.fill_diagonal(below[:, lo:], False)
-        revived = revive(below, lo, hi, w)
+        drop(below, lo, hi, w)
         np.minimum(rows, w_thresh, out=rows)
-        rows *= revived
         np.copyto(rows, s[lo:hi], where=np.greater_equal(s[lo:hi], w_thresh, out=below))
     symmetrize_in_place(w, combine)
     np.fill_diagonal(w, 0.0)
@@ -564,10 +562,10 @@ def prob_threshold_graph(
     if not (eps_weight > 0 and math.isfinite(eps_weight)):
         raise ParameterError(f"eps_weight must be positive and finite, got {eps_weight}")
 
-    def reaches(below: np.ndarray, lo: int, hi: int, f: np.ndarray) -> np.ndarray:
-        return np.logical_and(below, f[lo:hi] >= eps_weight, out=below)
+    def falls_short(below: np.ndarray, lo: int, hi: int, f: np.ndarray) -> None:
+        np.copyto(f[lo:hi], 0.0, where=np.logical_and(below, f[lo:hi] < eps_weight, out=below))
 
-    w = _sparsify(sims, w_thresh, sigma, symmetrize_rule, reaches)
+    w = _sparsify(sims, w_thresh, sigma, symmetrize_rule, falls_short)
     params = GraphParams(
         sigma=sigma, w_thresh=w_thresh, eps_weight=eps_weight, m=sims.m, symmetrize=symmetrize_rule
     )
@@ -590,7 +588,7 @@ def prob_criterion_graph(
     or above the threshold never consume randomness, so a graph whose
     similarities all clear the threshold is identical for every seed. The
     draws are made block by block of rows i, which gives the doubles of one
-    call, and each pair's two decisions go into an n x n bool mask.
+    call, and each decision goes straight into W.
     """
     if seed is None:
         raise ParameterError("prob_criterion_graph requires an explicit seed")
@@ -598,22 +596,21 @@ def prob_criterion_graph(
     n = s.shape[0]
     rng = np.random.default_rng(seed)
     peak = bump_peak(sigma)
-    revived = np.zeros((n, n), dtype=bool)
 
-    def draw(below: np.ndarray, lo: int, hi: int, f: np.ndarray) -> np.ndarray:
+    def draw(below: np.ndarray, lo: int, hi: int, f: np.ndarray) -> None:
         # The block's pairs (i, j), j > i, in columns j from lo on: axis 0
         # is i, axis 1 is j, axis 2 their (i, j) and (j, i) directions, so
-        # C order is the draw order. An undrawn u is inf.
+        # C order is the draw order. An undrawn u is -inf: it drops nothing.
+        # f >= 0 times a 0/1 float mask, faster than a bool one or copyto.
         upper = np.arange(n - lo) > np.arange(hi - lo)[:, None]
         drawn = np.empty((hi - lo, n - lo, 2), dtype=bool)
         np.logical_and(below[:, lo:], upper, out=drawn[:, :, 0])
         np.less(s[lo:, lo:hi].T, w_thresh, out=drawn[:, :, 1])
         drawn[:, :, 1] &= upper
-        u = np.full(drawn.shape, np.inf)
+        u = np.full(drawn.shape, -np.inf)
         u[drawn] = rng.random(np.count_nonzero(drawn))
-        revived[lo:hi, lo:] |= u[:, :, 0] < f[lo:hi, lo:] / peak
-        revived[lo:, lo:hi] |= (u[:, :, 1] < f[lo:, lo:hi].T / peak).T
-        return revived[lo:hi]
+        f[lo:hi, lo:] *= (u[:, :, 0] < f[lo:hi, lo:] / peak).astype(float)
+        f[lo:, lo:hi] *= (u[:, :, 1] < f[lo:, lo:hi].T / peak).T.astype(float)
 
     w = _sparsify(sims, w_thresh, sigma, symmetrize_rule, draw)
     params = GraphParams(sigma=sigma, w_thresh=w_thresh, m=sims.m, symmetrize=symmetrize_rule)

@@ -275,6 +275,9 @@ def test_knn_k_bounds():
         train_knn(x, y, 0)
     with pytest.raises(ParameterError):
         train_knn(x, y, 3)
+    for ks in ([0, 1], [3], []):
+        with pytest.raises(ParameterError, match=r"neighbour counts must lie in 1\.\.2"):
+            predict(train_knn(x, y, 1), x, ks)
 
 
 @st.composite
@@ -317,10 +320,12 @@ def test_knn_vote_matches_the_per_row_reference_at_every_k(case, data):
     ks = data.draw(st.lists(st.integers(1, train_x.shape[0]), min_size=1, max_size=6))
     model = KnnModel(classes=tuple(sorted(set(labels.tolist()))), train_x=train_x, train_y=labels, k=max(ks))
     votes = classify._knn_vote(model, queries, np.asarray(ks))
+    columns = predict(model, queries, ks)
     assert votes.shape == (len(ks), queries.shape[0])
-    for k, row in zip(ks, votes):
+    for i, (k, row) in enumerate(zip(ks, votes)):
         want = knn_predict_reference(replace(model, k=k), queries)
         assert np.asarray(model.classes, dtype=object)[row].tolist() == want.tolist()
+        assert columns[:, i].tolist() == want.tolist()
 
 
 def test_knn_predict_memory_is_blocked():
@@ -544,6 +549,23 @@ def test_lobo_knn_sweep_enters_the_cv_once(monkeypatch):
     assert calls == ["knn"]
 
 
+def test_lobo_knn_sweep_ranks_each_fold_once(monkeypatch):
+    # bags ok, flu, ok: the fold of the flu bag trains on one class and is
+    # never ranked; the other two are ranked once for every count
+    ds = blob_bags(n_bags=3, per_bag=3)
+    calls = []
+    vote = classify._knn_vote
+
+    def counting(model, x, ks):
+        calls.append(len(x))
+        return vote(model, x, ks)
+
+    monkeypatch.setattr(classify, "_knn_vote", counting)
+    result = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "knn")
+    assert result.flagged_folds == ("bag01",)
+    assert calls == [3, 3]
+
+
 def test_lobo_input_validation():
     ds = blob_bags()
     with pytest.raises(ParameterError, match="unknown classifier"):
@@ -586,8 +608,9 @@ def synth_training_sets(seed, config=SynthBagsConfig()):
 
 
 def record_fold_models(monkeypatch):
-    """The LogisticModel of every fold that reaches a fit, in bag order, as
-    leave_one_bag_out_cv hands it to predict."""
+    """The LogisticModel of every fold that reaches a fit, as the logistic
+    folds hand it to predict: grouped by the classes the fold trains on, in
+    bag order within a group (bag order when every fold has every class)."""
     models = []
 
     def recording(model, x):
@@ -781,12 +804,14 @@ def test_lobo_warns_once_naming_unconverged_folds(monkeypatch):
 
 def test_knn_k_is_for_knn_only():
     """--knn-k goes only with knn, and only as a positive count; both paths
-    refuse it before any fit."""
+    refuse it before any fit. predict takes neighbour counts only for kNN."""
     x, labels = two_blobs()
     for kind in ("logistic", "qda"):
         message = f"--knn-k applies only to --classifier knn, got --classifier {kind}"
         with pytest.raises(ParameterError, match=message):
             train(kind, x, labels, knn_k=3)
+    with pytest.raises(ParameterError, match="neighbour counts apply only to a kNN model, not LogisticModel"):
+        predict(train_logistic(x, labels), x, [1, 3])
     ds = blob_bags()
     with pytest.raises(ParameterError, match="--knn-k applies only to --classifier knn"):
         leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, "logistic", knn_k=3)

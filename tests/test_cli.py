@@ -680,7 +680,7 @@ def test_config_boolean_for_a_float_key_exits_2(tmp_path, capsys, key, value):
     assert not out.exists() or not any(out.iterdir())
 
 
-WRONG_TYPE = {int: (1.5, True), float: (True,), str: (5, False), bool: ("false", 1)}
+WRONG_TYPE = {int: (1.5, 2.9, True), float: (True, False), str: (5, False), bool: ("false", 1)}
 
 
 @pytest.mark.parametrize(

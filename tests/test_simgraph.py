@@ -549,6 +549,12 @@ def test_gaussian_bump_into_a_buffer_has_the_expressions_bits(seed, w_thresh, si
     assert out.tobytes() == want.tobytes()
     assert gaussian_bump(s, w_thresh, sigma).tobytes() == want.tobytes()
     assert gaussian_bump(float(s[0, 0]), w_thresh, sigma) == want[0, 0]
+    # a column of a buffer 8 doubles wide: numpy 2.4.6's np.negative read
+    # such a strided operand as if it were contiguous
+    wide = np.random.default_rng(seed).random((16, 8))
+    buf = np.empty_like(wide)
+    want = np.exp(-((wide[:, 2] - w_thresh) ** 2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
+    assert gaussian_bump(wide[:, 2], w_thresh, sigma, out=buf[:, 3]).tobytes() == want.tobytes()
 
 
 def test_symmetrize_min_max_hand_case():
