@@ -402,12 +402,12 @@ def table1(
 
 SYNTH_ANNOTATION_GRAPH = GraphSpec("knn_symmetric", GraphParams(k=10))
 SYNTH_GAP_POINTS = 0.05
+SYNTH_CLASSIFIER = "logistic"
 
 
 def table2synth(
     seeds: tuple[int, ...] = tuple(range(20)),
     config: SynthBagsConfig = SynthBagsConfig(),
-    classifier: str = "logistic",
 ) -> BenchReport:
     """Weak annotation vs the bag-label-to-every-member baseline on planted
     bags, scored by leave-one-bag-out bag accuracy over many seeds.
@@ -422,9 +422,9 @@ def table2synth(
     for s in seeds:
         bags = synth_bags(replace(config, seed=s))
         ts = build_training_set(bags.dataset, SYNTH_ANNOTATION_GRAPH, seed=s)
-        weak_cv = leave_one_bag_out_cv(ts, bags.dataset, classifier)
+        weak_cv = leave_one_bag_out_cv(ts, bags.dataset, SYNTH_CLASSIFIER)
         base_cv = leave_one_bag_out_cv(
-            fully_supervised_baseline(bags.dataset), bags.dataset, classifier
+            fully_supervised_baseline(bags.dataset), bags.dataset, SYNTH_CLASSIFIER
         )
         gap = weak_cv.accuracy - base_cv.accuracy
         win = gap >= SYNTH_GAP_POINTS
@@ -448,7 +448,7 @@ def table2synth(
             passed=wins >= required,
             value=float(wins),
             target=f">= {required} wins",
-            detail=f"classifier={classifier}, mean gap {float(np.mean(gaps)):.3f}",
+            detail=f"classifier={SYNTH_CLASSIFIER}, mean gap {float(np.mean(gaps)):.3f}",
         ),
     )
     return BenchReport("table2synth", checks, time.perf_counter() - t0, tuple(rows))

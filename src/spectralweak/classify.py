@@ -3,7 +3,7 @@
 Three classifiers share one practice: deterministic fits, sorted class order,
 ties resolved toward the smallest class index. `train` maps a classifier
 name to its fit. Evaluation is leave-one-bag-out: train on every instance
-outside the held-out bag, z-scored by one fold rule (`_fold_scaling`),
+outside the held-out bag, z-scored by the rule of `dataset.zscore`,
 predict its members, reduce instance votes to one bag label. Its logistic
 folds run through the Newton core of `train_logistic` a block of folds at a
 time.
@@ -17,10 +17,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from .dataset import Dataset
+from .dataset import Dataset, zscore
 from .errors import NumericalError, ParameterError, SpectralWeakError, TrainingError
-from .simgraph import nearest_columns
+from .simgraph import ROW_BLOCK_BYTES, nearest_columns
 from .weakanno import AnnotatedTrainingSet
 
 CLASSIFIERS = ("logistic", "qda", "knn")
@@ -30,9 +31,6 @@ MAX_ITER = 500  # logistic Newton steps
 RIDGE = 1e-6  # QDA covariance ridge, relative to trace/p
 HEAVY_RIDGE = 1e-3  # the same for classes with at most p members
 KNN_GRID = tuple(range(1, 26, 2))  # neighbour counts the LOBO sweep tries
-# knn predict handles queries in blocks whose query-minus-training differences
-# take about this many bytes, so memory does not grow with the query count.
-_KNN_BLOCK_BYTES = 1 << 23
 LOGISTIC_BLOCK_BYTES = 2**18  # size of the (folds, n, p+1) design stack of one block of logistic LOBO folds
 
 
@@ -385,14 +383,16 @@ def _knn_vote(model: KnnModel, x: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Class indices (ks.size, rows) voted for by each row's k nearest training
     rows, for each k of ks; vote ties go to the smallest class index.
 
-    nearest_columns of the largest k is in ascending column order, so a stable
-    sort by distance ranks it by (distance, index): its first k columns are
-    nearest_columns of k, and running class counts give every k its votes.
+    Distances are cdist's, taken for blocks of rows whose (rows, training
+    rows) array stays within ROW_BLOCK_BYTES. nearest_columns of the largest
+    k is in ascending column order, so a stable sort by distance ranks it by
+    (distance, index): its first k columns are nearest_columns of k, and
+    running class counts give every k its votes.
     """
-    step = max(1, _KNN_BLOCK_BYTES // (8 * max(1, model.train_x.size)))
+    step = max(1, ROW_BLOCK_BYTES // (8 * len(model.train_x)))
     out = np.empty((ks.size, x.shape[0]), dtype=int)
     for start in range(0, x.shape[0], step):
-        dists = np.linalg.norm(model.train_x[None] - x[start : start + step, None], axis=2)
+        dists = cdist(x[start : start + step], model.train_x)
         near = nearest_columns(dists, ks.max())
         order = np.argsort(np.take_along_axis(dists, near, axis=1), axis=1, kind="stable")
         ranked = model.train_y[np.take_along_axis(near, order, axis=1)]
@@ -531,36 +531,19 @@ class CVResult:
         }
 
 
-def _fold_scaling(x: np.ndarray, weights: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean and sd, (folds, p), that z-score each fold from its training rows,
-    and every row of x in each fold's z-scoring, (folds, n, p).
-
-    weights (folds, n) are 1 on a fold's training rows and 0 on its held-out
-    bag, and sums (folds, p) are the column sums of its training rows. The
-    sd takes ddof=1, and a column whose training rows are all equal divides
-    by 1, whatever sd its rounding leaves. A fold needs two training rows.
-    """
-    count = weights.sum(axis=1, keepdims=True)
-    mean = sums / count
-    dev = x - mean[:, None]
-    sd = np.sqrt((weights[..., None] * dev**2).sum(axis=1) / (count - 1))
-    first = x[np.argmax(weights, axis=1)]  # each fold's first training row
-    sd[((x == first[:, None]) | (weights[..., None] == 0.0)).all(axis=1)] = 1.0
-    return mean, sd, dev / sd[:, None]
-
-
-def _full_logistic_fit(x: np.ndarray, y: np.ndarray) -> tuple[LogisticModel, np.ndarray, np.ndarray] | None:
-    """The logistic fit on every row, z-scored by the fold rule as the fold
-    with no row held out, with its mean and sd; None when that fit raises."""
-    mean, sd, z = _fold_scaling(x, np.ones((1, x.shape[0])), x.sum(axis=0)[None])
+def _full_logistic_fit(x: np.ndarray, y: np.ndarray) -> tuple[LogisticModel, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The logistic fit on every row, z-scored by `zscore` as the fold with
+    no row held out, with that mean, sd and the z-scored rows it trained on;
+    None when that fit raises."""
+    (mean,), (sd,), (z,), _ = zscore(x, np.ones((1, x.shape[0])), x.sum(axis=0)[None])
     try:
-        return train_logistic(z[0], y), mean[0], sd[0]
+        return train_logistic(z, y), mean, sd, z
     except (TrainingError, NumericalError):
         return None
 
 
 def _deletion_starts(
-    full: tuple[LogisticModel, np.ndarray, np.ndarray], x: np.ndarray, onehot: np.ndarray, bag_of: np.ndarray
+    full: tuple[LogisticModel, np.ndarray, np.ndarray, np.ndarray], onehot: np.ndarray, bag_of: np.ndarray
 ) -> np.ndarray:
     """Each bag's one-step deletion update of the full fit, in the full fit's
     z-scoring.
@@ -570,9 +553,9 @@ def _deletion_starts(
     Newton step toward the fold's optimum, with the full Hessian standing in
     for the fold's.
     """
-    model, mean, sd = full
-    n = x.shape[0]
-    x1 = np.concatenate([(x - mean) / sd, np.ones((n, 1))], axis=1)[None]
+    model, _, _, z = full
+    n = z.shape[0]
+    x1 = np.concatenate([z, np.ones((n, 1))], axis=1)[None]
     theta = np.column_stack([model.coef, model.intercept])[None]
     probs = _softmax_full(x1, theta)
     k = theta.shape[1]
@@ -590,6 +573,8 @@ def _mapped_start(
 
     Scores are affine in x: coef_g @ (x - m_g) / s_g + b_g equals
     (coef_g * s / s_g) @ (x - m) / s + b_g + (coef_g / s_g) @ (m - m_g).
+    On a column constant on the fold's rows, which `zscore` zeroes there,
+    the shift alone carries those rows' scores.
     """
     per_unit = theta[..., :-1] / full_sd
     shift = (per_unit * (mean - full_mean)[..., None, :]).sum(axis=-1)
@@ -603,7 +588,7 @@ def _logistic_folds(
     classes predicts for its held-out rows, keyed by bag index, and the bags
     whose fit stopped at MAX_ITER unconverged, in bag order.
 
-    A fold fits all n rows in its own z-scoring (`_fold_scaling`), with zero
+    A fold fits all n rows in its own z-scoring (`zscore`), with zero
     weight on its bag, and predicts its bag's rows in that z-scoring.
     Folds with the same classes advance together through `_newton`, in
     blocks whose design stack stays near LOGISTIC_BLOCK_BYTES. Folds with
@@ -613,7 +598,7 @@ def _logistic_folds(
     n, p = x.shape
     onehot = (np.arange(present.shape[1])[:, None] == codes).astype(float)
     full = _full_logistic_fit(x, codes)
-    starts = None if full is None else _deletion_starts(full, x, onehot, bag_of)
+    starts = None if full is None else _deletion_starts(full, onehot, bag_of)
     multi = present.sum(axis=1) > 1
     block = max(1, LOGISTIC_BLOCK_BYTES // (8 * n * (p + 1)))
     held, unconverged = {}, []
@@ -622,7 +607,7 @@ def _logistic_folds(
         group = np.flatnonzero(multi & (present == pattern).all(axis=1))
         for bags in np.split(group, range(block, group.size, block)):
             weights = (bag_of != bags[:, None]).astype(float)
-            mean, sd, z = _fold_scaling(x, weights, train_sums[bags])
+            mean, sd, z, _ = zscore(x, weights, train_sums[bags])
             x1 = np.ones((bags.size, n, p + 1))
             x1[..., :p] = z
             if starts is not None and pattern.all():
@@ -642,11 +627,11 @@ def _logistic_folds(
 
 def _fold_votes(kind, x, y, test, sums, ks, bag_id) -> np.ndarray:
     """The labels (held-out rows, counts) a kNN or QDA fold, z-scored by
-    `_fold_scaling`, predicts for its held-out rows `test`: one kNN column
+    `zscore`, predicts for its held-out rows `test`: one kNN column
     per count of ks, each cut to the training size, or one QDA column. An
     error names the bag."""
     try:
-        _, _, (z,) = _fold_scaling(x, (~test).astype(float)[None], sums[None])
+        _, _, (z,), _ = zscore(x, (~test).astype(float)[None], sums[None])
         if kind == "qda":
             return predict(train(kind, z[~test], y[~test]), z[test])[:, None]
         ks = np.minimum(ks, z.shape[0] - int(test.sum()))
@@ -664,10 +649,11 @@ def leave_one_bag_out_cv(
 ) -> CVResult:
     """Bag-level cross-validation: one fold per bag, ordered by bag id.
 
-    Features are z-scored per fold from the training side only, by one rule
-    (`_fold_scaling`). Each fold's held-out labels are computed once: for
-    knn one column per count of KNN_GRID, or of knn_k alone, cut to the
-    fold's training size; one column otherwise. A bag is right when its
+    Features are z-scored per fold from the training side only, by
+    `dataset.zscore`: a column constant on the training side is zero on the
+    whole fold, held-out rows included. Each fold's held-out labels are
+    computed once: for knn one column per count of KNN_GRID, or of knn_k
+    alone, cut to the fold's training size; one column otherwise. A bag is right when its
     aggregated column matches its label; knn with no knn_k scores the first
     count with the most bags right. A fold is flagged when its training side
     lacks a class of the dataset's training labels. knn_k with another

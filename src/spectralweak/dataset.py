@@ -183,19 +183,33 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
     return Dataset(x=x, ids=ids, bag=bag, label=label, strong_label=strong)
 
 
-def standardize(ds: Dataset) -> Dataset:
-    """Z-score every feature column (sample standard deviation, ddof=1).
+def zscore(x: np.ndarray, weights: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The one z-scoring rule. weights (folds, n) are 1 on the rows a fold is
+    taken from, at least two, and 0 elsewhere; sums (folds, p) are those
+    rows' column sums. Returns each fold's mean and ddof=1 sd, (folds, p),
+    every row of x in its z-scoring, (folds, n, p), and its constant columns,
+    (folds, p): those whose weighted rows are all equal, tested on the values
+    since the sd need not come out 0 (890 rows of 0.3 give 5.55e-17). A
+    constant column has sd 1 and is +0.0 on every row of the fold."""
+    count = weights.sum(axis=1, keepdims=True)
+    mean = sums / count
+    dev = x - mean[:, None]
+    sd = np.sqrt((weights[..., None] * dev**2).sum(axis=1) / (count - 1))
+    first = x[np.argmax(weights, axis=1)]  # each fold's first weighted row
+    constant = ((x == first[:, None]) | (weights[..., None] == 0.0)).all(axis=1)
+    sd[constant] = 1.0
+    z = dev / sd[:, None]
+    z[np.broadcast_to(constant[:, None], z.shape)] = 0.0
+    return mean, sd, z, constant
 
-    Constant columns, those whose rows are all equal, are mapped to zeros
-    and reported through the dataset's warnings tuple rather than raising.
-    Constancy is tested on the values, not on the sd, which need not come
-    out exactly 0 (890 rows of 0.3 give 5.55e-17).
+
+def standardize(ds: Dataset) -> Dataset:
+    """Z-score every feature column by `zscore` over all rows.
+
+    Constant columns are mapped to zeros and reported through the dataset's
+    warnings tuple rather than raising.
     """
-    mat = ds.x
-    mean = mat.mean(axis=0)
-    constant = (mat == mat[0]).all(axis=0)
-    scaled = (mat - mean) / np.where(constant, 1.0, mat.std(axis=0, ddof=1))
-    scaled[:, constant] = 0.0
+    _, _, (scaled,), (constant,) = zscore(ds.x, np.ones((1, ds.n)), ds.x.sum(axis=0)[None])
     warnings = ds.warnings + tuple(f"constant feature column {j} mapped to zeros" for j in np.flatnonzero(constant))
     return replace(ds, x=scaled, warnings=warnings)
 

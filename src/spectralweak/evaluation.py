@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import Dataset, pairwise_distances
-from .errors import DegenerateGroupingError, ParameterError, SearchError, UndefinedIndexError
+from .errors import DegenerateGroupingError, ParameterError, SearchError, SpectralWeakError, UndefinedIndexError
 from .simgraph import (
     KNN_MODELS,
     PROB_MODELS,
@@ -202,8 +202,9 @@ def grid_search(
 
     objective "f1" (higher wins) scores against each instance's bag label;
     objective "db" (lower wins) needs no truth and uses davies_bouldin.
-    Candidates that raise are recorded with their error and skipped; if all
-    fail a SearchError carries the diagnostics. Exact objective ties keep the
+    Candidates that raise a SpectralWeakError are recorded with their error
+    and skipped; if all fail a SearchError carries the diagnostics. Any
+    other exception is a fault and propagates. Exact objective ties keep the
     earliest candidate in grid order.
 
     Candidates are evaluated in grid order and share the work that does not
@@ -232,7 +233,7 @@ def grid_search(
                 value = f1_score(grouping, ds.label).value
             else:
                 value = davies_bouldin(ds.x, grouping).value
-        except Exception as exc:  # recorded per candidate, re-raised only if all fail
+        except SpectralWeakError as exc:  # recorded per candidate, re-raised only if all fail
             return GridRow(spec=spec, objective=None, error=f"{type(exc).__name__}: {exc}")
         return GridRow(spec=spec, objective=float(value), grouping=grouping)
 

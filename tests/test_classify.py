@@ -5,10 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.spatial.distance import cdist
 from hypothesis import given, settings, strategies as st
 
 from spectralweak import classify
 from spectralweak.bench import SYNTH_ANNOTATION_GRAPH
+from spectralweak.dataset import zscore
 from spectralweak.classify import (
     HEAVY_RIDGE,
     KNN_GRID,
@@ -30,6 +32,7 @@ from spectralweak.classify import (
     train_qda,
 )
 from spectralweak.errors import NumericalError, ParameterError, TrainingError
+from spectralweak.simgraph import nearest_columns
 from spectralweak.weakanno import AnnotatedTrainingSet, SynthBagsConfig, build_training_set, synth_bags
 
 from helpers import (
@@ -328,6 +331,39 @@ def test_knn_vote_matches_the_per_row_reference_at_every_k(case, data):
         assert columns[:, i].tolist() == want.tolist()
 
 
+@given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.integers(1, 7), st.integers(0, 12))
+@settings(max_examples=150)
+def test_knn_vote_on_real_rows_matches_the_per_row_reference_at_every_k(seed, n, p, rows):
+    # below 8 columns numpy's norm sums in order, as cdist does
+    rng = np.random.default_rng(seed)
+    train_x = rng.normal(size=(n, p)) * rng.uniform(0.01, 100.0, size=p)
+    labels = np.asarray(["c0", "c1", "c2"], dtype=object)[rng.integers(0, 3, size=n)]
+    queries = rng.normal(size=(rows, p)) * 10.0
+    ks = np.arange(1, n + 1)
+    model = KnnModel(classes=tuple(sorted(set(labels.tolist()))), train_x=train_x, train_y=labels, k=n)
+    columns = predict(model, queries, ks)
+    for i, k in enumerate(ks):
+        assert columns[:, i].tolist() == knn_predict_reference(replace(model, k=k), queries).tolist()
+
+
+@pytest.mark.parametrize("p", [8, 19])
+def test_knn_vote_ranks_by_cdist_distances(monkeypatch, p):
+    rng = np.random.default_rng(p)
+    model = train_knn(rng.normal(size=(300, p)), rng.choice(["a", "b"], size=300), 5)
+    queries = rng.normal(size=(900, p))
+    seen = []
+
+    def recording(d, k):
+        seen.append(d.copy())
+        return nearest_columns(d, k)
+
+    monkeypatch.setattr(classify, "nearest_columns", recording)
+    predict(model, queries)
+    # blocks of ROW_BLOCK_BYTES: 436 rows of 300 distances each
+    assert [len(d) for d in seen] == [436, 436, 28]
+    assert np.array_equal(np.concatenate(seen), cdist(queries, model.train_x))
+
+
 def test_knn_predict_memory_is_blocked():
     rng = np.random.default_rng(0)
     model = train_knn(rng.normal(size=(2000, 5)), rng.choice(["a", "b", "c"], size=2000), 7)
@@ -419,25 +455,11 @@ def test_lobo_fold_shape_and_accuracy():
     assert payload["confusion"] == {"flu->flu": 3, "ok->ok": 3}
 
 
-def test_fold_standardizer_divides_a_constant_column_by_one():
-    # 890 rows of 0.3 have a rounded sd of 5.55e-17, not 0
-    train_x = np.column_stack([np.full(890, 0.3), np.arange(890.0)])
-    mean, sd, _ = classify._fold_scaling(train_x, np.ones((1, 890)), train_x.sum(axis=0)[None])
-    assert sd[0, 0] == 1.0
-    assert sd[0, 1] == train_x[:, 1].std(ddof=1)
-    assert abs((0.0 - mean[0, 0]) / sd[0, 0]) < 1.0
-
-
 @pytest.mark.parametrize("kind, knn_k", [("logistic", None), ("knn", 5), ("qda", None)])
 def test_lobo_fold_ignores_a_column_constant_on_its_training_side(kind, knn_k):
     base = blob_bags(n_bags=10, per_bag=90, gap=1.0)
     held = base.bag == "bag03"
-    # QDA weighs the column by its training variance, which is the ridge
-    # alone, so a held-out offset of 0.3 would decide its votes whatever the
-    # z-scoring. An offset of 1e-9 is negligible in sd units of 1, and 1.8e7
-    # in the rounded sd's.
-    held_value = 0.3 + 1e-9 if kind == "qda" else 0.0
-    ds = replace(base, x=np.column_stack([base.x, np.where(held, held_value, 0.3)]))
+    ds = replace(base, x=np.column_stack([base.x, np.where(held, 0.0, 0.3)]))
     # the column is constant on the fold's training side, yet its sd is not 0
     assert ds.x[~held, 2].std(ddof=1) > 0.0
     got = leave_one_bag_out_cv(fully_supervised_baseline(ds), ds, kind, knn_k=knn_k)
@@ -589,8 +611,8 @@ def test_mapped_start_keeps_the_full_fit_scores(case, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         full = classify._full_logistic_fit(x, y)
-    model, full_mean, full_sd = full
-    (mean,), (sd,), _ = classify._fold_scaling(x, (~held).astype(float)[None], x[~held].sum(axis=0)[None])
+    model, full_mean, full_sd, _ = full
+    (mean,), (sd,), _, _ = zscore(x, (~held).astype(float)[None], x[~held].sum(axis=0)[None])
     start = classify._mapped_start(np.column_stack([model.coef, model.intercept]), full_mean, full_sd, mean, sd)
     mapped = LogisticModel(model.classes, start[:, :-1], start[:, -1], False, 0)
     np.testing.assert_allclose(
@@ -717,7 +739,7 @@ def deletion_update_reference(ds, codes, bag_id):
     """The full fit plus the Newton step that removes the bag's gradient,
     with the Hessian taken by central differences of logistic_gradient, in
     the full fit's z-scoring."""
-    model, mean, sd = classify._full_logistic_fit(ds.x, codes)
+    model, mean, sd, _ = classify._full_logistic_fit(ds.x, codes)
     z = (ds.x - mean) / sd
     theta = np.column_stack([model.coef, model.intercept])
     test = ds.bag == bag_id
@@ -758,7 +780,7 @@ def test_lobo_folds_start_from_the_full_fit(monkeypatch):
         bag_id = ds.bag_ids[j]
         theta, full_mean, full_sd = deletion_update_reference(ds, codes, bag_id)
         kept = ds.bag != bag_id
-        (mean,), (sd,), _ = classify._fold_scaling(ds.x, kept.astype(float)[None], ds.x[kept].sum(axis=0)[None])
+        (mean,), (sd,), _, _ = zscore(ds.x, kept.astype(float)[None], ds.x[kept].sum(axis=0)[None])
         want = classify._mapped_start(theta, full_mean, full_sd, mean, sd)
         np.testing.assert_allclose(fold_starts[j], want, rtol=1e-6, atol=1e-9)
     warm = sum(model.n_iter for model in models)

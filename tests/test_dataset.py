@@ -2,9 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import build_dataset
+from helpers import build_dataset, standardize_reference
 from spectralweak.dataset import (
     CsvSchema,
     Dataset,
@@ -12,6 +12,7 @@ from spectralweak.dataset import (
     load_csv,
     pairwise_distances,
     standardize,
+    zscore,
 )
 from spectralweak.errors import IntegrityError, ParameterError, ParseError, SchemaError
 from spectralweak.simgraph import GraphParams, SimilarityGraph
@@ -205,6 +206,36 @@ def test_standardize_maps_a_constant_column_with_nonzero_sd_to_zeros():
     out = standardize(ds)
     assert np.all(out.x[:, 0] == 0.0)
     assert out.warnings == ("constant feature column 0 mapped to zeros",)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(2, 3000), st.integers(1, 19))
+@settings(deadline=None)
+def test_standardize_keeps_the_bits_of_the_original_formula(seed, n, p):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p)) * rng.uniform(0.01, 100.0, size=p) + rng.uniform(-50.0, 50.0, size=p)
+    # some columns all equal, with values whose rounded sd is not 0
+    x[:, rng.random(p) < 0.3] = rng.choice([0.3, -0.3, 7.1])
+    ds = build_dataset([("b1", "good", x.tolist())], strong="good")
+    want, constant = standardize_reference(ds.x)
+    out = standardize(ds)
+    assert out.x.tobytes() == want.tobytes()  # +0.0 and -0.0 differ here
+    assert out.warnings == tuple(f"constant feature column {j} mapped to zeros" for j in np.flatnonzero(constant))
+
+
+def test_zscore_gives_a_constant_column_sd_one_and_zero_on_every_row():
+    # 890 rows of 0.3 have a rounded sd of 5.55e-17, not 0; the rows of
+    # weight 0 hold other values, negative ones among them
+    x = np.column_stack([np.full(900, 0.3), np.arange(900.0)])
+    x[890:, 0] = np.linspace(-5.0, 5.0, 10)
+    weights = (np.arange(900) < 890).astype(float)[None]
+    assert x[:890, 0].std(ddof=1) > 0.0
+    mean, sd, z, constant = zscore(x, weights, x[:890].sum(axis=0)[None])
+    assert constant.tolist() == [[True, False]]
+    assert sd[0, 0] == 1.0
+    assert sd[0, 1] == x[:890, 1].std(ddof=1)
+    assert mean[0, 1] == x[:890, 1].mean()
+    assert not np.signbit(z[0, :, 0]).any() and not z[0, :, 0].any()
+    assert np.array_equal(z[0, :, 1], (x[:, 1] - mean[0, 1]) / sd[0, 1])
 
 
 @given(st.integers(0, 2**31 - 1))

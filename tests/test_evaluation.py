@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spectralweak import evaluation
 from spectralweak.errors import ParameterError, SearchError, UndefinedIndexError
 from spectralweak.evaluation import (
     GridSpec,
@@ -247,6 +248,18 @@ def test_grid_search_records_failed_candidates():
     assert result.rows[1].objective is None
     assert "ParameterError" in result.rows[1].error
     assert result.best_index == 0
+
+
+def test_grid_search_lets_an_untyped_error_propagate(monkeypatch):
+    ds = separable_singletons(seed=4)
+    grid = GridSpec(model="knn_symmetric", axes=(("k", (2, 3)),))
+
+    def broken(graph, k, seed):
+        raise TypeError("a fault, not a failed candidate")
+
+    monkeypatch.setattr(evaluation, "spectral_grouping", broken)
+    with pytest.raises(TypeError, match="a fault"):
+        grid_search(standardize(ds), grid, k=2, objective="f1", seed=0)
 
 
 def test_grid_search_db_objective_prefers_lower():
