@@ -1,4 +1,10 @@
-"""Weakly supervised classification via spectral graph grouping of bagged instances."""
+"""Weakly supervised classification via spectral graph grouping of bagged instances.
+
+scipy is imported inside the functions that call it, never at module level,
+so importing the package loads numpy and the standard library only. A
+command that computes no distance and builds no graph (`train`, logistic or
+QDA `evaluate`, `--help`, a flag, config or CSV error) never loads scipy.
+"""
 
 from .dataset import (
     CsvSchema,

@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataset import Dataset, zscore
 from .errors import NumericalError, ParameterError, SpectralWeakError, TrainingError
@@ -389,6 +388,8 @@ def _knn_vote(model: KnnModel, x: np.ndarray, ks: np.ndarray) -> np.ndarray:
     (distance, index): its first k columns are nearest_columns of k, and
     running class counts give every k its votes.
     """
+    from scipy.spatial.distance import cdist
+
     step = max(1, ROW_BLOCK_BYTES // (8 * len(model.train_x)))
     out = np.empty((ks.size, x.shape[0]), dtype=int)
     for start in range(0, x.shape[0], step):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from collections import Counter
@@ -407,27 +408,28 @@ def _help(name: str) -> str:
     return text if default is None or kind is bool else f"{text} (default {default})"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it as it was."""
     dataset = ("data", "id-col", "bag-col", "label-col", "strong-label", "features", "delimiter")
     zscored = (*dataset, "no-standardize")
     graph = ("model", *GRAPH_FIELDS)
     classifier = ("training", "classifier", "knn-k")
-    # command, function, summary, the flags it takes besides --config, --seed and --out
+    # command (run by cmd_<command>), summary, the flags it takes besides --config, --seed and --out
     commands = (
-        ("graph", cmd_graph, "build one similarity graph", (*zscored, *graph)),
-        ("group", cmd_group, "spectral grouping, optionally grid-searched",
-         (*zscored, *graph, "groups", "objective", "no-truth")),
-        ("annotate", cmd_annotate, "weakly annotate non-strong bags", (*dataset, *graph)),
-        ("train", cmd_train, "fit a classifier on annotated labels", (*zscored, *classifier)),
-        ("evaluate", cmd_evaluate, "leave-one-bag-out cross-validation", (*dataset, *classifier, "aggregation", "tau")),
-        ("bench", cmd_bench, "run a benchmark suite", ("suite", "data-dir", "synth-seeds")),
+        ("graph", "build one similarity graph", (*zscored, *graph)),
+        ("group", "spectral grouping, optionally grid-searched", (*zscored, *graph, "groups", "objective", "no-truth")),
+        ("annotate", "weakly annotate non-strong bags", (*dataset, *graph)),
+        ("train", "fit a classifier on annotated labels", (*zscored, *classifier)),
+        ("evaluate", "leave-one-bag-out cross-validation", (*dataset, *classifier, "aggregation", "tau")),
+        ("bench", "run a benchmark suite", ("suite", "data-dir", "synth-seeds")),
     )
     parser = argparse.ArgumentParser(
         prog="spectralweak",
         description="Weakly supervised grouping and classification over similarity graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, func, summary, names in commands:
+    for command, summary, names in commands:
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="flat JSON config file; flags override its values")
         names = ("seed", "out", *names)
@@ -435,14 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
             # a switch defaults to None, not False, so that a config value can set it
             action = "store_true" if FLAGS[name][0] is bool else "store"
             p.add_argument(f"--{name}", action=action, default=None, help=_help(name))
-        p.set_defaults(func=func, flags=names)
+        p.set_defaults(flags=names)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up on every call, so that a cmd_* replaced on the module runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(_options(args, _load_config(args.config)))
+        return command(_options(args, _load_config(args.config)))
     except (SpectralWeakError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

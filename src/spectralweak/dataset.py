@@ -16,7 +16,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import IntegrityError, ParameterError, ParseError, SchemaError
 
@@ -270,6 +269,8 @@ def pairwise_distances(ds_or_matrix: Dataset | np.ndarray) -> DistanceMatrix:
     depends on its two points alone, so cdist of a block of rows against all
     points gives the same bits as those rows of the full matrix.
     """
+    from scipy.spatial.distance import cdist
+
     mat = coordinates(ds_or_matrix)
     d = cdist(mat, mat, metric="euclidean")
     np.fill_diagonal(d, 0.0)

@@ -30,6 +30,10 @@ n x n buffer, by row blocks of at most ROW_BLOCK_BYTES and 1/DENSE_BLOCK_PARTS
 of the rows, then symmetrized in place tile pair by tile pair, so no other
 n x n float array is made on the way. graph.json holds the upper triangle
 of W as triplets for every model.
+
+scipy (cKDTree, cdist, the CSR arrays) is imported inside the functions that
+call it, as everywhere in the package (see its docstring), so importing this
+module loads none of it.
 """
 
 from __future__ import annotations
@@ -38,15 +42,15 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .dataset import Dataset, DistanceMatrix, checked_matrix, coordinates, pairwise_distances
 from .errors import DegenerateDistanceError, IntegrityError, ParameterError
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 # The GraphParams fields each model cannot be built without; the other
 # fields are optional (a kNN sigma defaults to the median pair distance) or
@@ -136,6 +140,8 @@ class InitialSimilarities:
 
 def _csr_weights(w) -> scipy.sparse.csr_array:
     """W as a read-only canonical CSR array; a dense input drops its zeros."""
+    import scipy.sparse
+
     w = scipy.sparse.csr_array(w, dtype=float)
     if w.shape[0] != w.shape[1]:
         raise IntegrityError(f"weight matrix must be square, got {w.shape}")
@@ -180,6 +186,8 @@ class SimilarityGraph:
         return self.w.shape[0]
 
     def n_edges(self) -> int:
+        import scipy.sparse
+
         return scipy.sparse.csr_array(self.w).nnz // 2
 
 
@@ -300,6 +308,8 @@ def _upper_blocks(points: np.ndarray):
     cdist's squared distance is the sum its distance takes the square root
     of, so the square roots of these entries are cdist's distances, bit for
     bit, and they order the pairs the same way."""
+    from scipy.spatial.distance import cdist
+
     n = points.shape[0]
     most = -(-n // DENSE_BLOCK_PARTS)
     lo = 0
@@ -368,6 +378,9 @@ def _tree_neighbours(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     duplicates among them, are widened: cdist against all points, then
     nearest_columns.
     """
+    from scipy.spatial import cKDTree
+    from scipy.spatial.distance import cdist
+
     n = points.shape[0]
     q = min(n, k + 1 + TREE_SLACK)
     tree_d, cand = cKDTree(points).query(points, k=q)
@@ -413,6 +426,8 @@ def _knn_csr(n: int, neighbours: np.ndarray, near: np.ndarray, mutual: bool, sig
     is bitwise symmetric, so either row gives the same bits. Weights are
     exp(-d^2 / (2 sigma^2)); one that underflows to zero is no edge.
     """
+    import scipy.sparse
+
     k = neighbours.shape[1]
     listed = np.repeat(np.arange(n), k) * n + neighbours.ravel()  # row-major keys i * n + j, ascending
     reverse = neighbours.ravel() * n + np.repeat(np.arange(n), k)
@@ -661,7 +676,7 @@ def connected_components(graph: SimilarityGraph | np.ndarray) -> tuple[int, np.n
     Returns (count, labels) where labels are 0-based, numbered by the smallest
     vertex index in each component (so labels[0] == 0).
     """
-    import scipy.sparse.csgraph  # only the graph command and bench suites need it
+    import scipy.sparse.csgraph
 
     w = graph.w if isinstance(graph, SimilarityGraph) else graph
     support = w if scipy.sparse.issparse(w) else scipy.sparse.csr_array(np.asarray(w) > 0.0)
@@ -671,6 +686,8 @@ def connected_components(graph: SimilarityGraph | np.ndarray) -> tuple[int, np.n
 
 def graph_to_json_dict(graph: SimilarityGraph) -> dict:
     """Sparse serialization: nonzero upper-triangle entries as (i, j, weight), row-major."""
+    import scipy.sparse
+
     w = scipy.sparse.csr_array(graph.w)
     rows = csr_rows(w)
     upper = w.indices > rows
@@ -686,6 +703,8 @@ def graph_to_json_dict(graph: SimilarityGraph) -> dict:
 def graph_from_json_dict(payload: dict) -> SimilarityGraph:
     """The graph of a graph_to_json_dict payload; W is densified for the
     models that hold it dense."""
+    import scipy.sparse
+
     params = GraphParams(**{k: payload["params"].get(k, GraphParams.__dataclass_fields__[k].default)
                             for k in GraphParams.__dataclass_fields__})
     n = payload["n"]

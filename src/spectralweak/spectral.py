@@ -52,6 +52,11 @@ workers too, so the block shuts the pool down right after setting one. On
 2 vCPUs that starting and joining made an ARPACK solve of a 1,000-vertex
 kNN graph about 0.35 ms slower than one on a pool left live (7.1 against
 6.8 ms).
+
+scipy is imported inside the functions that call it, as everywhere in the
+package (see its docstring), so importing this module loads none of it.
+`_scipy_openblas` caches what it finds among the libraries already mapped,
+so it imports scipy.linalg itself before it looks.
 """
 
 from __future__ import annotations
@@ -61,15 +66,15 @@ import functools
 import operator
 import os
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
-import scipy.sparse
 
 from .errors import NumericalError, ParameterError
 from .simgraph import SimilarityGraph, csr_rows, symmetrize_in_place
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 LLOYD_MAX_ITER = 300  # Lloyd steps per k-means start
 KMEANS_RESTARTS = 10  # k-means++ starts per grouping; the best objective wins
@@ -174,6 +179,8 @@ def _sym_laplacian(w: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndar
 
 def _normalized_adjacency(w: scipy.sparse.csr_array, inv_sqrt: np.ndarray) -> scipy.sparse.csr_array:
     """N = D^-1/2 W D^-1/2 as CSR on the pattern of W."""
+    import scipy.sparse
+
     data = w.data * (inv_sqrt[csr_rows(w)] * inv_sqrt[w.indices])
     return scipy.sparse.csr_array((data, w.indices, w.indptr), shape=w.shape)
 
@@ -198,10 +205,13 @@ def _scipy_openblas() -> _OpenBlas | None:
     these names with a 64_ suffix and is left alone. The shutdown,
     blas_thread_shutdown_, is the one OpenBLAS runs before a fork; numpy's
     copy exports it under the same name, so it is looked up on the library
-    whose thread-count functions were found.
+    whose thread-count functions were found. scipy.linalg is imported
+    first, which maps scipy's OpenBLAS, so that the result cached is the
+    same whoever asks first.
     """
-    # Imported here so that runs that never solve never load it.
     import ctypes
+
+    import scipy.linalg  # maps scipy's OpenBLAS
 
     try:
         with open("/proc/self/maps") as maps:
@@ -275,7 +285,6 @@ def _sparse_eigenpairs(w: scipy.sparse.csr_array, k: int):
     the graph goes to the dense solver, ARPACK failing or not converging
     included; a NumericalError when it is too large for that. The start
     vector is fixed, so the result depends on the graph alone."""
-    # Imported here so that runs on dense-only graphs never load them.
     import scipy.sparse.csgraph
     import scipy.sparse.linalg
 
@@ -320,11 +329,14 @@ def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding
     results are reproducible up to solver determinism. A residual check
     against L_rw guards the mapping.
     """
+    import scipy.linalg
+    import scipy.linalg.blas
+
     w = graph.w
     n = w.shape[0]
     if not (1 <= k <= n):
         raise ParameterError(f"k must satisfy 1 <= k <= n = {n}, got {k}")
-    sparse = scipy.sparse.issparse(w)
+    sparse = not isinstance(w, np.ndarray)  # CSR for the kNN models
     found = _sparse_eigenpairs(w, k) if sparse else None
     if found is not None:
         solver = "eigsh"

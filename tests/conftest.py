@@ -12,7 +12,7 @@ def pytest_report_header(config):
     import numpy
     import scipy
 
-    from spectralweak import spectral  # loads scipy's BLAS before the lookup caches it
+    from spectralweak import spectral
 
     found = spectral._scipy_openblas()
     threads = found.get() if found is not None else "none found"

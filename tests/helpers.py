@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import os
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -10,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse
 
-from spectralweak import classify
+from spectralweak import classify, spectral
 from spectralweak.classify import AggregationRule, BagResult, CVResult, LogisticModel
 from spectralweak.dataset import Dataset
 from spectralweak.errors import DegenerateDistanceError, NumericalError
@@ -498,3 +501,25 @@ def write_fake_banknotes(path, n_per_class=100, sep=3.0, spread=0.2, rownames=Tr
         for i in range(n_per_class):
             row = ["counterfeit", *np.round(rng.normal(sep, spread, 6), 4)]
             w.writerow(([i + 101] + row) if rownames else row)
+
+
+def pool_flag():
+    """blas_server_avail, nonzero while the pool's workers exist, as a
+    ctypes.c_int of the OpenBLAS whose functions `_scipy_openblas` found;
+    None where it is not found."""
+    found = spectral._scipy_openblas()
+    if found is None or not os.path.exists("/proc/self/maps"):
+        return None
+    address = ctypes.cast(found.get, ctypes.c_void_p).value
+    with open("/proc/self/maps") as maps:
+        paths = dict.fromkeys(line.split()[-1] for line in maps)
+    for path in paths:
+        if "blas" not in os.path.basename(path):
+            continue
+        with contextlib.suppress(OSError):
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            own = getattr(lib, found.get.__name__, None)
+            if own is not None and ctypes.cast(own, ctypes.c_void_p).value == address:
+                with contextlib.suppress(ValueError):
+                    return ctypes.c_int.in_dll(lib, "blas_server_avail")
+    return None

@@ -886,3 +886,78 @@ def test_bench_requires_suite(tmp_path, capsys):
     code, _, err = run(["bench", "--out", str(tmp_path)], capsys)
     assert code == 2
     assert "--suite is required" in err
+
+
+# ---------------------------------------------------------------------------
+# one process: what loads, what is built once
+
+# Runs each argv of the JSON list argv[1] through cli.main in one fresh
+# interpreter and prints, per step, the exit code and the scipy modules loaded
+# after it, the import first.
+SCIPY_STEPS = """
+import contextlib, json, sys
+import spectralweak.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+steps = [["import", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(sys.stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    steps.append([argv[0], code, scipy_modules()])
+print(json.dumps(steps))
+"""
+
+
+def test_commands_that_build_no_graph_load_no_scipy(tmp_path, capsys):
+    data, _ = pipeline_files(tmp_path, capsys)
+    base = ["--data", str(data), "--strong-label", "ok"]
+    steps = [
+        ["evaluate", *base, "--classifier", "logistic", "--training", str(tmp_path / "annotated.csv"),
+         "--out", str(tmp_path / "weak")],
+        ["evaluate", *base, "--classifier", "qda", "--out", str(tmp_path / "qda")],
+        ["train", *base, "--classifier", "logistic", "--out", str(tmp_path / "model")],
+        ["train", *base, "--seed", "-2", "--out", str(tmp_path / "bad-seed")],
+        ["--help"],
+        ["annotate", *base, "--model", "knn_symmetric", "--k", "5", "--out", str(tmp_path / "again")],
+    ]
+    src = str(Path(spectralweak.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_STEPS, json.dumps(steps)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert [code for _, code, _ in report] == [0, 0, 0, 0, 2, 0, 0]
+    for name, _, loaded in report[:-1]:
+        assert loaded == [], name
+    assert "scipy.spatial" in report[-1][2]  # annotate loads scipy at first use
+    for out in ("weak/cv.json", "qda/cv.json", "model/model.json"):
+        assert (tmp_path / out).is_file()
+    assert not (tmp_path / "bad-seed").exists()
+    assert (tmp_path / "again" / "annotated.csv").read_bytes() == (tmp_path / "annotated.csv").read_bytes()
+
+
+def test_main_parses_each_call_alone_and_dispatches_by_name(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; a flag or value of one call must
+    # not reach the next, and cmd_* is looked up when main runs
+    seen = []
+    for name in ("train", "evaluate"):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda opts, name=name: seen.append((name, vars(opts))) or 0)
+    cli.main(["train", "--data", "a.csv", "--classifier", "qda", "--no-standardize", "--seed", "3", "--out", "x"])
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", lambda *a, **k: pytest.fail("parser built again"))
+    cli.main(["evaluate", "--data", "b.csv", "--tau", "0.25"])
+    cli.main(["train", "--data", "a.csv"])
+    defaults = {"id_col": "instance", "bag_col": "bag", "label_col": "group", "strong_label": None,
+                "features": None, "delimiter": ",", "training": None, "knn_k": None}
+    assert seen == [
+        ("train", {**defaults, "seed": 3, "out": "x", "data": "a.csv", "no_standardize": True, "classifier": "qda"}),
+        ("evaluate", {**defaults, "seed": 0, "out": ".", "data": "b.csv", "classifier": "logistic",
+                      "aggregation": "majority", "tau": 0.25}),
+        ("train", {**defaults, "seed": 0, "out": ".", "data": "a.csv", "no_standardize": False,
+                   "classifier": "logistic"}),
+    ]

@@ -1,10 +1,13 @@
 import contextlib
 import ctypes
 import itertools
+import json
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from helpers import (
     kmeans_reference,
     knn_graph_reference,
     lloyd_reference,
+    pool_flag,
     rw_laplacian_reference,
     sym_laplacian_buffer_reference,
     sym_laplacian_reference,
@@ -446,28 +450,6 @@ def scipy_pool_threads():
     return found.get
 
 
-def pool_flag():
-    """blas_server_avail, nonzero while the pool's workers exist, as a
-    ctypes.c_int of the OpenBLAS whose functions `_scipy_openblas` found;
-    None where it is not found."""
-    found = spectral._scipy_openblas()
-    if found is None or not os.path.exists("/proc/self/maps"):
-        return None
-    address = ctypes.cast(found.get, ctypes.c_void_p).value
-    with open("/proc/self/maps") as maps:
-        paths = dict.fromkeys(line.split()[-1] for line in maps)
-    for path in paths:
-        if "blas" not in os.path.basename(path):
-            continue
-        with contextlib.suppress(OSError):
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-            own = getattr(lib, found.get.__name__, None)
-            if own is not None and ctypes.cast(own, ctypes.c_void_p).value == address:
-                with contextlib.suppress(ValueError):
-                    return ctypes.c_int.in_dll(lib, "blas_server_avail")
-    return None
-
-
 def test_pin_finds_scipys_openblas():
     if not sys.platform.startswith("linux"):
         pytest.skip("the lookup reads /proc/self/maps")
@@ -482,6 +464,55 @@ def test_pin_finds_scipys_openblas():
         ["openblas_get_num_threads", "openblas_set_num_threads", "blas_thread_shutdown_"],
     )
     assert isinstance(pool_flag(), ctypes.c_int)
+
+
+# The first solve of a fresh interpreter, on the route named by argv[1]. The
+# package loads scipy at first use, and `_scipy_openblas` caches what it finds,
+# so the dense route must not load scipy before its solve. Prints whether
+# scipy's OpenBLAS was found, its thread count and its pool flag afterwards.
+FIRST_SOLVE = """
+import json, sys
+import numpy as np
+from spectralweak import spectral
+from spectralweak.simgraph import GraphParams, SimilarityGraph, knn_graph
+
+route = sys.argv[1]
+rng = np.random.default_rng(5)
+if route == "eigh":
+    w = rng.uniform(0.1, 1.0, (440, 440))
+    w = (w + w.T) / 2.0
+    np.fill_diagonal(w, 0.0)
+    graph = SimilarityGraph(w=w, model="fully_connected", params=GraphParams())
+    assert not any(m.startswith("scipy") for m in sys.modules)
+else:
+    graph = knn_graph(rng.normal(size=(1000, 5)), 10, sigma=1.0)
+assert spectral.smallest_k_eigenvectors(graph, 3).solver == route
+from helpers import pool_flag
+
+found, flag = spectral._scipy_openblas(), pool_flag()
+print(json.dumps([found is not None, None if found is None else found.get(), None if flag is None else flag.value]))
+"""
+
+
+@pytest.mark.parametrize("route", ["eigh", "eigsh"])
+def test_first_solve_of_a_fresh_interpreter_parks_scipys_pool(route):
+    if not sys.platform.startswith("linux"):
+        pytest.skip("the lookup reads /proc/self/maps")
+    if "openblas" not in scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("scipy is not built on OpenBLAS")
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs 2 CPUs")
+    tests = Path(__file__).resolve().parent
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join((src, str(tests)))}
+    done = subprocess.run(
+        [sys.executable, "-c", FIRST_SOLVE, route], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    found, threads, flag = json.loads(done.stdout)
+    assert found  # not a None cached before scipy's OpenBLAS was mapped
+    assert threads == 2  # the count the pool started with, restored after ARPACK's one thread
+    assert flag == 0  # parked
 
 
 def spy_on_eigsh(monkeypatch, get_threads, fail=False):
