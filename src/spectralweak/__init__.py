@@ -1,9 +1,18 @@
 """Weakly supervised classification via spectral graph grouping of bagged instances.
 
 scipy is imported inside the functions that call it, never at module level,
-so importing the package loads numpy and the standard library only. A
-command that computes no distance and builds no graph (`train`, logistic or
-QDA `evaluate`, `--help`, a flag, config or CSV error) never loads scipy.
+so importing the package loads numpy and the standard library only, and a
+command loads only the scipy it computes with:
+
+* no scipy for a command that builds no graph and runs no kNN vote
+  (`train`, logistic or QDA `evaluate`, `--help`, a flag, config or CSV
+  error);
+* scipy.linalg (LAPACK eigh) for `group` on the epsilon, fully connected and
+  probabilistic models, whose distances dataset.pairwise_distances computes
+  in numpy; `graph` on them loads scipy.sparse (components, graph.json);
+* scipy.spatial only for kNN graphs (cKDTree, cdist on widened rows and in
+  the default sigma's passes, with scipy.sparse for their CSR weights and
+  ARPACK) and for the kNN classifier's vote (cdist).
 """
 
 from .dataset import (

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, zscore
+from .dataset import ROW_BLOCK_BYTES, Dataset, zscore
 from .errors import NumericalError, ParameterError, SpectralWeakError, TrainingError
-from .simgraph import ROW_BLOCK_BYTES, nearest_columns
+from .simgraph import nearest_columns
 from .weakanno import AnnotatedTrainingSet
 
 CLASSIFIERS = ("logistic", "qda", "knn")

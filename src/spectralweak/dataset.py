@@ -19,6 +19,12 @@ import numpy as np
 
 from .errors import IntegrityError, ParameterError, ParseError, SchemaError
 
+ROW_BLOCK_BYTES = 2**20  # size of one (rows, n) float64 block of distances or densified weights
+# The dense route's blocks also hold at most 1/DENSE_BLOCK_PARTS of the rows,
+# so that their few temporaries stay a small share of one n x n array at
+# sizes where ROW_BLOCK_BYTES holds most of its rows.
+DENSE_BLOCK_PARTS = 16
+
 
 def _label_conflict(bag, label) -> tuple[int, str] | None:
     """1-based row and description of the first instance whose bag already
@@ -261,17 +267,62 @@ def coordinates(ds_or_matrix: Dataset | np.ndarray) -> np.ndarray:
     return mat
 
 
-def pairwise_distances(ds_or_matrix: Dataset | np.ndarray) -> DistanceMatrix:
-    """All-pairs Euclidean distances.
+def pair_distances(
+    coords: np.ndarray,
+    lo: int,
+    hi: int,
+    cols: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    diff: np.ndarray | None = None,
+) -> np.ndarray:
+    """Euclidean distances of the points lo..hi-1 to every point, (hi - lo, n),
+    or with `cols` given, (hi - lo, m), of point lo + i to the points
+    cols[i], with the bits scipy's cdist gives them: per coordinate,
+    subtract, square and accumulate in coordinate order, then take the
+    square root. A square that overflows is inf, as in cdist.
 
-    cdist evaluates d(i,j) and d(j,i) from the same coordinate arrays, so the
-    result is bitwise symmetric and passes the exact checks above. Each entry
-    depends on its two points alone, so cdist of a block of rows against all
-    points gives the same bits as those rows of the full matrix.
+    `coords` is the p x n transpose of the coordinates, C-contiguous, so each
+    coordinate is read as one contiguous row. The result goes into `out`;
+    `diff` is a work buffer of the result's shape. Either is allocated when
+    not given.
     """
-    from scipy.spatial.distance import cdist
+    shape = (hi - lo, coords.shape[1]) if cols is None else cols.shape
+    out = np.empty(shape) if out is None else out
+    diff = np.empty(shape) if diff is None else diff
+    if not len(coords):  # no coordinates: every distance is 0, as in cdist
+        out.fill(0.0)
+    with np.errstate(over="ignore"):
+        for j, x in enumerate(coords):
+            other = x if cols is None else np.take(x, cols, out=diff)
+            term = out if j == 0 else diff
+            np.subtract(x[lo:hi, None], other, out=term)
+            np.multiply(term, term, out=term)
+            if j:
+                out += diff
+    return np.sqrt(out, out=out)
 
+
+def pairwise_distances(ds_or_matrix: Dataset | np.ndarray) -> DistanceMatrix:
+    """All-pairs Euclidean distances, by pair_distances over row blocks of
+    about ROW_BLOCK_BYTES and at most 1/DENSE_BLOCK_PARTS of the rows, with
+    one work buffer.
+
+    d(i,j) and d(j,i) square the same difference up to its sign, so the
+    result is bitwise symmetric, zero on the diagonal, and passes the exact
+    checks above; overflowed squares fail them as non-finite. Each entry
+    depends on its two points alone, so a block of rows has the bits of
+    those rows of the full matrix, and the whole has cdist's bits (diagonal
+    included). It is numpy alone, so the graph models built from this matrix
+    (epsilon, fully connected, probabilistic) load no scipy.spatial; of the
+    graph models only the kNN ones do (see the package docstring).
+    """
     mat = coordinates(ds_or_matrix)
-    d = cdist(mat, mat, metric="euclidean")
-    np.fill_diagonal(d, 0.0)
+    n = mat.shape[0]
+    coords = np.ascontiguousarray(mat.T)
+    d = np.empty((n, n))
+    step = max(1, min(ROW_BLOCK_BYTES // (8 * max(n, 1)), -(-n // DENSE_BLOCK_PARTS)))
+    diff = np.empty((min(step, n), n))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        pair_distances(coords, lo, hi, out=d[lo:hi], diff=diff[: hi - lo])
     return DistanceMatrix(d=d)

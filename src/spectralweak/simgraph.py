@@ -31,9 +31,13 @@ of the rows, then symmetrized in place tile pair by tile pair, so no other
 n x n float array is made on the way. graph.json holds the upper triangle
 of W as triplets for every model.
 
-scipy (cKDTree, cdist, the CSR arrays) is imported inside the functions that
-call it, as everywhere in the package (see its docstring), so importing this
-module loads none of it.
+scipy is imported inside the functions that call it, as everywhere in the
+package (see its docstring), so importing this module loads none of it.
+Only the kNN models load scipy.spatial (cKDTree, and cdist for widened rows
+and the sigma passes) and build scipy.sparse CSR arrays. The other four read
+distances from dataset.pairwise_distances, which is numpy alone, so building
+them loads no scipy; connected_components and the graph.json reader and
+writer load scipy.sparse.
 """
 
 from __future__ import annotations
@@ -46,7 +50,16 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .dataset import Dataset, DistanceMatrix, checked_matrix, coordinates, pairwise_distances
+from .dataset import (
+    DENSE_BLOCK_PARTS,
+    ROW_BLOCK_BYTES,
+    Dataset,
+    DistanceMatrix,
+    checked_matrix,
+    coordinates,
+    pair_distances,
+    pairwise_distances,
+)
 from .errors import DegenerateDistanceError, IntegrityError, ParameterError
 
 if TYPE_CHECKING:
@@ -71,14 +84,12 @@ PROB_MODELS = ("prob_threshold", "prob_criterion")
 # Models whose weight matrix is sparse by construction, held as CSR.
 KNN_MODELS = ("knn_symmetric", "knn_mutual")
 
-ROW_BLOCK_BYTES = 2**20  # size of one (rows, n) float64 block of distances or densified weights
-# The dense route's blocks also hold at most 1/DENSE_BLOCK_PARTS of the rows,
-# so that their few temporaries stay a small share of one n x n array at
-# sizes where ROW_BLOCK_BYTES holds most of its rows. The kNN sigma's upper
-# triangle blocks take the same bound: each also computes, and drops, the
-# square below its diagonal, so that waste stays within 1/DENSE_BLOCK_PARTS
-# of the upper triangle.
-DENSE_BLOCK_PARTS = 16
+# Row blocks are about ROW_BLOCK_BYTES, and on the dense route at most
+# 1/DENSE_BLOCK_PARTS of the rows (both defined in dataset). The kNN sigma's
+# upper triangle blocks take the same bound: each also computes, and drops,
+# the square below its diagonal, so that waste stays within
+# 1/DENSE_BLOCK_PARTS of the upper triangle.
+
 # The median sigma counts squared pair distances per bin. A bin is a run of
 # float64 bit patterns, which order nonnegative floats like their values:
 # the exponent and top 7 mantissa bits, so 128 bins per octave of squared
@@ -89,8 +100,10 @@ MEDIAN_BIN_LOW = (1023 - 128) << 7  # the bin of 2**-128 before the offset
 MEDIAN_BINS = 256 << 7
 # The kNN graph asks its k-d tree for TREE_SLACK candidates per point beyond
 # the k + 1 (itself included) it needs, so that a tie or a duplicate at the
-# k-th distance rarely leaves a row to the exact cdist selection.
-TREE_SLACK = 4
+# k-th distance rarely leaves a row to the exact cdist selection. With one,
+# the tree settled every row of the 60 annotate pools of perfbench's inputs,
+# as with 2 and 4; each further candidate costs query time on every row.
+TREE_SLACK = 1
 TREE_MARGIN = 1e-9  # relative; see _tree_neighbours
 
 
@@ -351,31 +364,17 @@ def _median_from_bins(counts: np.ndarray, points: np.ndarray) -> float:
     return float(np.mean(np.sqrt(kept[first : last + 1])))
 
 
-def _pair_distances(points: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Distances (len(rows), m) of the pairs (rows[i], cols[i, j]) with the
-    bits cdist gives them: the squared coordinate differences summed in
-    coordinate order, then the square root. One coordinate at a time, so no
-    (rows, m, p) array is made."""
-    d = np.zeros(cols.shape)
-    with np.errstate(over="ignore"):  # cdist overflows to inf without a word
-        for x in points.T:
-            diff = x[rows, None] - x[cols]
-            d += diff * diff
-    return np.sqrt(d, out=d)
-
-
 def _tree_neighbours(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each point's k nearest others, ascending by column, and their
     distances, with the bits and the tie rule of nearest_columns over cdist
     rows: ranked by (distance, index), the point itself never counted.
 
     A k-d tree gives q = k + 1 + TREE_SLACK candidates per point. Their
-    distances are recomputed as cdist computes them, a sequential sum of
-    squared coordinate differences and then its square root, by row blocks.
-    A row whose k-th distance is strictly below the tree's q-th, shrunk by
-    the relative TREE_MARGIN, is settled: every point not returned is
-    farther than its k-th. The other rows, ties at the tree's boundary and
-    duplicates among them, are widened: cdist against all points, then
+    distances are recomputed with cdist's bits by dataset.pair_distances, by
+    row blocks. A row whose k-th distance is strictly below the tree's q-th,
+    shrunk by the relative TREE_MARGIN, is settled: every point not returned
+    is farther than its k-th. The other rows, ties at the tree's boundary
+    and duplicates among them, are widened: cdist against all points, then
     nearest_columns.
     """
     from scipy.spatial import cKDTree
@@ -384,12 +383,13 @@ def _tree_neighbours(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     n = points.shape[0]
     q = min(n, k + 1 + TREE_SLACK)
     tree_d, cand = cKDTree(points).query(points, k=q)
+    coords = np.ascontiguousarray(points.T)
     neighbours = np.empty((n, k), dtype=np.int64)
     near = np.empty((n, k))
     settled = np.empty(n, dtype=bool)
     for lo, hi in _ranges(n, max(1, ROW_BLOCK_BYTES // (8 * q))):
         c = cand[lo:hi]
-        d = _pair_distances(points, np.arange(lo, hi), c)
+        d = pair_distances(coords, lo, hi, c)
         own = c == np.arange(lo, hi)[:, None]
         d[own] = np.inf
         by_index = np.argsort(np.where(own, n, c), axis=1)  # the point itself last

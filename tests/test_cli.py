@@ -925,13 +925,7 @@ def test_commands_that_build_no_graph_load_no_scipy(tmp_path, capsys):
         ["--help"],
         ["annotate", *base, "--model", "knn_symmetric", "--k", "5", "--out", str(tmp_path / "again")],
     ]
-    src = str(Path(spectralweak.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run(
-        [sys.executable, "-c", SCIPY_STEPS, json.dumps(steps)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
+    report = scipy_steps(steps)
     assert [code for _, code, _ in report] == [0, 0, 0, 0, 2, 0, 0]
     for name, _, loaded in report[:-1]:
         assert loaded == [], name
@@ -940,6 +934,39 @@ def test_commands_that_build_no_graph_load_no_scipy(tmp_path, capsys):
         assert (tmp_path / out).is_file()
     assert not (tmp_path / "bad-seed").exists()
     assert (tmp_path / "again" / "annotated.csv").read_bytes() == (tmp_path / "annotated.csv").read_bytes()
+
+
+def scipy_steps(steps):
+    """Run cli.main on each argv of `steps` in one fresh interpreter: per
+    step its name, exit code and the scipy modules loaded so far."""
+    src = str(Path(spectralweak.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_STEPS, json.dumps(steps)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_dense_graph_commands_load_scipy_linalg_only(tmp_path):
+    # distances for the dense models come from numpy; only the eigensolve
+    # needs scipy (LAPACK eigh), and only the kNN graph loads scipy.spatial
+    data = write_bagged_csv(tmp_path / "bags.csv")
+    steps = [
+        ["group", "--data", "builtin:dataset_a", "--out", str(tmp_path / "grid"), "--model", "prob_threshold",
+         "--w", "0.05,0.073,0.09", "--sigma", "5e-4", "--eps-weight", "1e-3", "--symmetrize", "min"],
+        ["group", "--data", "builtin:dataset_a", "--out", str(tmp_path / "full"), "--model", "fully_connected",
+         "--sigma", "0.5"],
+        ["annotate", "--data", str(data), "--strong-label", "ok", "--model", "knn_symmetric", "--k", "5",
+         "--out", str(tmp_path / "knn")],
+    ]
+    report = scipy_steps(steps)
+    assert [code for _, code, _ in report] == [0, 0, 0, 0]
+    for _, _, loaded in report[1:3]:
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.startswith(("scipy.spatial", "scipy.sparse"))]
+    assert "scipy.spatial" in report[3][2]
+    assert (tmp_path / "grid" / "grid.json").is_file() and (tmp_path / "full" / "grouping.json").is_file()
 
 
 def test_main_parses_each_call_alone_and_dispatches_by_name(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,13 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from helpers import build_dataset, standardize_reference
+from spectralweak import dataset
 from spectralweak.dataset import (
     CsvSchema,
     Dataset,
@@ -297,6 +300,37 @@ def awkward_points(draw):
 def test_pairwise_distances_bitwise_symmetric(pts):
     d = pairwise_distances(pts).d
     assert d.tobytes() == np.ascontiguousarray(d.T).tobytes()
+
+
+@st.composite
+def cdist_cases(draw):
+    """Points with n in 2-40, p in 1-64, column scales 10**-160 to 10**160
+    (a square overflows past a difference of about 1.3e154, and underflows
+    below about 1e-162) and some rows duplicated, and a row block size from
+    one row up."""
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    pts = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-160.0, 160.0, size=p)
+    copies = rng.integers(0, n, size=draw(st.integers(0, n // 2)))
+    pts[rng.integers(0, n, size=len(copies))] = pts[copies]
+    return pts, draw(st.sampled_from([8, 8 * n * 3 + 1, dataset.ROW_BLOCK_BYTES]))
+
+
+@given(cdist_cases())
+@settings(max_examples=300)
+@example(case=(np.array([[1e-160, 3.0], [-2e-160, 3.0], [1e-160, 3.0]]), 8))
+@example(case=(np.array([[0.0, 1e155], [1.0, -1e155]]), 8))
+def test_pairwise_distances_have_the_bits_of_cdist(case):
+    pts, block_bytes = case
+    want = cdist(pts, pts)
+    np.fill_diagonal(want, 0.0)
+    with mock.patch.object(dataset, "ROW_BLOCK_BYTES", block_bytes):
+        if np.isfinite(want).all():
+            assert pairwise_distances(pts).d.tobytes() == want.tobytes()
+        else:  # an overflowed square
+            with pytest.raises(IntegrityError, match="distance matrix entries must be finite"):
+                pairwise_distances(pts)
 
 
 MATRIX_DEFECTS = {

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from spectralweak import simgraph
-from spectralweak.dataset import DistanceMatrix, pairwise_distances
+from spectralweak.dataset import DistanceMatrix, pair_distances, pairwise_distances
 from spectralweak.errors import DegenerateDistanceError, IntegrityError, ParameterError
 from spectralweak.simgraph import (
     MODELS,
@@ -341,7 +341,7 @@ def upper_median(pts):
 def test_csr_knn_builder_equals_dense_reference(case):
     pts, k, mode, sigma, block_bytes = case
     dist = pairwise_distances(pts)
-    for slack in (1, simgraph.TREE_SLACK):  # 1: many rows widen
+    for slack in (0, simgraph.TREE_SLACK):  # 0: most rows widen
         with mock.patch.object(simgraph, "ROW_BLOCK_BYTES", block_bytes), mock.patch.object(simgraph, "TREE_SLACK", slack):
             if sigma is None and upper_median(pts) == 0.0:
                 with pytest.raises(ParameterError, match="median distance is zero"):
@@ -368,7 +368,7 @@ def cdist_calls(monkeypatch):
 
 
 def test_rows_with_more_duplicates_than_tree_candidates_are_widened(monkeypatch):
-    # 12 copies of one point, more than the k + 1 + TREE_SLACK = 8 candidates
+    # 12 copies of one point, more than the k + 1 + TREE_SLACK = 5 candidates
     # the tree returns, interleaved with points in general position far away
     k = 3
     rng = np.random.default_rng(4)
@@ -410,7 +410,7 @@ def test_pair_distances_and_squared_cdist_have_cdist_bits(p, exponent, rows, col
     pts = rng.normal(size=(rows + cols, p)) * 10.0**exponent * 10.0 ** rng.uniform(-3.0, 3.0, size=p)
     want = cdist(pts[:rows], pts[rows:])
     pairs = np.broadcast_to(rows + np.arange(cols), (rows, cols))
-    assert simgraph._pair_distances(pts, np.arange(rows), pairs).tobytes() == want.tobytes()
+    assert pair_distances(np.ascontiguousarray(pts.T), 0, rows, pairs).tobytes() == want.tobytes()
     assert np.sqrt(cdist(pts[:rows], pts[rows:], "sqeuclidean")).tobytes() == want.tobytes()
 
 
