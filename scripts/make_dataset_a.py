@@ -77,7 +77,8 @@ def build_points() -> tuple[np.ndarray, np.ndarray]:
 def verified(ds: Dataset) -> bool:
     """Print the near-duplicate check and the toyfig report for one view of
     the layout; True when both pass."""
-    gap = float(pairwise_distances(ds).offdiag().min())
+    dist = pairwise_distances(ds)
+    gap = float(dist.d[np.triu_indices(dist.n, 1)].min())
     if gap <= 1e-9:
         print(f"[FAIL] no two points nearly coincide (min distance {gap:.3e})")
         return False

@@ -46,16 +46,13 @@ from .simgraph import (
     knn_graph,
     prob_criterion_graph,
     prob_threshold_graph,
-    symmetrize,
 )
 from .spectral import (
     Grouping,
     SpectralEmbedding,
-    degree_matrix,
     kmeans,
     smallest_k_eigenvectors,
     spectral_grouping,
-    unnormalized_laplacian,
 )
 from .weakanno import (
     AnnotatedTrainingSet,

@@ -261,7 +261,7 @@ def epsilon_sweep_grid(dist: DistanceMatrix) -> tuple[float, ...]:
     value below the minimum and one above the maximum. Component counts are
     constant between consecutive distances, so this grid sees every behaviour
     the epsilon graph can produce."""
-    vals = np.unique(dist.offdiag())
+    vals = np.unique(dist.d[np.triu_indices(dist.n, 1)])  # d is exactly symmetric
     mids = (vals[:-1] + vals[1:]) / 2.0
     return (float(vals[0]) / 2.0, *(float(v) for v in mids), float(vals[-1]) * 1.1)
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ROW_BLOCK_BYTES, Dataset, zscore
+from . import dataset
+from .dataset import Dataset, zscore
 from .errors import NumericalError, ParameterError, SpectralWeakError, TrainingError
 from .simgraph import nearest_columns
 from .weakanno import AnnotatedTrainingSet
@@ -390,7 +391,7 @@ def _knn_vote(model: KnnModel, x: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """
     from scipy.spatial.distance import cdist
 
-    step = max(1, ROW_BLOCK_BYTES // (8 * len(model.train_x)))
+    step = max(1, dataset.ROW_BLOCK_BYTES // (8 * len(model.train_x)))
     out = np.empty((ks.size, x.shape[0]), dtype=int)
     for start in range(0, x.shape[0], step):
         dists = cdist(x[start : start + step], model.train_x)

@@ -201,7 +201,8 @@ def zscore(x: np.ndarray, weights: np.ndarray, sums: np.ndarray) -> tuple[np.nda
     dev = x - mean[:, None]
     sd = np.sqrt((weights[..., None] * dev**2).sum(axis=1) / (count - 1))
     first = x[np.argmax(weights, axis=1)]  # each fold's first weighted row
-    constant = ((x == first[:, None]) | (weights[..., None] == 0.0)).all(axis=1)
+    # tested on a contiguous copy of the columns, so each reduces a row of n
+    constant = ((np.ascontiguousarray(x.T) == first[..., None]) | (weights[:, None] == 0.0)).all(axis=2)
     sd[constant] = 1.0
     z = dev / sd[:, None]
     z[np.broadcast_to(constant[:, None], z.shape)] = 0.0
@@ -248,11 +249,6 @@ class DistanceMatrix:
     @property
     def n(self) -> int:
         return self.d.shape[0]
-
-    def offdiag(self) -> np.ndarray:
-        """All off-diagonal entries as a flat array (both orders, so each pair twice)."""
-        n = self.n
-        return self.d[~np.eye(n, dtype=bool)]
 
 
 def coordinates(ds_or_matrix: Dataset | np.ndarray) -> np.ndarray:
@@ -302,9 +298,19 @@ def pair_distances(
     return np.sqrt(out, out=out)
 
 
+def block_ranges(n: int, step: int) -> list[tuple[int, int]]:
+    """Ranges [lo, hi) of `step` rows, the last one shorter, covering 0..n-1."""
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) covering 0..n-1, each (hi - lo, n) float64 block
+    about ROW_BLOCK_BYTES and at most ceil(n / DENSE_BLOCK_PARTS) rows."""
+    return block_ranges(n, max(1, min(ROW_BLOCK_BYTES // (8 * max(n, 1)), -(-n // DENSE_BLOCK_PARTS))))
+
+
 def pairwise_distances(ds_or_matrix: Dataset | np.ndarray) -> DistanceMatrix:
-    """All-pairs Euclidean distances, by pair_distances over row blocks of
-    about ROW_BLOCK_BYTES and at most 1/DENSE_BLOCK_PARTS of the rows, with
+    """All-pairs Euclidean distances, by pair_distances over row_blocks, with
     one work buffer.
 
     d(i,j) and d(j,i) square the same difference up to its sign, so the
@@ -320,9 +326,8 @@ def pairwise_distances(ds_or_matrix: Dataset | np.ndarray) -> DistanceMatrix:
     n = mat.shape[0]
     coords = np.ascontiguousarray(mat.T)
     d = np.empty((n, n))
-    step = max(1, min(ROW_BLOCK_BYTES // (8 * max(n, 1)), -(-n // DENSE_BLOCK_PARTS)))
-    diff = np.empty((min(step, n), n))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    blocks = row_blocks(n)
+    diff = np.empty((max((hi - lo for lo, hi in blocks), default=0), n))
+    for lo, hi in blocks:
         pair_distances(coords, lo, hi, out=d[lo:hi], diff=diff[: hi - lo])
     return DistanceMatrix(d=d)

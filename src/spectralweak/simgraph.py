@@ -50,15 +50,17 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from . import dataset
 from .dataset import (
     DENSE_BLOCK_PARTS,
-    ROW_BLOCK_BYTES,
     Dataset,
     DistanceMatrix,
+    block_ranges,
     checked_matrix,
     coordinates,
     pair_distances,
     pairwise_distances,
+    row_blocks,
 )
 from .errors import DegenerateDistanceError, IntegrityError, ParameterError
 
@@ -85,7 +87,8 @@ PROB_MODELS = ("prob_threshold", "prob_criterion")
 KNN_MODELS = ("knn_symmetric", "knn_mutual")
 
 # Row blocks are about ROW_BLOCK_BYTES, and on the dense route at most
-# 1/DENSE_BLOCK_PARTS of the rows (both defined in dataset). The kNN sigma's
+# 1/DENSE_BLOCK_PARTS of the rows (both defined in dataset, and
+# ROW_BLOCK_BYTES read from there at each call). The kNN sigma's
 # upper triangle blocks take the same bound: each also computes, and drops,
 # the square below its diagonal, so that waste stays within
 # 1/DENSE_BLOCK_PARTS of the upper triangle.
@@ -247,16 +250,6 @@ def epsilon_graph(dist: DistanceMatrix, epsilon: float) -> SimilarityGraph:
     return SimilarityGraph(w=w, model="epsilon", params=GraphParams(epsilon=epsilon))
 
 
-def _ranges(n: int, step: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def row_blocks(n: int) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) covering 0..n-1, each (hi - lo, n) float64 block
-    about ROW_BLOCK_BYTES and at most ceil(n / DENSE_BLOCK_PARTS) rows."""
-    return _ranges(n, max(1, min(ROW_BLOCK_BYTES // (8 * max(n, 1)), -(-n // DENSE_BLOCK_PARTS))))
-
-
 def symmetrize_in_place(a: np.ndarray, combine: Callable) -> None:
     """Make a square array exactly symmetric: a_ij and a_ji both become
     combine(a_ij, a_ji), for a combine(x, y, out=x) that is symmetric in x
@@ -267,7 +260,7 @@ def symmetrize_in_place(a: np.ndarray, combine: Callable) -> None:
     temporary is a copy of a diagonal tile.
     """
     n = a.shape[0]
-    tiles = _ranges(n, max(1, min(math.isqrt(ROW_BLOCK_BYTES // 8), -(-n // 4))))
+    tiles = block_ranges(n, max(1, min(math.isqrt(dataset.ROW_BLOCK_BYTES // 8), -(-n // 4))))
     for t, (lo, hi) in enumerate(tiles):
         for col_lo, col_hi in tiles[t:]:
             upper = a[lo:hi, col_lo:col_hi]
@@ -327,7 +320,7 @@ def _upper_blocks(points: np.ndarray):
     most = -(-n // DENSE_BLOCK_PARTS)
     lo = 0
     while lo < n:
-        hi = min(n, lo + max(1, min(most, ROW_BLOCK_BYTES // (8 * (n - lo)))))
+        hi = min(n, lo + max(1, min(most, dataset.ROW_BLOCK_BYTES // (8 * (n - lo)))))
         yield cdist(points[lo:hi], points[lo:], "sqeuclidean"), np.tri(hi - lo, dtype=bool)
         lo = hi
 
@@ -387,7 +380,7 @@ def _tree_neighbours(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     neighbours = np.empty((n, k), dtype=np.int64)
     near = np.empty((n, k))
     settled = np.empty(n, dtype=bool)
-    for lo, hi in _ranges(n, max(1, ROW_BLOCK_BYTES // (8 * q))):
+    for lo, hi in block_ranges(n, max(1, dataset.ROW_BLOCK_BYTES // (8 * q))):
         c = cand[lo:hi]
         d = pair_distances(coords, lo, hi, c)
         own = c == np.arange(lo, hi)[:, None]
@@ -409,7 +402,7 @@ def _tree_neighbours(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
             (near[lo:hi].max(axis=1) < bound * (1.0 - TREE_MARGIN)) & (bound >= 2.0**-511) & (bound <= 2.0**511)
         )
     widened = np.flatnonzero(~settled)
-    for lo, hi in _ranges(len(widened), max(1, ROW_BLOCK_BYTES // (8 * n))):
+    for lo, hi in block_ranges(len(widened), max(1, dataset.ROW_BLOCK_BYTES // (8 * n))):
         rows = widened[lo:hi]
         d = cdist(points[rows], points)
         d[np.arange(len(rows)), rows] = np.inf  # a point is never its own neighbour
@@ -514,13 +507,6 @@ def _combine(rule: str) -> np.ufunc:
     if rule not in SYMMETRIZE_RULES:
         raise ParameterError(f"symmetrize rule must be one of {SYMMETRIZE_RULES}, got {rule!r}")
     return np.minimum if rule == "min" else np.maximum
-
-
-def symmetrize(directed: np.ndarray, rule: str = "max") -> np.ndarray:
-    """Combine w_ij and w_ji with elementwise min or max."""
-    combine = _combine(rule)
-    directed = np.asarray(directed, dtype=float)
-    return combine(directed, directed.T)
 
 
 def _sparsify(

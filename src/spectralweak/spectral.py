@@ -28,12 +28,17 @@ last bits can differ). On both routes the residual L_rw u - u diag(vals)
 of every eigenpair is checked, computed as (D u - W u) / d from W.
 
 All dense linear algebra of this module runs on the BLAS/LAPACK that scipy
-links, the eigen residual check included (scipy.linalg.blas.dgemm on a dense
-W, not the numpy `@`; on a CSR W the product W u is scipy's sparse one,
-which runs no BLAS). The numpy and scipy wheels each bundle their own
-OpenBLAS with its own thread pool; a numpy product between scipy eigensolves
-leaves numpy's workers spinning while scipy's run, so one BLAS keeps the
-step from fighting itself for cores.
+links, the eigen residual check included: scipy.linalg.blas.dgemm on a dense
+W; on a CSR W the product W u is scipy's sparse one, which runs no BLAS.
+The numpy and scipy wheels each bundle their own OpenBLAS with its own
+thread pool, and a threaded numpy product between scipy eigensolves leaves
+numpy's workers spinning while scipy's run, so numpy's pool stays asleep.
+tests/test_spectral.py reads both pools' blas_server_avail in a fresh
+interpreter at two OpenBLAS threads, numpy's pool shut down first: after an
+annotate, a group grid and a logistic evaluate, numpy's reads 0, and
+scipy's reads 0 with its count still 2. A numpy product in the dense
+residual, the CSR W densified for its product, or a `_scipy_blas` that
+left the pool live each turns one of them to 1.
 
 Every eigensolve runs in one block, `_scipy_blas`, that leaves scipy's
 OpenBLAS pool parked: on the way out, also when the solve raises, the pool's
@@ -63,7 +68,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import operator
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -127,18 +131,6 @@ class Grouping:
 
     def has_empty_group(self) -> bool:
         return bool(np.any(self.sizes() == 0))
-
-
-def degree_matrix(graph: SimilarityGraph) -> np.ndarray:
-    """Vertex degrees, the row sums of W as stored (dense or CSR): D of L = D - W."""
-    return graph.w.sum(axis=1)
-
-
-def unnormalized_laplacian(graph: SimilarityGraph) -> np.ndarray:
-    """L = D - W as a read-only dense array."""
-    lap = np.diag(degree_matrix(graph)) - graph.w  # a dense array for a CSR W too
-    lap.setflags(write=False)
-    return lap
 
 
 def _mean(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -342,9 +334,7 @@ def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding
         solver = "eigsh"
         (deg, deg_safe, inv_sqrt), vals, vecs = found
         u = _unit_columns(inv_sqrt, vecs)
-        # scipy's CSR product, called by name: this module's text holds no
-        # `@`, which would read as numpy's BLAS (tests/test_blas_calls.py)
-        wu = operator.matmul(w, u)
+        wu = w @ u  # scipy's CSR product
     else:
         solver = "eigh"
         with _scipy_blas():
@@ -357,7 +347,7 @@ def smallest_k_eigenvectors(graph: SimilarityGraph, k: int) -> SpectralEmbedding
             u = _unit_columns(inv_sqrt, vecs)
             # A C-ordered W's transpose is Fortran-ordered and reaches dgemm
             # (as trans_a) without an n x n copy.
-            wu = operator.matmul(w, u) if sparse else scipy.linalg.blas.dgemm(1.0, w.T, u, trans_a=True)
+            wu = w @ u if sparse else scipy.linalg.blas.dgemm(1.0, w.T, u, trans_a=True)
     resid = _residual(wu, deg, deg_safe, u, vals)
     resid_norms = np.linalg.norm(resid, axis=0)
     bad = resid_norms > 1e-8 * np.linalg.norm(u, axis=0)

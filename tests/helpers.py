@@ -17,8 +17,9 @@ from spectralweak import classify, spectral
 from spectralweak.classify import AggregationRule, BagResult, CVResult, LogisticModel
 from spectralweak.dataset import Dataset
 from spectralweak.errors import DegenerateDistanceError, NumericalError
-from spectralweak.simgraph import InitialSimilarities, bump_peak, gaussian_bump, symmetrize
+from spectralweak.simgraph import InitialSimilarities, bump_peak, gaussian_bump
 from spectralweak.spectral import LLOYD_MAX_ITER, Grouping, KMeansResult, KMeansRun
+from spectralweak.weakanno import SynthBagsConfig, synth_bags
 
 
 def build_dataset(bags, strong):
@@ -144,6 +145,16 @@ def initial_similarities_reference(dist, m=-1.0):
     return InitialSimilarities(s=s, m=m)
 
 
+def symmetrize(directed, rule="max"):
+    """w_ij and w_ji combined by elementwise min or max, as a new array.
+
+    The original simgraph.symmetrize, kept as the oracle for the bits of the
+    builders' symmetrization in place.
+    """
+    directed = np.asarray(directed, dtype=float)
+    return {"min": np.minimum, "max": np.maximum}[rule](directed, directed.T)
+
+
 def prob_threshold_reference(sims, w_thresh, sigma, eps_weight, symmetrize_rule="max"):
     """Weights of the deterministic sparsifier: keep s at or above the
     threshold, drop a direction whose bump falls under eps_weight, revive the
@@ -189,6 +200,11 @@ def prob_criterion_reference(sims, w_thresh, sigma, symmetrize_rule="max", seed=
     w = symmetrize(directed, symmetrize_rule)
     np.fill_diagonal(w, 0.0)
     return w
+
+
+def unnormalized_laplacian(graph):
+    """L = D - W of a dense W, D its row sums."""
+    return np.diag(graph.w.sum(axis=1)) - graph.w
 
 
 def rw_laplacian_reference(w):
@@ -247,6 +263,17 @@ def standardize_reference(x):
     scaled = (x - mean) / np.where(constant, 1.0, x.std(axis=0, ddof=1))
     scaled[:, constant] = 0.0
     return scaled, constant
+
+
+def constant_columns_reference(x, weights):
+    """The constant columns of `dataset.zscore`, (folds, p), tested on a
+    (folds, n, p) array reduced over its rows.
+
+    The original test, kept as the oracle for the one on the contiguous
+    columns of x.
+    """
+    first = x[np.argmax(weights, axis=1)]
+    return ((x == first[:, None]) | (weights[..., None] == 0.0)).all(axis=1)
 
 
 def knn_predict_reference(model, x):
@@ -503,14 +530,37 @@ def write_fake_banknotes(path, n_per_class=100, sep=3.0, spread=0.2, rownames=Tr
             w.writerow(([i + 101] + row) if rownames else row)
 
 
-def pool_flag():
-    """blas_server_avail, nonzero while the pool's workers exist, as a
-    ctypes.c_int of the OpenBLAS whose functions `_scipy_openblas` found;
-    None where it is not found."""
-    found = spectral._scipy_openblas()
-    if found is None or not os.path.exists("/proc/self/maps"):
+def write_synth_csv(path, seed=0, **config):
+    """A planted mixture, SynthBagsConfig's default (about 890 instances,
+    two features) unless `config` says otherwise, as a CLI input file with
+    feature columns x0, x1, ..."""
+    ds = synth_bags(SynthBagsConfig(seed=seed, **config)).dataset
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["instance", "bag", "group", *(f"x{j}" for j in range(ds.p))])
+        for iid, bag, label, row in zip(ds.ids, ds.bag, ds.label, ds.x):
+            w.writerow([iid, bag, label, *(repr(float(v)) for v in row)])
+    return path
+
+
+# numpy's wheel bundles an OpenBLAS built with 64-bit integers, whose
+# functions carry a 64_ suffix; scipy's is the one `_scipy_openblas` finds.
+NUMPY_OPENBLAS_GET = "scipy_openblas_get_num_threads64_"
+
+
+def openblas(which="scipy"):
+    """numpy's or scipy's OpenBLAS as a ctypes.CDLL, found among the shared
+    objects mapped into the process without loading any; None where it is
+    not found. Both export blas_server_avail and blas_thread_shutdown_."""
+    if which == "scipy":
+        found = spectral._scipy_openblas()
+        if found is None:
+            return None
+        name, address = found.get.__name__, ctypes.cast(found.get, ctypes.c_void_p).value
+    else:
+        name, address = NUMPY_OPENBLAS_GET, None
+    if not os.path.exists("/proc/self/maps"):
         return None
-    address = ctypes.cast(found.get, ctypes.c_void_p).value
     with open("/proc/self/maps") as maps:
         paths = dict.fromkeys(line.split()[-1] for line in maps)
     for path in paths:
@@ -518,8 +568,18 @@ def pool_flag():
             continue
         with contextlib.suppress(OSError):
             lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-            own = getattr(lib, found.get.__name__, None)
-            if own is not None and ctypes.cast(own, ctypes.c_void_p).value == address:
-                with contextlib.suppress(ValueError):
-                    return ctypes.c_int.in_dll(lib, "blas_server_avail")
+            own = getattr(lib, name, None)
+            if own is not None and address in (None, ctypes.cast(own, ctypes.c_void_p).value):
+                return lib
+    return None
+
+
+def pool_flag(which="scipy"):
+    """blas_server_avail, nonzero while the pool's workers exist, as a
+    ctypes.c_int of numpy's or scipy's OpenBLAS (`openblas`); None where it
+    is not found."""
+    lib = openblas(which)
+    if lib is not None:
+        with contextlib.suppress(ValueError):
+            return ctypes.c_int.in_dll(lib, "blas_server_avail")
     return None

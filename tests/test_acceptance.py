@@ -33,8 +33,9 @@ from spectralweak.spectral import (
     Grouping,
     kmeans_detailed,
     smallest_k_eigenvectors,
-    unnormalized_laplacian,
 )
+
+from helpers import unnormalized_laplacian
 
 DATA_DIR = Path(os.environ.get("SPECTRALWEAK_DATA", Path(__file__).resolve().parent.parent / "data"))
 

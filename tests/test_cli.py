@@ -12,7 +12,8 @@ import pytest
 
 import spectralweak
 from spectralweak import cli
-from spectralweak.weakanno import SynthBagsConfig, synth_bags
+
+from helpers import write_synth_csv
 
 TOY_GRAPH_FLAGS = [
     "--model", "prob_threshold",
@@ -281,18 +282,6 @@ def test_annotate_writes_training_and_audit(tmp_path, capsys):
     audit = json.loads((tmp_path / "audit.json").read_text())
     assert audit["n_entries"] == 36
     assert "flu" in audit["group_sizes"]
-
-
-def write_synth_csv(path, seed=0, bags_per_class=20):
-    """The default planted mixture (about 890 instances at 20 bags per class)
-    as a CLI input file."""
-    ds = synth_bags(SynthBagsConfig(seed=seed, bags_per_class=bags_per_class)).dataset
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["instance", "bag", "group", "x0", "x1"])
-        for iid, bag, label, row in zip(ds.ids, ds.bag, ds.label, ds.x):
-            w.writerow([iid, bag, label, *(repr(float(v)) for v in row)])
-    return path
 
 
 def outputs_under_blas_threads(tmp_path, argv, names):
@@ -632,52 +621,6 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command, given_
     assert code == 2
     assert err == "error: --seed: expected a non-negative integer, got -2\n"
     assert not out.exists()
-
-
-INTEGER_KEY_COMMANDS = {
-    "seed": ["group", "--data", "builtin:dataset_a", "--model", "knn_symmetric", "--k", "3"],
-    "groups": ["group", "--data", "builtin:dataset_a", "--model", "knn_symmetric", "--k", "3"],
-    "k": ["group", "--data", "builtin:dataset_a", "--model", "knn_symmetric"],
-    "knn-k": ["evaluate", "--data", "builtin:dataset_a", "--strong-label", "dense", "--classifier", "knn"],
-    "synth-seeds": ["bench", "--suite", "table2synth"],
-}
-
-
-@pytest.mark.parametrize("key", sorted(INTEGER_KEY_COMMANDS))
-@pytest.mark.parametrize("value", [1.5, 2.9, True])
-def test_config_value_for_an_integer_key_is_not_truncated(tmp_path, capsys, key, value):
-    out = tmp_path / "out"
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({key: value}))
-    code, _, err = run([*INTEGER_KEY_COMMANDS[key], "--config", str(config), "--out", str(out)], capsys)
-    assert code == 2
-    assert err == f"error: --{key}: expected int, got {value!r}\n"
-    assert not out.exists() or not any(out.iterdir())
-
-
-FLOAT_KEY_COMMANDS = {
-    "epsilon": ["group", "--data", "builtin:dataset_a", "--model", "epsilon"],
-    "sigma": ["group", "--data", "builtin:dataset_a", "--model", "knn_symmetric", "--k", "3"],
-    "w": ["group", "--data", "builtin:dataset_a", "--model", "prob_threshold", "--sigma", "0.01",
-          "--eps-weight", "1e-3"],
-    "eps-weight": ["group", "--data", "builtin:dataset_a", "--model", "prob_threshold", "--w", "0.01",
-                   "--sigma", "0.01"],
-    "m": ["group", "--data", "builtin:dataset_a", "--model", "prob_threshold", "--w", "0.01",
-          "--sigma", "0.01", "--eps-weight", "1e-3"],
-    "tau": ["evaluate", "--data", "builtin:dataset_a", "--strong-label", "dense"],
-}
-
-
-@pytest.mark.parametrize("key", sorted(FLOAT_KEY_COMMANDS))
-@pytest.mark.parametrize("value", [True, False])
-def test_config_boolean_for_a_float_key_exits_2(tmp_path, capsys, key, value):
-    out = tmp_path / "out"
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({key: value}))
-    code, _, err = run([*FLOAT_KEY_COMMANDS[key], "--config", str(config), "--out", str(out)], capsys)
-    assert code == 2
-    assert err == f"error: --{key}: expected float, got {value!r}\n"
-    assert not out.exists() or not any(out.iterdir())
 
 
 WRONG_TYPE = {int: (1.5, 2.9, True), float: (True, False), str: (5, False), bool: ("false", 1)}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from helpers import build_dataset, standardize_reference
+from helpers import build_dataset, constant_columns_reference, standardize_reference
 from spectralweak import dataset
 from spectralweak.dataset import (
     CsvSchema,
@@ -239,6 +239,32 @@ def test_zscore_gives_a_constant_column_sd_one_and_zero_on_every_row():
     assert mean[0, 1] == x[:890, 1].mean()
     assert not np.signbit(z[0, :, 0]).any() and not z[0, :, 0].any()
     assert np.array_equal(z[0, :, 1], (x[:, 1] - mean[0, 1]) / sd[0, 1])
+
+
+@st.composite
+def zscore_cases(draw):
+    """x (n, p) whose columns are each normal, constant, or of two values
+    that a fold's weighted rows may all share, and weights (folds, n) of 0
+    and 1 with at least two rows of weight 1 per fold."""
+    folds, n, p = draw(st.integers(1, 4)), draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    x = rng.normal(size=(n, p))
+    kinds = rng.integers(0, 3, size=p)
+    x[:, kinds == 1] = 0.3
+    x[:, kinds == 2] = rng.choice([-0.3, 7.1], size=(n, int((kinds == 2).sum())), p=[0.8, 0.2])
+    weights = (rng.random((folds, n)) < draw(st.floats(0.0, 1.0))).astype(float)
+    for row in weights:
+        row[rng.choice(n, size=2, replace=False)] = 1.0
+    return x, weights
+
+
+@given(zscore_cases())
+@example(case=(np.array([[0.3], [0.3], [-1.0]]), np.array([[1.0, 1.0, 0.0]])))
+@example(case=(np.array([[0.3, 1.0], [0.3, 2.0], [0.3, 1.0]]), np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])))
+def test_zscore_constant_columns_match_the_rows_axis_test(case):
+    x, weights = case
+    *_, constant = zscore(x, weights, weights @ x)
+    assert np.array_equal(constant, constant_columns_reference(x, weights))
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -10,7 +10,7 @@ import scipy.spatial.distance
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from spectralweak import simgraph
+from spectralweak import dataset, simgraph
 from spectralweak.dataset import DistanceMatrix, pair_distances, pairwise_distances
 from spectralweak.errors import DegenerateDistanceError, IntegrityError, ParameterError
 from spectralweak.simgraph import (
@@ -34,7 +34,6 @@ from spectralweak.simgraph import (
     prob_criterion_graph,
     prob_threshold_graph,
     read_graph_json,
-    symmetrize,
     symmetrize_in_place,
     write_graph_json,
 )
@@ -46,6 +45,7 @@ from helpers import (
     knn_graph_reference,
     prob_criterion_reference,
     prob_threshold_reference,
+    symmetrize,
 )
 
 LINE4 = np.array([[0.0], [1.0], [2.5], [5.0]])
@@ -131,8 +131,8 @@ def test_initial_similarities_match_reference(points, m):
 @pytest.mark.parametrize("block_bytes", [2**12, 2**20])
 @pytest.mark.parametrize("m", EXPONENTS)
 def test_initial_similarities_match_reference_in_any_blocking(monkeypatch, block_bytes, m):
+    monkeypatch.setattr(dataset, "ROW_BLOCK_BYTES", block_bytes)
     d = pairwise_distances(seeded_points(3, n=300, p=4))
-    monkeypatch.setattr(simgraph, "ROW_BLOCK_BYTES", block_bytes)
     assert initial_similarities(d, m=m).s.tobytes() == initial_similarities_reference(d, m=m).s.tobytes()
 
 
@@ -325,7 +325,7 @@ def knn_builds(draw):
     n = len(pts)
     mode = draw(st.sampled_from(["symmetric", "mutual"]))
     sigma = draw(st.one_of(st.none(), st.just(0.02), st.floats(0.05, 3.0)))
-    block_bytes = draw(st.sampled_from([8, 8 * n * 2, 8 * n * 3 + 1, simgraph.ROW_BLOCK_BYTES]))
+    block_bytes = draw(st.sampled_from([8, 8 * n * 2, 8 * n * 3 + 1, dataset.ROW_BLOCK_BYTES]))
     return pts, k, mode, sigma, block_bytes
 
 
@@ -342,7 +342,7 @@ def test_csr_knn_builder_equals_dense_reference(case):
     pts, k, mode, sigma, block_bytes = case
     dist = pairwise_distances(pts)
     for slack in (0, simgraph.TREE_SLACK):  # 0: most rows widen
-        with mock.patch.object(simgraph, "ROW_BLOCK_BYTES", block_bytes), mock.patch.object(simgraph, "TREE_SLACK", slack):
+        with mock.patch.object(dataset, "ROW_BLOCK_BYTES", block_bytes), mock.patch.object(simgraph, "TREE_SLACK", slack):
             if sigma is None and upper_median(pts) == 0.0:
                 with pytest.raises(ParameterError, match="median distance is zero"):
                     knn_graph(pts, k, mode=mode)
@@ -447,7 +447,7 @@ def median_cases(draw):
         pts = np.random.default_rng(draw(st.integers(0, 2**31 - 1))).normal(size=(n, p))
         if kind == "rounded":
             pts = np.round(pts, 1)
-    return pts, draw(st.sampled_from([8, 8 * n * 2, simgraph.ROW_BLOCK_BYTES]))
+    return pts, draw(st.sampled_from([8, 8 * n * 2, dataset.ROW_BLOCK_BYTES]))
 
 
 @given(median_cases())
@@ -457,7 +457,7 @@ def median_cases(draw):
 def test_blockwise_sigma_equals_numpy_median(case):
     pts, block_bytes = case
     want = upper_median(pts)
-    with mock.patch.object(simgraph, "ROW_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(dataset, "ROW_BLOCK_BYTES", block_bytes):
         if want == 0.0:
             with pytest.raises(ParameterError, match="median distance is zero"):
                 knn_graph(pts, 1)
@@ -471,7 +471,7 @@ def test_median_of_two_middle_values_in_different_bins():
     pts = np.array([[0.0], [1.0], [3.0], [7.0]])
     bins = simgraph._median_bins(np.array([9.0, 16.0]))
     assert bins[0] != bins[1]
-    with mock.patch.object(simgraph, "ROW_BLOCK_BYTES", 8):
+    with mock.patch.object(dataset, "ROW_BLOCK_BYTES", 8):
         assert knn_graph(pts, 1).params.sigma == 3.5
 
 
@@ -537,7 +537,7 @@ def test_bump_peak_value():
 def test_symmetrize_in_place_matches_symmetrize(seed, n, block_bytes, rule):
     a = np.random.default_rng(seed).random((n, n))
     want = symmetrize(a, rule)
-    with mock.patch.object(simgraph, "ROW_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(dataset, "ROW_BLOCK_BYTES", block_bytes):
         symmetrize_in_place(a, np.minimum if rule == "min" else np.maximum)
     assert a.tobytes() == want.tobytes()
 
@@ -560,17 +560,28 @@ def test_gaussian_bump_into_a_buffer_has_the_expressions_bits(seed, w_thresh, si
 
 
 def test_symmetrize_min_max_hand_case():
-    directed = np.array([[0.0, 0.8], [0.2, 0.0]])
-    assert np.allclose(symmetrize(directed, "min"), [[0.0, 0.2], [0.2, 0.0]])
-    assert np.allclose(symmetrize(directed, "max"), [[0.0, 0.8], [0.8, 0.0]])
-    with pytest.raises(ParameterError):
-        symmetrize(directed, "mean")
+    # of the directed similarities only s[0][1] = 0.75 and s[2][1] ~ 0.714
+    # reach w = 0.6; at so small a sigma every other one is dropped
+    sims = initial_similarities(DistanceMatrix(np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.2], [3.0, 1.2, 0.0]])))
+    assert not prob_threshold_graph(sims, 0.6, 1e-6, 1e-3, symmetrize_rule="min").w.any()
+    w = prob_threshold_graph(sims, 0.6, 1e-6, 1e-3, symmetrize_rule="max").w
+    assert w[0, 1] == w[1, 0] == sims.s[0, 1]
+    assert w[1, 2] == w[2, 1] == sims.s[2, 1]
+    assert w[0, 2] == w[2, 0] == 0.0
+    with pytest.raises(ParameterError, match="symmetrize rule must be one of"):
+        prob_threshold_graph(sims, 0.6, 1e-6, 1e-3, symmetrize_rule="mean")
+    with pytest.raises(ParameterError, match="symmetrize rule must be one of"):
+        prob_criterion_graph(sims, 0.6, 1e-6, symmetrize_rule="mean", seed=0)
 
 
 @given(st.integers(0, 2**31 - 1))
 def test_symmetrize_min_below_max(seed):
-    m = np.random.default_rng(seed).uniform(size=(6, 6))
-    assert np.all(symmetrize(m, "min") <= symmetrize(m, "max"))
+    sims = initial_similarities(pairwise_distances(seeded_points(seed)))
+    for build in (
+        lambda rule: prob_threshold_graph(sims, 0.2, 0.05, 1e-6, rule),
+        lambda rule: prob_criterion_graph(sims, 0.2, 0.05, rule, seed=seed),
+    ):
+        assert np.all(build("min").w <= build("max").w)
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +735,9 @@ def test_generator_random_in_chunks_gives_the_doubles_of_one_call(seed, chunks):
 @pytest.mark.parametrize("rule", SYMMETRIZE_RULES)
 @pytest.mark.parametrize("n", [150, 301])
 def test_prob_builds_match_references_in_any_blocking(monkeypatch, block_bytes, rule, n):
+    monkeypatch.setattr(dataset, "ROW_BLOCK_BYTES", block_bytes)
     sims = initial_similarities(pairwise_distances(seeded_points(n, n=n, p=3)))
     w_thresh, sigma = 2.0 / (n - 1), 0.5 / (n - 1)
-    monkeypatch.setattr(simgraph, "ROW_BLOCK_BYTES", block_bytes)
     got = prob_criterion_graph(sims, w_thresh, sigma, rule, seed=n).w
     assert got.tobytes() == prob_criterion_reference(sims, w_thresh, sigma, rule, seed=n).tobytes()
     got = prob_threshold_graph(sims, w_thresh, sigma, 1e-3, rule).w

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spectralweak.bench import partition_matches
 from spectralweak.dataset import pairwise_distances
-from spectralweak import simgraph, spectral
+from spectralweak import dataset, simgraph, spectral
 from spectralweak.errors import NumericalError, ParameterError
 from spectralweak.simgraph import (
     GraphParams,
@@ -34,7 +34,6 @@ from spectralweak.spectral import (
     kmeans_detailed,
     smallest_k_eigenvectors,
     spectral_grouping,
-    unnormalized_laplacian,
 )
 
 from helpers import (
@@ -46,6 +45,8 @@ from helpers import (
     sym_laplacian_buffer_reference,
     sym_laplacian_reference,
     two_blobs,
+    unnormalized_laplacian,
+    write_synth_csv,
 )
 
 
@@ -70,7 +71,6 @@ def random_graph(seed, n=None, density=0.4, integer=False):
 def test_unnormalized_single_edge():
     lap = unnormalized_laplacian(graph_of([[0.0, 1.0], [1.0, 0.0]]))
     assert np.array_equal(lap, [[1.0, -1.0], [-1.0, 1.0]])
-    assert not lap.flags.writeable
 
 
 def test_random_walk_triangle():
@@ -152,7 +152,7 @@ def test_sym_laplacian_matches_the_former_buffer(seed, isolated, block_bytes):
     inv_sqrt = 1.0 / np.sqrt(deg_safe)
     want = sym_laplacian_buffer_reference(w, deg, deg_safe, inv_sqrt)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simgraph, "ROW_BLOCK_BYTES", block_bytes)
+        mp.setattr(dataset, "ROW_BLOCK_BYTES", block_bytes)
         got, (got_deg, got_safe, got_inv_sqrt) = spectral._sym_laplacian(w)
     assert got.flags.f_contiguous
     assert got.tobytes() == want.tobytes()
@@ -494,8 +494,10 @@ print(json.dumps([found is not None, None if found is None else found.get(), Non
 """
 
 
-@pytest.mark.parametrize("route", ["eigh", "eigsh"])
-def test_first_solve_of_a_fresh_interpreter_parks_scipys_pool(route):
+def run_at_two_blas_threads(script, *argv):
+    """The JSON of the last line `script` prints, run with `argv` in a fresh
+    interpreter at two OpenBLAS threads; skips where scipy's OpenBLAS pool
+    or a second CPU is not to be had."""
     if not sys.platform.startswith("linux"):
         pytest.skip("the lookup reads /proc/self/maps")
     if "openblas" not in scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
@@ -505,14 +507,61 @@ def test_first_solve_of_a_fresh_interpreter_parks_scipys_pool(route):
     tests = Path(__file__).resolve().parent
     src = str(Path(spectral.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join((src, str(tests)))}
-    done = subprocess.run(
-        [sys.executable, "-c", FIRST_SOLVE, route], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    found, threads, flag = json.loads(done.stdout)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("route", ["eigh", "eigsh"])
+def test_first_solve_of_a_fresh_interpreter_parks_scipys_pool(route):
+    found, threads, flag = run_at_two_blas_threads(FIRST_SOLVE, route)
     assert found  # not a None cached before scipy's OpenBLAS was mapped
     assert threads == 2  # the count the pool started with, restored after ARPACK's one thread
     assert flag == 0  # parked
+
+
+# Commands run one after another in one interpreter, numpy's OpenBLAS pool
+# shut down first. After each: numpy's pool flag and thread count, then
+# scipy's. OpenBLAS threads a product only above a size, so the annotate
+# pools hold about 1,000 rows each and the grid's dense graphs 470.
+COMMANDS = """
+import json, sys
+from spectralweak import cli, spectral
+from helpers import openblas, pool_flag
+
+numpy_blas = openblas("numpy")
+numpy_blas.blas_thread_shutdown_()
+reads = []
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    reads.append([
+        argv[0],
+        pool_flag("numpy").value, numpy_blas.scipy_openblas_get_num_threads64_(),
+        pool_flag("scipy").value, spectral._scipy_openblas().get(),
+    ])
+print(json.dumps(reads))
+"""
+
+
+def test_commands_leave_both_blas_pools_parked(tmp_path):
+    # numpy's pool is never woken, and scipy's is parked after every
+    # eigensolve, at the count it started with
+    if pool_flag("numpy") is None or pool_flag("scipy") is None:
+        pytest.skip("no pool flag found for numpy's or scipy's OpenBLAS")
+    pools = write_synth_csv(tmp_path / "pools.csv", n_features=5, disordered_bag_size=(40, 60))
+    grid = write_synth_csv(tmp_path / "grid.csv", bags_per_class=10)
+    n = len(grid.read_text().splitlines()) - 1
+    commands = [
+        ["annotate", "--data", str(pools), "--strong-label", "normal", "--model", "knn_symmetric", "--k", "10",
+         "--out", str(tmp_path / "annotate")],
+        ["group", "--data", str(grid), "--groups", "3", "--model", "prob_threshold", "--symmetrize", "min",
+         "--eps-weight", "1e-3", "--w", f"{1.0 / (n - 1)!r},{2.0 / (n - 1)!r}", "--sigma", repr(1.0 / (n - 1)),
+         "--out", str(tmp_path / "group")],
+        ["evaluate", "--data", str(pools), "--strong-label", "normal", "--classifier", "logistic",
+         "--out", str(tmp_path / "evaluate")],
+    ]
+    reads = run_at_two_blas_threads(COMMANDS, json.dumps(commands))
+    assert reads == [[argv[0], 0, 2, 0, 2] for argv in commands]
 
 
 def spy_on_eigsh(monkeypatch, get_threads, fail=False):
