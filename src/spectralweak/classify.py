@@ -219,15 +219,6 @@ def _newton(x1, onehot, weights, theta):
     return out, converged, n_iter
 
 
-def _onehot(y, classes):
-    y = np.asarray(y)
-    onehot = y[:, None] == np.asarray(classes)
-    unknown = np.flatnonzero(~onehot.any(axis=1))
-    if unknown.size:
-        raise ParameterError(f"label {y.tolist()[unknown[0]]!r} is not one of the classes {classes}")
-    return onehot.astype(float)
-
-
 def train_logistic(x: np.ndarray, y: np.ndarray) -> LogisticModel:
     """Multinomial logistic regression by damped Newton iterations from zero.
 
@@ -241,7 +232,8 @@ def train_logistic(x: np.ndarray, y: np.ndarray) -> LogisticModel:
     n, p = x.shape
     x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
     theta = np.zeros((1, len(classes) - 1, p + 1))
-    theta, converged, n_iter = _newton(x1[None], _onehot(y, classes).T, np.ones((1, n)), theta)
+    onehot = (y[:, None] == np.asarray(classes)).astype(float).T
+    theta, converged, n_iter = _newton(x1[None], onehot, np.ones((1, n)), theta)
     return LogisticModel(
         classes=classes,
         coef=theta[0, :, :p].copy(),
@@ -249,27 +241,6 @@ def train_logistic(x: np.ndarray, y: np.ndarray) -> LogisticModel:
         converged=bool(converged[0]),
         n_iter=int(n_iter[0]),
     )
-
-
-def _model_stack(model: LogisticModel, x: np.ndarray, y: np.ndarray):
-    """A fitted model and labelled rows as a stack of one problem."""
-    x = np.asarray(x, dtype=float)
-    x1 = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)[None]
-    theta = np.column_stack([model.coef, model.intercept])[None]
-    return x1, theta, _softmax_full(x1, theta), _onehot(y, model.classes).T, np.ones((1, x.shape[0]))
-
-
-def logistic_objective_value(model: LogisticModel, x: np.ndarray, y: np.ndarray, l2: float) -> float:
-    """Penalized negative log-likelihood at the model's parameters (for checks)."""
-    x1, theta, probs, onehot, weights = _model_stack(model, x, y)
-    return float(_logistic_objective(probs, onehot, weights, theta, l2)[0])
-
-
-def logistic_gradient(model: LogisticModel, x: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
-    """Gradient of the penalized objective at the model's parameters, one row
-    per non-reference class with the intercept entry last (for checks)."""
-    x1, theta, probs, onehot, weights = _model_stack(model, x, y)
-    return _logistic_gradient(theta, x1, probs, onehot, weights, l2)[0]
 
 
 def train_qda(x: np.ndarray, y: np.ndarray) -> QdaModel:

@@ -686,25 +686,6 @@ def graph_to_json_dict(graph: SimilarityGraph) -> dict:
     }
 
 
-def graph_from_json_dict(payload: dict) -> SimilarityGraph:
-    """The graph of a graph_to_json_dict payload; W is densified for the
-    models that hold it dense."""
-    import scipy.sparse
-
-    params = GraphParams(**{k: payload["params"].get(k, GraphParams.__dataclass_fields__[k].default)
-                            for k in GraphParams.__dataclass_fields__})
-    n = payload["n"]
-    i, j, weight = np.array(payload["triplets"], dtype=float).reshape(-1, 3).T
-    upper = scipy.sparse.csr_array((weight, (i.astype(np.int64), j.astype(np.int64))), shape=(n, n))
-    w = upper + upper.T  # the sum stores no zeros
-    if payload["model"] not in KNN_MODELS:
-        w = w.toarray()
-    return SimilarityGraph(w=w, model=payload["model"], params=params, seed=payload.get("seed"))
-
-
 def write_graph_json(graph: SimilarityGraph, path: str | Path) -> None:
     Path(path).write_text(json.dumps(graph_to_json_dict(graph), indent=2, sort_keys=True) + "\n")
 
-
-def read_graph_json(path: str | Path) -> SimilarityGraph:
-    return graph_from_json_dict(json.loads(Path(path).read_text()))

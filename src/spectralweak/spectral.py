@@ -60,15 +60,14 @@ kNN graph about 0.35 ms slower than one on a pool left live (7.1 against
 
 scipy is imported inside the functions that call it, as everywhere in the
 package (see its docstring), so importing this module loads none of it.
-`_scipy_openblas` caches what it finds among the libraries already mapped,
-so it imports scipy.linalg itself before it looks.
+`_scipy_openblas` looks scipy's OpenBLAS up through scipy's own BLAS module,
+which it imports itself.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -129,9 +128,6 @@ class Grouping:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignments, minlength=self.k)
 
-    def has_empty_group(self) -> bool:
-        return bool(np.any(self.sizes() == 0))
-
 
 def _mean(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(a + b) / 2 into `out`."""
@@ -190,40 +186,27 @@ def _scipy_openblas() -> _OpenBlas | None:
     """The thread-count functions and the pool shutdown of the OpenBLAS that
     scipy loaded, or None where no OpenBLAS exporting all three is found.
 
-    Looked up once, on Linux, among the shared objects already mapped into
-    the process (/proc/self/maps) whose file name mentions blas, without
-    loading any: the one that exports scipy_openblas_set_num_threads, else
-    one that exports openblas_set_num_threads. numpy's own OpenBLAS exports
-    these names with a 64_ suffix and is left alone. The shutdown,
-    blas_thread_shutdown_, is the one OpenBLAS runs before a fork; numpy's
-    copy exports it under the same name, so it is looked up on the library
-    whose thread-count functions were found. scipy.linalg is imported
-    first, which maps scipy's OpenBLAS, so that the result cached is the
-    same whoever asks first.
+    Looked up once, through scipy's own BLAS module, scipy.linalg.cython_blas:
+    a symbol lookup on that module's handle searches the libraries it links,
+    so it reaches the BLAS scipy calls and not numpy's copy, whose functions
+    carry a 64_ suffix anyway. The
+    thread-count functions are scipy_openblas_get/set_num_threads, else
+    openblas_get/set_num_threads; the shutdown, blas_thread_shutdown_, is
+    the one OpenBLAS runs before a fork.
     """
     import ctypes
 
-    import scipy.linalg  # maps scipy's OpenBLAS
+    import scipy.linalg.cython_blas
 
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = dict.fromkeys(line.split()[-1] for line in maps)
-    except OSError:
-        return None
-    libraries = []
-    for path in paths:
-        if "blas" in os.path.basename(path):
-            with contextlib.suppress(OSError):
-                libraries.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD))
+    lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
+    shutdown = getattr(lib, "blas_thread_shutdown_", None)
     for prefix in ("scipy_openblas", "openblas"):
-        for lib in libraries:
-            get, set_ = (getattr(lib, f"{prefix}_{verb}_num_threads", None) for verb in ("get", "set"))
-            shutdown = getattr(lib, "blas_thread_shutdown_", None)
-            if get and set_ and shutdown:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-                return _OpenBlas(get, set_, shutdown)
+        get, set_ = (getattr(lib, f"{prefix}_{verb}_num_threads", None) for verb in ("get", "set"))
+        if get and set_ and shutdown:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+            return _OpenBlas(get, set_, shutdown)
     return None
 
 
@@ -498,21 +481,16 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> list[KMeansRun]:
     return runs
 
 
-def kmeans_detailed(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    restarts: int = KMEANS_RESTARTS,
-) -> KMeansResult:
+def kmeans_detailed(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     """Seeded k-means with k-means++ starts and Lloyd refinement.
 
-    Runs `restarts` independent starts (KMEANS_RESTARTS in every grouping)
-    from child seeds of `seed` and keeps the run with the smallest objective
-    (first such run on exact ties). Each start runs at most LLOYD_MAX_ITER
-    Lloyd steps. The starts advance together, in blocks whose distance
-    temporary stays near KMEANS_BLOCK_BYTES, with the bits each would get
-    alone. The per-iteration objective is checked non-increasing on every
-    run; an increase raises NumericalError.
+    Runs KMEANS_RESTARTS independent starts from child seeds of `seed` and
+    keeps the run with the smallest objective (first such run on exact ties).
+    Each start runs at most LLOYD_MAX_ITER Lloyd steps. The starts advance
+    together, in blocks whose distance temporary stays near
+    KMEANS_BLOCK_BYTES, with the bits each would get alone. The
+    per-iteration objective is checked non-increasing on every run; an
+    increase raises NumericalError.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -522,14 +500,12 @@ def kmeans_detailed(
         raise ParameterError(f"k must satisfy 1 <= k <= n = {n}, got {k}")
     if seed is None:
         raise ParameterError("kmeans requires an explicit seed")
-    if restarts < 1:
-        raise ParameterError(f"restarts must be >= 1, got {restarts}")
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(KMEANS_RESTARTS)]
     block = max(1, KMEANS_BLOCK_BYTES // (8 * points.size * k))
     runs: list[KMeansRun] = []
-    for lo in range(0, restarts, block):
+    for lo in range(0, KMEANS_RESTARTS, block):
         runs.extend(_lloyd(points, _plus_plus_init(points, k, rngs[lo : lo + block])))
-    best = min(range(restarts), key=lambda r: (runs[r].objective, r))
+    best = min(range(KMEANS_RESTARTS), key=lambda r: (runs[r].objective, r))
     grouping = Grouping(assignments=runs[best].assignments, k=k)
     return KMeansResult(grouping=grouping, objective=runs[best].objective, runs=tuple(runs), best_run=best)
 

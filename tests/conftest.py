@@ -12,11 +12,12 @@ def pytest_report_header(config):
     import numpy
     import scipy
 
+    from helpers import usable_cpus
     from spectralweak import spectral
 
     found = spectral._scipy_openblas()
     threads = found.get() if found is not None else "none found"
     return (
         f"numpy {numpy.__version__}, scipy {scipy.__version__}, "
-        f"scipy OpenBLAS threads {threads}, os.cpu_count() {os.cpu_count()}"
+        f"scipy OpenBLAS threads {threads}, os.cpu_count() {os.cpu_count()}, usable CPUs {usable_cpus()}"
     )

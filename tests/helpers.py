@@ -318,6 +318,47 @@ def _gradient_reference(theta, x1, probs, onehot, l2, mask):
     return grad
 
 
+def gradient_reference_at(model, x, y, l2):
+    """_gradient_reference at a model's parameters, one row per
+    non-reference class with the intercept entry last."""
+    x = np.asarray(x, dtype=float)
+    x1 = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+    theta = np.column_stack([model.coef, model.intercept])
+    onehot = (np.asarray(y)[:, None] == np.asarray(model.classes)).astype(float)
+    mask = np.append(np.ones(x.shape[1]), 0.0)
+    return _gradient_reference(theta, x1, _softmax_reference(x1, theta), onehot, l2, mask)
+
+
+def logistic_stack(theta, x, y, classes):
+    """Parameters theta, (c-1, p+1) with the intercept column last, and
+    labelled rows as the stack of one problem that classify's Newton core
+    steps on: x1, theta, probs, onehot and weights, each with a leading
+    axis of 1 but the onehot, which the stack shares."""
+    x = np.asarray(x, dtype=float)
+    x1 = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)[None]
+    theta = np.asarray(theta, dtype=float)[None]
+    onehot = (np.asarray(y)[:, None] == np.asarray(classes)).astype(float).T
+    return x1, theta, classify._softmax_full(x1, theta), onehot, np.ones((1, x.shape[0]))
+
+
+def stacked_objective(theta, x, y, classes, l2):
+    """classify._logistic_objective at theta (`logistic_stack`)."""
+    x1, theta, probs, onehot, weights = logistic_stack(theta, x, y, classes)
+    return float(classify._logistic_objective(probs, onehot, weights, theta, l2)[0])
+
+
+def stacked_gradient(theta, x, y, classes, l2):
+    """classify._logistic_gradient at theta (`logistic_stack`), shaped like theta."""
+    x1, theta, probs, onehot, weights = logistic_stack(theta, x, y, classes)
+    return classify._logistic_gradient(theta, x1, probs, onehot, weights, l2)[0]
+
+
+def stacked_hessian(theta, x, y, classes, l2):
+    """classify._logistic_hessian at theta (`logistic_stack`), over theta raveled."""
+    x1, _, probs, _, weights = logistic_stack(theta, x, y, classes)
+    return classify._logistic_hessian(x1, probs, weights, l2)[0]
+
+
 def train_logistic_reference(x, y):
     """Damped Newton from zero on one problem, with every Hessian block of
     the (c-1)^2 grid computed by its own product.
@@ -331,7 +372,7 @@ def train_logistic_reference(x, y):
     if n <= p:
         warnings.warn(f"logistic fit with n={n} <= p={p}; coefficients rely on the ridge term")
     c = len(classes)
-    onehot = classify._onehot(y, classes)
+    onehot = (y[:, None] == np.asarray(classes)).astype(float)
     x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
     dim = p + 1
     theta = np.zeros(((c - 1), dim))
@@ -541,6 +582,14 @@ def write_synth_csv(path, seed=0, **config):
         for iid, bag, label, row in zip(ds.ids, ds.bag, ds.label, ds.x):
             w.writerow([iid, bag, label, *(repr(float(v)) for v in row)])
     return path
+
+
+def usable_cpus():
+    """The CPUs this process may run on, which OpenBLAS sizes its pool by;
+    the machine's count where the affinity mask cannot be read."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # numpy's wheel bundles an OpenBLAS built with 64-bit integers, whose

@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from spectralweak import bench
-from spectralweak.classify import (
-    LogisticModel,
-    logistic_gradient,
-    logistic_objective_value,
-    predict_proba,
-    train_qda,
-)
+from spectralweak.classify import LogisticModel, predict_proba, train_qda
 from spectralweak.dataset import DistanceMatrix, pairwise_distances
 from spectralweak.errors import MissingDataError, UndefinedIndexError
 from spectralweak.evaluation import davies_bouldin, f1_score, pair_confusion
@@ -35,7 +29,7 @@ from spectralweak.spectral import (
     smallest_k_eigenvectors,
 )
 
-from helpers import unnormalized_laplacian
+from helpers import gradient_reference_at, stacked_objective, unnormalized_laplacian
 
 DATA_DIR = Path(os.environ.get("SPECTRALWEAK_DATA", Path(__file__).resolve().parent.parent / "data"))
 
@@ -255,23 +249,14 @@ def test_criterion_9_estimator_numerics():
     intercept = rng.normal(scale=0.4, size=2)
     l2 = 1e-3
     model = LogisticModel(("a", "b", "c"), coef, intercept, False, 0)
-    grad = logistic_gradient(model, x, y, l2)
+    grad = gradient_reference_at(model, x, y, l2)
+    theta = np.column_stack([coef, intercept])
     h = 1e-6
     worst_rel = 0.0
-    for a in range(2):
-        for j in range(3):
-            up_c, up_i = coef.copy(), intercept.copy()
-            dn_c, dn_i = coef.copy(), intercept.copy()
-            if j < 2:
-                up_c[a, j] += h
-                dn_c[a, j] -= h
-            else:
-                up_i[a] += h
-                dn_i[a] -= h
-            up = logistic_objective_value(LogisticModel(("a", "b", "c"), up_c, up_i, False, 0), x, y, l2)
-            dn = logistic_objective_value(LogisticModel(("a", "b", "c"), dn_c, dn_i, False, 0), x, y, l2)
-            numeric = (up - dn) / (2 * h)
-            worst_rel = max(worst_rel, abs(numeric - grad[a, j]) / max(1.0, abs(grad[a, j])))
+    for e, want in zip(h * np.eye(theta.size), grad.ravel()):
+        up = stacked_objective(theta + e.reshape(theta.shape), x, y, model.classes, l2)
+        dn = stacked_objective(theta - e.reshape(theta.shape), x, y, model.classes, l2)
+        worst_rel = max(worst_rel, abs((up - dn) / (2 * h) - want) / max(1.0, abs(want)))
     assert worst_rel <= 1e-5
 
     # Gaussian model posterior vs the closed-form one-dimensional Bayes rule

@@ -623,31 +623,6 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command, given_
     assert not out.exists()
 
 
-FLOAT_KEY_COMMANDS = {
-    "epsilon": ["group", "--data", "builtin:dataset_a", "--model", "epsilon"],
-    "sigma": ["group", "--data", "builtin:dataset_a", "--model", "knn_symmetric", "--k", "3"],
-    "w": ["group", "--data", "builtin:dataset_a", "--model", "prob_threshold", "--sigma", "0.01",
-          "--eps-weight", "1e-3"],
-    "eps-weight": ["group", "--data", "builtin:dataset_a", "--model", "prob_threshold", "--w", "0.01",
-                   "--sigma", "0.01"],
-    "m": ["group", "--data", "builtin:dataset_a", "--model", "prob_threshold", "--w", "0.01",
-          "--sigma", "0.01", "--eps-weight", "1e-3"],
-    "tau": ["evaluate", "--data", "builtin:dataset_a", "--strong-label", "dense"],
-}
-
-
-@pytest.mark.parametrize("key", sorted(FLOAT_KEY_COMMANDS))
-@pytest.mark.parametrize("value", [True, False])
-def test_config_boolean_for_a_float_key_exits_2(tmp_path, capsys, key, value):
-    out = tmp_path / "out"
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({key: value}))
-    code, _, err = run([*FLOAT_KEY_COMMANDS[key], "--config", str(config), "--out", str(out)], capsys)
-    assert code == 2
-    assert err == f"error: --{key}: expected float, got {value!r}\n"
-    assert not out.exists() or not any(out.iterdir())
-
-
 WRONG_TYPE = {int: (1.5, 2.9, True), float: (True, False), str: (5, False), bool: ("false", 1)}
 
 
