@@ -43,7 +43,7 @@ from .simgraph import (
     GraphSpec,
     build_graph,
     connected_components,
-    write_graph_json,
+    graph_to_json_dict,
 )
 from .spectral import spectral_grouping
 from .weakanno import build_training_set, read_training_csv, write_training_csv
@@ -250,8 +250,7 @@ def cmd_graph(opts) -> int:
     work = _working_view(opts, ds)
     graph = build_graph(work, GraphSpec(model=model, params=params), seed=opts.seed)
     count, labels = connected_components(graph)
-    write_graph_json(graph, out / "graph.json")
-    print(f"wrote {out / 'graph.json'}")
+    _write_json(graph_to_json_dict(graph), out / "graph.json")
     sizes = np.bincount(labels, minlength=count)
     _write_json(
         {

@@ -13,39 +13,38 @@ Six graph models are provided:
 
 All builders return an exactly symmetric weight matrix with zero diagonal.
 The kNN models hold it as a canonical scipy CSR array with no stored zeros,
-so an edge is a positive stored weight. They are built from coordinates,
-and no n x n array exists on their route. Each point's neighbours come from
-a k-d tree (scipy's cKDTree), their distances recomputed with cdist's bits;
-a row the tree's candidates cannot settle, a tie or duplicates at its last
-candidate, is widened to cdist against all points, so with sigma given
-the graph takes O(n log n) time when few rows widen. The default sigma,
-the median pair distance, comes from an exact two-pass selection over the
-strict upper triangle of the squared distances, in row blocks of about
-ROW_BLOCK_BYTES. The other four models read a dense DistanceMatrix (built
-from coordinates when given those) and hold W as a dense n x n array; the
-probabilistic ones also hold the n x n initial similarities, and share one
-sparsifier that differs only in which below-threshold entries it revives.
-The similarities and the probabilistic W are each computed in their own
-n x n buffer, by row blocks of at most ROW_BLOCK_BYTES and 1/DENSE_BLOCK_PARTS
-of the rows, then symmetrized in place tile pair by tile pair, so no other
-n x n float array is made on the way. graph.json holds the upper triangle
-of W as triplets for every model.
+so an edge is a positive stored weight. They are built from coordinates, and
+no n x n array exists on their route. Each point's neighbours come from a
+k-d tree (scipy's cKDTree), their distances recomputed with cdist's bits; a
+row the tree's candidates cannot settle, a tie or duplicates at its last
+candidate, is widened to cdist against all points, so with sigma given the
+graph takes O(n log n) time when few rows widen. W is the elementwise max
+(symmetric) or min (mutual) of the directed neighbour weights and their
+transpose. The default sigma, the median pair distance, comes from an exact
+two-pass selection over the strict upper triangle of the squared distances,
+in row blocks of about ROW_BLOCK_BYTES. The other four models read a dense
+DistanceMatrix (built from coordinates when given those) and hold W as a
+dense n x n array; the probabilistic ones also hold the n x n initial
+similarities, and share one sparsifier that differs only in which
+below-threshold entries it revives. The similarities and the probabilistic W
+are each computed in their own n x n buffer, by row blocks of at most
+ROW_BLOCK_BYTES and 1/DENSE_BLOCK_PARTS of the rows, then symmetrized in
+place tile pair by tile pair, so no other n x n float array is made on the
+way. graph.json holds the upper triangle of W as triplets for every model.
 
 scipy is imported inside the functions that call it, as everywhere in the
 package (see its docstring), so importing this module loads none of it.
 Only the kNN models load scipy.spatial (cKDTree, and cdist for widened rows
 and the sigma passes) and build scipy.sparse CSR arrays. The other four read
 distances from dataset.pairwise_distances, which is numpy alone, so building
-them loads no scipy; connected_components and the graph.json reader and
-writer load scipy.sparse.
+them loads no scipy; connected_components and graph_to_json_dict load
+scipy.sparse.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -165,7 +164,7 @@ def _csr_weights(w) -> scipy.sparse.csr_array:
         raise IntegrityError("sparse weight matrix must be canonical CSR: sorted, no duplicate entries")
     if not np.all(np.isfinite(w.data)) or np.any(w.data <= 0.0):
         raise IntegrityError("stored weights must be finite and positive")
-    if np.any(w.indices == csr_rows(w)):
+    if w.diagonal().any():
         raise IntegrityError("weight matrix diagonal must be exactly zero")
     t = w.T.tocsr()
     if not all(np.array_equal(a, b) for a, b in ((t.indptr, w.indptr), (t.indices, w.indices), (t.data, w.data))):
@@ -173,11 +172,6 @@ def _csr_weights(w) -> scipy.sparse.csr_array:
     for part in (w.data, w.indices, w.indptr):
         part.setflags(write=False)
     return w
-
-
-def csr_rows(w: scipy.sparse.csr_array) -> np.ndarray:
-    """Row index of every stored entry of a CSR array."""
-    return np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
 
 
 @dataclass(frozen=True)
@@ -414,26 +408,21 @@ def _tree_neighbours(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
 def _knn_csr(n: int, neighbours: np.ndarray, near: np.ndarray, mutual: bool, sigma: float) -> scipy.sparse.csr_array:
     """W as canonical CSR from each point's k neighbours and their distances.
 
-    A pair is joined when either point lists the other (both, if mutual). The
-    distance of a pair is read from a row that lists it; the distance matrix
-    is bitwise symmetric, so either row gives the same bits. Weights are
-    exp(-d^2 / (2 sigma^2)); one that underflows to zero is no edge.
+    The directed weights exp(-d^2 / (2 sigma^2)) of the pairs each row lists,
+    less those that underflow to zero, form one CSR array; W is its
+    elementwise max with its transpose, the pairs either point lists, or its
+    min if mutual, the pairs both list (the OR and the AND of von Luxburg's
+    "is among the k nearest", Stat. Comput. 2007, sec. 2.2). The distance
+    matrix is bitwise symmetric, so both directions of a pair carry the same
+    weight and the max and min take it exactly.
     """
     import scipy.sparse
 
-    k = neighbours.shape[1]
-    listed = np.repeat(np.arange(n), k) * n + neighbours.ravel()  # row-major keys i * n + j, ascending
-    reverse = neighbours.ravel() * n + np.repeat(np.arange(n), k)
-    dist = near.ravel()
-    if mutual:
-        both = np.isin(listed, reverse)
-        keys, dist = listed[both], dist[both]
-    else:
-        keys, first = np.unique(np.concatenate((listed, reverse)), return_index=True)
-        dist = np.concatenate((dist, dist))[first]
-    weights = np.exp(-(dist**2) / (2.0 * sigma**2))
+    weights = np.exp(-(near.ravel() ** 2) / (2.0 * sigma**2))
     edge = weights > 0.0
-    return scipy.sparse.csr_array((weights[edge], np.divmod(keys[edge], n)), shape=(n, n))
+    rows = np.repeat(np.arange(n), neighbours.shape[1])
+    directed = scipy.sparse.csr_array((weights[edge], (rows[edge], neighbours.ravel()[edge])), shape=(n, n))
+    return directed.minimum(directed.T) if mutual else directed.maximum(directed.T)
 
 
 def knn_graph(
@@ -674,18 +663,11 @@ def graph_to_json_dict(graph: SimilarityGraph) -> dict:
     """Sparse serialization: nonzero upper-triangle entries as (i, j, weight), row-major."""
     import scipy.sparse
 
-    w = scipy.sparse.csr_array(graph.w)
-    rows = csr_rows(w)
-    upper = w.indices > rows
+    upper = scipy.sparse.triu(graph.w, k=1, format="coo")
     return {
         "n": graph.n,
         "model": graph.model,
         "params": graph.params.to_json_dict(),
         "seed": graph.seed,
-        "triplets": [[int(i), int(j), float(v)] for i, j, v in zip(rows[upper], w.indices[upper], w.data[upper])],
+        "triplets": [[int(i), int(j), float(v)] for i, j, v in zip(upper.row, upper.col, upper.data)],
     }
-
-
-def write_graph_json(graph: SimilarityGraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(graph_to_json_dict(graph), indent=2, sort_keys=True) + "\n")
-

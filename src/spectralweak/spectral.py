@@ -74,7 +74,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .simgraph import SimilarityGraph, csr_rows, symmetrize_in_place
+from .simgraph import SimilarityGraph, symmetrize_in_place
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -169,7 +169,8 @@ def _normalized_adjacency(w: scipy.sparse.csr_array, inv_sqrt: np.ndarray) -> sc
     """N = D^-1/2 W D^-1/2 as CSR on the pattern of W."""
     import scipy.sparse
 
-    data = w.data * (inv_sqrt[csr_rows(w)] * inv_sqrt[w.indices])
+    rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
+    data = w.data * (inv_sqrt[rows] * inv_sqrt[w.indices])
     return scipy.sparse.csr_array((data, w.indices, w.indptr), shape=w.shape)
 
 
@@ -481,7 +482,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> list[KMeansRun]:
     return runs
 
 
-def kmeans_detailed(points: np.ndarray, k: int, seed: int) -> KMeansResult:
+def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     """Seeded k-means with k-means++ starts and Lloyd refinement.
 
     Runs KMEANS_RESTARTS independent starts from child seeds of `seed` and
@@ -490,7 +491,8 @@ def kmeans_detailed(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     together, in blocks whose distance temporary stays near
     KMEANS_BLOCK_BYTES, with the bits each would get alone. The
     per-iteration objective is checked non-increasing on every run; an
-    increase raises NumericalError.
+    increase raises NumericalError. Returns every run; the kept one's
+    grouping is `.grouping`.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -510,14 +512,10 @@ def kmeans_detailed(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     return KMeansResult(grouping=grouping, objective=runs[best].objective, runs=tuple(runs), best_run=best)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int) -> Grouping:
-    return kmeans_detailed(points, k, seed).grouping
-
-
 def spectral_grouping(graph: SimilarityGraph, k: int, seed: int) -> Grouping:
     """Group graph vertices: the k smallest eigenvectors of L_rw, k-means on
     the embedding rows."""
     if k < 2:
         raise ParameterError(f"spectral grouping needs k >= 2, got {k}")
     emb = smallest_k_eigenvectors(graph, k)
-    return kmeans(emb.vectors, k, seed=seed)
+    return kmeans(emb.vectors, k, seed=seed).grouping

@@ -535,7 +535,7 @@ def kmeans_reference(points, k, seed, restarts=10):
     """k-means++ starts from child seeds of `seed`, each refined on its own;
     the run with the smallest objective wins (the first on exact ties).
 
-    The original kmeans_detailed, one start at a time, kept as the oracle for
+    The original spectral.kmeans, one start at a time, kept as the oracle for
     its bits: every run's assignments, objective trace and step count, and
     the best run.
     """

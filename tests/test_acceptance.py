@@ -13,7 +13,7 @@ import pytest
 
 from spectralweak import bench
 from spectralweak.classify import LogisticModel, predict_proba, train_qda
-from spectralweak.dataset import DistanceMatrix, pairwise_distances
+from spectralweak.dataset import DistanceMatrix
 from spectralweak.errors import MissingDataError, UndefinedIndexError
 from spectralweak.evaluation import davies_bouldin, f1_score, pair_confusion
 from spectralweak.simgraph import (
@@ -25,7 +25,7 @@ from spectralweak.simgraph import (
 )
 from spectralweak.spectral import (
     Grouping,
-    kmeans_detailed,
+    kmeans,
     smallest_k_eigenvectors,
 )
 
@@ -279,7 +279,7 @@ def test_criterion_9_estimator_numerics():
     runs_checked = 0
     while runs_checked < 500:
         pts = rng.normal(size=(int(rng.integers(6, 25)), 2))
-        result = kmeans_detailed(pts, int(rng.integers(2, 5)), seed=int(rng.integers(0, 10**6)))
+        result = kmeans(pts, int(rng.integers(2, 5)), seed=int(rng.integers(0, 10**6)))
         for run in result.runs:
             trace = np.asarray(run.objective_trace)
             assert np.all(np.diff(trace) <= 1e-12)

@@ -116,9 +116,9 @@ def sha256(path):
 
 
 def pipeline_digests(tmp_path, data_name):
-    """Run graph, annotate, then train and evaluate on the annotated labels
-    with each classifier; return the sha256 of every output file, keyed by
-    'command dir/file name'."""
+    """Run graph (symmetric and mutual kNN), annotate, then train and evaluate
+    on the annotated labels with each classifier; return the sha256 of every
+    output file, keyed by 'command dir/file name'."""
     if data_name == "builtin:dataset_a":
         data = data_name
     else:
@@ -128,6 +128,7 @@ def pipeline_digests(tmp_path, data_name):
     knn3 = ["--model", "knn_symmetric", "--k", "3"]
     runs = {
         "graph": (["graph", *base, *knn3], ("graph.json", "components.json")),
+        "graph-mutual": (["graph", *base, "--model", "knn_mutual", "--k", "3"], ("graph.json", "components.json")),
         "annotate": (["annotate", *base, *knn3], ("annotated.csv", "audit.json")),
     }
     training = ["--training", str(tmp_path / "annotate" / "annotated.csv")]
@@ -141,10 +142,14 @@ def pipeline_digests(tmp_path, data_name):
     return digests
 
 
+# The graph-mutual digests were taken before the kNN graphs were assembled as
+# the elementwise max/min of the directed weights and their transpose.
 PIPELINE_GOLDEN = {
     "bags": {
         "graph/graph.json": "fdeaf0232f1d25ea7674367c6a492bf6dcfd2674fb35f0ec188b1436d0369229",
         "graph/components.json": "b34e4fd4a2bd60ce8b44b55c49163cd99b6d9c5d6e2bb80b0c35948814ae2eb0",
+        "graph-mutual/graph.json": "5780e506b6d84fbc15cd6ab53d3d85822ce6c01759146a0f4593e5385ca6a2a8",
+        "graph-mutual/components.json": "b67e61fd69ae4abadf6cde784df858c4cdbd0ee3c1200d378e934ebc4cef8b35",
         "annotate/annotated.csv": "31075bc520b577f014e7000b080bd84fa328b385262dc5e1162833ebcf0e6d58",
         "annotate/audit.json": "85072da61681897b265853f039bb8ab2a5a8e7ce835dbb34b2252e71c3ab9523",
         "train-logistic/model.json": "32078ac741d28959d6ff351cb2eb53bb06da1155e3676ec8e975736cd1b611e6",
@@ -160,6 +165,8 @@ PIPELINE_GOLDEN = {
     "builtin:dataset_a": {
         "graph/graph.json": "5d3e016ccb6e37754e7163beb5e5f8cb1f7052f25518d46beaa799ac56a22deb",
         "graph/components.json": "5233577caa72b0e6ccf8e50423cc4d5851c3ca1074828b1a22e7acc459aefb39",
+        "graph-mutual/graph.json": "5c51121732b85f5480adedab3c7449ddd4c55db5f313c649fbaea4d50a883825",
+        "graph-mutual/components.json": "217890a8b86da0ef6c66d4b98480fc46fc826df7a86d43e64042912506217f64",
         "annotate/annotated.csv": "f416f4b0cf87ef90b81d838a4e0e65daf79861e7b52bb58d5396862a7615732f",
         "annotate/audit.json": "ac58d3744e45c30a048a6f64c1e0b89151743938bb3ebccfc5463f0d099ca3ae",
         "train-logistic/model.json": "456af7b5bc22b0cdc47b00f31755a7432666f88da142c59f0d4cc92790bae23a",

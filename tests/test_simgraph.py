@@ -33,7 +33,6 @@ from spectralweak.simgraph import (
     prob_criterion_graph,
     prob_threshold_graph,
     symmetrize_in_place,
-    write_graph_json,
 )
 
 from helpers import (
@@ -412,11 +411,12 @@ def test_pair_distances_and_squared_cdist_have_cdist_bits(p, exponent, rows, col
     assert np.sqrt(cdist(pts[:rows], pts[rows:], "sqeuclidean")).tobytes() == want.tobytes()
 
 
-def test_knn_underflowed_weight_is_not_an_edge():
+@pytest.mark.parametrize("mode", ["symmetric", "mutual"])
+def test_knn_underflowed_weight_is_not_an_edge(mode):
     # 50 / sigma = 50 standard deviations: exp(-1250) is 0.0 in float64
     pts = np.array([[0.0], [1.0], [50.0]])
-    g = knn_graph(pts, 2, sigma=1.0)
-    want, _ = knn_graph_reference(pairwise_distances(pts), 2, sigma=1.0)
+    g = knn_graph(pts, 2, mode=mode, sigma=1.0)
+    want, _ = knn_graph_reference(pairwise_distances(pts), 2, mode=mode, sigma=1.0)
     assert np.array_equal(g.w.toarray(), want)
     assert g.n_edges() == 1
     assert connected_components(g)[0] == 2
@@ -500,15 +500,13 @@ def upper_triplets(w):
     return [[int(i), int(j), float(dense[i, j])] for i, j in zip(rows, cols)]
 
 
-def test_knn_graph_json_roundtrip(tmp_path):
+def test_knn_graph_json_roundtrip():
     pts = np.round(seeded_points(4, 30, 2), 1)
     g = knn_graph(pts, 4, mode="mutual")
     want, _ = knn_graph_reference(pairwise_distances(pts), 4, mode="mutual")
     as_dense = SimilarityGraph(w=want, model="fully_connected", params=g.params)
     assert graph_to_json_dict(g)["triplets"] == graph_to_json_dict(as_dense)["triplets"]
-    path = tmp_path / "g.json"
-    write_graph_json(g, path)
-    payload = json.loads(path.read_text())
+    payload = json.loads(json.dumps(graph_to_json_dict(g)))
     assert payload["triplets"] == upper_triplets(g.w)
     assert (payload["n"], payload["model"], payload["params"]) == (g.n, g.model, g.params.to_json_dict())
 
@@ -883,12 +881,10 @@ def test_component_labels_numbered_by_smallest_member():
     assert labels.tolist() == [0, 1, 2, 2]
 
 
-def test_graph_json_roundtrip(tmp_path):
+def test_graph_json_roundtrip():
     d = pairwise_distances(seeded_points(2, 7, 2))
     g = build_graph(d, GraphSpec("prob_criterion", GraphParams(w_thresh=0.3, sigma=0.1)), seed=4)
-    path = tmp_path / "g.json"
-    write_graph_json(g, path)
-    payload = json.loads(path.read_text())
+    payload = json.loads(json.dumps(graph_to_json_dict(g)))
     assert set(payload) == {"n", "model", "params", "seed", "triplets"}
     assert payload["triplets"] == upper_triplets(g.w)
     assert (payload["model"], payload["seed"]) == (g.model, 4)

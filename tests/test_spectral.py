@@ -31,7 +31,6 @@ from spectralweak.simgraph import (
 from spectralweak.spectral import (
     Grouping,
     kmeans,
-    kmeans_detailed,
     smallest_k_eigenvectors,
     spectral_grouping,
 )
@@ -334,8 +333,8 @@ def test_arpack_agrees_with_dense_on_knn_graphs(seed, n, k, neighbours, mode):
     dense = smallest_k_eigenvectors(dense_route(g), k)
     assert (sparse.solver, dense.solver) == ("eigsh", "eigh")
     assert np.max(np.abs(sparse.eigenvalues - dense.eigenvalues)) < 1e-8
-    a = kmeans(sparse.vectors, k, seed=seed)
-    b = kmeans(dense.vectors, k, seed=seed)
+    a = kmeans(sparse.vectors, k, seed=seed).grouping
+    b = kmeans(dense.vectors, k, seed=seed).grouping
     assert partition_matches(a.assignments, b.assignments)
 
 
@@ -944,7 +943,7 @@ def test_knn_route_memory_budget_from_coordinates():
 
 def test_kmeans_k_equals_n_zero_objective():
     pts = np.array([[0.0], [1.0], [5.0], [9.0]])
-    res = kmeans_detailed(pts, 4, seed=0)
+    res = kmeans(pts, 4, seed=0)
     assert res.objective == pytest.approx(0.0, abs=1e-12)
     assert sorted(res.grouping.assignments.tolist()) == [0, 1, 2, 3]
 
@@ -952,17 +951,17 @@ def test_kmeans_k_equals_n_zero_objective():
 def test_kmeans_requires_seed_and_valid_k():
     pts = np.zeros((3, 2))
     with pytest.raises(ParameterError):
-        kmeans_detailed(pts, 0, seed=0)
+        kmeans(pts, 0, seed=0)
     with pytest.raises(ParameterError):
-        kmeans_detailed(pts, 4, seed=0)
+        kmeans(pts, 4, seed=0)
     with pytest.raises(ParameterError):
-        kmeans_detailed(pts, 2, seed=None)
+        kmeans(pts, 2, seed=None)
 
 
 def test_kmeans_deterministic_per_seed():
     pts, _ = two_blobs(n_per=10, gap=3.0, seed=2)
-    a = kmeans_detailed(pts, 2, seed=13)
-    b = kmeans_detailed(pts, 2, seed=13)
+    a = kmeans(pts, 2, seed=13)
+    b = kmeans(pts, 2, seed=13)
     assert np.array_equal(a.grouping.assignments, b.grouping.assignments)
     assert a.objective == b.objective
     assert a.best_run == b.best_run
@@ -986,7 +985,7 @@ def brute_force_objective(points, k):
 def test_kmeans_matches_exhaustive_partition_search(monkeypatch):
     monkeypatch.setattr(spectral, "KMEANS_RESTARTS", 20)
     pts, _ = two_blobs(n_per=4, gap=6.0, spread=0.5, seed=5)
-    res = kmeans_detailed(pts, 2, seed=0)
+    res = kmeans(pts, 2, seed=0)
     assert res.objective == pytest.approx(brute_force_objective(pts, 2), abs=1e-9)
 
 
@@ -995,7 +994,7 @@ def test_kmeans_matches_exhaustive_partition_search(monkeypatch):
 def test_kmeans_objective_trace_non_increasing(seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(int(rng.integers(5, 20)), 2))
-    res = kmeans_detailed(pts, int(rng.integers(2, 4)), seed=int(rng.integers(0, 100)))
+    res = kmeans(pts, int(rng.integers(2, 4)), seed=int(rng.integers(0, 100)))
     for run in res.runs:
         trace = np.asarray(run.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12)
@@ -1026,7 +1025,7 @@ def test_kmeans_objective_increase_raises(monkeypatch):
     _inflating_assign(monkeypatch)
     pts, _ = two_blobs(n_per=6, gap=3.0, seed=2)
     with pytest.raises(NumericalError, match="k-means objective increased"):
-        kmeans_detailed(pts, 2, seed=0)
+        kmeans(pts, 2, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -1040,7 +1039,7 @@ def test_kmeans_objective_increase_raises_per_run(monkeypatch, k, restarts, rows
     monkeypatch.setattr(spectral, "KMEANS_RESTARTS", restarts)
     pts, _ = two_blobs(n_per=6, gap=3.0, seed=2)
     with pytest.raises(NumericalError, match="k-means objective increased"):
-        kmeans_detailed(pts, k, seed=0)
+        kmeans(pts, k, seed=0)
 
 
 def assert_same_kmeans(got, want):
@@ -1080,7 +1079,7 @@ def test_kmeans_matches_one_start_at_a_time_reference(points, data, seed, restar
     k = data.draw(st.one_of(st.just(n), st.integers(1, min(n, 3)), st.integers(1, n)), label="k")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "KMEANS_RESTARTS", restarts)
-        got = kmeans_detailed(points, k, seed)
+        got = kmeans(points, k, seed)
     assert_same_kmeans(got, kmeans_reference(points, k, seed, restarts))
 
 
@@ -1164,7 +1163,7 @@ def test_kmeans_restarts_converge_at_different_steps_in_several_blocks():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(3000, 5)) + 3.0 * np.eye(5)[rng.integers(5, size=3000)]
     assert spectral.KMEANS_BLOCK_BYTES // (8 * pts.size * 8) < 10
-    got = kmeans_detailed(pts, 8, seed=11)
+    got = kmeans(pts, 8, seed=11)
     assert len({run.n_iter for run in got.runs}) > 1
     assert_same_kmeans(got, kmeans_reference(pts, 8, seed=11))
 
@@ -1180,7 +1179,7 @@ def test_kmeans_memory_is_blocked():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        kmeans_detailed(pts, 8, seed=0)
+        kmeans(pts, 8, seed=0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -1222,8 +1221,8 @@ def test_spectral_grouping_invariant_to_power_of_two_scaling(exp):
     assert np.array_equal(a, b)
 
 
-def test_kmeans_convenience_wrapper():
+def test_kmeans_groups_two_separated_blobs():
     pts, labels = two_blobs(n_per=6, gap=8.0, seed=1)
-    grouping = kmeans(pts, 2, seed=0)
+    grouping = kmeans(pts, 2, seed=0).grouping
     # perfect separation: the two blobs are the two groups
     assert len({(int(a), int(t)) for a, t in zip(grouping.assignments, labels)}) == 2
